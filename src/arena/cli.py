@@ -82,28 +82,6 @@ def _out_dir(args, config: cfgmod.TournamentConfig | None = None) -> str:
     return "arena-out"
 
 
-def _write_outputs(directory: str, outputs: dict,
-                   summary: sm.TournamentSummary) -> list[str]:
-    os.makedirs(directory, exist_ok=True)
-    paths = {
-        "summary_csv": outputs.get("summary_csv", "summary.csv"),
-        "heatmap_csv": outputs.get("heatmap_csv", "heatmap.csv"),
-        "heatmap_svg": outputs.get("heatmap_svg", "heatmap.svg"),
-        "curve_svg": outputs.get("curve_svg", "curves.svg"),
-    }
-    written = []
-    sm.write_summary_csv(os.path.join(directory, paths["summary_csv"]),
-                         summary)
-    sm.write_heatmap_csv(os.path.join(directory, paths["heatmap_csv"]),
-                         summary.heatmap)
-    sm.write_heatmap_svg(os.path.join(directory, paths["heatmap_svg"]),
-                         summary.heatmap)
-    sm.write_curve_svg(os.path.join(directory, paths["curve_svg"]),
-                       summary.curves)
-    written.extend(os.path.join(directory, name) for name in paths.values())
-    return written
-
-
 def _report(summary: sm.TournamentSummary,
             outcome: glicko.RatingOutcome) -> None:
     print(sm.format_summary_table(summary))
@@ -111,18 +89,26 @@ def _report(summary: sm.TournamentSummary,
         _warn(message)
 
 
-def cmd_run(args) -> int:
+def _plan(args) -> tuple[cfgmod.TournamentConfig, cfgmod.BuiltPlayers,
+                         tn.Schedule, tn.ScheduleDiagnostics]:
+    """Load the config with its flag overrides, build the players and the
+    schedule, and print the schedule's warnings and errors."""
     config = _load_with_overrides(args)
     built = cfgmod.build_players(config)
     schedule = cfgmod.build_schedule(config, built.specs)
     diagnostics = tn.validate_schedule(schedule,
                                        {s.id: s for s in built.specs})
-    if not diagnostics.ok:
-        for problem in diagnostics.errors:
-            print(f"error: {problem}", file=sys.stderr)
-        return 2
     for message in diagnostics.warnings:
         _warn(message)
+    for problem in diagnostics.errors:
+        print(f"error: {problem}", file=sys.stderr)
+    return config, built, schedule, diagnostics
+
+
+def cmd_run(args) -> int:
+    config, built, schedule, diagnostics = _plan(args)
+    if not diagnostics.ok:
+        return 2
 
     directory = _out_dir(args, config)
     os.makedirs(directory, exist_ok=True)
@@ -145,7 +131,7 @@ def cmd_run(args) -> int:
 
     outcome = glicko.rate_tournament(records, config.rating)
     summary = sm.summarize(records, outcome.ratings, built.specs, schedule)
-    _write_outputs(directory, config.outputs, summary)
+    sm.write_artifacts(directory, summary, config.outputs)
     _report(summary, outcome)
     print(f"log: {log_path} ({len(records)} records)")
     return 0
@@ -172,7 +158,7 @@ def cmd_rate(args) -> int:
     summary = sm.summarize(records, outcome.ratings,
                            _specs_from_records(records))
     if args.out_dir:
-        _write_outputs(args.out_dir, {}, summary)
+        sm.write_artifacts(args.out_dir, summary, {})
     _report(summary, outcome)
     return 0
 
@@ -220,7 +206,11 @@ def cmd_extend(args) -> int:
     finally:
         for session in sessions:
             session.close()
-    store.append_records(args.log, new_records)
+    # Appended only once every new match has been played, so a --strict
+    # failure leaves the log untouched.
+    with store.LogWriter(args.log) as sink:
+        for record in new_records:
+            sink(record)
 
     rating_config = config.rating
     updates = _rating_updates(args)
@@ -231,7 +221,7 @@ def cmd_extend(args) -> int:
     summary = sm.summarize(records + new_records, outcome.ratings,
                            built.specs)
     if args.out_dir:
-        _write_outputs(args.out_dir, config.outputs, summary)
+        sm.write_artifacts(args.out_dir, summary, config.outputs)
     _report(summary, outcome)
     print(f"appended {len(new_records)} records to {args.log} "
           f"(new players: {', '.join(new_gens + new_discs)})")
@@ -245,11 +235,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    config = _load_with_overrides(args)
-    built = cfgmod.build_players(config)
-    schedule = cfgmod.build_schedule(config, built.specs)
-    diagnostics = tn.validate_schedule(schedule,
-                                       {s.id: s for s in built.specs})
+    _, built, schedule, diagnostics = _plan(args)
     gens = {s.id for s in built.specs if s.role == "generator"}
     discs = {s.id for s in built.specs if s.role == "discriminator"}
     full = len(gens) * len(discs)
@@ -264,10 +250,6 @@ def cmd_schedule(args) -> int:
     if args.list:
         for gen_id, disc_id, repeat in schedule.matches:
             print(f"  {gen_id} vs {disc_id} repeat {repeat}")
-    for message in diagnostics.warnings:
-        _warn(message)
-    for problem in diagnostics.errors:
-        print(f"error: {problem}", file=sys.stderr)
     return 0 if diagnostics.ok else 2
 
 

@@ -167,7 +167,6 @@ CONFIG_SCHEMA = {
                                    "exclusiveMinimum": 0},
                 "damping": {"type": "number", "exclusiveMinimum": 0,
                             "maximum": 1},
-                "idle_inflation": {"type": "boolean"},
                 "outcome_mode": {"enum": ["per-sample", "per-match"]},
             },
         },
@@ -181,7 +180,6 @@ CONFIG_SCHEMA = {
                 "heatmap_csv": {"type": "string"},
                 "heatmap_svg": {"type": "string"},
                 "curve_svg": {"type": "string"},
-                "verdict": {"type": "string"},
             },
         },
     },
@@ -229,6 +227,10 @@ def parse_config(payload: Mapping, where: str = "config"
     schedule.setdefault("repeats", 1)
     if schedule["kind"] == "band" and "band_width" not in schedule:
         raise ConfigError(f"{where}: schedule kind 'band' needs band_width")
+    if schedule["kind"] != "band" and "band_width" in schedule:
+        raise ConfigError(f"{where}: band_width applies only to schedule "
+                          f"kind 'band', not {schedule['kind']!r} (on the "
+                          "command line, add --schedule band)")
     if schedule["kind"] == "explicit" and "matches" not in schedule:
         raise ConfigError(f"{where}: schedule kind 'explicit' needs matches")
     rating = RatingConfig(**(payload.get("rating") or {}))

@@ -429,22 +429,16 @@ def run_multi(seed: int = DEFAULT_SEED) -> MultiResult:
 
 
 def _write_bundle(out_dir: str, stem: str, bundle: RunBundle) -> list[str]:
+    log_path = os.path.join(out_dir, f"{stem}.jsonl")
     header = store.LogHeader(cfgmod.config_hash(bundle.config),
                              bundle.config.seed)
-    summary = bundle.summary()
-    paths = {
-        "log": os.path.join(out_dir, f"{stem}.jsonl"),
-        "summary": os.path.join(out_dir, f"{stem}_summary.csv"),
-        "heatmap_csv": os.path.join(out_dir, f"{stem}_heatmap.csv"),
-        "heatmap_svg": os.path.join(out_dir, f"{stem}_heatmap.svg"),
-        "curves": os.path.join(out_dir, f"{stem}_curves.svg"),
-    }
-    store.write_log(paths["log"], header, bundle.records)
-    sm.write_summary_csv(paths["summary"], summary)
-    sm.write_heatmap_csv(paths["heatmap_csv"], summary.heatmap)
-    sm.write_heatmap_svg(paths["heatmap_svg"], summary.heatmap)
-    sm.write_curve_svg(paths["curves"], summary.curves)
-    return sorted(paths.values())
+    with store.LogWriter(log_path, header) as sink:
+        for record in bundle.records:
+            sink(record)
+    names = {key: f"{stem}_{name}"
+             for key, name in sm.ARTIFACT_NAMES.items()}
+    return sorted([log_path,
+                   *sm.write_artifacts(out_dir, bundle.summary(), names)])
 
 
 def simulate(name: str, seed: int | None = None,

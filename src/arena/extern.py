@@ -164,8 +164,8 @@ class ExternalPlayer:
                 self._proc.stdin.flush()
             except (OSError, ValueError):
                 self._dead = "player process exited"
-                raise ExternError(
-                    f"{context}: player stdin closed") from None
+                raise ExternError(f"{context}: player process exited "
+                                  "(stdin closed)") from None
             return self._next_message(self.request_timeout, context)
 
     def sample(self, count: int, rng: np.random.Generator | None = None

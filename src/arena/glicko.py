@@ -8,8 +8,8 @@ with two extensions used by the tournament engine:
 * a whole match set is treated as one rating period and updates are iterated
   to a fixed point, since tournament matches have no temporal order.
 
-Idle players are returned unchanged by default: deviation inflation between
-rating periods is disabled because a static tournament has no notion of
+Idle players are returned unchanged: there is no deviation inflation
+between rating periods because a static tournament has no notion of
 elapsed time.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 # Fixed conversion between the public scale (1500-anchored) and the internal
 # mu/phi scale. The anchor stays at 1500 even when players start elsewhere.
@@ -82,7 +82,6 @@ class RatingConfig:
     max_passes: int = 64
     pass_tolerance: float = 0.01
     damping: float = 0.5
-    idle_inflation: bool = False
     outcome_mode: str = "per-sample"
 
     def default(self) -> Rating:
@@ -195,14 +194,20 @@ def _apply_period(rating: Rating, mu_eval: float,
     the penalized-likelihood equation the one-step update linearizes.
     """
     mu, phi = to_internal(rating)
-    v_inv = 0.0
-    delta_sum = 0.0
+    # Each term is weight * (unit-game term) and the sums are correctly
+    # rounded, so a game of integer weight n adds exactly what n repeated
+    # unit games add; a plain running sum drifts in the last bits, and the
+    # volatility solve can amplify that drift.
+    info_terms = []
+    delta_terms = []
     for game in games:
         mu_j, phi_j = to_internal(game.opponent)
         g_j = g(phi_j)
         e_j = expected_score(mu_eval, mu_j, phi_j)
-        v_inv += game.weight * g_j * g_j * e_j * (1.0 - e_j)
-        delta_sum += game.weight * g_j * (game.score - e_j)
+        info_terms.append(game.weight * (g_j * g_j * e_j * (1.0 - e_j)))
+        delta_terms.append(game.weight * (g_j * (game.score - e_j)))
+    v_inv = math.fsum(info_terms)
+    delta_sum = math.fsum(delta_terms)
     if v_inv <= _MIN_INFORMATION:
         # Every expected score is saturated; the games carry no usable
         # information about this player.
@@ -225,19 +230,12 @@ def _apply_period(rating: Rating, mu_eval: float,
 
 def update_player(rating: Rating, games: Sequence[GameResult],
                   config: RatingConfig | None = None) -> Rating:
-    """Apply one rating period to a player.
-
-    With no games the player is returned unchanged unless idle inflation is
-    enabled, in which case only the deviation grows.
-    """
-    cfg = config or RatingConfig()
+    """Apply one rating period to a player; with no games the player is
+    returned unchanged."""
     if not games:
-        if not cfg.idle_inflation:
-            return rating
-        mu, phi = to_internal(rating)
-        phi_star = math.sqrt(phi * phi + rating.volatility ** 2)
-        return from_internal(mu, phi_star, rating.volatility)
-    return _apply_period(rating, to_internal(rating)[0], games, cfg)
+        return rating
+    return _apply_period(rating, to_internal(rating)[0], games,
+                         config or RatingConfig())
 
 
 def _expand_record(record, mode: str):
@@ -266,8 +264,7 @@ def _expand_record(record, mode: str):
         raise ValueError(f"unknown outcome mode: {mode!r}")
 
 
-def rate_tournament(records: Iterable, config: RatingConfig | None = None,
-                    players: Iterable[str] | Mapping[str, Rating] | None = None,
+def rate_tournament(records: Iterable, config: RatingConfig | None = None
                     ) -> RatingOutcome:
     """Rate a full match set by fixed-point iteration.
 
@@ -277,30 +274,11 @@ def rate_tournament(records: Iterable, config: RatingConfig | None = None,
     player order and each game is counted exactly once no matter how many
     passes run. Convergence means the largest public-rating change in a
     pass fell below pass_tolerance.
-
-    ``players`` optionally fixes the player universe: ids seen in records
-    must belong to it, and listed players without matches keep their prior.
-    Passing a mapping of id -> Rating supplies per-player priors (for
-    example carried over from an earlier tournament).
     """
     cfg = config or RatingConfig()
     records = list(records)
-    priors: dict[str, Rating] = {}
-    if isinstance(players, Mapping):
-        priors = dict(players)
-        known = set(priors)
-    else:
-        known = set(players) if players is not None else None
-
     games_by_player: dict[str, list[tuple[str, float, float]]] = {}
-    if known is not None:
-        games_by_player = {pid: [] for pid in known}
     for record in records:
-        for pid, opp in ((record.generator_id, record.discriminator_id),
-                         (record.discriminator_id, record.generator_id)):
-            if known is not None and pid not in known:
-                raise ValueError(f"match record references unknown player "
-                                 f"{pid!r}")
         games_by_player.setdefault(record.generator_id, [])
         games_by_player.setdefault(record.discriminator_id, [])
     for record in records:
@@ -314,7 +292,7 @@ def rate_tournament(records: Iterable, config: RatingConfig | None = None,
         warnings.append("empty record set; all players rated at defaults")
 
     ids = sorted(games_by_player)
-    start = {pid: priors.get(pid, cfg.default()) for pid in ids}
+    start = {pid: cfg.default() for pid in ids}
     ratings = dict(start)
     passes = 0
     converged = not records

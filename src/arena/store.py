@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .tournament import MatchRecord
 
@@ -80,29 +79,25 @@ def parse_record(line: str) -> MatchRecord:
         raise LogError(f"record missing field {exc}") from exc
 
 
-def write_log(path, header: LogHeader,
-              records: Iterable[MatchRecord]) -> None:
-    with open(path, "w") as fh:
-        fh.write(header_line(header) + "\n")
-        for record in records:
-            fh.write(record_line(record) + "\n")
-
-
-def append_records(path, records: Iterable[MatchRecord]) -> None:
-    with open(path, "a") as fh:
-        for record in records:
-            fh.write(record_line(record) + "\n")
-
-
 class LogWriter:
-    """Streams records to disk as a tournament runs (header written first)."""
+    """The one way to write a log: ``LogWriter(path, header)`` starts a new
+    log, ``LogWriter(path)`` appends to an existing one.
 
-    def __init__(self, path, header: LogHeader):
-        self._fh = open(path, "w")
-        self._fh.write(header_line(header) + "\n")
+    Every line is flushed as it is written, so a killed run keeps every
+    record it finished.
+    """
+
+    def __init__(self, path, header: LogHeader | None = None):
+        self._fh = open(path, "w" if header is not None else "a")
+        if header is not None:
+            self._write(header_line(header))
+
+    def _write(self, line: str) -> None:
+        self._fh.write(line + "\n")
+        self._fh.flush()
 
     def __call__(self, record: MatchRecord) -> None:
-        self._fh.write(record_line(record) + "\n")
+        self._write(record_line(record))
 
     def close(self) -> None:
         self._fh.close()
@@ -140,15 +135,3 @@ def read_log(path, strict: bool = True
                     raise LogError(message) from exc
                 problems.append(message)
     return header, records, problems
-
-
-def iter_records(path) -> Iterator[MatchRecord]:
-    """Strict streaming reader (header skipped)."""
-    with open(path) as fh:
-        first = fh.readline()
-        if not first:
-            raise LogError(f"{path}: empty file, missing header")
-        parse_header(first)
-        for line in fh:
-            if line.strip():
-                yield parse_record(line)

@@ -8,6 +8,7 @@ rank-correlation diagnostics used to compare schedules.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -46,8 +47,8 @@ def tournament_win_rate(records: Iterable[MatchRecord]) -> dict[str, float]:
 class Heatmap:
     """Win-rate matrix: one row per discriminator, one column per generator.
 
-    Missing entries (pairs that never played) are None, matching the grey
-    pixels of a banded schedule.
+    Missing entries (pairs that never played) are None; the SVG draws them
+    as red cells, which no win rate maps to.
     """
 
     generator_ids: tuple[str, ...]
@@ -308,3 +309,30 @@ def write_curve_svg(path, curves: Mapping[str, Sequence[CurvePoint]],
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
+
+
+# Artifact key -> default file name. Config ``outputs:`` keys use the same
+# names.
+ARTIFACT_NAMES = {
+    "summary_csv": "summary.csv",
+    "heatmap_csv": "heatmap.csv",
+    "heatmap_svg": "heatmap.svg",
+    "curve_svg": "curves.svg",
+}
+
+
+def write_artifacts(directory, summary: TournamentSummary,
+                    names: Mapping[str, str]) -> list[str]:
+    """Write every summary artifact into ``directory``; returns the paths.
+
+    ``names`` maps artifact keys to file names; missing keys take their
+    name from ARTIFACT_NAMES and other keys are ignored.
+    """
+    os.makedirs(directory, exist_ok=True)
+    paths = {key: os.path.join(directory, names.get(key, default))
+             for key, default in ARTIFACT_NAMES.items()}
+    write_summary_csv(paths["summary_csv"], summary)
+    write_heatmap_csv(paths["heatmap_csv"], summary.heatmap)
+    write_heatmap_svg(paths["heatmap_svg"], summary.heatmap)
+    write_curve_svg(paths["curve_svg"], summary.curves)
+    return list(paths.values())

@@ -335,24 +335,3 @@ def run_tournament(schedule: Schedule, players: Mapping[str, object], data,
         if sink is not None:
             sink(record)
     return records
-
-
-def spaced_checkpoints(n_iterations: int, count: int) -> list[int]:
-    """Pick ``count`` checkpoint indices with denser early coverage.
-
-    Convenience for subsampling long runs: geometric spacing biased toward
-    early iterations, always including the first and last index.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if count >= n_iterations:
-        return list(range(n_iterations))
-    raw = np.geomspace(1.0, float(n_iterations), num=count)
-    picked = sorted({min(n_iterations - 1, int(round(x)) - 1) for x in raw})
-    cursor = 0
-    while len(picked) < count:
-        if cursor not in picked:
-            picked.append(cursor)
-            picked.sort()
-        cursor += 1
-    return picked

@@ -369,29 +369,3 @@ class ConstantDiscriminator:
     def judge(self, batch: np.ndarray,
               rng: np.random.Generator | None = None) -> np.ndarray:
         return np.full(len(np.atleast_2d(batch)), self.value)
-
-
-def gaussian_frechet(mean1: np.ndarray, cov1: np.ndarray, mean2: np.ndarray,
-                     cov2: np.ndarray) -> float:
-    """Frechet distance between two Gaussians.
-
-    ||mu1 - mu2||^2 + Tr(C1 + C2 - 2 (C1 C2)^(1/2)), with the matrix square
-    root taken through an eigendecomposition of the symmetrized product
-    sqrt(C1) C2 sqrt(C1).
-    """
-    mean1 = np.asarray(mean1, dtype=float)
-    mean2 = np.asarray(mean2, dtype=float)
-    cov1 = np.asarray(cov1, dtype=float)
-    cov2 = np.asarray(cov2, dtype=float)
-    for name, cov in (("cov1", cov1), ("cov2", cov2)):
-        if not np.allclose(cov, cov.T):
-            raise ValueError(f"{name} is not symmetric")
-        if np.linalg.eigvalsh(cov).min() <= 0.0:
-            raise ValueError(f"{name} is not positive definite")
-    diff = mean1 - mean2
-    vals1, vecs1 = np.linalg.eigh(cov1)
-    sqrt1 = (vecs1 * np.sqrt(np.clip(vals1, 0.0, None))) @ vecs1.T
-    inner = sqrt1 @ cov2 @ sqrt1
-    cross = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum()
-    value = float(diff @ diff + np.trace(cov1) + np.trace(cov2) - 2.0 * cross)
-    return max(value, 0.0)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from arena import store
+from arena import tournament as tn
 from arena.cli import build_parser, _load_with_overrides, main
 from arena.config import config_hash, load_config
 
@@ -130,7 +131,7 @@ class TestRate:
 
     def test_header_only_log_warns_and_succeeds(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
-        store.write_log(path, store.LogHeader("feed", 1), [])
+        store.LogWriter(path, store.LogHeader("feed", 1)).close()
         assert run_cli("rate", path) == 0
         assert "no match records" in capsys.readouterr().err
 
@@ -169,10 +170,12 @@ class TestExtend:
     def test_extend_plays_new_against_old_only(self, population, capsys):
         config, log, fragment = population
         _, before, _ = store.read_log(log)
+        old_bytes = log.read_bytes()
         assert run_cli("extend", log, "--config", config, "--add",
                        fragment) == 0
         stdout = capsys.readouterr().out
         assert "appended 6 records" in stdout
+        assert log.read_bytes().startswith(old_bytes)
         _, after, _ = store.read_log(log)
         new = after[len(before):]
         assert len(new) == 6
@@ -180,6 +183,23 @@ class TestExtend:
         assert ("tiny-g02", "tiny-d02") not in pairs  # no new-vs-new
         assert all("tiny-g02" in pair or "tiny-d02" in pair
                    for pair in pairs)
+
+    def test_strict_failure_leaves_the_log_untouched(self, population,
+                                                     monkeypatch, capsys):
+        config, log, fragment = population
+        before = log.read_bytes()
+        real_play = tn.play_match
+
+        def flaky(*args, **kwargs):
+            if kwargs["discriminator_id"] == "tiny-d02":
+                raise tn.MatchError("judge crashed")
+            return real_play(*args, **kwargs)
+
+        monkeypatch.setattr(tn, "play_match", flaky)
+        assert run_cli("extend", log, "--config", config, "--add",
+                       fragment, "--strict") == 1
+        assert "judge crashed" in capsys.readouterr().err
+        assert log.read_bytes() == before
 
     def test_hash_mismatch_refuses_without_force(self, population, tmp_path,
                                                  capsys):
@@ -247,6 +267,14 @@ class TestScheduleCommand:
         stdout = capsys.readouterr().out
         assert "band_width: 0" in stdout
         assert "tiny-g00 vs tiny-d00 repeat 0" in stdout
+
+    def test_band_width_without_band_kind_is_a_usage_error(self, config_path,
+                                                          capsys):
+        assert run_cli("schedule", "--config", config_path, "--band-width",
+                       4) == 2
+        captured = capsys.readouterr()
+        assert "--schedule band" in captured.err
+        assert "kind:" not in captured.out
 
     def test_role_violations_exit_nonzero(self, tmp_path, capsys):
         payload = tiny_config_payload(

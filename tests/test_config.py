@@ -57,6 +57,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="band_width"):
             parse_config(payload)
 
+    def test_band_width_requires_band_schedule(self):
+        payload = minimal_payload()
+        payload["schedule"] = {"kind": "round_robin", "band_width": 4}
+        with pytest.raises(ConfigError, match="band_width applies only"):
+            parse_config(payload)
+
     def test_explicit_schedule_requires_matches(self):
         payload = minimal_payload()
         payload["schedule"] = {"kind": "explicit"}

@@ -9,6 +9,7 @@ import pytest
 from arena import experiments as ex
 from arena import summarize as sm
 from arena.config import parse_config
+from arena.store import read_log
 from arena.tournament import stable_seed
 
 from conftest import tiny_config_payload
@@ -137,6 +138,20 @@ class TestSimulate:
         with open(target / "verdict.json", encoding="utf-8") as fh:
             on_disk = json.load(fh)
         assert on_disk == {k: v for k, v in verdict.items() if k != "files"}
+
+    def test_banded_simulation_writes_both_bundles(self, tmp_path):
+        verdict = ex.simulate("banded", seed=1, out_dir=str(tmp_path))
+        target = tmp_path / "banded"
+        names = [f"{stem}{suffix}" for stem in ("full", "banded")
+                 for suffix in (".jsonl", "_summary.csv", "_heatmap.csv",
+                                "_heatmap.svg", "_curves.svg")]
+        assert verdict["files"] == sorted(
+            str(target / name) for name in [*names, "verdict.json"])
+        assert sorted(p.name for p in target.iterdir()) == sorted(
+            [*names, "verdict.json"])
+        header, records, _ = read_log(target / "full.jsonl")
+        assert records == ex.run_config(ex.within_config(1)).records
+        assert header.seed == 1
 
     def test_multi_population_verdict_holds(self):
         verdict = ex.run_multi(1).verdict()

@@ -243,6 +243,18 @@ class TestLifecycle:
         finally:
             player.close()
 
+    def test_request_to_an_already_dead_child_reports_the_exit(self):
+        player = ExternalPlayer(ref_player("generator", "--crash-after",
+                                           "1"), role="generator")
+        try:
+            player.sample(3)
+            player._proc.wait(timeout=10.0)
+            # The write itself now fails on the broken pipe.
+            with pytest.raises(ExternError, match="exited"):
+                player.sample(3)
+        finally:
+            player.close()
+
     def test_crashed_player_only_loses_its_own_matches(self):
         class LocalData:
             def sample(self, count, rng):

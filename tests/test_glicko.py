@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arena.glicko import (GLICKO2_SCALE, GameResult, Rating, RatingConfig,
                           RatingOutcome, expected_score, from_internal, g,
@@ -111,16 +111,6 @@ class TestUpdatePlayer:
         player = Rating(1444.0, 88.0, 0.05)
         assert update_player(player, []) is player
 
-    def test_idle_inflation_grows_deviation_only(self):
-        player = Rating(1444.0, 88.0, 0.05)
-        cfg = RatingConfig(idle_inflation=True)
-        inflated = update_player(player, [], cfg)
-        phi = 88.0 / GLICKO2_SCALE
-        expected = math.sqrt(phi * phi + 0.05 ** 2) * GLICKO2_SCALE
-        assert inflated.rating == player.rating
-        assert math.isclose(inflated.deviation, expected, rel_tol=1e-12)
-        assert inflated.volatility == player.volatility
-
     def test_saturated_opponent_is_skipped(self):
         # 50 internal units below: E is 1.0 to float precision, so the game
         # carries no information and the update must not move the player.
@@ -129,6 +119,9 @@ class TestUpdatePlayer:
         assert update_player(player, [GameResult(weak, 1.0)]) is player
 
     @given(st.integers(1, 5), st.floats(0.0, 1.0))
+    # Running sums once left last-bit drift here that the volatility solve
+    # amplified past 1e-12.
+    @example(5, 0.009510548796771047)
     @settings(max_examples=30)
     def test_weight_n_equals_n_repetitions(self, n, score):
         opponent = Rating(1472.0, 120.0)
@@ -190,32 +183,11 @@ class TestRateTournament:
         assert rate_tournament(records).ratings == \
             rate_tournament(records).ratings
 
-    def test_unknown_player_in_records_rejected(self):
-        with pytest.raises(ValueError, match="unknown player 'ghost'"):
-            rate_tournament([record("ghost", "d1", 8, 8)],
-                            players=["d1", "g1"])
-
-    def test_listed_idle_player_keeps_its_prior(self):
-        prior = Rating(1650.0, 90.0, 0.055)
-        outcome = rate_tournament(
-            [record("gen", "disc", 16, 16)],
-            players={"gen": Rating(), "disc": Rating(), "idle": prior})
-        assert outcome.ratings["idle"] == prior
-        assert outcome.ratings["gen"].rating > 1500.0
-
-    def test_mapping_priors_shift_the_result(self):
-        records = [record("gen", "disc", 10, 9)]
-        cold = rate_tournament(records)
-        warm = rate_tournament(records,
-                               players={"gen": Rating(1700.0, 60.0, 0.06),
-                                        "disc": Rating()})
-        assert warm.ratings["gen"].rating > cold.ratings["gen"].rating
-
     def test_empty_records_warn_and_converge(self):
-        outcome = rate_tournament([], players=["a"])
+        outcome = rate_tournament([])
         assert outcome.converged
         assert outcome.passes == 0
-        assert outcome.ratings == {"a": Rating()}
+        assert outcome.ratings == {}
         assert any("empty record set" in w for w in outcome.warnings)
 
     def test_pass_cap_reports_non_convergence(self):

@@ -8,15 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arena.store import (LOG_FORMAT, LogError, LogHeader, LogWriter,
-                         append_records, header_line, iter_records,
-                         parse_header, parse_record, read_log, record_line,
-                         write_log)
+                         header_line, parse_header, parse_record, read_log,
+                         record_line)
 from arena.tournament import MatchRecord
 
 HEADER = LogHeader(config_hash="0123456789abcdef", seed=7)
 
 ids = st.text(alphabet=st.characters(min_codepoint=33, max_codepoint=126),
               min_size=1, max_size=12)
+
+
+def write_records(path, records, header: LogHeader | None = HEADER) -> None:
+    """Write records through LogWriter: a new log when a header is given,
+    an append otherwise."""
+    with LogWriter(path, header) as sink:
+        for record in records:
+            sink(record)
 
 
 def make_record(i: int = 0) -> MatchRecord:
@@ -80,24 +87,26 @@ class TestFileRoundTrip:
     def test_write_read_write_is_byte_identical(self, tmp_path):
         records = [make_record(i) for i in range(5)]
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_log(first, HEADER, records)
+        write_records(first, records)
         header, read, problems = read_log(first)
         assert (header, read, problems) == (HEADER, records, [])
-        write_log(second, header, read)
+        write_records(second, read, header)
         assert first.read_bytes() == second.read_bytes()
 
     @given(records=st.lists(record_strategy, max_size=8))
     @settings(max_examples=25)
     def test_round_trip_for_arbitrary_records(self, records, tmp_path_factory):
         path = tmp_path_factory.mktemp("logs") / "log.jsonl"
-        write_log(path, HEADER, records)
+        write_records(path, records)
         _, read, _ = read_log(path)
         assert read == records
 
     def test_append_extends_an_existing_log(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        write_log(path, HEADER, [make_record(0)])
-        append_records(path, [make_record(1), make_record(2)])
+        write_records(path, [make_record(0)])
+        before = path.read_bytes()
+        write_records(path, [make_record(1), make_record(2)], header=None)
+        assert path.read_bytes().startswith(before)
         _, records, _ = read_log(path)
         assert records == [make_record(0), make_record(1), make_record(2)]
 
@@ -106,21 +115,27 @@ class TestFileRoundTrip:
         with LogWriter(path, HEADER) as sink:
             sink(make_record(0))
             sink(make_record(1))
-        reference = tmp_path / "ref.jsonl"
-        write_log(reference, HEADER, [make_record(0), make_record(1)])
-        assert path.read_bytes() == reference.read_bytes()
+        lines = [header_line(HEADER), record_line(make_record(0)),
+                 record_line(make_record(1))]
+        assert path.read_text() == "".join(line + "\n" for line in lines)
 
-    def test_iter_records_streams_lazily(self, tmp_path):
+    def test_every_record_is_on_disk_before_close(self, tmp_path):
+        # A killed run must keep every match it finished.
         path = tmp_path / "log.jsonl"
-        records = [make_record(i) for i in range(4)]
-        write_log(path, HEADER, records)
-        assert list(iter_records(path)) == records
+        sink = LogWriter(path, HEADER)
+        try:
+            for i in range(3):
+                sink(make_record(i))
+                _, records, _ = read_log(path)
+                assert records == [make_record(k) for k in range(i + 1)]
+        finally:
+            sink.close()
 
 
 class TestRecovery:
     def corrupt_log(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        write_log(path, HEADER, [make_record(0), make_record(1)])
+        write_records(path, [make_record(0), make_record(1)])
         lines = path.read_text().splitlines()
         lines.insert(2, "{broken")  # second record line becomes corrupt
         path.write_text("\n".join(lines) + "\n")
@@ -140,10 +155,10 @@ class TestRecovery:
 
     def test_blank_lines_are_ignored(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        write_log(path, HEADER, [make_record(0)])
+        write_records(path, [make_record(0)])
         with open(path, "a") as fh:
             fh.write("\n\n")
-        append_records(path, [make_record(1)])
+        write_records(path, [make_record(1)], header=None)
         _, records, problems = read_log(path)
         assert records == [make_record(0), make_record(1)]
         assert problems == []
@@ -153,14 +168,12 @@ class TestRecovery:
         path.touch()
         with pytest.raises(LogError, match="missing header"):
             read_log(path)
-        with pytest.raises(LogError, match="missing header"):
-            list(iter_records(path))
 
     def test_truncated_trailing_line_is_recoverable(self, tmp_path):
         # A crash mid-append leaves a partial last line; lenient mode keeps
         # everything before it.
         path = tmp_path / "log.jsonl"
-        write_log(path, HEADER, [make_record(0)])
+        write_records(path, [make_record(0)])
         with open(path, "a") as fh:
             fh.write(record_line(make_record(1))[:20])
         _, records, problems = read_log(path, strict=False)

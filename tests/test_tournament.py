@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 from arena.tournament import (MatchError, MatchRecord, PlayerSpec,
                               RunSettings, band, explicit_schedule,
                               match_rngs, match_seed, play_match,
-                              round_robin, run_tournament, spaced_checkpoints,
-                              stable_seed, validate_schedule)
+                              round_robin, run_tournament, stable_seed,
+                              validate_schedule)
 
 
 def spec(pid: str, role: str, iteration: int | None = None) -> PlayerSpec:
@@ -340,24 +340,3 @@ class TestRunTournament:
                                  RunSettings(seed=1, batch_size=4,
                                              on_error="skip"))
         assert records == []
-
-
-class TestSpacedCheckpoints:
-    def test_short_runs_keep_every_iteration(self):
-        assert spaced_checkpoints(5, 8) == [0, 1, 2, 3, 4]
-
-    def test_endpoints_always_present(self):
-        picks = spaced_checkpoints(1000, 10)
-        assert picks[0] == 0
-        assert picks[-1] == 999
-        assert len(picks) == 10
-        assert picks == sorted(set(picks))
-
-    def test_early_iterations_sampled_densely(self):
-        picks = spaced_checkpoints(1000, 10)
-        early = sum(1 for p in picks if p < 500)
-        assert early > len(picks) // 2
-
-    def test_count_must_be_positive(self):
-        with pytest.raises(ValueError, match="count"):
-            spaced_checkpoints(10, 0)

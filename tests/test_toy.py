@@ -1,8 +1,7 @@
 """Gaussian toy domain tests.
 
-Density values are checked against scipy.stats.multivariate_normal and the
-Frechet distance against a scipy.linalg.sqrtm construction, so the analytic
-code never validates itself.
+Density values are checked against scipy.stats.multivariate_normal, so the
+analytic code never validates itself.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.linalg import sqrtm
 
 from arena import toy
 
@@ -394,44 +392,3 @@ class TestConstantDiscriminator:
     def test_value_range_enforced(self, value):
         with pytest.raises(ValueError, match="score value"):
             toy.ConstantDiscriminator(value)
-
-
-class TestGaussianFrechet:
-    def sqrtm_reference(self, m1, c1, m2, c2) -> float:
-        diff = m1 - m2
-        cross = sqrtm(c1 @ c2)
-        return float(diff @ diff + np.trace(c1) + np.trace(c2)
-                     - 2.0 * np.trace(cross).real)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_scipy_sqrtm(self, seed):
-        rng = np.random.default_rng(seed)
-        dim = 4
-        m1, m2 = rng.standard_normal(dim), rng.standard_normal(dim)
-        a, b = rng.standard_normal((dim, dim)), rng.standard_normal((dim,
-                                                                     dim))
-        c1 = a.T @ a + 0.2 * np.eye(dim)
-        c2 = b.T @ b + 0.2 * np.eye(dim)
-        ours = toy.gaussian_frechet(m1, c1, m2, c2)
-        assert math.isclose(ours, self.sqrtm_reference(m1, c1, m2, c2),
-                            rel_tol=1e-8)
-
-    def test_identical_gaussians_have_zero_distance(self):
-        cov = np.array([[2.0, 0.3], [0.3, 1.0]])
-        mean = np.array([1.0, -2.0])
-        assert toy.gaussian_frechet(mean, cov, mean, cov) < 1e-10
-
-    def test_one_dimensional_closed_form(self):
-        # For scalars the distance is (m1-m2)^2 + (s1-s2)^2.
-        value = toy.gaussian_frechet(np.array([1.0]), np.array([[4.0]]),
-                                     np.array([3.0]), np.array([[9.0]]))
-        assert math.isclose(value, 2.0 ** 2 + (2.0 - 3.0) ** 2, rel_tol=1e-12)
-
-    def test_rejects_asymmetric_or_indefinite_covs(self):
-        mean = np.zeros(2)
-        with pytest.raises(ValueError, match="not symmetric"):
-            toy.gaussian_frechet(mean, np.array([[1.0, 0.5], [0.0, 1.0]]),
-                                 mean, np.eye(2))
-        with pytest.raises(ValueError, match="not positive definite"):
-            toy.gaussian_frechet(mean, np.array([[1.0, 2.0], [2.0, 1.0]]),
-                                 mean, np.eye(2))
