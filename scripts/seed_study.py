@@ -15,32 +15,32 @@ from arena import experiments as ex
 
 
 def study_within(seed: int) -> str:
-    r = ex.run_within(seed)
-    return f"rho={r.rho:+.4f}"
+    v, _ = ex.run_within(seed)
+    return f"rho={v['spearman_iteration_vs_rating']:+.4f}"
 
 
 def study_banded(seed: int) -> str:
-    v = ex.run_banded(seed).verdict()
+    v, _ = ex.run_banded(seed)
     return (f"frac={v['match_fraction']:.2f} "
             f"rho_rating={v['spearman_full_vs_banded_rating']:+.4f} "
             f"rho_winrate={v['spearman_full_vs_banded_win_rate']:+.4f}")
 
 
 def study_chekhov(seed: int) -> str:
-    v = ex.run_chekhov(seed).verdict()
+    v, _ = ex.run_chekhov(seed)
     return (f"forget={v['corr_rating_vs_quality_forgetting_post_mastery']:.4f} "
             f"chekhov={v['corr_rating_vs_quality_chekhov_post_mastery']:.4f} "
             f"gap={v['post_mastery_gap']:+.4f}")
 
 
 def study_distortion(seed: int) -> str:
-    v = ex.run_distortion(seed).verdict()
+    v, _ = ex.run_distortion(seed)
     return (f"inversions={len(v['inversions'])} "
             f"span={v['ratings'][0] - v['ratings'][-1]:.0f}pts")
 
 
 def study_multi(seed: int) -> str:
-    v = ex.run_multi(seed).verdict()
+    v, _ = ex.run_multi(seed)
     rhos = ",".join(f"{x:+.2f}"
                     for x in v["spearman_by_run_pre_mastery"].values())
     return (f"rho=[{rhos}] spread={v['mastered_cluster_spread']:.1f} "

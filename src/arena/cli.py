@@ -60,20 +60,6 @@ def _rating_updates(args) -> dict:
     return updates
 
 
-def _spawn_external(built: cfgmod.BuiltPlayers) -> list[ExternalPlayer]:
-    sessions = []
-    try:
-        for entry in built.external:
-            session = ExternalPlayer(entry["command"], role=entry["role"])
-            built.players[entry["id"]] = session
-            sessions.append(session)
-    except Exception:
-        for session in sessions:
-            session.close()
-        raise
-    return sessions
-
-
 def _out_dir(args, config: cfgmod.TournamentConfig | None = None) -> str:
     if getattr(args, "out_dir", None):
         return args.out_dir
@@ -82,8 +68,35 @@ def _out_dir(args, config: cfgmod.TournamentConfig | None = None) -> str:
     return "arena-out"
 
 
-def _report(summary: sm.TournamentSummary,
-            outcome: glicko.RatingOutcome) -> None:
+def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
+          schedule: tn.Schedule, strict: bool, sink=None
+          ) -> list[tn.MatchRecord]:
+    """Spawn the external players, play the schedule, and close the
+    sessions again whatever happens."""
+    sessions = []
+    try:
+        for entry in built.external:
+            session = ExternalPlayer(entry["command"], role=entry["role"])
+            built.players[entry["id"]] = session
+            sessions.append(session)
+        return tn.run_tournament(
+            schedule, built.players, built.data,
+            cfgmod.run_settings(config, "fatal" if strict else "skip"),
+            sink=sink)
+    finally:
+        for session in sessions:
+            session.close()
+
+
+def _report(records: list[tn.MatchRecord], rating: glicko.RatingConfig,
+            specs: list[PlayerSpec], directory: str | None, names: dict,
+            schedule: tn.Schedule | None = None) -> None:
+    """Rate the records, write the artifacts into ``directory`` if one is
+    given, and print the table and every warning."""
+    outcome = glicko.rate_tournament(records, rating)
+    summary = sm.summarize(records, outcome.ratings, specs, schedule)
+    if directory:
+        sm.write_artifacts(directory, summary, names)
     print(sm.format_summary_table(summary))
     for message in (*summary.warnings, *outcome.warnings):
         _warn(message)
@@ -116,23 +129,13 @@ def cmd_run(args) -> int:
                             config.outputs.get("log", "log.jsonl"))
     header = store.LogHeader(cfgmod.config_hash(config), config.seed)
 
-    sessions = _spawn_external(built)
     sink = store.LogWriter(log_path, header)
     try:
-        records = tn.run_tournament(
-            schedule, built.players, built.data,
-            cfgmod.run_settings(config,
-                                "fatal" if args.strict else "skip"),
-            sink=sink)
+        records = _play(config, built, schedule, args.strict, sink)
     finally:
         sink.close()
-        for session in sessions:
-            session.close()
-
-    outcome = glicko.rate_tournament(records, config.rating)
-    summary = sm.summarize(records, outcome.ratings, built.specs, schedule)
-    sm.write_artifacts(directory, summary, config.outputs)
-    _report(summary, outcome)
+    _report(records, config.rating, built.specs, directory, config.outputs,
+            schedule)
     print(f"log: {log_path} ({len(records)} records)")
     return 0
 
@@ -146,6 +149,7 @@ def _specs_from_records(records) -> list[PlayerSpec]:
 
 
 def cmd_rate(args) -> int:
+    rating = cfgmod.parse_rating(_rating_updates(args), "command line")
     header, records, problems = store.read_log(args.log, strict=args.strict)
     for problem in problems:
         _warn(problem)
@@ -153,18 +157,12 @@ def cmd_rate(args) -> int:
         _warn(f"{args.log}: no match records; every player would keep its "
               "default rating")
         return 0
-    rating_config = glicko.RatingConfig(**_rating_updates(args))
-    outcome = glicko.rate_tournament(records, rating_config)
-    summary = sm.summarize(records, outcome.ratings,
-                           _specs_from_records(records))
-    if args.out_dir:
-        sm.write_artifacts(args.out_dir, summary, {})
-    _report(summary, outcome)
+    _report(records, rating, _specs_from_records(records), args.out_dir, {})
     return 0
 
 
 def cmd_extend(args) -> int:
-    config = cfgmod.load_config(args.config)
+    config = _load_with_overrides(args)
     header, records, _ = store.read_log(args.log, strict=True)
     expected = cfgmod.config_hash(config)
     if header.config_hash != expected:
@@ -197,32 +195,14 @@ def cmd_extend(args) -> int:
     matches += [(g, d, 0) for g in old_gens for d in new_discs]
     schedule = tn.explicit_schedule(matches)
 
-    sessions = _spawn_external(built)
-    try:
-        new_records = tn.run_tournament(
-            schedule, built.players, built.data,
-            cfgmod.run_settings(config,
-                                "fatal" if args.strict else "skip"))
-    finally:
-        for session in sessions:
-            session.close()
+    new_records = _play(config, built, schedule, args.strict)
     # Appended only once every new match has been played, so a --strict
     # failure leaves the log untouched.
     with store.LogWriter(args.log) as sink:
         for record in new_records:
             sink(record)
-
-    rating_config = config.rating
-    updates = _rating_updates(args)
-    if updates:
-        rating_config = glicko.RatingConfig(
-            **{**rating_config.__dict__, **updates})
-    outcome = glicko.rate_tournament(records + new_records, rating_config)
-    summary = sm.summarize(records + new_records, outcome.ratings,
-                           built.specs)
-    if args.out_dir:
-        sm.write_artifacts(args.out_dir, summary, config.outputs)
-    _report(summary, outcome)
+    _report(records + new_records, config.rating, built.specs, args.out_dir,
+            config.outputs)
     print(f"appended {len(new_records)} records to {args.log} "
           f"(new players: {', '.join(new_gens + new_discs)})")
     return 0

@@ -113,6 +113,22 @@ _EXTERNAL_SCHEMA = {
     },
 }
 
+_RATING_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {
+        "tau": {"type": "number", "exclusiveMinimum": 0},
+        "default_rating": {"type": "number"},
+        "default_deviation": {"type": "number", "exclusiveMinimum": 0},
+        "default_volatility": {"type": "number", "exclusiveMinimum": 0},
+        "convergence_eps": {"type": "number", "exclusiveMinimum": 0},
+        "max_passes": {"type": "integer", "minimum": 1},
+        "pass_tolerance": {"type": "number", "exclusiveMinimum": 0},
+        "damping": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+        "outcome_mode": {"enum": ["per-sample", "per-match"]},
+    },
+}
+
 _PLAYER_SCHEMA = {
     "oneOf": [_TOY_TRAJECTORY_SCHEMA, _REAL_DATA_SCHEMA, _TRANSFORM_SCHEMA,
               _NOISE_ORACLE_SCHEMA, _CONSTANT_SCHEMA, _EXTERNAL_SCHEMA],
@@ -150,26 +166,7 @@ CONFIG_SCHEMA = {
                                       "maxItems": 3}},
             },
         },
-        "rating": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "tau": {"type": "number", "exclusiveMinimum": 0},
-                "default_rating": {"type": "number"},
-                "default_deviation": {"type": "number",
-                                      "exclusiveMinimum": 0},
-                "default_volatility": {"type": "number",
-                                       "exclusiveMinimum": 0},
-                "convergence_eps": {"type": "number",
-                                    "exclusiveMinimum": 0},
-                "max_passes": {"type": "integer", "minimum": 1},
-                "pass_tolerance": {"type": "number",
-                                   "exclusiveMinimum": 0},
-                "damping": {"type": "number", "exclusiveMinimum": 0,
-                            "maximum": 1},
-                "outcome_mode": {"enum": ["per-sample", "per-match"]},
-            },
-        },
+        "rating": _RATING_SCHEMA,
         "outputs": {
             "type": "object",
             "additionalProperties": False,
@@ -233,7 +230,7 @@ def parse_config(payload: Mapping, where: str = "config"
                           "command line, add --schedule band)")
     if schedule["kind"] == "explicit" and "matches" not in schedule:
         raise ConfigError(f"{where}: schedule kind 'explicit' needs matches")
-    rating = RatingConfig(**(payload.get("rating") or {}))
+    rating = parse_rating(payload.get("rating") or {}, where)
     return TournamentConfig(
         seed=int(payload["seed"]),
         batch_size=int(payload.get("batch_size", 64)),
@@ -245,6 +242,12 @@ def parse_config(payload: Mapping, where: str = "config"
         outputs=dict(payload.get("outputs") or {}),
         raw=dict(payload),
     )
+
+
+def parse_rating(section: Mapping, where: str) -> RatingConfig:
+    """Validate a ``rating:`` section and build the engine's config."""
+    _validate(section, _RATING_SCHEMA, where)
+    return RatingConfig(**section)
 
 
 def load_config(path) -> TournamentConfig:
@@ -333,9 +336,7 @@ def _trajectory_players(entry: dict, task: toy.GaussianTask,
         elif panel == "forgetting":
             disc = toy.ForgettingDiscriminator(
                 task.model, [gens[k].density_model(task)],
-                mastered=k >= m_idx,
-                noise_seed=stable_seed(panel_seed, "noise", k) % 2**31,
-                checkpoint=k)
+                mastered=k >= m_idx, checkpoint=k)
         else:
             disc = toy.chekhov_discriminator(
                 task, gens, k, capacity=capacity,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import config as cfgmod
 from . import glicko, store
@@ -57,6 +57,11 @@ class RunBundle:
         specs.sort(key=lambda s: (s.iteration, s.id))
         return ([s.iteration for s in specs],
                 [self.outcome.ratings[s.id].rating for s in specs])
+
+
+# What every run_<name> returns: the verdict, and the bundles it was computed
+# from keyed by the file stem ``simulate`` writes them under.
+Study = tuple[dict, dict[str, RunBundle]]
 
 
 def run_config(raw: dict, on_error: str = "fatal") -> RunBundle:
@@ -100,57 +105,21 @@ def within_config(seed: int, *, schedule: dict | None = None) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class WithinResult:
-    seed: int
-    bundle: RunBundle
-    rho: float
-
-    def verdict(self) -> dict:
-        return {
-            "experiment": "within",
-            "seed": self.seed,
-            "n_matches": len(self.bundle.records),
-            "spearman_iteration_vs_rating": self.rho,
-            "checks": {"spearman_at_least_0.95": self.rho >= 0.95},
-        }
-
-
-def run_within(seed: int = DEFAULT_SEED) -> WithinResult:
+def run_within(seed: int = DEFAULT_SEED) -> Study:
     """Full round robin along one trajectory (skill should track progress)."""
     bundle = run_config(within_config(seed))
-    iterations, ratings = bundle.generator_series("within")
-    return WithinResult(seed, bundle, sm.spearman(iterations, ratings))
+    rho = sm.spearman(*bundle.generator_series("within"))
+    verdict = {
+        "experiment": "within",
+        "seed": seed,
+        "n_matches": len(bundle.records),
+        "spearman_iteration_vs_rating": rho,
+        "checks": {"spearman_at_least_0.95": rho >= 0.95},
+    }
+    return verdict, {"within": bundle}
 
 
-@dataclass(frozen=True)
-class BandedResult:
-    seed: int
-    full: RunBundle
-    banded: RunBundle
-    fraction: float
-    rho_rating: float
-    rho_win_rate: float
-
-    def verdict(self) -> dict:
-        return {
-            "experiment": "banded",
-            "seed": self.seed,
-            "band_width": self.banded.schedule.band_width,
-            "match_fraction": self.fraction,
-            "spearman_full_vs_banded_rating": self.rho_rating,
-            "spearman_full_vs_banded_win_rate": self.rho_win_rate,
-            "checks": {
-                "fraction_at_most_0.4": self.fraction <= 0.4,
-                "rating_rho_at_least_0.9": self.rho_rating >= 0.9,
-                "win_rate_rho_strictly_lower":
-                    self.rho_win_rate < self.rho_rating,
-            },
-        }
-
-
-def run_banded(seed: int = DEFAULT_SEED,
-               width: int = BAND_WIDTH) -> BandedResult:
+def run_banded(seed: int = DEFAULT_SEED, width: int = BAND_WIDTH) -> Study:
     """Banded schedule vs the full round robin on the same population.
 
     Ratings should survive the omitted matches; the raw win rate should
@@ -167,7 +136,20 @@ def run_banded(seed: int = DEFAULT_SEED,
     band_rates = sm.tournament_win_rate(banded.records)
     rho_rating = sm.spearman(reference, band_ratings)
     rho_wr = sm.spearman(reference, [band_rates[g] for g in gen_ids])
-    return BandedResult(seed, full, banded, fraction, rho_rating, rho_wr)
+    verdict = {
+        "experiment": "banded",
+        "seed": seed,
+        "band_width": banded.schedule.band_width,
+        "match_fraction": fraction,
+        "spearman_full_vs_banded_rating": rho_rating,
+        "spearman_full_vs_banded_win_rate": rho_wr,
+        "checks": {
+            "fraction_at_most_0.4": fraction <= 0.4,
+            "rating_rho_at_least_0.9": rho_rating >= 0.9,
+            "win_rate_rho_strictly_lower": rho_wr < rho_rating,
+        },
+    }
+    return verdict, {"full": full, "banded": banded}
 
 
 def chekhov_config(seed: int, panel: str) -> dict:
@@ -179,38 +161,6 @@ def chekhov_config(seed: int, panel: str) -> dict:
                                       discriminators=panel)],
         "schedule": {"kind": "round_robin"},
     }
-
-
-@dataclass(frozen=True)
-class ChekhovResult:
-    seed: int
-    mastery: int
-    forgetting: RunBundle
-    chekhov: RunBundle
-    cov_errors: list[float]
-    corr_forgetting_post: float
-    corr_chekhov_post: float
-    corr_chekhov_full: float
-
-    def verdict(self) -> dict:
-        gap = self.corr_chekhov_post - self.corr_forgetting_post
-        return {
-            "experiment": "chekhov",
-            "seed": self.seed,
-            "mastery_index": self.mastery,
-            "corr_rating_vs_quality_forgetting_post_mastery":
-                self.corr_forgetting_post,
-            "corr_rating_vs_quality_chekhov_post_mastery":
-                self.corr_chekhov_post,
-            "corr_rating_vs_quality_chekhov_full": self.corr_chekhov_full,
-            "post_mastery_gap": gap,
-            "checks": {
-                "gap_at_least_0.2": gap >= 0.2,
-                "chekhov_corr_at_least_0.9":
-                    min(self.corr_chekhov_post, self.corr_chekhov_full)
-                    >= 0.9,
-            },
-        }
 
 
 def _quality_correlation(bundle: RunBundle, cov_errors: list[float],
@@ -235,7 +185,15 @@ def _quality_correlation(bundle: RunBundle, cov_errors: list[float],
     return abs(sm.pearson(xs, ys))
 
 
-def run_chekhov(seed: int = DEFAULT_SEED) -> ChekhovResult:
+def _cov_errors(bundle: RunBundle) -> list[float]:
+    """Covariance error of each generator checkpoint, by iteration."""
+    gens = sorted((s for s in bundle.built.specs if s.role == "generator"),
+                  key=lambda s: s.iteration)
+    return [toy.cov_error(bundle.built.players[s.id], bundle.built.task)
+            for s in gens]
+
+
+def run_chekhov(seed: int = DEFAULT_SEED) -> Study:
     """Forgetting panel vs reservoir panel on one early-mastered trajectory.
 
     Generators master the task halfway through. Forgetting discriminators
@@ -246,17 +204,26 @@ def run_chekhov(seed: int = DEFAULT_SEED) -> ChekhovResult:
     forgetting = run_config(chekhov_config(seed, "forgetting"))
     chekhov = run_config(chekhov_config(seed, "chekhov"))
     mastery = toy.mastery_index(N_CHECKPOINTS, 0.5)
-    gens = sorted((s for s in chekhov.built.specs if s.role == "generator"),
-                  key=lambda s: s.iteration)
-    cov_errors = [toy.cov_error(chekhov.built.players[s.id],
-                                chekhov.built.task) for s in gens]
-    return ChekhovResult(
-        seed, mastery, forgetting, chekhov, cov_errors,
-        corr_forgetting_post=_quality_correlation(forgetting, cov_errors,
-                                                  mastery),
-        corr_chekhov_post=_quality_correlation(chekhov, cov_errors, mastery),
-        corr_chekhov_full=_quality_correlation(chekhov, cov_errors, None),
-    )
+    cov_errors = _cov_errors(chekhov)
+    forgetting_post = _quality_correlation(forgetting, cov_errors, mastery)
+    chekhov_post = _quality_correlation(chekhov, cov_errors, mastery)
+    chekhov_full = _quality_correlation(chekhov, cov_errors, None)
+    gap = chekhov_post - forgetting_post
+    verdict = {
+        "experiment": "chekhov",
+        "seed": seed,
+        "mastery_index": mastery,
+        "corr_rating_vs_quality_forgetting_post_mastery": forgetting_post,
+        "corr_rating_vs_quality_chekhov_post_mastery": chekhov_post,
+        "corr_rating_vs_quality_chekhov_full": chekhov_full,
+        "post_mastery_gap": gap,
+        "checks": {
+            "gap_at_least_0.2": gap >= 0.2,
+            "chekhov_corr_at_least_0.9":
+                min(chekhov_post, chekhov_full) >= 0.9,
+        },
+    }
+    return verdict, {"forgetting": forgetting, "chekhov": chekhov}
 
 
 def distortion_config(seed: int, severities=range(1, 10)) -> dict:
@@ -276,31 +243,7 @@ def distortion_config(seed: int, severities=range(1, 10)) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class DistortionResult:
-    seed: int
-    bundle: RunBundle
-    severities: list[int]
-    ratings: list[float]
-    deviations: list[float]
-    inversions: list[dict] = field(default_factory=list)
-
-    def verdict(self) -> dict:
-        worst = max((i["excess"] for i in self.inversions), default=0.0)
-        return {
-            "experiment": "distortion",
-            "seed": self.seed,
-            "severities": self.severities,
-            "ratings": self.ratings,
-            "inversions": self.inversions,
-            "checks": {
-                "at_most_one_adjacent_inversion": len(self.inversions) <= 1,
-                "inversions_within_two_combined_deviations": worst <= 0.0,
-            },
-        }
-
-
-def run_distortion(seed: int = DEFAULT_SEED) -> DistortionResult:
+def run_distortion(seed: int = DEFAULT_SEED) -> Study:
     """Additive-noise sweep judged by the matching analytic oracle panel.
 
     Heavier noise should never help: ratings must be non-increasing in
@@ -324,8 +267,19 @@ def run_distortion(seed: int = DEFAULT_SEED) -> DistortionResult:
             "allowance": allowance,
             "excess": rise - allowance,
         })
-    return DistortionResult(seed, bundle, list(severities), ratings,
-                            deviations, inversions)
+    worst = max((i["excess"] for i in inversions), default=0.0)
+    verdict = {
+        "experiment": "distortion",
+        "seed": seed,
+        "severities": list(severities),
+        "ratings": ratings,
+        "inversions": inversions,
+        "checks": {
+            "at_most_one_adjacent_inversion": len(inversions) <= 1,
+            "inversions_within_two_combined_deviations": worst <= 0.0,
+        },
+    }
+    return verdict, {"distortion": bundle}
 
 
 def multi_config(seed: int) -> dict:
@@ -357,45 +311,7 @@ def multi_config(seed: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class MultiResult:
-    seed: int
-    bundle: RunBundle
-    rho_by_run: dict[str, float]
-    mastered_ids: tuple[str, ...]
-    oracle_separation: float
-
-    def _rating(self, pid: str) -> float:
-        return self.bundle.outcome.ratings[pid].rating
-
-    def verdict(self) -> dict:
-        cluster = [self._rating(pid) for pid in self.mastered_ids]
-        cluster.append(self._rating("bench"))
-        spread = max(cluster) - min(cluster)
-        stalled_final = self._rating("stalled-g04")
-        return {
-            "experiment": "multi",
-            "seed": self.seed,
-            "n_matches": len(self.bundle.records),
-            "spearman_by_run_pre_mastery": self.rho_by_run,
-            "rating_bench": self._rating("bench"),
-            "rating_noisy_bench": self._rating("noisy-bench"),
-            "rating_stalled_final": stalled_final,
-            "mastered_cluster_spread": spread,
-            "noise_oracle_win_rate_separation": self.oracle_separation,
-            "checks": {
-                "every_run_tracks_progress_pre_mastery":
-                    min(self.rho_by_run.values()) >= 0.9,
-                "mastered_players_cluster_tightly": spread <= 25.0,
-                "mastered_players_beat_stalled_run":
-                    min(cluster) > stalled_final,
-                "noise_oracle_separates_distorted_copy":
-                    self.oracle_separation >= 0.2,
-            },
-        }
-
-
-def run_multi(seed: int = DEFAULT_SEED) -> MultiResult:
+def run_multi(seed: int = DEFAULT_SEED) -> Study:
     """One tournament mixing players of unrelated provenance.
 
     Checks assert only what the construction implies. Checkpoints past
@@ -425,7 +341,32 @@ def run_multi(seed: int = DEFAULT_SEED) -> MultiResult:
     pair = sm.pair_win_rates(bundle.records)
     separation = (pair[("bench", "noise-ref")]
                   - pair[("noisy-bench", "noise-ref")])
-    return MultiResult(seed, bundle, rho_by_run, tuple(mastered), separation)
+
+    def rating(pid: str) -> float:
+        return bundle.outcome.ratings[pid].rating
+
+    cluster = [rating(pid) for pid in mastered] + [rating("bench")]
+    spread = max(cluster) - min(cluster)
+    stalled_final = rating("stalled-g04")
+    verdict = {
+        "experiment": "multi",
+        "seed": seed,
+        "n_matches": len(bundle.records),
+        "spearman_by_run_pre_mastery": rho_by_run,
+        "rating_bench": rating("bench"),
+        "rating_noisy_bench": rating("noisy-bench"),
+        "rating_stalled_final": stalled_final,
+        "mastered_cluster_spread": spread,
+        "noise_oracle_win_rate_separation": separation,
+        "checks": {
+            "every_run_tracks_progress_pre_mastery":
+                min(rho_by_run.values()) >= 0.9,
+            "mastered_players_cluster_tightly": spread <= 25.0,
+            "mastered_players_beat_stalled_run": min(cluster) > stalled_final,
+            "noise_oracle_separates_distorted_copy": separation >= 0.2,
+        },
+    }
+    return verdict, {"multi": bundle}
 
 
 def _write_bundle(out_dir: str, stem: str, bundle: RunBundle) -> list[str]:
@@ -451,27 +392,21 @@ def simulate(name: str, seed: int | None = None,
     runner = {"within": run_within, "banded": run_banded,
               "chekhov": run_chekhov, "distortion": run_distortion,
               "multi": run_multi}[name]
-    result = runner(seed)
-    verdict = result.verdict()
+    verdict, bundles = runner(seed)
 
     if out_dir is not None:
         target = os.path.join(out_dir, name)
         os.makedirs(target, exist_ok=True)
         files: list[str] = []
-        if name == "banded":
-            files += _write_bundle(target, "full", result.full)
-            files += _write_bundle(target, "banded", result.banded)
-        elif name == "chekhov":
-            files += _write_bundle(target, "forgetting", result.forgetting)
-            files += _write_bundle(target, "chekhov", result.chekhov)
+        for stem, bundle in bundles.items():
+            files += _write_bundle(target, stem, bundle)
+        if name == "chekhov":
             curve = os.path.join(target, "cov_error.csv")
             with open(curve, "w", encoding="utf-8") as fh:
                 fh.write("checkpoint,cov_error\n")
-                for k, err in enumerate(result.cov_errors):
+                for k, err in enumerate(_cov_errors(bundles["chekhov"])):
                     fh.write(f"{k},{err:.12g}\n")
             files.append(curve)
-        else:
-            files += _write_bundle(target, name, result.bundle)
         verdict_path = os.path.join(target, "verdict.json")
         with open(verdict_path, "w", encoding="utf-8") as fh:
             json.dump(verdict, fh, indent=2, sort_keys=True)

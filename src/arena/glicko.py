@@ -3,8 +3,8 @@
 Implements the update procedure from http://www.glicko.net/glicko/glicko2.pdf
 with two extensions used by the tournament engine:
 
-* game results carry a weight so that large blocks of identical per-sample
-  outcomes (same opponent, same score) aggregate exactly, and
+* game results carry a weight, so a match's per-sample wins and losses
+  against one opponent collapse exactly into one fractional game, and
 * a whole match set is treated as one rating period and updates are iterated
   to a fixed point, since tournament matches have no temporal order.
 
@@ -70,8 +70,9 @@ class RatingConfig:
     player's rating moves toward its fresh estimate each pass; 0.5 suppresses
     the two-cycle oscillation the undamped iteration develops on strongly
     bipartite match graphs. outcome_mode selects how a match record expands
-    into games: one game per judged sample ("per-sample") or a single
-    fractional game per match ("per-match").
+    into games: one game per side scored at its win fraction, weighted by
+    the judged samples ("per-sample", exactly the sum of the per-sample wins
+    and losses) or by 1 ("per-match").
     """
 
     tau: float = 0.5
@@ -241,27 +242,21 @@ def update_player(rating: Rating, games: Sequence[GameResult],
 def _expand_record(record, mode: str):
     """Yield (side, opponent_id, score, weight) games for one match record.
 
-    side 0 is the generator, side 1 the discriminator; per-sample scores are
-    complementary between the two.
+    side 0 is the generator, side 1 the discriminator. Each side gets one
+    game scored at its win fraction; the Glicko2 accumulators are linear in
+    the games, so in per-sample mode a weight of the judged-sample count is
+    exactly the sum of the per-sample wins and losses. per-match mode plays
+    the same game at weight 1.
     """
+    if mode not in ("per-sample", "per-match"):
+        raise ValueError(f"unknown outcome mode: {mode!r}")
     total = record.n_fake + record.n_real
     if total <= 0:
         return
-    wins = record.fake_wins + record.real_wins
-    if mode == "per-sample":
-        losses = total - wins
-        if wins:
-            yield 0, record.discriminator_id, 1.0, float(wins)
-            yield 1, record.generator_id, 0.0, float(wins)
-        if losses:
-            yield 0, record.discriminator_id, 0.0, float(losses)
-            yield 1, record.generator_id, 1.0, float(losses)
-    elif mode == "per-match":
-        s = wins / total
-        yield 0, record.discriminator_id, s, 1.0
-        yield 1, record.generator_id, 1.0 - s, 1.0
-    else:
-        raise ValueError(f"unknown outcome mode: {mode!r}")
+    s = (record.fake_wins + record.real_wins) / total
+    weight = float(total) if mode == "per-sample" else 1.0
+    yield 0, record.discriminator_id, s, weight
+    yield 1, record.generator_id, 1.0 - s, weight
 
 
 def rate_tournament(records: Iterable, config: RatingConfig | None = None

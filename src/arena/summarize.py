@@ -55,15 +55,6 @@ class Heatmap:
     discriminator_ids: tuple[str, ...]
     values: tuple[tuple[float | None, ...], ...]
 
-    def generator_means(self) -> dict[str, float]:
-        """Mean of the defined cells in each generator's column."""
-        means = {}
-        for j, gen_id in enumerate(self.generator_ids):
-            cells = [row[j] for row in self.values if row[j] is not None]
-            if cells:
-                means[gen_id] = sum(cells) / len(cells)
-        return means
-
 
 def heatmap(records: Iterable[MatchRecord], generator_ids: Sequence[str],
             discriminator_ids: Sequence[str]) -> Heatmap:

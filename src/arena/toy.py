@@ -233,18 +233,15 @@ class ForgettingDiscriminator(OracleDiscriminator):
 
     def __init__(self, data_model: GaussianModel,
                  fake_models: Sequence[GaussianModel], mastered: bool,
-                 noise_seed: int = 0, checkpoint: int | None = None):
+                 checkpoint: int | None = None):
         super().__init__(data_model, fake_models, checkpoint=checkpoint)
         self.mastered = mastered
-        self.noise_seed = noise_seed
-        self._noise_rng = np.random.default_rng(noise_seed)
 
     def judge(self, batch: np.ndarray,
-              rng: np.random.Generator | None = None) -> np.ndarray:
+              rng: np.random.Generator) -> np.ndarray:
         if not self.mastered:
             return self.score(batch)
-        source = rng if rng is not None else self._noise_rng
-        return source.random(len(np.atleast_2d(batch)))
+        return rng.random(len(np.atleast_2d(batch)))
 
 
 def reservoir_sample(items: Sequence, capacity: int,

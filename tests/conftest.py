@@ -34,6 +34,16 @@ def tiny_config_payload(**overrides) -> dict:
     return payload
 
 
+def column_means(hm) -> dict[str, float]:
+    """Mean of the defined cells in each generator column of a heatmap."""
+    means = {}
+    for j, gen_id in enumerate(hm.generator_ids):
+        cells = [row[j] for row in hm.values if row[j] is not None]
+        if cells:
+            means[gen_id] = sum(cells) / len(cells)
+    return means
+
+
 def write_yaml(path, payload) -> str:
     with open(path, "w") as fh:
         yaml.safe_dump(payload, fh)

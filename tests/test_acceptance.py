@@ -22,7 +22,7 @@ from arena.cli import main
 from arena.config import load_config
 from arena.glicko import GameResult, Rating, rate_tournament, update_player
 
-from conftest import tiny_config_payload, write_yaml
+from conftest import column_means, tiny_config_payload, write_yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -285,7 +285,7 @@ def test_criterion_9_win_rate_definitions(banded_study, panel_study,
     worst_gap = 0.0
     for bundle in bundles:
         summary = bundle.summary()
-        means = summary.heatmap.generator_means()
+        means = column_means(summary.heatmap)
         for gen_id, rate in summary.win_rates.items():
             worst_gap = max(worst_gap, abs(rate - means[gen_id]))
 

@@ -153,20 +153,23 @@ class TestRate:
         assert run_cli("rate", tmp_path / "absent.jsonl") == 2
 
 
-class TestExtend:
-    @pytest.fixture
-    def population(self, tmp_path):
-        payload = tiny_config_payload()
-        payload["players"][0]["checkpoints"] = [0, 1, 3]
-        config = write_yaml(tmp_path / "population.cfg", payload)
-        out = tmp_path / "out"
-        run_cli("run", "--config", config, "--out-dir", out)
-        fragment_entry = dict(payload["players"][0])
-        fragment_entry["checkpoints"] = [2]
-        fragment = write_yaml(tmp_path / "fragment.cfg",
-                              {"players": [fragment_entry]})
-        return config, out / "log.jsonl", fragment
+@pytest.fixture
+def population(tmp_path):
+    """A 3-checkpoint run's config and log, plus a fragment that adds the
+    missing checkpoint."""
+    payload = tiny_config_payload()
+    payload["players"][0]["checkpoints"] = [0, 1, 3]
+    config = write_yaml(tmp_path / "population.cfg", payload)
+    out = tmp_path / "out"
+    run_cli("run", "--config", config, "--out-dir", out)
+    fragment_entry = dict(payload["players"][0])
+    fragment_entry["checkpoints"] = [2]
+    fragment = write_yaml(tmp_path / "fragment.cfg",
+                          {"players": [fragment_entry]})
+    return config, out / "log.jsonl", fragment
 
+
+class TestExtend:
     def test_extend_plays_new_against_old_only(self, population, capsys):
         config, log, fragment = population
         _, before, _ = store.read_log(log)
@@ -231,6 +234,26 @@ class TestExtend:
         assert run_cli("extend", log, "--config", config, "--add",
                        duplicate) == 2
         assert "duplicate player id" in capsys.readouterr().err
+
+
+class TestRatingFlags:
+    @pytest.mark.parametrize("command", ["rate", "extend"])
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--tau", "0", "tau"), ("--tau", "-1", "tau"),
+        ("--passes", "0", "max_passes")])
+    def test_invalid_value_is_a_usage_error(self, population, command, flag,
+                                            value, key, capsys):
+        config, log, fragment = population
+        before = log.read_bytes()
+        argv = [command, log, flag, value]
+        if command == "extend":
+            argv += ["--config", config, "--add", fragment]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert log.read_bytes() == before
 
 
 class TestSimulate:

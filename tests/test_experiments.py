@@ -154,6 +154,8 @@ class TestSimulate:
         assert header.seed == 1
 
     def test_multi_population_verdict_holds(self):
-        verdict = ex.run_multi(1).verdict()
+        verdict, bundles = ex.run_multi(1)
         assert all(verdict["checks"].values()), verdict
         assert verdict["rating_bench"] > verdict["rating_stalled_final"]
+        assert verdict["rating_bench"] == \
+            bundles["multi"].outcome.ratings["bench"].rating

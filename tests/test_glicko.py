@@ -14,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arena.glicko import (GLICKO2_SCALE, GameResult, Rating, RatingConfig,
-                          RatingOutcome, expected_score, from_internal, g,
-                          rate_tournament, to_internal, update_player,
-                          update_volatility)
+                          RatingOutcome, _expand_record, expected_score,
+                          from_internal, g, rate_tournament, to_internal,
+                          update_player, update_volatility)
 from arena.tournament import MatchRecord
 
 
@@ -134,6 +134,30 @@ class TestUpdatePlayer:
         assert math.isclose(weighted.volatility, repeated.volatility,
                             rel_tol=1e-12)
 
+    @given(st.floats(1200.0, 1800.0), st.floats(30.0, 350.0),
+           st.floats(0.03, 0.1), st.floats(1200.0, 1800.0),
+           st.floats(30.0, 350.0), st.integers(1, 256), st.data())
+    @settings(max_examples=60)
+    def test_wins_and_losses_collapse_to_one_fractional_game(
+            self, rating, deviation, volatility, opp_rating, opp_deviation,
+            n, data):
+        # The identity the rating engine relies on: w wins and n - w losses
+        # against one opponent are one game scored w / n with weight n. The
+        # two sums differ in their last bits and the volatility solve
+        # amplifies that (to 4e-10 relative at the corners of these ranges),
+        # so the tolerance is relative.
+        w = data.draw(st.integers(0, n))
+        player = Rating(rating, deviation, volatility)
+        opponent = Rating(opp_rating, opp_deviation)
+        split = update_player(player, [GameResult(opponent, 1.0, w),
+                                       GameResult(opponent, 0.0, n - w)])
+        collapsed = update_player(player, [GameResult(opponent, w / n, n)])
+        assert math.isclose(split.rating, collapsed.rating, rel_tol=1e-9)
+        assert math.isclose(split.deviation, collapsed.deviation,
+                            rel_tol=1e-9)
+        assert math.isclose(split.volatility, collapsed.volatility,
+                            rel_tol=1e-9)
+
     def test_win_raises_and_loss_lowers(self):
         opponent = Rating(1500.0, 100.0)
         up = update_player(Rating(), [GameResult(opponent, 1.0)])
@@ -221,6 +245,13 @@ class TestRateTournament:
                 key=lambda pid: outcome.ratings[pid].rating)
         assert by_mode["per-sample"] == by_mode["per-match"] == \
             ["g3", "g2", "g1"]
+
+    @pytest.mark.parametrize("mode,weight", [("per-sample", 32.0),
+                                             ("per-match", 1.0)])
+    def test_one_game_per_record_side(self, mode, weight):
+        games = list(_expand_record(record("g", "d", 14, 10), mode))
+        assert games == [(0, "d", 24 / 32, weight),
+                         (1, "g", 1.0 - 24 / 32, weight)]
 
     def test_unknown_outcome_mode_raises(self):
         with pytest.raises(ValueError, match="unknown outcome mode"):

@@ -20,6 +20,8 @@ from arena.summarize import (WIN_RATE_WARNING, CurvePoint, format_summary_table,
                              write_heatmap_svg, write_summary_csv)
 from arena.tournament import MatchRecord, PlayerSpec, round_robin
 
+from conftest import column_means
+
 
 def record(gen: str, disc: str, wins: int, n: int = 8,
            repeat_seed: int = 0) -> MatchRecord:
@@ -58,9 +60,12 @@ class TestHeatmap:
         records = [record("g1", "d1", 8), record("g1", "d2", 4),
                    record("g2", "d1", 16)]
         hm = heatmap(records, ["g1", "g2"], ["d1", "d2"])
-        means = hm.generator_means()
-        assert math.isclose(means["g1"], (0.5 + 0.25) / 2.0)
-        assert math.isclose(means["g2"], 1.0)
+        assert hm.values == ((0.5, 1.0), (0.25, None))
+        rates = tournament_win_rate(records)
+        for gen_id, mean in column_means(hm).items():
+            assert abs(mean - rates[gen_id]) < 1e-12
+        assert math.isclose(rates["g1"], (0.5 + 0.25) / 2.0)
+        assert math.isclose(rates["g2"], 1.0)
 
     def test_means_equal_tournament_win_rate_on_full_grids(self):
         records = [record(g, d, wins)
@@ -68,7 +73,7 @@ class TestHeatmap:
                    for d in ("d1", "d2")]
         hm = heatmap(records, ["g1", "g2"], ["d1", "d2"])
         rates = tournament_win_rate(records)
-        for gen_id, mean in hm.generator_means().items():
+        for gen_id, mean in column_means(hm).items():
             assert abs(mean - rates[gen_id]) < 1e-12
 
 

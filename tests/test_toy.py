@@ -220,12 +220,13 @@ class TestForgettingDiscriminator:
         gen = toy.trajectory(task, 5, seed=3)[1]
         return toy.ForgettingDiscriminator(task.model,
                                            [gen.density_model(task)],
-                                           mastered=mastered, noise_seed=17)
+                                           mastered=mastered)
 
     def test_before_mastery_judges_like_the_oracle(self, task):
         disc = self.make(task, mastered=False)
         batch = task.model.sample(16, np.random.default_rng(0))
-        assert np.array_equal(disc.judge(batch), disc.score(batch))
+        assert np.array_equal(disc.judge(batch, np.random.default_rng(8)),
+                              disc.score(batch))
 
     def test_after_mastery_judgments_are_noise(self, task):
         disc = self.make(task, mastered=True)
@@ -233,15 +234,6 @@ class TestForgettingDiscriminator:
         scores = disc.judge(batch, np.random.default_rng(8))
         assert np.array_equal(scores, np.random.default_rng(8).random(16))
         assert not np.array_equal(scores, disc.score(batch))
-
-    def test_internal_noise_stream_used_without_rng(self, task):
-        disc = self.make(task, mastered=True)
-        batch = task.model.sample(4, np.random.default_rng(0))
-        first, second = disc.judge(batch), disc.judge(batch)
-        assert not np.array_equal(first, second)
-        assert np.array_equal(
-            np.concatenate([first, second]),
-            np.random.default_rng(17).random(8))
 
 
 class TestReservoirSample:
