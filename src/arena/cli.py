@@ -16,7 +16,7 @@ from . import config as cfgmod
 from . import experiments, glicko, store
 from . import summarize as sm
 from . import tournament as tn
-from .extern import ExternalPlayer
+from .extern import ExternalPlayer, ExternError
 from .tournament import PlayerSpec
 
 
@@ -72,11 +72,22 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
           schedule: tn.Schedule, strict: bool, sink=None
           ) -> list[tn.MatchRecord]:
     """Spawn the external players, play the schedule, and close the
-    sessions again whatever happens."""
+    sessions again whatever happens.
+
+    Without ``strict`` a player that cannot be started costs only its own
+    matches: it is reported once and its matches fail and are skipped.
+    """
     sessions = []
     try:
         for entry in built.external:
-            session = ExternalPlayer(entry["command"], role=entry["role"])
+            try:
+                session = ExternalPlayer(entry["command"], role=entry["role"])
+            except ExternError as exc:
+                if strict:
+                    raise
+                _warn(f"external player {entry['id']!r} could not be "
+                      f"started, its matches are skipped: {exc}")
+                continue
             built.players[entry["id"]] = session
             sessions.append(session)
         return tn.run_tournament(

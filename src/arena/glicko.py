@@ -8,6 +8,14 @@ with two extensions used by the tournament engine:
 * a whole match set is treated as one rating period and updates are iterated
   to a fixed point, since tournament matches have no temporal order.
 
+The tournament fixed point lays the match set out once as a game table, one
+row per record side, and runs each pass as one vectorized sweep over it:
+expected scores for every row at once, the per-player sums with
+``np.bincount``. ``update_player`` is the scalar reference: it sums a list
+of ``GameResult`` objects with ``math.fsum``. Both paths close the period
+through the same per-player Glicko2 step, so the update rule is written
+once.
+
 Idle players are returned unchanged: there is no deviation inflation
 between rating periods because a static tournament has no notion of
 elapsed time.
@@ -18,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 # Fixed conversion between the public scale (1500-anchored) and the internal
 # mu/phi scale. The anchor stays at 1500 even when players start elsewhere.
@@ -92,12 +102,18 @@ class RatingConfig:
 
 @dataclass(frozen=True)
 class RatingOutcome:
-    """Result of rating a match set: converged ratings plus diagnostics."""
+    """Result of rating a match set: converged ratings plus diagnostics.
+
+    ``shifts`` holds the largest public-rating change of each pass, so
+    ``len(shifts) == passes`` and a converged outcome ends below the pass
+    tolerance.
+    """
 
     ratings: dict[str, Rating]
     passes: int
     converged: bool
     warnings: tuple[str, ...] = ()
+    shifts: tuple[float, ...] = ()
 
 
 def to_internal(rating: Rating) -> tuple[float, float]:
@@ -185,35 +201,19 @@ def update_volatility(sigma: float, delta: float, phi: float, v: float,
     return math.exp(lo / 2.0)
 
 
-def _apply_period(rating: Rating, mu_eval: float,
-                  games: Sequence[GameResult], cfg: RatingConfig) -> Rating:
-    """One rating period anchored at ``rating`` with E evaluated at mu_eval.
+def _close_period(rating: Rating, v_inv: float, delta_sum: float,
+                  cfg: RatingConfig) -> Rating:
+    """The Glicko2 step from one period's sums, anchored at ``rating``.
 
-    The classic update evaluates expected scores at the player's own prior
-    (mu_eval == prior mu). The tournament fixed point instead evaluates them
-    at the player's current estimate, which makes the converged ratings solve
-    the penalized-likelihood equation the one-step update linearizes.
+    ``v_inv`` is the summed information (w * g^2 * E(1-E)) and ``delta_sum``
+    the summed improvement (w * g * (s - E)). Returns ``rating`` itself when
+    the games carry no usable information.
     """
-    mu, phi = to_internal(rating)
-    # Each term is weight * (unit-game term) and the sums are correctly
-    # rounded, so a game of integer weight n adds exactly what n repeated
-    # unit games add; a plain running sum drifts in the last bits, and the
-    # volatility solve can amplify that drift.
-    info_terms = []
-    delta_terms = []
-    for game in games:
-        mu_j, phi_j = to_internal(game.opponent)
-        g_j = g(phi_j)
-        e_j = expected_score(mu_eval, mu_j, phi_j)
-        info_terms.append(game.weight * (g_j * g_j * e_j * (1.0 - e_j)))
-        delta_terms.append(game.weight * (g_j * (game.score - e_j)))
-    v_inv = math.fsum(info_terms)
-    delta_sum = math.fsum(delta_terms)
     if v_inv <= _MIN_INFORMATION:
         # Every expected score is saturated; the games carry no usable
         # information about this player.
         return rating
-
+    mu, phi = to_internal(rating)
     v = 1.0 / v_inv
     delta = v * delta_sum
     sigma_new = update_volatility(rating.volatility, delta, phi, v,
@@ -229,6 +229,31 @@ def _apply_period(rating: Rating, mu_eval: float,
     return from_internal(mu_new, phi_new, sigma_new)
 
 
+def _apply_period(rating: Rating, mu_eval: float,
+                  games: Sequence[GameResult], cfg: RatingConfig) -> Rating:
+    """One rating period anchored at ``rating`` with E evaluated at mu_eval.
+
+    The classic update evaluates expected scores at the player's own prior
+    (mu_eval == prior mu). The tournament fixed point instead evaluates them
+    at the player's current estimate, which makes the converged ratings solve
+    the penalized-likelihood equation the one-step update linearizes.
+    """
+    # Each term is weight * (unit-game term) and the sums are correctly
+    # rounded, so a game of integer weight n adds exactly what n repeated
+    # unit games add; a plain running sum drifts in the last bits, and the
+    # volatility solve can amplify that drift.
+    info_terms = []
+    delta_terms = []
+    for game in games:
+        mu_j, phi_j = to_internal(game.opponent)
+        g_j = g(phi_j)
+        e_j = expected_score(mu_eval, mu_j, phi_j)
+        info_terms.append(game.weight * (g_j * g_j * e_j * (1.0 - e_j)))
+        delta_terms.append(game.weight * (g_j * (game.score - e_j)))
+    return _close_period(rating, math.fsum(info_terms),
+                         math.fsum(delta_terms), cfg)
+
+
 def update_player(rating: Rating, games: Sequence[GameResult],
                   config: RatingConfig | None = None) -> Rating:
     """Apply one rating period to a player; with no games the player is
@@ -239,24 +264,64 @@ def update_player(rating: Rating, games: Sequence[GameResult],
                          config or RatingConfig())
 
 
-def _expand_record(record, mode: str):
-    """Yield (side, opponent_id, score, weight) games for one match record.
+def _game_table(records: Sequence, mode: str
+                ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray,
+                           np.ndarray]:
+    """Index the players of a match set and lay its games out as arrays.
 
-    side 0 is the generator, side 1 the discriminator. Each side gets one
-    game scored at its win fraction; the Glicko2 accumulators are linear in
-    the games, so in per-sample mode a weight of the judged-sample count is
-    exactly the sum of the per-sample wins and losses. per-match mode plays
-    the same game at weight 1.
+    Returns ``(ids, player, opponent, score, weight)``: the sorted player
+    ids, then one row per record side with indices into ``ids``. The
+    generator side scores the record's win fraction against the
+    discriminator, the discriminator side one minus it. The Glicko2
+    accumulators are linear in the games, so in per-sample mode a weight of
+    the judged-sample count is exactly the sum of the per-sample wins and
+    losses; per-match mode plays the same game at weight 1. Records with no
+    judged samples add no rows.
     """
     if mode not in ("per-sample", "per-match"):
         raise ValueError(f"unknown outcome mode: {mode!r}")
-    total = record.n_fake + record.n_real
-    if total <= 0:
-        return
-    s = (record.fake_wins + record.real_wins) / total
-    weight = float(total) if mode == "per-sample" else 1.0
-    yield 0, record.discriminator_id, s, weight
-    yield 1, record.generator_id, 1.0 - s, weight
+    ids = sorted({r.generator_id for r in records}
+                 | {r.discriminator_id for r in records})
+    index = {pid: i for i, pid in enumerate(ids)}
+    played = [r for r in records if r.n_fake + r.n_real > 0]
+    gen = np.array([index[r.generator_id] for r in played], dtype=np.intp)
+    disc = np.array([index[r.discriminator_id] for r in played],
+                    dtype=np.intp)
+    total = np.array([r.n_fake + r.n_real for r in played], dtype=float)
+    s = np.array([r.fake_wins + r.real_wins for r in played],
+                 dtype=float) / total
+    weight = total if mode == "per-sample" else np.ones_like(total)
+    # Interleaved generator and discriminator rows keep each player's games
+    # in record order.
+    return (ids, np.column_stack((gen, disc)).ravel(),
+            np.column_stack((disc, gen)).ravel(),
+            np.column_stack((s, 1.0 - s)).ravel(),
+            np.repeat(weight, 2))
+
+
+def _period_sums(ratings: Sequence[Rating], player: np.ndarray,
+                 opponent: np.ndarray, score: np.ndarray, weight: np.ndarray
+                 ) -> tuple[list[float], list[float]]:
+    """Every player's (v_inv, delta_sum) against a snapshot of ratings.
+
+    The same terms as ``_apply_period`` with E evaluated at each player's
+    snapshot estimate, computed for all rows at once and summed per player.
+    """
+    rating = np.array([r.rating for r in ratings])
+    mu = (rating - _DEFAULT_RATING) / GLICKO2_SCALE
+    phi = np.array([r.deviation for r in ratings]) / GLICKO2_SCALE
+    g_player = 1.0 / np.sqrt(1.0 + 3.0 * phi * phi / (math.pi * math.pi))
+    g_opp = g_player[opponent]
+    x = g_opp * (mu[player] - mu[opponent])
+    # Saturating logistic: exp() only ever sees non-positive arguments.
+    ex = np.exp(-np.abs(x))
+    e = np.where(x >= 0.0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    n = len(ratings)
+    v_inv = np.bincount(player, weight * (g_opp * g_opp * e * (1.0 - e)),
+                        minlength=n)
+    delta_sum = np.bincount(player, weight * (g_opp * (score - e)),
+                            minlength=n)
+    return v_inv.tolist(), delta_sum.tolist()
 
 
 def rate_tournament(records: Iterable, config: RatingConfig | None = None
@@ -272,50 +337,38 @@ def rate_tournament(records: Iterable, config: RatingConfig | None = None
     """
     cfg = config or RatingConfig()
     records = list(records)
-    games_by_player: dict[str, list[tuple[str, float, float]]] = {}
-    for record in records:
-        games_by_player.setdefault(record.generator_id, [])
-        games_by_player.setdefault(record.discriminator_id, [])
-    for record in records:
-        for side, opp_id, score, weight in _expand_record(record,
-                                                          cfg.outcome_mode):
-            pid = record.generator_id if side == 0 else record.discriminator_id
-            games_by_player[pid].append((opp_id, score, weight))
+    ids, *table = _game_table(records, cfg.outcome_mode)
 
     warnings: list[str] = []
     if not records:
         warnings.append("empty record set; all players rated at defaults")
 
-    ids = sorted(games_by_player)
-    start = {pid: cfg.default() for pid in ids}
-    ratings = dict(start)
-    passes = 0
+    start = cfg.default()
+    ratings = [start] * len(ids)
+    shifts: list[float] = []
     converged = not records
-    while passes < cfg.max_passes and not converged:
-        passes += 1
-        snapshot = ratings
-        updated: dict[str, Rating] = {}
-        for pid in ids:
-            games = [GameResult(snapshot[opp_id], score, weight)
-                     for opp_id, score, weight in games_by_player[pid]]
-            mu_eval = to_internal(snapshot[pid])[0]
-            fresh = _apply_period(start[pid], mu_eval, games, cfg)
-            if fresh is start[pid]:
+    while len(shifts) < cfg.max_passes and not converged:
+        v_inv, delta_sum = _period_sums(ratings, *table)
+        updated = []
+        for current, info, delta in zip(ratings, v_inv, delta_sum):
+            fresh = _close_period(start, info, delta, cfg)
+            if fresh is start:
                 # Degenerate pass (no games, or all expected scores
                 # saturated): hold the current estimate instead of snapping
                 # back to the prior.
-                updated[pid] = snapshot[pid]
+                updated.append(current)
                 continue
-            blended = (snapshot[pid].rating
-                       + cfg.damping * (fresh.rating - snapshot[pid].rating))
-            updated[pid] = Rating(blended, fresh.deviation, fresh.volatility)
-        shift = max((abs(updated[pid].rating - snapshot[pid].rating)
-                     for pid in ids), default=0.0)
+            blended = (current.rating
+                       + cfg.damping * (fresh.rating - current.rating))
+            updated.append(Rating(blended, fresh.deviation, fresh.volatility))
+        shifts.append(max((abs(new.rating - old.rating)
+                           for new, old in zip(updated, ratings)),
+                          default=0.0))
         ratings = updated
-        if shift < cfg.pass_tolerance:
-            converged = True
+        converged = shifts[-1] < cfg.pass_tolerance
     if not converged:
         warnings.append(f"ratings did not converge within {cfg.max_passes} "
                         "passes")
-    return RatingOutcome(ratings=ratings, passes=passes, converged=converged,
-                         warnings=tuple(warnings))
+    return RatingOutcome(ratings=dict(zip(ids, ratings)), passes=len(shifts),
+                         converged=converged, warnings=tuple(warnings),
+                         shifts=tuple(shifts))

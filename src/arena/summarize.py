@@ -29,13 +29,14 @@ def pair_win_rates(records: Iterable[MatchRecord]
     return {key: sum(rates) / len(rates) for key, rates in totals.items()}
 
 
-def tournament_win_rate(records: Iterable[MatchRecord]) -> dict[str, float]:
+def tournament_win_rate(pairs: Mapping[tuple[str, str], float]
+                        ) -> dict[str, float]:
     """Average win rate of each generator over the discriminators it played.
 
-    Repeats of the same pairing are averaged first, so every opponent counts
-    once. Generators with no matches are absent rather than rated zero.
+    Takes the ``pair_win_rates`` table, so repeats of the same pairing are
+    averaged first and every opponent counts once. Generators with no
+    matches are absent rather than rated zero.
     """
-    pairs = pair_win_rates(records)
     by_gen: dict[str, list[float]] = {}
     for (gen_id, _), rate in pairs.items():
         by_gen.setdefault(gen_id, []).append(rate)
@@ -56,10 +57,10 @@ class Heatmap:
     values: tuple[tuple[float | None, ...], ...]
 
 
-def heatmap(records: Iterable[MatchRecord], generator_ids: Sequence[str],
+def heatmap(pairs: Mapping[tuple[str, str], float],
+            generator_ids: Sequence[str],
             discriminator_ids: Sequence[str]) -> Heatmap:
-    """Build the win-rate heatmap for the given (ordered) axes."""
-    pairs = pair_win_rates(records)
+    """Lay the ``pair_win_rates`` table out on the given (ordered) axes."""
     rows = tuple(
         tuple(pairs.get((gen_id, disc_id)) for gen_id in generator_ids)
         for disc_id in discriminator_ids)
@@ -166,7 +167,8 @@ def summarize(records: Sequence[MatchRecord], ratings: Mapping[str, Rating],
               players: Sequence[PlayerSpec],
               schedule: Schedule | None = None) -> TournamentSummary:
     """Assemble every summary artifact for one tournament."""
-    rates = tournament_win_rate(records)
+    pairs = pair_win_rates(records)
+    rates = tournament_win_rate(pairs)
     by_id = {spec.id: spec for spec in players}
     rows = []
     for pid in sorted(ratings):
@@ -182,7 +184,7 @@ def summarize(records: Sequence[MatchRecord], ratings: Mapping[str, Rating],
             volatility=r.volatility,
             win_rate=rates.get(pid),
         ))
-    hm = heatmap(records, _axis(players, "generator"),
+    hm = heatmap(pairs, _axis(players, "generator"),
                  _axis(players, "discriminator"))
     curves = skill_curve(ratings, players)
     warnings = ()

@@ -98,6 +98,28 @@ class TestRun:
                        tmp_path / "out") == 2
         assert "scheduled as generator" in capsys.readouterr().err
 
+    def test_unspawnable_external_player_costs_only_its_matches(
+            self, tmp_path, capsys):
+        trajectory = dict(tiny_config_payload()["players"][0],
+                          n_checkpoints=3)
+        path = write_yaml(tmp_path / "ext.cfg", tiny_config_payload(players=[
+            {"kind": "real_data", "id": "real"}, trajectory,
+            {"kind": "external", "id": "ext", "role": "discriminator",
+             "command": ["/nonexistent/player"]}]))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", path, "--out-dir", out) == 0
+        err = capsys.readouterr().err
+        assert err.count("'ext' could not be started") == 1
+        assert "cannot spawn" in err
+        _, records, _ = store.read_log(str(out / "log.jsonl"))
+        # 4 generators x 3 in-process discriminators; the 4 matches
+        # against ext are skipped.
+        assert len(records) == 12
+        assert "ext" not in {r.discriminator_id for r in records}
+        assert run_cli("run", "--config", path, "--out-dir",
+                       tmp_path / "strict", "--strict") == 1
+        assert "cannot spawn" in capsys.readouterr().err
+
 
 class TestRate:
     @pytest.fixture

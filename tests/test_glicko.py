@@ -9,12 +9,15 @@ from this package, so they catch regressions in either direction.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from arena.glicko import (GLICKO2_SCALE, GameResult, Rating, RatingConfig,
-                          RatingOutcome, _expand_record, expected_score,
+from arena import glicko
+from arena.glicko import (_MIN_INFORMATION, GLICKO2_SCALE, GameResult,
+                          Rating, RatingConfig, RatingOutcome, _apply_period,
+                          _game_table, _period_sums, expected_score,
                           from_internal, g, rate_tournament, to_internal,
                           update_player, update_volatility)
 from arena.tournament import MatchRecord
@@ -25,6 +28,66 @@ def record(gen: str, disc: str, fake_wins: int, real_wins: int,
     return MatchRecord(generator_id=gen, discriminator_id=disc, n_fake=n,
                        fake_wins=fake_wins, n_real=n, real_wins=real_wins,
                        seed=0)
+
+
+def reference_rate(records, cfg: RatingConfig
+                   ) -> tuple[dict[str, Rating], list[float]]:
+    """The tournament fixed point driven through the scalar
+    ``_apply_period``: per-player ``GameResult`` lists rebuilt against each
+    pass's snapshot and summed with ``math.fsum``. Returns the ratings and
+    the largest rating shift of each pass."""
+    games: dict[str, list[tuple[str, float, float]]] = {}
+    for rec in records:
+        games.setdefault(rec.generator_id, [])
+        games.setdefault(rec.discriminator_id, [])
+    for rec in records:
+        total = rec.n_fake + rec.n_real
+        if total <= 0:
+            continue
+        s = (rec.fake_wins + rec.real_wins) / total
+        weight = float(total) if cfg.outcome_mode == "per-sample" else 1.0
+        games[rec.generator_id].append((rec.discriminator_id, s, weight))
+        games[rec.discriminator_id].append((rec.generator_id, 1.0 - s,
+                                            weight))
+    start = cfg.default()
+    ratings = {pid: start for pid in sorted(games)}
+    shifts: list[float] = []
+    while records and len(shifts) < cfg.max_passes:
+        snapshot, ratings = ratings, {}
+        for pid, current in snapshot.items():
+            period = [GameResult(snapshot[opp], s, weight)
+                      for opp, s, weight in games[pid]]
+            fresh = _apply_period(start, to_internal(current)[0], period,
+                                  cfg)
+            if fresh is start:
+                ratings[pid] = current
+                continue
+            blended = (current.rating
+                       + cfg.damping * (fresh.rating - current.rating))
+            ratings[pid] = Rating(blended, fresh.deviation, fresh.volatility)
+        shifts.append(max(abs(ratings[pid].rating - snapshot[pid].rating)
+                          for pid in ratings))
+        if shifts[-1] < cfg.pass_tolerance:
+            break
+    return ratings, shifts
+
+
+def assert_engines_agree(records, cfg: RatingConfig) -> None:
+    """rate_tournament matches the scalar reference to relative 1e-9 (the
+    two sum in different orders, and the volatility solve amplifies
+    last-bit differences, so the bound is relative)."""
+    outcome = rate_tournament(records, cfg)
+    ratings, shifts = reference_rate(records, cfg)
+    assert outcome.passes == len(shifts)
+    assert list(outcome.ratings) == list(ratings)
+    for pid, expected in ratings.items():
+        got = outcome.ratings[pid]
+        for field in ("rating", "deviation", "volatility"):
+            assert math.isclose(getattr(got, field), getattr(expected, field),
+                                rel_tol=1e-9), (pid, field)
+    # A shift is a difference of two ratings, so its error is absolute.
+    for got, expected in zip(outcome.shifts, shifts):
+        assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-9)
 
 
 class TestWorkedExample:
@@ -249,14 +312,83 @@ class TestRateTournament:
     @pytest.mark.parametrize("mode,weight", [("per-sample", 32.0),
                                              ("per-match", 1.0)])
     def test_one_game_per_record_side(self, mode, weight):
-        games = list(_expand_record(record("g", "d", 14, 10), mode))
-        assert games == [(0, "d", 24 / 32, weight),
-                         (1, "g", 1.0 - 24 / 32, weight)]
+        # The empty record indexes its players but adds no games.
+        ids, player, opponent, score, weights = _game_table(
+            [record("g", "d", 14, 10), record("g", "e", 0, 0, n=0)], mode)
+        assert ids == ["d", "e", "g"]
+        assert player.tolist() == [2, 0]
+        assert opponent.tolist() == [0, 2]
+        assert score.tolist() == [24 / 32, 1.0 - 24 / 32]
+        assert weights.tolist() == [weight, weight]
+
+    def test_shifts_trace_every_pass(self):
+        records = [record("g1", "d1", 14, 12), record("g1", "d2", 3, 1),
+                   record("g2", "d1", 9, 9), record("g2", "d2", 16, 15)]
+        cfg = RatingConfig()
+        outcome = rate_tournament(records, cfg)
+        assert outcome.converged
+        assert len(outcome.shifts) == outcome.passes > 1
+        assert outcome.shifts[-1] < cfg.pass_tolerance
+        assert all(shift >= cfg.pass_tolerance
+                   for shift in outcome.shifts[:-1])
+        capped = rate_tournament(records, RatingConfig(max_passes=2))
+        assert capped.shifts == outcome.shifts[:2]
+        assert rate_tournament([]).shifts == ()
 
     def test_unknown_outcome_mode_raises(self):
         with pytest.raises(ValueError, match="unknown outcome mode"):
             rate_tournament([record("g", "d", 8, 8)],
                             RatingConfig(outcome_mode="per-game"))
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                              st.integers(0, 32).flatmap(
+                                  lambda n: st.tuples(st.just(n),
+                                                      st.integers(0, n),
+                                                      st.integers(0, n)))),
+                    min_size=1, max_size=24),
+           st.sampled_from(["per-sample", "per-match"]),
+           st.floats(1000.0, 2000.0), st.floats(50.0, 500.0))
+    # A repeated pairing and a record with no judged samples.
+    @example([(0, 0, (16, 9, 12)), (0, 0, (16, 3, 15)), (1, 0, (0, 0, 0)),
+              (1, 1, (8, 2, 7))], "per-sample", 1400.0, 200.0)
+    @settings(max_examples=60, deadline=None)
+    def test_array_pass_matches_the_scalar_reference(
+            self, matches, mode, default_rating, default_deviation):
+        records = [record(f"g{gen}", f"d{disc}", fake, real, n=n)
+                   for gen, disc, (n, fake, real) in matches]
+        assert_engines_agree(records, RatingConfig(
+            outcome_mode=mode, default_rating=default_rating,
+            default_deviation=default_deviation))
+
+    def test_saturated_player_holds_and_engines_agree(self):
+        # At this prior deviation one per-match game carries less than
+        # _MIN_INFORMATION, so the first pass holds g2 while g1, with five
+        # games, moves.
+        cfg = RatingConfig(outcome_mode="per-match", default_deviation=1e7)
+        records = [record("g1", f"d{i}", 12, 10) for i in range(5)]
+        records.append(record("g2", "d0", 3, 2))
+        ids, *table = _game_table(records, cfg.outcome_mode)
+        v_inv, _ = _period_sums([cfg.default()] * len(ids), *table)
+        info = dict(zip(ids, v_inv))
+        assert info["g2"] <= _MIN_INFORMATION < info["g1"]
+        first = rate_tournament(records, replace(cfg, max_passes=1))
+        assert first.ratings["g2"] == cfg.default()
+        assert first.ratings["g1"].rating != cfg.default_rating
+        assert_engines_agree(records, cfg)
+
+    def test_player_saturated_after_moving_holds_its_estimate(
+            self, monkeypatch):
+        # With the information floor raised to 3, d is informed on the first
+        # pass (v_inv 3.58) but not on the second (2.46, once g has pulled
+        # away): it must hold the estimate it reached, not fall back to its
+        # prior.
+        monkeypatch.setattr(glicko, "_MIN_INFORMATION", 3.0)
+        records = [record("g", "d", 16, 16), record("g", "e", 12, 10)]
+        first = rate_tournament(records, RatingConfig(max_passes=1))
+        second = rate_tournament(records, RatingConfig(max_passes=2))
+        assert second.ratings["d"] == first.ratings["d"]
+        assert first.ratings["d"] != RatingConfig().default()
+        assert_engines_agree(records, RatingConfig())
 
     def test_outcome_is_a_plain_result_object(self):
         outcome = rate_tournament([record("g", "d", 8, 8)])

@@ -42,26 +42,26 @@ class TestWinRates:
         records = [record("g", "d1", 16, n=8),   # 1.0 against d1
                    record("g", "d2", 4, n=8),    # 0.25 once ...
                    record("g", "d2", 4, n=8, repeat_seed=1)]  # ... twice
-        rates = tournament_win_rate(records)
+        rates = tournament_win_rate(pair_win_rates(records))
         assert math.isclose(rates["g"], (1.0 + 0.25) / 2.0)
 
     def test_absent_generators_are_absent(self):
-        rates = tournament_win_rate([record("g1", "d", 8)])
+        rates = tournament_win_rate(pair_win_rates([record("g1", "d", 8)]))
         assert "g2" not in rates
 
 
 class TestHeatmap:
     def test_layout_and_missing_cells(self):
         records = [record("g1", "d1", 8), record("g2", "d2", 4)]
-        hm = heatmap(records, ["g1", "g2"], ["d1", "d2"])
+        hm = heatmap(pair_win_rates(records), ["g1", "g2"], ["d1", "d2"])
         assert hm.values == ((0.5, None), (None, 0.25))
 
     def test_generator_means_ignore_missing_cells(self):
         records = [record("g1", "d1", 8), record("g1", "d2", 4),
                    record("g2", "d1", 16)]
-        hm = heatmap(records, ["g1", "g2"], ["d1", "d2"])
+        hm = heatmap(pair_win_rates(records), ["g1", "g2"], ["d1", "d2"])
         assert hm.values == ((0.5, 1.0), (0.25, None))
-        rates = tournament_win_rate(records)
+        rates = tournament_win_rate(pair_win_rates(records))
         for gen_id, mean in column_means(hm).items():
             assert abs(mean - rates[gen_id]) < 1e-12
         assert math.isclose(rates["g1"], (0.5 + 0.25) / 2.0)
@@ -71,8 +71,8 @@ class TestHeatmap:
         records = [record(g, d, wins)
                    for g, wins in (("g1", 3), ("g2", 11))
                    for d in ("d1", "d2")]
-        hm = heatmap(records, ["g1", "g2"], ["d1", "d2"])
-        rates = tournament_win_rate(records)
+        hm = heatmap(pair_win_rates(records), ["g1", "g2"], ["d1", "d2"])
+        rates = tournament_win_rate(pair_win_rates(records))
         for gen_id, mean in column_means(hm).items():
             assert abs(mean - rates[gen_id]) < 1e-12
 
@@ -207,7 +207,7 @@ class TestArtifactFiles:
 
     def test_heatmap_csv_layout(self, tmp_path):
         records = [record("g1", "d1", 8), record("g2", "d2", 4)]
-        hm = heatmap(records, ["g1", "g2"], ["d1", "d2"])
+        hm = heatmap(pair_win_rates(records), ["g1", "g2"], ["d1", "d2"])
         path = tmp_path / "heatmap.csv"
         write_heatmap_csv(path, hm)
         with open(path, newline="") as fh:
@@ -218,7 +218,7 @@ class TestArtifactFiles:
 
     def test_heatmap_svg_is_well_formed(self, tmp_path):
         records = [record("g1", "d1", 8), record("g2", "d2", 4)]
-        hm = heatmap(records, ["g1", "g2"], ["d1", "d2"])
+        hm = heatmap(pair_win_rates(records), ["g1", "g2"], ["d1", "d2"])
         path = tmp_path / "heatmap.svg"
         write_heatmap_svg(path, hm)
         root = ET.parse(path).getroot()
@@ -229,7 +229,7 @@ class TestArtifactFiles:
 
     def test_heatmap_svg_grey_levels_track_win_rate(self, tmp_path):
         records = [record("g1", "d1", 0), record("g2", "d1", 16)]
-        hm = heatmap(records, ["g1", "g2"], ["d1"])
+        hm = heatmap(pair_win_rates(records), ["g1", "g2"], ["d1"])
         path = tmp_path / "heatmap.svg"
         write_heatmap_svg(path, hm)
         root = ET.parse(path).getroot()
