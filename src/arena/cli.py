@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -75,7 +76,8 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
     sessions again whatever happens.
 
     Without ``strict`` a player that cannot be started costs only its own
-    matches: it is reported once and its matches fail and are skipped.
+    matches: it is reported once, with the number of its matches, and
+    they are dropped from the schedule.
     """
     sessions = []
     try:
@@ -85,8 +87,12 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
             except ExternError as exc:
                 if strict:
                     raise
+                kept = tuple(m for m in schedule.matches
+                             if entry["id"] not in m[:2])
                 _warn(f"external player {entry['id']!r} could not be "
-                      f"started, its matches are skipped: {exc}")
+                      f"started, its {len(schedule) - len(kept)} matches "
+                      f"are skipped: {exc}")
+                schedule = dataclasses.replace(schedule, matches=kept)
                 continue
             built.players[entry["id"]] = session
             sessions.append(session)

@@ -295,7 +295,7 @@ class BuiltPlayers:
     """Everything needed to run matches for a config."""
 
     task: toy.GaussianTask
-    data: toy.RealDataPlayer
+    data: toy.GaussianModel
     players: dict[str, object]
     specs: list[PlayerSpec]
     external: list[dict] = field(default_factory=list)
@@ -362,19 +362,17 @@ def build_players(config: TournamentConfig,
     """
     task = toy.make_task(int(config.task["dim"]),
                          seed=int(config.task["seed"]))
-    built = BuiltPlayers(task=task, data=toy.RealDataPlayer(task),
-                         players={}, specs=[])
+    built = BuiltPlayers(task=task, data=task.model, players={}, specs=[])
     for entry in list(config.players) + list(extra):
         kind = entry["kind"]
         if kind == "toy_trajectory":
             _trajectory_players(entry, task, built)
         elif kind == "real_data":
-            _add(built, entry["id"], toy.RealDataPlayer(task),
+            _add(built, entry["id"], task.model,
                  PlayerSpec(entry["id"], "generator", "real_data", None,
                             entry.get("experiment")))
         elif kind == "transform":
-            player = toy.TransformPlayer(toy.RealDataPlayer(task),
-                                         entry["transform"],
+            player = toy.TransformPlayer(task.model, entry["transform"],
                                          int(entry["severity"]), task.scale)
             _add(built, entry["id"], player,
                  PlayerSpec(entry["id"], "generator", "transform",

@@ -210,7 +210,9 @@ class ExternalPlayer:
         return values
 
     def close(self) -> None:
-        """Send shutdown and reap the child; safe to call repeatedly."""
+        """Send shutdown, close the child's stdin and reap the child,
+        killing it if it is still running 5 s later; safe to call
+        repeatedly."""
         proc = self._proc
         if proc.poll() is None:
             try:
@@ -218,15 +220,15 @@ class ExternalPlayer:
                 proc.stdin.flush()
             except (OSError, ValueError):
                 pass
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
         try:
             proc.stdin.close()
         except OSError:
             pass
+        try:
+            proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
         self._dead = self._dead or "session closed"
         self._reader.join(timeout=5.0)
 

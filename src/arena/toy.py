@@ -20,8 +20,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import expit, logsumexp
 
 # Relative jitter added to covariances before factorization so that early
 # checkpoints with nearly singular implied covariance stay positive definite.
@@ -35,14 +33,14 @@ def gaussian_log_density(x: np.ndarray, mean: np.ndarray,
     """Log density of rows of x under N(mean, factor.T @ factor).
 
     factor is upper triangular with positive diagonal; the quadratic form is
-    evaluated with a triangular solve so no inverse is ever formed.
+    evaluated by solving against factor.T, so no inverse is ever formed.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if not np.isfinite(x).all():
         raise ValueError("non-finite input to gaussian_log_density")
     dim = mean.shape[0]
     centered = x - mean
-    z = solve_triangular(factor, centered.T, trans="T", lower=False)
+    z = np.linalg.solve(factor.T, centered.T)
     quad = np.einsum("ij,ij->j", z, z)
     log_det = 2.0 * np.log(np.diag(factor)).sum()
     return -0.5 * (quad + log_det + dim * math.log(2.0 * math.pi))
@@ -210,13 +208,17 @@ class OracleDiscriminator:
 
     def score(self, batch: np.ndarray) -> np.ndarray:
         ld_data = self.data_model.log_density(batch)
-        if len(self.fake_models) == 1:
-            ld_fake = self.fake_models[0].log_density(batch)
-        else:
-            stacked = np.stack([m.log_density(batch)
-                                for m in self.fake_models])
-            ld_fake = logsumexp(stacked, axis=0) - math.log(len(stacked))
-        return expit(ld_data - ld_fake)
+        stacked = np.stack([m.log_density(batch) for m in self.fake_models])
+        # Max-shifted log-mean-exp; with one reference it is that
+        # reference's density exactly (top + log 1 - log 1).
+        top = stacked.max(axis=0)
+        ld_fake = (top + np.log(np.exp(stacked - top).sum(axis=0))
+                   - math.log(len(stacked)))
+        # Saturating logistic: exp() only ever sees non-positive arguments,
+        # and equal densities give exactly 0.5.
+        x = ld_data - ld_fake
+        ex = np.exp(-np.abs(x))
+        return np.where(x >= 0.0, 1.0, ex) / (1.0 + ex)
 
     def judge(self, batch: np.ndarray,
               rng: np.random.Generator | None = None) -> np.ndarray:
@@ -270,20 +272,6 @@ def chekhov_discriminator(task: GaussianTask,
     models = [gen.density_model(task) for gen in refs]
     return OracleDiscriminator(task.model, models,
                                checkpoint=generators[index].checkpoint)
-
-
-class RealDataPlayer:
-    """Generator player that emits actual task samples."""
-
-    def __init__(self, task: GaussianTask):
-        self.task = task
-
-    @property
-    def dim(self) -> int:
-        return self.task.dim
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self.task.model.sample(count, rng)
 
 
 def apply_distortion(batch: np.ndarray, transform: str, severity: float,

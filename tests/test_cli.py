@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arena
 from arena import store
 from arena import tournament as tn
 from arena.cli import build_parser, _load_with_overrides, main
@@ -110,7 +115,8 @@ class TestRun:
         assert run_cli("run", "--config", path, "--out-dir", out) == 0
         err = capsys.readouterr().err
         assert err.count("'ext' could not be started") == 1
-        assert "cannot spawn" in err
+        assert "its 4 matches are skipped: cannot spawn" in err
+        assert "NoneType" not in err
         _, records, _ = store.read_log(str(out / "log.jsonl"))
         # 4 generators x 3 in-process discriminators; the 4 matches
         # against ext are skipped.
@@ -347,3 +353,15 @@ class TestFlagPlumbing:
         config = _load_with_overrides(args)
         assert config.schedule["kind"] == "band"
         assert config.schedule["band_width"] == 2
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is only a test-time reference; the runtime needs numpy alone.
+    src = str(Path(arena.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, arena.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

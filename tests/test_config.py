@@ -208,7 +208,7 @@ class TestBuildPlayers:
         ]
         built = build_players(parse_config(payload))
         by_id = {s.id: s for s in built.specs}
-        assert isinstance(built.players["bench"], toy.RealDataPlayer)
+        assert built.players["bench"] is built.task.model
         assert isinstance(built.players["noisy"], toy.TransformPlayer)
         assert isinstance(built.players["noise-judge"],
                           toy.OracleDiscriminator)

@@ -11,6 +11,7 @@ import json
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -230,6 +231,17 @@ class TestLifecycle:
         player.close()  # idempotent
         with pytest.raises(ExternError, match="session closed"):
             player.sample(2)
+
+    def test_child_that_ignores_shutdown_is_reaped_at_end_of_input(self):
+        child = inline_child("""
+            for line in sys.stdin:
+                pass
+        """, hello=True)
+        player = ExternalPlayer(child, role="generator")
+        start = time.perf_counter()
+        player.close()
+        assert time.perf_counter() - start < 2.0
+        assert player._proc.returncode == 0  # exited on its own, not killed
 
     def test_crash_mid_session_fails_fast_afterwards(self):
         player = ExternalPlayer(ref_player("generator", "--crash-after",

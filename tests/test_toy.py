@@ -7,10 +7,12 @@ analytic code never validates itself.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import expit, logsumexp
 
 from arena import toy
 
@@ -214,6 +216,36 @@ class TestOracleDiscriminator:
         with pytest.raises(ValueError, match="at least one"):
             toy.OracleDiscriminator(task.model, [])
 
+    @pytest.mark.parametrize("panel", ["oracle", "chekhov"])
+    def test_matches_the_scipy_reference(self, task, panel):
+        gens = toy.trajectory(task, 20, seed=3)
+        if panel == "oracle":
+            disc = toy.OracleDiscriminator(task.model,
+                                           [gens[4].density_model(task)])
+        else:
+            disc = toy.chekhov_discriminator(task, gens, 15, seed=7)
+        assert len(disc.fake_models) == (1 if panel == "oracle" else 11)
+        batch = np.concatenate([
+            task.model.sample(64, np.random.default_rng(1)),
+            gens[4].sample(64, np.random.default_rng(2)),
+            gens[15].sample(64, np.random.default_rng(3))])
+        ld_data = disc.data_model.log_density(batch)
+        stacked = np.stack([m.log_density(batch) for m in disc.fake_models])
+        ld_fake = logsumexp(stacked, axis=0) - math.log(len(stacked))
+        expected = expit(ld_data - ld_fake)
+        assert np.abs(disc.score(batch) - expected).max() <= 1e-12
+
+    def test_far_samples_saturate_without_warnings(self, task):
+        weak = toy.trajectory(task, 5, seed=3)[0]
+        oracle = toy.OracleDiscriminator(task.model,
+                                         [weak.density_model(task)])
+        noised = toy.noise_oracle(task, severity=9)
+        far = (task.mean + 1e3 * task.scale * np.ones(task.dim))[None, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert oracle.score(far)[0] == 1.0
+            assert noised.score(far)[0] == 0.0
+
 
 class TestForgettingDiscriminator:
     def make(self, task, mastered):
@@ -336,8 +368,8 @@ class TestDistortions:
 
 class TestTransformPlayer:
     def test_sample_is_base_plus_distortion(self, task):
-        player = toy.TransformPlayer(toy.RealDataPlayer(task),
-                                     "additive_noise", 2, task.scale)
+        player = toy.TransformPlayer(task.model, "additive_noise", 2,
+                                     task.scale)
         got = player.sample(16, np.random.default_rng(3))
         mirror_rng = np.random.default_rng(3)
         base = task.model.sample(16, mirror_rng)
@@ -346,14 +378,13 @@ class TestTransformPlayer:
         assert np.array_equal(got, expected)
 
     def test_severity_bounds(self, task):
-        base = toy.RealDataPlayer(task)
         for severity in (0, 10):
             with pytest.raises(ValueError, match="severity"):
-                toy.TransformPlayer(base, "additive_noise", severity, 1.0)
+                toy.TransformPlayer(task.model, "additive_noise", severity,
+                                    1.0)
 
     def test_dim_follows_the_base(self, task):
-        player = toy.TransformPlayer(toy.RealDataPlayer(task), "impulse", 1,
-                                     1.0)
+        player = toy.TransformPlayer(task.model, "impulse", 1, 1.0)
         assert player.dim == task.dim
 
 
@@ -367,8 +398,8 @@ class TestNoiseOracle:
 
     def test_separates_data_from_its_noised_copy(self, task):
         oracle = toy.noise_oracle(task, severity=3)
-        noisy = toy.TransformPlayer(toy.RealDataPlayer(task),
-                                    "additive_noise", 3, task.scale)
+        noisy = toy.TransformPlayer(task.model, "additive_noise", 3,
+                                    task.scale)
         data = task.model.sample(512, np.random.default_rng(1))
         fakes = noisy.sample(512, np.random.default_rng(2))
         assert oracle.score(data).mean() > 0.6
