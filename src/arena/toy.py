@@ -7,9 +7,8 @@ map toward the target factor. Discriminators score samples with the optimal
 likelihood ratio data/(data + fake) against an explicit fake-density model:
 the generator's own Gaussian (oracle), a uniform mixture over past
 generators kept by reservoir sampling (chekhov), or uniform noise once the
-trajectory has mastered the task (forgetting).
-
-Everything is closed form; no player is trained.
+trajectory has mastered the task (forgetting). Each judges a batch with one
+stacked solve call. Everything is closed form; no player is trained.
 """
 
 from __future__ import annotations
@@ -34,16 +33,18 @@ def gaussian_log_density(x: np.ndarray, mean: np.ndarray,
 
     factor is upper triangular with positive diagonal; the quadratic form is
     evaluated by solving against factor.T, so no inverse is ever formed.
+    Stacked means (K, d) and factors (K, d, d) give (K, n) from one solve
+    call, each row bit-identical to the single-model (n,) result.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if not np.isfinite(x).all():
         raise ValueError("non-finite input to gaussian_log_density")
-    dim = mean.shape[0]
-    centered = x - mean
-    z = np.linalg.solve(factor.T, centered.T)
-    quad = np.einsum("ij,ij->j", z, z)
-    log_det = 2.0 * np.log(np.diag(factor)).sum()
-    return -0.5 * (quad + log_det + dim * math.log(2.0 * math.pi))
+    dim = mean.shape[-1]
+    centered = np.swapaxes(x - mean[..., None, :], -1, -2)
+    z = np.linalg.solve(np.swapaxes(factor, -1, -2), centered)
+    quad = np.einsum("...ij,...ij->...j", z, z)
+    log_det = 2.0 * np.log(np.diagonal(factor, 0, -2, -1)).sum(-1)
+    return -0.5 * (quad + log_det[..., None] + dim * math.log(2.0 * math.pi))
 
 
 class GaussianModel:
@@ -69,9 +70,6 @@ class GaussianModel:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        return gaussian_log_density(x, self.mean, self.factor)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         z = rng.standard_normal((count, self.dim))
@@ -205,10 +203,12 @@ class OracleDiscriminator:
         self.data_model = data_model
         self.fake_models = list(fake_models)
         self.checkpoint = checkpoint
+        pairs = [(m.mean, m.factor) for m in [data_model, *self.fake_models]]
+        self._means, self._factors = map(np.stack, zip(*pairs))
 
     def score(self, batch: np.ndarray) -> np.ndarray:
-        ld_data = self.data_model.log_density(batch)
-        stacked = np.stack([m.log_density(batch) for m in self.fake_models])
+        densities = gaussian_log_density(batch, self._means, self._factors)
+        ld_data, stacked = densities[0], densities[1:]
         # Max-shifted log-mean-exp; with one reference it is that
         # reference's density exactly (top + log 1 - log 1).
         top = stacked.max(axis=0)

@@ -2,11 +2,40 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 import yaml
 
 from arena import toy
+
+
+# Characters for hypothesis text strategies: quote, backslash, control
+# characters (the seed-part separator 0x1f among them), ASCII, non-ASCII BMP
+# characters and one astral character. An explicit alphabet keeps hypothesis
+# from building its unicode category table while it draws, which on a fresh
+# checkout is slow enough to fail the too_slow health check.
+TEXT_ALPHABET = ('"\\\x00\t\n\x1f\x7f aZ09:,{}'
+                 '\u00e9\u00df\u2028\u4e2d\uffff\U0001f600')
+
+
+def reference_score(data_model, fake_models, batch) -> np.ndarray:
+    """The per-model oracle score: one density call per model, the fake
+    densities stacked with np.stack, a max-shifted log-mean-exp and a
+    saturating logistic. toy.OracleDiscriminator.score must equal it bit for
+    bit."""
+    def density(model):
+        return toy.gaussian_log_density(batch, model.mean, model.factor)
+
+    ld_data = density(data_model)
+    stacked = np.stack([density(m) for m in fake_models])
+    top = stacked.max(axis=0)
+    ld_fake = (top + np.log(np.exp(stacked - top).sum(axis=0))
+               - math.log(len(stacked)))
+    x = ld_data - ld_fake
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, ex) / (1.0 + ex)
 
 
 def tiny_config_payload(**overrides) -> dict:

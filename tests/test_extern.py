@@ -23,6 +23,8 @@ from arena.extern import (MESSAGE_TYPES, BatchSizeMismatch, ExternError,
                           dump_message, parse_message)
 from arena.tournament import RunSettings, explicit_schedule, run_tournament
 
+from conftest import TEXT_ALPHABET
+
 
 def ref_player(role: str, *extra: str) -> list[str]:
     return [sys.executable, "-m", "arena.ref_player", "--role", role,
@@ -45,7 +47,8 @@ def inline_child(body: str, hello: bool = False) -> list[str]:
 class TestWireFormat:
     @given(st.sampled_from(MESSAGE_TYPES),
            st.dictionaries(st.sampled_from(["count", "seed", "name"]),
-                           st.one_of(st.integers(), st.text(max_size=8)),
+                           st.one_of(st.integers(),
+                                     st.text(TEXT_ALPHABET, max_size=8)),
                            max_size=3))
     def test_round_trip(self, kind, payload):
         message = {"type": kind, **payload}

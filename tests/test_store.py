@@ -14,7 +14,7 @@ from arena.tournament import MatchRecord
 
 HEADER = LogHeader(config_hash="0123456789abcdef", seed=7)
 
-ids = st.text(alphabet=st.characters(min_codepoint=33, max_codepoint=126),
+ids = st.text(alphabet="".join(map(chr, range(33, 127))),
               min_size=1, max_size=12)
 
 

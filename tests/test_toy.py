@@ -11,10 +11,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 from scipy.special import expit, logsumexp
 
 from arena import toy
+from arena.config import (build_players, build_schedule, parse_config,
+                          run_settings)
+from arena.tournament import run_tournament
+
+from conftest import reference_score, tiny_config_payload
 
 
 @pytest.fixture
@@ -46,6 +52,32 @@ class TestGaussianLogDensity:
         with pytest.raises(ValueError, match="non-finite"):
             toy.gaussian_log_density(np.array([[np.nan, 0.0]]), np.zeros(2),
                                      np.eye(2))
+
+    @given(st.integers(1, 16), st.integers(1, 130), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    def test_stacked_models_equal_single_model_calls(self, dim, n, k, seed):
+        rng = np.random.default_rng(seed)
+        models = []
+        for _ in range(k):
+            a = rng.standard_normal((dim, dim))
+            cov = a.T @ a + 0.1 * np.eye(dim)
+            models.append(toy.GaussianModel(rng.standard_normal(dim),
+                                            cov=cov))
+        x = 3.0 * rng.standard_normal((n, dim))
+        stacked = toy.gaussian_log_density(
+            x, np.stack([m.mean for m in models]),
+            np.stack([m.factor for m in models]))
+        assert stacked.shape == (k, n)
+        for row, model in zip(stacked, models):
+            assert np.array_equal(
+                row, toy.gaussian_log_density(x, model.mean, model.factor))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_stacked_path_rejects_non_finite_input(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            toy.gaussian_log_density(np.array([[0.0, 1.0], [bad, 0.0]]),
+                                     np.zeros((3, 2)),
+                                     np.stack([np.eye(2)] * 3))
 
 
 class TestGaussianModel:
@@ -229,11 +261,53 @@ class TestOracleDiscriminator:
             task.model.sample(64, np.random.default_rng(1)),
             gens[4].sample(64, np.random.default_rng(2)),
             gens[15].sample(64, np.random.default_rng(3))])
-        ld_data = disc.data_model.log_density(batch)
-        stacked = np.stack([m.log_density(batch) for m in disc.fake_models])
+        densities = [toy.gaussian_log_density(batch, m.mean, m.factor)
+                     for m in [disc.data_model, *disc.fake_models]]
+        ld_data, stacked = densities[0], np.stack(densities[1:])
         ld_fake = logsumexp(stacked, axis=0) - math.log(len(stacked))
         expected = expit(ld_data - ld_fake)
         assert np.abs(disc.score(batch) - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("panel", ["oracle", "chekhov", "mastered"])
+    def test_score_equals_the_per_model_formula_bit_for_bit(self, task,
+                                                             panel):
+        gens = toy.trajectory(task, 20, seed=3)
+        if panel == "oracle":
+            disc = toy.OracleDiscriminator(task.model,
+                                           [gens[4].density_model(task)])
+        elif panel == "chekhov":
+            disc = toy.chekhov_discriminator(task, gens, 15, seed=7)
+        else:
+            disc = toy.OracleDiscriminator(task.model,
+                                           [gens[19].density_model(task)])
+        assert len(disc.fake_models) == (11 if panel == "chekhov" else 1)
+        batch = np.concatenate([
+            task.model.sample(64, np.random.default_rng(1)),
+            gens[4].sample(64, np.random.default_rng(2)),
+            gens[15].sample(64, np.random.default_rng(3))])
+        scores = disc.score(batch)
+        assert np.array_equal(
+            scores, reference_score(disc.data_model, disc.fake_models, batch))
+        if panel == "mastered":
+            assert np.all(scores == 0.5)
+
+    @pytest.mark.parametrize("index", [0, 1, 5, 15])
+    def test_one_solve_per_score_whatever_the_panel_size(self, task, index,
+                                                         monkeypatch):
+        disc = toy.chekhov_discriminator(task, toy.trajectory(task, 20,
+                                                              seed=3),
+                                         index, seed=7)
+        assert len(disc.fake_models) == min(index, 10) + 1
+        calls = []
+        solve = np.linalg.solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        disc.score(task.model.sample(8, np.random.default_rng(0)))
+        assert len(calls) == 1
 
     def test_far_samples_saturate_without_warnings(self, task):
         weak = toy.trajectory(task, 5, seed=3)[0]
@@ -415,3 +489,40 @@ class TestConstantDiscriminator:
     def test_value_range_enforced(self, value):
         with pytest.raises(ValueError, match="score value"):
             toy.ConstantDiscriminator(value)
+
+
+class ReferenceDiscriminator:
+    """Judges like a toy oracle, chekhov or forgetting discriminator, but
+    scores through reference_score."""
+
+    def __init__(self, disc: toy.OracleDiscriminator):
+        self.disc = disc
+
+    def judge(self, batch, rng=None) -> np.ndarray:
+        if getattr(self.disc, "mastered", False):
+            return rng.random(len(np.atleast_2d(batch)))
+        return reference_score(self.disc.data_model, self.disc.fake_models,
+                               batch)
+
+
+class TestStackedJudgingInTournaments:
+    def test_records_equal_those_of_per_model_reference_judges(self):
+        entries = [{"kind": "toy_trajectory", "experiment": kind,
+                    "n_checkpoints": 6, "mastery_fraction": 0.5,
+                    "discriminators": kind, "trajectory_seed": 21 + i,
+                    "panel_seed": 5, "chekhov_capacity": 3}
+                   for i, kind in enumerate(["chekhov", "oracle",
+                                             "forgetting"])]
+        config = parse_config(tiny_config_payload(players=entries))
+        built = build_players(config)
+        schedule = build_schedule(config, built.specs)
+        records = run_tournament(schedule, built.players, built.data,
+                                 run_settings(config))
+        reference = {
+            pid: ReferenceDiscriminator(player)
+            if isinstance(player, toy.OracleDiscriminator) else player
+            for pid, player in built.players.items()}
+        assert len(records) == 18 * 18
+        assert len({r.fake_wins + r.real_wins for r in records}) > 5
+        assert run_tournament(schedule, reference, built.data,
+                              run_settings(config)) == records
