@@ -105,13 +105,15 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
             session.close()
 
 
-def _report(records: list[tn.MatchRecord], rating: glicko.RatingConfig,
-            specs: list[PlayerSpec], directory: str | None, names: dict,
+def _report(records: list[tn.MatchRecord] | tn.MatchTable,
+            rating: glicko.RatingConfig, specs: list[PlayerSpec],
+            directory: str | None, names: dict,
             schedule: tn.Schedule | None = None) -> None:
     """Rate the records, write the artifacts into ``directory`` if one is
     given, and print the table and every warning."""
-    outcome = glicko.rate_tournament(records, rating)
-    summary = sm.summarize(records, outcome.ratings, specs, schedule)
+    table = tn.MatchTable.from_records(records)
+    outcome = glicko.rate_tournament(table, rating)
+    summary = sm.summarize(table, outcome.ratings, specs, schedule)
     if directory:
         sm.write_artifacts(directory, summary, names)
     print(sm.format_summary_table(summary))
@@ -157,9 +159,10 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _specs_from_records(records) -> list[PlayerSpec]:
-    gens = sorted({r.generator_id for r in records})
-    discs = sorted({r.discriminator_id for r in records})
+def _specs_from_records(table: tn.MatchTable) -> list[PlayerSpec]:
+    # The ids are sorted, so sorted indices give sorted ids.
+    gens = [table.ids[i] for i in sorted(set(table.gen.tolist()))]
+    discs = [table.ids[i] for i in sorted(set(table.disc.tolist()))]
     return ([PlayerSpec(g, "generator", "custom", None, None) for g in gens]
             + [PlayerSpec(d, "discriminator", "custom", None, None)
                for d in discs])
@@ -218,8 +221,8 @@ def cmd_extend(args) -> int:
     with store.LogWriter(args.log) as sink:
         for record in new_records:
             sink(record)
-    _report(records + new_records, config.rating, built.specs, args.out_dir,
-            config.outputs)
+    _report([*records, *new_records], config.rating, built.specs,
+            args.out_dir, config.outputs)
     print(f"appended {len(new_records)} records to {args.log} "
           f"(new players: {', '.join(new_gens + new_discs)})")
     return 0

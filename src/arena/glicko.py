@@ -8,13 +8,13 @@ with two extensions used by the tournament engine:
 * a whole match set is treated as one rating period and updates are iterated
   to a fixed point, since tournament matches have no temporal order.
 
-The tournament fixed point lays the match set out once as a game table, one
-row per record side, and runs each pass as one vectorized sweep over it:
-expected scores for every row at once, the per-player sums with
-``np.bincount``. ``update_player`` is the scalar reference: it sums a list
-of ``GameResult`` objects with ``math.fsum``. Both paths close the period
-through the same per-player Glicko2 step, so the update rule is written
-once.
+The tournament fixed point lays the columns of the match set's
+``MatchTable`` out once as a game table, one row per record side, and runs
+each pass as one vectorized sweep over it: expected scores for every row
+at once, the per-player sums with ``np.bincount``. ``update_player`` is
+the scalar reference: it sums a list of ``GameResult`` objects with
+``math.fsum``. Both paths close the period through the same per-player
+Glicko2 step, so the update rule is written once.
 
 Idle players are returned unchanged: there is no deviation inflation
 between rating periods because a static tournament has no notion of
@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .tournament import MatchRecord, MatchTable
 
 # Fixed conversion between the public scale (1500-anchored) and the internal
 # mu/phi scale. The anchor stays at 1500 even when players start elsewhere.
@@ -264,14 +266,14 @@ def update_player(rating: Rating, games: Sequence[GameResult],
                          config or RatingConfig())
 
 
-def _game_table(records: Sequence, mode: str
+def _game_table(table: MatchTable, mode: str
                 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray,
                            np.ndarray]:
-    """Index the players of a match set and lay its games out as arrays.
+    """Lay the games of a match table out as arrays.
 
-    Returns ``(ids, player, opponent, score, weight)``: the sorted player
-    ids, then one row per record side with indices into ``ids``. The
-    generator side scores the record's win fraction against the
+    Returns ``(ids, player, opponent, score, weight)``: the table's sorted
+    player ids, then one row per record side with indices into ``ids``.
+    The generator side scores the record's win fraction against the
     discriminator, the discriminator side one minus it. The Glicko2
     accumulators are linear in the games, so in per-sample mode a weight of
     the judged-sample count is exactly the sum of the per-sample wins and
@@ -280,20 +282,12 @@ def _game_table(records: Sequence, mode: str
     """
     if mode not in ("per-sample", "per-match"):
         raise ValueError(f"unknown outcome mode: {mode!r}")
-    ids = sorted({r.generator_id for r in records}
-                 | {r.discriminator_id for r in records})
-    index = {pid: i for i, pid in enumerate(ids)}
-    played = [r for r in records if r.n_fake + r.n_real > 0]
-    gen = np.array([index[r.generator_id] for r in played], dtype=np.intp)
-    disc = np.array([index[r.discriminator_id] for r in played],
-                    dtype=np.intp)
-    total = np.array([r.n_fake + r.n_real for r in played], dtype=float)
-    s = np.array([r.fake_wins + r.real_wins for r in played],
-                 dtype=float) / total
+    played, total, s = table.judged()
+    gen, disc = table.gen[played], table.disc[played]
     weight = total if mode == "per-sample" else np.ones_like(total)
     # Interleaved generator and discriminator rows keep each player's games
     # in record order.
-    return (ids, np.column_stack((gen, disc)).ravel(),
+    return (list(table.ids), np.column_stack((gen, disc)).ravel(),
             np.column_stack((disc, gen)).ravel(),
             np.column_stack((s, 1.0 - s)).ravel(),
             np.repeat(weight, 2))
@@ -324,9 +318,10 @@ def _period_sums(ratings: Sequence[Rating], player: np.ndarray,
     return v_inv.tolist(), delta_sum.tolist()
 
 
-def rate_tournament(records: Iterable, config: RatingConfig | None = None
-                    ) -> RatingOutcome:
-    """Rate a full match set by fixed-point iteration.
+def rate_tournament(records: Iterable[MatchRecord] | MatchTable,
+                    config: RatingConfig | None = None) -> RatingOutcome:
+    """Rate a full match set, a ``MatchTable`` or an iterable of records,
+    by fixed-point iteration.
 
     The whole match set forms a single rating period. Each pass re-rates
     every player from their prior against a snapshot of the opponents'
@@ -336,19 +331,19 @@ def rate_tournament(records: Iterable, config: RatingConfig | None = None
     pass fell below pass_tolerance.
     """
     cfg = config or RatingConfig()
-    records = list(records)
-    ids, *table = _game_table(records, cfg.outcome_mode)
+    table = MatchTable.from_records(records)
+    ids, *games = _game_table(table, cfg.outcome_mode)
 
     warnings: list[str] = []
-    if not records:
+    if not len(table):
         warnings.append("empty record set; all players rated at defaults")
 
     start = cfg.default()
     ratings = [start] * len(ids)
     shifts: list[float] = []
-    converged = not records
+    converged = not len(table)
     while len(shifts) < cfg.max_passes and not converged:
-        v_inv, delta_sum = _period_sums(ratings, *table)
+        v_inv, delta_sum = _period_sums(ratings, *games)
         updated = []
         for current, info, delta in zip(ratings, v_inv, delta_sum):
             fresh = _close_period(start, info, delta, cfg)

@@ -4,19 +4,56 @@ A log is one header line followed by one line per match record. Lines are
 serialized with sorted keys and compact separators so that write -> read ->
 write round-trips byte-identically, and any line parses on its own, which
 keeps partially written logs recoverable.
+
+``read_log`` returns the records as a columnar ``MatchTable``. It reads the
+body in bounded chunks and parses a chunk whose every line has the writer's
+own layout with one regular expression; any other chunk goes line by line
+through ``parse_record``, so both paths accept, reject and number exactly
+the same lines.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
-from .tournament import MatchRecord
+import numpy as np
+
+from .tournament import MatchRecord, MatchTable
 
 LOG_FORMAT = "arena-log/1"
 
 _RECORD_FIELDS = ("generator_id", "discriminator_id", "n_fake", "fake_wins",
                   "n_real", "real_wins", "seed", "threshold")
+_COUNT_FIELDS = ("n_fake", "fake_wins", "n_real", "real_wins")
+
+# Counts are stored as int64 and seeds as uint64.
+_COUNT_LIMIT = 2 ** 63
+_SEED_LIMIT = 2 ** 64
+
+# Size hint, in characters, of one chunk of log lines: large enough that
+# the per-chunk overhead vanishes, small enough that a large log never sits
+# in memory as one string.
+_CHUNK_CHARS = 1 << 18
+
+# One record line exactly as record_line writes it. Only what json.loads
+# reads the same way matches: ASCII digits without leading zeros, ids
+# without raw control characters and with JSON's own escapes, and float
+# thresholds. Counts of at most 18 digits fit int64; a seed's range is
+# checked when it is converted.
+_ID_CHARS = r'[^"\\\x00-\x1f]*'
+_ESCAPE = r'\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})'
+_ID = f"({_ID_CHARS}(?:{_ESCAPE}{_ID_CHARS})*)"
+_COUNT = r"(0|[1-9][0-9]{0,17})"
+# Compiled on first use (re caches it), not on import by every command.
+_CANONICAL = (
+    r'^\{"discriminator_id":"' + _ID + r'","fake_wins":' + _COUNT
+    + r',"generator_id":"' + _ID + r'","n_fake":' + _COUNT
+    + r',"n_real":' + _COUNT + r',"real_wins":' + _COUNT
+    + r',"seed":(0|[1-9][0-9]{0,19}),"threshold":'
+    r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+    r"|NaN|-?Infinity)\}$")
 
 
 class LogError(ValueError):
@@ -65,7 +102,7 @@ def parse_record(line: str) -> MatchRecord:
     if not isinstance(payload, dict):
         raise LogError(f"record line is not an object: {line.strip()!r}")
     try:
-        return MatchRecord(
+        record = MatchRecord(
             generator_id=str(payload["generator_id"]),
             discriminator_id=str(payload["discriminator_id"]),
             n_fake=int(payload["n_fake"]),
@@ -77,6 +114,19 @@ def parse_record(line: str) -> MatchRecord:
         )
     except KeyError as exc:
         raise LogError(f"record missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise LogError(f"record field has a bad value: {exc}") from exc
+    for name in _COUNT_FIELDS:
+        if not 0 <= getattr(record, name) < _COUNT_LIMIT:
+            raise LogError(f"record {name} {getattr(record, name)} is "
+                           "outside [0, 2**63)")
+    for wins, trials in (("fake_wins", "n_fake"), ("real_wins", "n_real")):
+        if getattr(record, wins) > getattr(record, trials):
+            raise LogError(f"record {wins} {getattr(record, wins)} exceeds "
+                           f"{trials} {getattr(record, trials)}")
+    if not 0 <= record.seed < _SEED_LIMIT:
+        raise LogError(f"record seed {record.seed} is outside [0, 2**64)")
+    return record
 
 
 class LogWriter:
@@ -109,29 +159,85 @@ class LogWriter:
         self.close()
 
 
+def _decode_id(raw: str) -> str:
+    return json.loads(f'"{raw}"') if "\\" in raw else raw
+
+
+def _canonical_chunk(lines: list[str], codes: dict[str, int],
+                     raw_codes: dict[str, int]) -> list[np.ndarray] | None:
+    """The chunk's columns, or None unless every line is a record line in
+    the writer's layout with counts and seed in range.
+
+    Ids are numbered in ``codes``, by first appearance across chunks;
+    ``raw_codes`` remembers the code of each id as written.
+    """
+    rows = re.findall(_CANONICAL, "".join(lines), re.MULTILINE)
+    if len(rows) != len(lines):
+        return None
+    disc, fake_wins, gen, n_fake, n_real, real_wins, seed, threshold = (
+        zip(*rows))
+    n = len(rows)
+    nf, fw, nr, rw = (np.fromiter(map(int, column), np.int64, n)
+                      for column in (n_fake, fake_wins, n_real, real_wins))
+    if (fw > nf).any() or (rw > nr).any():
+        return None
+    try:
+        seeds = np.fromiter(map(int, seed), np.uint64, n)
+    except OverflowError:
+        return None
+    for raw in set(gen).union(disc).difference(raw_codes):
+        raw_codes[raw] = codes.setdefault(_decode_id(raw), len(codes))
+    return [np.fromiter(map(raw_codes.__getitem__, gen), np.intp, n),
+            np.fromiter(map(raw_codes.__getitem__, disc), np.intp, n),
+            nf, fw, nr, rw, seeds,
+            np.fromiter(map(float, threshold), float, n)]
+
+
 def read_log(path, strict: bool = True
-             ) -> tuple[LogHeader, list[MatchRecord], list[str]]:
+             ) -> tuple[LogHeader, MatchTable, list[str]]:
     """Read a log; returns (header, records, problems).
 
-    In strict mode the first corrupt line raises LogError (with its line
-    number); otherwise corrupt lines are collected into ``problems`` and
-    skipped.
+    The records come as a ``MatchTable`` in log order. In strict mode the
+    first corrupt line raises LogError (with its line number); otherwise
+    corrupt lines are collected into ``problems`` and skipped. Blank lines
+    are ignored.
     """
     problems: list[str] = []
-    records: list[MatchRecord] = []
+    codes: dict[str, int] = {}
+    raw_codes: dict[str, int] = {}
+    parts: list[list[np.ndarray]] = [[] for _ in _RECORD_FIELDS]
     with open(path) as fh:
         first = fh.readline()
         if not first:
             raise LogError(f"{path}: empty file, missing header")
         header = parse_header(first)
-        for number, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                records.append(parse_record(line))
-            except LogError as exc:
-                message = f"{path}:{number}: {exc}"
-                if strict:
-                    raise LogError(message) from exc
-                problems.append(message)
-    return header, records, problems
+        number = 2
+        while lines := fh.readlines(_CHUNK_CHARS):
+            chunk = _canonical_chunk(lines, codes, raw_codes)
+            if chunk is None:
+                records = []
+                for offset, line in enumerate(lines):
+                    if not line.strip():
+                        continue
+                    try:
+                        records.append(parse_record(line))
+                    except LogError as exc:
+                        message = f"{path}:{number + offset}: {exc}"
+                        if strict:
+                            raise LogError(message) from exc
+                        problems.append(message)
+                table = MatchTable.from_records(records)
+                remap = np.array([codes.setdefault(pid, len(codes))
+                                  for pid in table.ids], dtype=np.intp)
+                chunk = [remap[table.gen], remap[table.disc], table.n_fake,
+                         table.fake_wins, table.n_real, table.real_wins,
+                         table.seed, table.threshold]
+            for part, column in zip(parts, chunk):
+                part.append(column)
+            number += len(lines)
+    # Join one column at a time, letting go of its chunks before the next.
+    columns = []
+    while parts:
+        chunks = parts.pop(0)
+        columns.append(np.concatenate(chunks) if chunks else chunks)
+    return header, MatchTable.from_columns(list(codes), *columns), problems

@@ -3,6 +3,12 @@
 Turns match records plus ratings into per-generator tournament win rates,
 win-rate heatmaps over checkpoint axes, per-experiment skill curves, and the
 rank-correlation diagnostics used to compare schedules.
+
+Win rates read the columns of a ``MatchTable``. Only records with judged
+samples count, the rule the rating pass follows too. Pairs, and then
+generators, are laid out in first-appearance order and summed with
+``np.bincount`` in that order, so every mean is the left-to-right sum of
+its terms divided by their number.
 """
 
 from __future__ import annotations
@@ -10,23 +16,79 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .glicko import Rating
-from .tournament import MatchRecord, PlayerSpec, Schedule
+from .tournament import MatchRecord, MatchTable, PlayerSpec, Schedule
 
 WIN_RATE_WARNING = ("win rates from a non-round-robin schedule are not "
                     "comparable between players")
 
 
-def pair_win_rates(records: Iterable[MatchRecord]
+class _PairRates(NamedTuple):
+    """Mean win rate of each pair, pairs in first-appearance order, with
+    ``gen``/``disc`` indexing into ``ids``."""
+
+    ids: Sequence[str]
+    gen: np.ndarray
+    disc: np.ndarray
+    rate: np.ndarray
+
+
+def _means(keys: np.ndarray, values: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of ``values`` per distinct key, each sum taken in input order.
+
+    Returns the position of each key's first value and the means, keys in
+    first-appearance order.
+    """
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    # np.unique sorts the keys; renumber them by first appearance.
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    group = rank[inverse]
+    return first[order], (np.bincount(group, values, minlength=len(order))
+                          / np.bincount(group, minlength=len(order)))
+
+
+def _pair_rates(table: MatchTable) -> _PairRates:
+    played, _, rate = table.judged()
+    gen, disc = table.gen[played], table.disc[played]
+    first, means = _means(gen * len(table.ids) + disc, rate)
+    return _PairRates(table.ids, gen[first], disc[first], means)
+
+
+def _as_pair_rates(pairs: Mapping[tuple[str, str], float]) -> _PairRates:
+    index: dict[str, int] = {}
+    gen = [index.setdefault(gen_id, len(index)) for gen_id, _ in pairs]
+    disc = [index.setdefault(disc_id, len(index)) for _, disc_id in pairs]
+    return _PairRates(list(index), np.array(gen, dtype=np.intp),
+                      np.array(disc, dtype=np.intp),
+                      np.fromiter(pairs.values(), float, len(pairs)))
+
+
+def pair_win_rates(records: Iterable[MatchRecord] | MatchTable
                    ) -> dict[tuple[str, str], float]:
-    """Mean match win rate per (generator, discriminator) pair."""
-    totals: dict[tuple[str, str], list[float]] = {}
-    for record in records:
-        key = (record.generator_id, record.discriminator_id)
-        totals.setdefault(key, []).append(record.win_rate)
-    return {key: sum(rates) / len(rates) for key, rates in totals.items()}
+    """Mean match win rate per (generator, discriminator) pair.
+
+    A match's win rate is the fraction of its judged samples the generator
+    won. Records without judged samples are left out, so a pair that has
+    only such records is absent. Pairs come in first-appearance order.
+    """
+    pairs = _pair_rates(MatchTable.from_records(records))
+    ids = pairs.ids
+    return {(ids[g], ids[d]): rate for g, d, rate in zip(
+        pairs.gen.tolist(), pairs.disc.tolist(), pairs.rate.tolist())}
+
+
+def _generator_rates(pairs: _PairRates) -> dict[str, float]:
+    first, means = _means(pairs.gen, pairs.rate)
+    return {pairs.ids[g]: mean
+            for g, mean in zip(pairs.gen[first].tolist(), means.tolist())}
 
 
 def tournament_win_rate(pairs: Mapping[tuple[str, str], float]
@@ -37,11 +99,7 @@ def tournament_win_rate(pairs: Mapping[tuple[str, str], float]
     averaged first and every opponent counts once. Generators with no
     matches are absent rather than rated zero.
     """
-    by_gen: dict[str, list[float]] = {}
-    for (gen_id, _), rate in pairs.items():
-        by_gen.setdefault(gen_id, []).append(rate)
-    return {gen_id: sum(rates) / len(rates)
-            for gen_id, rates in by_gen.items()}
+    return _generator_rates(_as_pair_rates(pairs))
 
 
 @dataclass(frozen=True)
@@ -57,14 +115,35 @@ class Heatmap:
     values: tuple[tuple[float | None, ...], ...]
 
 
+def _layout(pairs: _PairRates, generator_ids: Sequence[str],
+            discriminator_ids: Sequence[str]) -> Heatmap:
+    n = len(pairs.ids)
+    index = {pid: i for i, pid in enumerate(pairs.ids)}
+
+    def positions(axis: Sequence[str]) -> np.ndarray:
+        return np.array([index.get(pid, -1) for pid in axis], dtype=np.int64)
+
+    cols, rows = positions(generator_ids), positions(discriminator_ids)
+    keys = pairs.gen.astype(np.int64) * n + pairs.disc
+    order = np.argsort(keys)
+    # A key above every pair's keeps each lookup inside the arrays.
+    sorted_keys = np.append(keys[order], n * n)
+    rates = np.append(pairs.rate[order], 0.0)
+    cells = cols[None, :] * n + rows[:, None]
+    at = np.searchsorted(sorted_keys, cells)
+    found = ((sorted_keys[at] == cells) & (cols >= 0)[None, :]
+             & (rows >= 0)[:, None])
+    values = tuple(
+        tuple(rate if hit else None for rate, hit in zip(rate_row, hit_row))
+        for rate_row, hit_row in zip(rates[at].tolist(), found.tolist()))
+    return Heatmap(tuple(generator_ids), tuple(discriminator_ids), values)
+
+
 def heatmap(pairs: Mapping[tuple[str, str], float],
             generator_ids: Sequence[str],
             discriminator_ids: Sequence[str]) -> Heatmap:
     """Lay the ``pair_win_rates`` table out on the given (ordered) axes."""
-    rows = tuple(
-        tuple(pairs.get((gen_id, disc_id)) for gen_id in generator_ids)
-        for disc_id in discriminator_ids)
-    return Heatmap(tuple(generator_ids), tuple(discriminator_ids), rows)
+    return _layout(_as_pair_rates(pairs), generator_ids, discriminator_ids)
 
 
 @dataclass(frozen=True)
@@ -163,12 +242,12 @@ def _axis(specs: Sequence[PlayerSpec], role: str) -> list[str]:
     return [s.id for s in chosen]
 
 
-def summarize(records: Sequence[MatchRecord], ratings: Mapping[str, Rating],
-              players: Sequence[PlayerSpec],
+def summarize(records: Iterable[MatchRecord] | MatchTable,
+              ratings: Mapping[str, Rating], players: Sequence[PlayerSpec],
               schedule: Schedule | None = None) -> TournamentSummary:
     """Assemble every summary artifact for one tournament."""
-    pairs = pair_win_rates(records)
-    rates = tournament_win_rate(pairs)
+    pairs = _pair_rates(MatchTable.from_records(records))
+    rates = _generator_rates(pairs)
     by_id = {spec.id: spec for spec in players}
     rows = []
     for pid in sorted(ratings):
@@ -184,7 +263,7 @@ def summarize(records: Sequence[MatchRecord], ratings: Mapping[str, Rating],
             volatility=r.volatility,
             win_rate=rates.get(pid),
         ))
-    hm = heatmap(pairs, _axis(players, "generator"),
+    hm = _layout(pairs, _axis(players, "generator"),
                  _axis(players, "discriminator"))
     curves = skill_curve(ratings, players)
     warnings = ()
@@ -241,25 +320,31 @@ def write_heatmap_csv(path, hm: Heatmap) -> None:
                                          for v in row])
 
 
-def _grey(value: float) -> str:
-    level = max(0, min(255, round(value * 255.0)))
-    return f"#{level:02x}{level:02x}{level:02x}"
+# Fill of each grey level, and of a pair that never played.
+_GREYS = tuple(f"#{level:02x}{level:02x}{level:02x}" for level in range(256))
+_MISSING = "#d04040"
 
 
 def write_heatmap_svg(path, hm: Heatmap, cell: int = 14) -> None:
-    """Grayscale heatmap: [0,1] win rate maps linearly to black..white."""
-    width = cell * len(hm.generator_ids)
-    height = cell * len(hm.discriminator_ids)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
-             f'width="{width}" height="{height}">']
-    for i, row in enumerate(hm.values):
-        for j, value in enumerate(row):
-            colour = "#d04040" if value is None else _grey(value)
-            parts.append(f'<rect x="{j * cell}" y="{i * cell}" '
-                         f'width="{cell}" height="{cell}" fill="{colour}"/>')
-    parts.append("</svg>")
+    """Grayscale heatmap: [0,1] win rate maps linearly to black..white.
+
+    The file is written one row of cells at a time.
+    """
+    xs = [f'<rect x="{j * cell}' for j in range(len(hm.generator_ids))]
     with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
+                 f'width="{cell * len(hm.generator_ids)}" '
+                 f'height="{cell * len(hm.discriminator_ids)}">\n')
+        for i, row in enumerate(hm.values):
+            # Only x and the fill change along a row.
+            middle = f'" y="{i * cell}" width="{cell}" height="{cell}" fill="'
+            cells = []
+            for x, value in zip(xs, row):
+                fill = (_MISSING if value is None
+                        else _GREYS[max(0, min(255, round(value * 255.0)))])
+                cells.append(f'{x}{middle}{fill}"/>\n')
+            fh.write("".join(cells))
+        fh.write("</svg>\n")
 
 
 def write_curve_svg(path, curves: Mapping[str, Sequence[CurvePoint]],

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -63,10 +63,82 @@ class MatchRecord:
     seed: int
     threshold: float = 0.5
 
-    @property
-    def win_rate(self) -> float:
-        """Fraction of judged samples the generator won."""
-        return (self.fake_wins + self.real_wins) / (self.n_fake + self.n_real)
+
+@dataclass(frozen=True, eq=False)
+class MatchTable:
+    """A match set as columns, one row per record in record order.
+
+    ``ids`` holds every player id once, sorted, and ``gen``/``disc`` index
+    into it. The counts are int64, ``seed`` is uint64 (blake2b-64 seeds
+    reach 2**64 - 1) and ``threshold`` is float. ``len()`` counts the
+    records and iterating yields them as ``MatchRecord``s, in order.
+    """
+
+    ids: tuple[str, ...]
+    gen: np.ndarray
+    disc: np.ndarray
+    n_fake: np.ndarray
+    fake_wins: np.ndarray
+    n_real: np.ndarray
+    real_wins: np.ndarray
+    seed: np.ndarray
+    threshold: np.ndarray
+
+    @classmethod
+    def from_columns(cls, names: Sequence[str], gen, disc, n_fake, fake_wins,
+                     n_real, real_wins, seed, threshold) -> MatchTable:
+        """Table whose ``gen``/``disc`` index into ``names``, which may be
+        in any order and may repeat an id."""
+        ids = sorted(set(names))
+        position = {pid: i for i, pid in enumerate(ids)}
+        remap = np.array([position[pid] for pid in names], dtype=np.intp)
+
+        def column(values, dtype):
+            return np.asarray(values, dtype=dtype)
+
+        return cls(tuple(ids), remap[column(gen, np.intp)],
+                   remap[column(disc, np.intp)],
+                   column(n_fake, np.int64), column(fake_wins, np.int64),
+                   column(n_real, np.int64), column(real_wins, np.int64),
+                   column(seed, np.uint64), column(threshold, float))
+
+    @classmethod
+    def from_records(cls, records: Iterable[MatchRecord] | MatchTable
+                     ) -> MatchTable:
+        """The one converter from records to a table; a table is returned
+        as it is."""
+        if isinstance(records, cls):
+            return records
+        records = list(records)
+        index: dict[str, int] = {}
+        gen = [index.setdefault(r.generator_id, len(index)) for r in records]
+        disc = [index.setdefault(r.discriminator_id, len(index))
+                for r in records]
+        return cls.from_columns(
+            list(index), gen, disc, [r.n_fake for r in records],
+            [r.fake_wins for r in records], [r.n_real for r in records],
+            [r.real_wins for r in records], [r.seed for r in records],
+            [r.threshold for r in records])
+
+    def judged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows with judged samples: their indices, their judged-sample
+        counts and the fraction of those the generator won."""
+        total = self.n_fake.astype(float) + self.n_real
+        played = np.flatnonzero(total > 0.0)
+        total = total[played]
+        return played, total, (self.fake_wins[played].astype(float)
+                               + self.real_wins[played]) / total
+
+    def __len__(self) -> int:
+        return len(self.gen)
+
+    def __iter__(self) -> Iterator[MatchRecord]:
+        ids = self.ids
+        for g, d, *rest in zip(self.gen.tolist(), self.disc.tolist(),
+                               self.n_fake.tolist(), self.fake_wins.tolist(),
+                               self.n_real.tolist(), self.real_wins.tolist(),
+                               self.seed.tolist(), self.threshold.tolist()):
+            yield MatchRecord(ids[g], ids[d], *rest)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,46 @@ def reference_score(data_model, fake_models, batch) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, ex) / (1.0 + ex)
 
 
+def win_rate(record) -> float:
+    """Fraction of a record's judged samples the generator won."""
+    return (record.fake_wins + record.real_wins) / (record.n_fake
+                                                    + record.n_real)
+
+
+def left_to_right_mean(values) -> float:
+    """Mean with the terms summed left to right; Python 3.12's sum() uses
+    compensated summation instead."""
+    total = 0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
+def reference_pair_win_rates(records) -> dict[tuple[str, str], float]:
+    """The dict-of-lists pair means: each record with judged samples adds
+    its win rate to its pair's list, in record order."""
+    totals: dict[tuple[str, str], list[float]] = {}
+    for record in records:
+        if record.n_fake + record.n_real > 0:
+            key = (record.generator_id, record.discriminator_id)
+            totals.setdefault(key, []).append(win_rate(record))
+    return {key: left_to_right_mean(rates) for key, rates in totals.items()}
+
+
+def reference_tournament_win_rate(pairs) -> dict[str, float]:
+    by_gen: dict[str, list[float]] = {}
+    for (gen_id, _), rate in pairs.items():
+        by_gen.setdefault(gen_id, []).append(rate)
+    return {gen_id: left_to_right_mean(rates)
+            for gen_id, rates in by_gen.items()}
+
+
+def reference_heatmap_values(pairs, generator_ids, discriminator_ids):
+    return tuple(
+        tuple(pairs.get((gen_id, disc_id)) for gen_id in generator_ids)
+        for disc_id in discriminator_ids)
+
+
 def tiny_config_payload(**overrides) -> dict:
     """A small but complete tournament config that runs in well under a
     second: a 4-checkpoint trajectory with its oracle panel on a dim-3 task.

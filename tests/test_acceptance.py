@@ -22,7 +22,7 @@ from arena.cli import main
 from arena.config import load_config
 from arena.glicko import GameResult, Rating, rate_tournament, update_player
 
-from conftest import column_means, tiny_config_payload, write_yaml
+from conftest import column_means, tiny_config_payload, win_rate, write_yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -95,7 +95,7 @@ def test_criterion_2_real_data_neutrality():
                     {"kind": "constant", "id": "all-fake", "value": 0.0}],
         "schedule": {"kind": "round_robin"},
     })
-    exact = judged.records[0].win_rate
+    exact = win_rate(judged.records[0])
 
     # A panel of pre-mastery snapshot oracles; the mastered snapshot is
     # excluded because its scores tie the threshold on every sample.
@@ -113,7 +113,7 @@ def test_criterion_2_real_data_neutrality():
         "schedule": {"kind": "round_robin", "repeats": 13},
     })
     elapsed = time.perf_counter() - start
-    rates = [r.win_rate for r in panel.records]
+    rates = [win_rate(r) for r in panel.records]
     mean = sum(rates) / len(rates)
     tolerance = 3.0 * math.sqrt(0.25 / (128 * len(rates)))
     ok = (exact == 0.5 and len(rates) >= 200
@@ -258,7 +258,7 @@ def test_criterion_8_incremental_extension(tmp_path, capsys):
     stdout = capsys.readouterr().out
 
     _, after, _ = store.read_log(log)
-    new = after[len(before):]
+    new = list(after)[len(before):]
     pairs = {(r.generator_id, r.discriminator_id) for r in new}
     only_new_vs_old = ("traj-g21", "traj-d21") not in pairs and all(
         "traj-g21" in pair or "traj-d21" in pair for pair in pairs)

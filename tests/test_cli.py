@@ -177,6 +177,41 @@ class TestRate:
         assert "warning:" in captured.err
         assert "tiny-g00" in captured.out
 
+    def test_records_without_judged_samples_leave_missing_cells(
+            self, tmp_path, capsys):
+        path = tmp_path / "log.jsonl"
+        with store.LogWriter(path, store.LogHeader("feed", 1)) as sink:
+            sink(tn.MatchRecord("g1", "d1", 8, 5, 8, 3, seed=1))
+            sink(tn.MatchRecord("g1", "d2", 0, 0, 0, 0, seed=2))
+            sink(tn.MatchRecord("g2", "d1", 0, 0, 0, 0, seed=3))
+        out = tmp_path / "rated"
+        assert run_cli("rate", path, "--out-dir", out) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        heatmap = (out / "heatmap.csv").read_text().splitlines()
+        assert heatmap == ["discriminator\\generator,g1,g2",
+                           "d1,0.500000,", "d2,,"]
+        summary = {row.split(",")[0]: row.split(",")
+                   for row in (out / "summary.csv").read_text().splitlines()}
+        assert summary["g1"][7] == "0.500000"
+        assert summary["g2"][7] == ""
+        assert summary["g2"][4] == "1500.000000"  # no games, prior rating
+
+    def test_impossible_counts_are_corrupt_lines(self, log_path, capsys):
+        run_cli("rate", log_path)
+        clean = capsys.readouterr().out
+        payload = json.loads(log_path.read_text().splitlines()[1])
+        payload.update(fake_wins=90, n_fake=4, real_wins=-7, seed=-1)
+        with open(log_path, "a") as fh:
+            fh.write(json.dumps(payload, sort_keys=True,
+                                separators=(",", ":")) + "\n")
+        assert run_cli("rate", log_path, "--strict") == 1
+        assert ":18: record real_wins -7 is outside" in \
+            capsys.readouterr().err
+        assert run_cli("rate", log_path) == 0
+        captured = capsys.readouterr()
+        assert ":18: record real_wins -7 is outside" in captured.err
+        assert captured.out == clean
+
     def test_missing_log_is_a_usage_error(self, tmp_path, capsys):
         assert run_cli("rate", tmp_path / "absent.jsonl") == 2
 
@@ -208,7 +243,7 @@ class TestExtend:
         assert "appended 6 records" in stdout
         assert log.read_bytes().startswith(old_bytes)
         _, after, _ = store.read_log(log)
-        new = after[len(before):]
+        new = list(after)[len(before):]
         assert len(new) == 6
         pairs = {(r.generator_id, r.discriminator_id) for r in new}
         assert ("tiny-g02", "tiny-d02") not in pairs  # no new-vs-new

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,7 +21,7 @@ from arena.glicko import (_MIN_INFORMATION, GLICKO2_SCALE, GameResult,
                           _game_table, _period_sums, expected_score,
                           from_internal, g, rate_tournament, to_internal,
                           update_player, update_volatility)
-from arena.tournament import MatchRecord
+from arena.tournament import MatchRecord, MatchTable
 
 
 def record(gen: str, disc: str, fake_wins: int, real_wins: int,
@@ -70,6 +71,24 @@ def reference_rate(records, cfg: RatingConfig
         if shifts[-1] < cfg.pass_tolerance:
             break
     return ratings, shifts
+
+
+def reference_game_table(records, mode: str):
+    """The game table built record by record from MatchRecord objects."""
+    ids = sorted({r.generator_id for r in records}
+                 | {r.discriminator_id for r in records})
+    index = {pid: i for i, pid in enumerate(ids)}
+    played = [r for r in records if r.n_fake + r.n_real > 0]
+    gen = np.array([index[r.generator_id] for r in played], dtype=np.intp)
+    disc = np.array([index[r.discriminator_id] for r in played],
+                    dtype=np.intp)
+    total = np.array([r.n_fake + r.n_real for r in played], dtype=float)
+    s = np.array([r.fake_wins + r.real_wins for r in played],
+                 dtype=float) / total
+    weight = total if mode == "per-sample" else np.ones_like(total)
+    return (ids, np.column_stack((gen, disc)).ravel(),
+            np.column_stack((disc, gen)).ravel(),
+            np.column_stack((s, 1.0 - s)).ravel(), np.repeat(weight, 2))
 
 
 def assert_engines_agree(records, cfg: RatingConfig) -> None:
@@ -314,12 +333,30 @@ class TestRateTournament:
     def test_one_game_per_record_side(self, mode, weight):
         # The empty record indexes its players but adds no games.
         ids, player, opponent, score, weights = _game_table(
-            [record("g", "d", 14, 10), record("g", "e", 0, 0, n=0)], mode)
+            MatchTable.from_records([record("g", "d", 14, 10),
+                                     record("g", "e", 0, 0, n=0)]), mode)
         assert ids == ["d", "e", "g"]
         assert player.tolist() == [2, 0]
         assert opponent.tolist() == [0, 2]
         assert score.tolist() == [24 / 32, 1.0 - 24 / 32]
         assert weights.tolist() == [weight, weight]
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                              st.integers(0, 40).flatmap(
+                                  lambda n: st.tuples(st.just(n),
+                                                      st.integers(0, n),
+                                                      st.integers(0, n)))),
+                    max_size=24),
+           st.sampled_from(["per-sample", "per-match"]))
+    def test_game_table_equals_the_per_record_reference(self, matches, mode):
+        records = [record(f"g{gen}", f"d{disc}", fake, real, n=n)
+                   for gen, disc, (n, fake, real) in matches]
+        ids, *columns = _game_table(MatchTable.from_records(records), mode)
+        expected_ids, *expected = reference_game_table(records, mode)
+        assert ids == expected_ids
+        for got, want in zip(columns, expected):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
 
     def test_shifts_trace_every_pass(self):
         records = [record("g1", "d1", 14, 12), record("g1", "d2", 3, 1),
@@ -367,7 +404,8 @@ class TestRateTournament:
         cfg = RatingConfig(outcome_mode="per-match", default_deviation=1e7)
         records = [record("g1", f"d{i}", 12, 10) for i in range(5)]
         records.append(record("g2", "d0", 3, 2))
-        ids, *table = _game_table(records, cfg.outcome_mode)
+        ids, *table = _game_table(MatchTable.from_records(records),
+                                  cfg.outcome_mode)
         v_inv, _ = _period_sums([cfg.default()] * len(ids), *table)
         info = dict(zip(ids, v_inv))
         assert info["g2"] <= _MIN_INFORMATION < info["g1"]

@@ -5,12 +5,15 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from arena import store
 from arena.store import (LOG_FORMAT, LogError, LogHeader, LogWriter,
                          header_line, parse_header, parse_record, read_log,
                          record_line)
-from arena.tournament import MatchRecord
+from arena.tournament import MatchRecord, MatchTable
+
+from conftest import TEXT_ALPHABET
 
 HEADER = LogHeader(config_hash="0123456789abcdef", seed=7)
 
@@ -32,14 +35,15 @@ def make_record(i: int = 0) -> MatchRecord:
                        real_wins=20 + i, seed=1000 + i, threshold=0.5)
 
 
-record_strategy = st.builds(
-    MatchRecord,
-    generator_id=ids, discriminator_id=ids,
-    n_fake=st.integers(1, 512), fake_wins=st.integers(0, 512),
-    n_real=st.integers(1, 512), real_wins=st.integers(0, 512),
-    seed=st.integers(0, 2 ** 63 - 1),
-    threshold=st.floats(0.01, 0.99),
-)
+record_strategy = st.tuples(st.integers(1, 512), st.integers(1, 512)).flatmap(
+    lambda trials: st.builds(
+        MatchRecord,
+        generator_id=ids, discriminator_id=ids,
+        n_fake=st.just(trials[0]), fake_wins=st.integers(0, trials[0]),
+        n_real=st.just(trials[1]), real_wins=st.integers(0, trials[1]),
+        seed=st.integers(0, 2 ** 64 - 1),
+        threshold=st.floats(0.01, 0.99),
+    ))
 
 
 class TestLineFormats:
@@ -83,13 +87,49 @@ class TestLineFormats:
             parse_record(line)
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_fake", -1, "n_fake -1 is outside"),
+        ("fake_wins", -1, "fake_wins -1 is outside"),
+        ("n_real", -1, "n_real -1 is outside"),
+        ("real_wins", -1, "real_wins -1 is outside"),
+        ("n_real", 2 ** 63, "n_real 9223372036854775808 is outside"),
+        ("fake_wins", 65, "fake_wins 65 exceeds n_fake 64"),
+        ("real_wins", 65, "real_wins 65 exceeds n_real 64"),
+        ("seed", -1, "seed -1 is outside"),
+        ("seed", 2 ** 64, "seed 18446744073709551616 is outside"),
+        ("n_fake", None, "bad value"),
+        ("seed", "x", "bad value"),
+    ])
+    def test_out_of_range_fields_are_corrupt(self, field, value, message,
+                                             tmp_path):
+        payload = json.loads(record_line(make_record(0)))
+        payload[field] = value
+        line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        with pytest.raises(LogError, match=message):
+            parse_record(line)
+        path = tmp_path / "log.jsonl"
+        write_records(path, [make_record(1)])
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(LogError, match=f":3: .*{message}"):
+            read_log(path)
+        _, records, problems = read_log(path, strict=False)
+        assert list(records) == [make_record(1)]
+        assert len(problems) == 1 and ":3: " in problems[0]
+
+    def test_largest_seed_and_counts_are_in_range(self):
+        rec = MatchRecord("g", "d", n_fake=2 ** 63 - 1, fake_wins=2 ** 63 - 1,
+                          n_real=0, real_wins=0, seed=2 ** 64 - 1)
+        assert parse_record(record_line(rec)) == rec
+
+
 class TestFileRoundTrip:
     def test_write_read_write_is_byte_identical(self, tmp_path):
         records = [make_record(i) for i in range(5)]
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_records(first, records)
         header, read, problems = read_log(first)
-        assert (header, read, problems) == (HEADER, records, [])
+        assert (header, list(read), problems) == (HEADER, records, [])
         write_records(second, read, header)
         assert first.read_bytes() == second.read_bytes()
 
@@ -99,7 +139,7 @@ class TestFileRoundTrip:
         path = tmp_path_factory.mktemp("logs") / "log.jsonl"
         write_records(path, records)
         _, read, _ = read_log(path)
-        assert read == records
+        assert list(read) == records
 
     def test_append_extends_an_existing_log(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -108,7 +148,8 @@ class TestFileRoundTrip:
         write_records(path, [make_record(1), make_record(2)], header=None)
         assert path.read_bytes().startswith(before)
         _, records, _ = read_log(path)
-        assert records == [make_record(0), make_record(1), make_record(2)]
+        assert list(records) == [make_record(0), make_record(1),
+                                 make_record(2)]
 
     def test_log_writer_streams_records(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -127,7 +168,8 @@ class TestFileRoundTrip:
             for i in range(3):
                 sink(make_record(i))
                 _, records, _ = read_log(path)
-                assert records == [make_record(k) for k in range(i + 1)]
+                assert list(records) == [make_record(k)
+                                         for k in range(i + 1)]
         finally:
             sink.close()
 
@@ -150,7 +192,7 @@ class TestRecovery:
         path = self.corrupt_log(tmp_path)
         header, records, problems = read_log(path, strict=False)
         assert header == HEADER
-        assert records == [make_record(0), make_record(1)]
+        assert list(records) == [make_record(0), make_record(1)]
         assert len(problems) == 1 and ":3:" in problems[0]
 
     def test_blank_lines_are_ignored(self, tmp_path):
@@ -160,7 +202,7 @@ class TestRecovery:
             fh.write("\n\n")
         write_records(path, [make_record(1)], header=None)
         _, records, problems = read_log(path)
-        assert records == [make_record(0), make_record(1)]
+        assert list(records) == [make_record(0), make_record(1)]
         assert problems == []
 
     def test_empty_file_raises(self, tmp_path):
@@ -177,5 +219,141 @@ class TestRecovery:
         with open(path, "a") as fh:
             fh.write(record_line(make_record(1))[:20])
         _, records, problems = read_log(path, strict=False)
-        assert records == [make_record(0)]
+        assert list(records) == [make_record(0)]
         assert len(problems) == 1
+
+
+def reference_read_log(path, strict: bool = True):
+    """The per-line reader: every line through parse_record."""
+    problems, records = [], []
+    with open(path) as fh:
+        header = parse_header(fh.readline())
+        for number, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                records.append(parse_record(line))
+            except LogError as exc:
+                message = f"{path}:{number}: {exc}"
+                if strict:
+                    raise LogError(message) from exc
+                problems.append(message)
+    return header, records, problems
+
+
+def strict_outcome(reader, path):
+    try:
+        _, records, _ = reader(path)
+    except LogError as exc:
+        return str(exc)
+    return [record_line(r) for r in records]
+
+
+counts = st.one_of(st.integers(0, 512), st.integers(0, 2 ** 63 - 1)).flatmap(
+    lambda trials: st.tuples(st.just(trials), st.integers(0, trials)))
+wide_records = st.builds(
+    lambda gen, disc, fake, real, seed, threshold: MatchRecord(
+        gen, disc, fake[0], fake[1], real[0], real[1], seed, threshold),
+    st.text(alphabet=TEXT_ALPHABET, max_size=4),
+    st.text(alphabet=TEXT_ALPHABET, max_size=4), counts, counts,
+    st.integers(0, 2 ** 64 - 1),
+    st.one_of(st.floats(), st.sampled_from([1e-05, float("nan"), 0.5])))
+
+
+@st.composite
+def rewritten_lines(draw):
+    """A valid record in another layout: reordered keys, extra whitespace,
+    raw non-ASCII characters, an integer threshold."""
+    payload = json.loads(record_line(draw(wide_records)))
+    if draw(st.booleans()) and payload["threshold"] == 1.0:
+        payload["threshold"] = 1
+    keys = draw(st.permutations(sorted(payload)))
+    text = json.dumps({key: payload[key] for key in keys},
+                      ensure_ascii=draw(st.booleans()),
+                      separators=draw(st.sampled_from(
+                          [(",", ":"), (", ", ": "), (" ,", " :")])))
+    return draw(st.sampled_from(["", " ", "\t"])) + text + draw(
+        st.sampled_from(["", " ", "\r"]))
+
+
+@st.composite
+def corrupt_lines(draw):
+    """A canonical record line with one field made invalid, a truncated
+    line, or plain garbage."""
+    line = record_line(draw(wide_records))
+    payload = json.loads(line)
+    kind = draw(st.sampled_from(["field", "truncated", "garbage"]))
+    if kind == "truncated":
+        return line[:draw(st.integers(0, len(line) - 1))]
+    if kind == "garbage":
+        return draw(st.sampled_from(["{broken", "[1]", "null", "{}", "\x00"]))
+    field, value = draw(st.sampled_from([
+        ("n_fake", -1), ("real_wins", -5), ("seed", -1), ("seed", 2 ** 64),
+        ("seed", 10 ** 20), ("n_real", 2 ** 63), ("fake_wins", 10 ** 18),
+        ("real_wins", payload["n_real"] + 1), ("threshold", 10 ** 400),
+        ("threshold", "0.5"), ("generator_id", None)]))
+    if field == "fake_wins":
+        payload["n_fake"] = 0
+    payload[field] = value
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+log_lines = st.lists(st.one_of(
+    wide_records.map(record_line), rewritten_lines(), corrupt_lines(),
+    st.sampled_from(["", "  ", "\t"])), max_size=12)
+
+CANONICAL = record_line(make_record(0))
+
+
+class TestBulkReader:
+    @given(lines=log_lines, chunk=st.integers(1, 400),
+           trailing_newline=st.booleans())
+    # Forms json.loads rejects and a careless pattern would take: a leading
+    # zero, non-ASCII digits, raw control characters in an id.
+    @example(lines=[CANONICAL,
+                    CANONICAL.replace('"n_fake":64', '"n_fake":064'),
+                    CANONICAL], chunk=1000, trailing_newline=True)
+    @example(lines=[CANONICAL, CANONICAL.replace(
+        '"n_fake":64', '"n_fake":\u0666\u0664'), CANONICAL],
+             chunk=1000, trailing_newline=True)
+    @example(lines=[CANONICAL, CANONICAL.replace('"g0"', '"g\t0"'),
+                    CANONICAL.replace('"d0"', '"d\x1f"')],
+             chunk=1000, trailing_newline=False)
+    # An integer threshold too large for a float: json.loads gives an int
+    # that float() cannot convert, float() of the text gives inf.
+    @example(lines=[CANONICAL.replace('"threshold":0.5',
+                                      '"threshold":1' + "0" * 400)],
+             chunk=1000, trailing_newline=True)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_per_line_reader(self, lines, chunk, trailing_newline,
+                                        tmp_path_factory):
+        path = tmp_path_factory.mktemp("bulk") / "log.jsonl"
+        body = "\n".join([header_line(HEADER), *lines])
+        path.write_text(body + ("\n" if trailing_newline else ""))
+        expected = reference_read_log(path, strict=False)
+        with pytest.MonkeyPatch.context() as patch:
+            # Small chunks put chunk boundaries between most lines.
+            patch.setattr(store, "_CHUNK_CHARS", chunk)
+            header, table, problems = read_log(path, strict=False)
+            strict = strict_outcome(read_log, path)
+        assert header == expected[0]
+        # record_line compares NaN thresholds and int/float types too.
+        assert [record_line(r) for r in table] == [
+            record_line(r) for r in expected[1]]
+        assert problems == expected[2]
+        assert strict == strict_outcome(reference_read_log, path)
+
+    def test_columns_equal_those_of_the_records(self, tmp_path):
+        records = [make_record(i) for i in range(4)]
+        records.append(MatchRecord("g\u00e9", "d\"0", 0, 0, 0, 0,
+                                   seed=2 ** 64 - 1, threshold=1e-05))
+        path = tmp_path / "log.jsonl"
+        write_records(path, records)
+        _, table, _ = read_log(path)
+        expected = MatchTable.from_records(records)
+        assert table.ids == expected.ids
+        for name in ("gen", "disc", "n_fake", "fake_wins", "n_real",
+                     "real_wins", "seed", "threshold"):
+            column = getattr(table, name)
+            assert column.dtype == getattr(expected, name).dtype
+            assert column.tolist() == getattr(expected, name).tolist()

@@ -11,16 +11,19 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arena.glicko import Rating
-from arena.summarize import (WIN_RATE_WARNING, CurvePoint, format_summary_table,
-                             heatmap, pair_win_rates, pearson, skill_curve,
-                             spearman, summarize, tournament_win_rate,
-                             write_curve_svg, write_heatmap_csv,
-                             write_heatmap_svg, write_summary_csv)
-from arena.tournament import MatchRecord, PlayerSpec, round_robin
+from arena.summarize import (WIN_RATE_WARNING, CurvePoint, Heatmap,
+                             format_summary_table, heatmap, pair_win_rates,
+                             pearson, skill_curve, spearman, summarize,
+                             tournament_win_rate, write_curve_svg,
+                             write_heatmap_csv, write_heatmap_svg,
+                             write_summary_csv)
+from arena.tournament import MatchRecord, MatchTable, PlayerSpec, round_robin
 
-from conftest import column_means
+from conftest import (column_means, reference_heatmap_values,
+                      reference_pair_win_rates, reference_tournament_win_rate)
 
 
 def record(gen: str, disc: str, wins: int, n: int = 8,
@@ -48,6 +51,57 @@ class TestWinRates:
     def test_absent_generators_are_absent(self):
         rates = tournament_win_rate(pair_win_rates([record("g1", "d", 8)]))
         assert "g2" not in rates
+
+
+    def test_records_without_judged_samples_are_left_out(self):
+        records = [record("g1", "d1", 0, n=0), record("g1", "d1", 6, n=8),
+                   record("g1", "d2", 0, n=0), record("g2", "d1", 0, n=0)]
+        rates = pair_win_rates(records)
+        assert rates == {("g1", "d1"): 6 / 16}
+        assert tournament_win_rate(rates) == {"g1": 6 / 16}
+
+
+trials = st.integers(0, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n)))
+# Few ids, so pairs repeat; no judged samples now and then.
+repeated_records = st.lists(st.builds(
+    lambda gen, disc, fake, real: MatchRecord(
+        f"g{gen}", f"d{disc}", fake[0], fake[1], real[0], real[1], seed=0),
+    st.integers(0, 3), st.integers(0, 3), trials, trials), max_size=40)
+
+
+class TestReferenceIdentity:
+    """Column sums equal the dict-of-lists loops bit for bit."""
+
+    @given(repeated_records)
+    @settings(max_examples=80)
+    def test_pairs_generators_and_heatmap(self, records):
+        expected = reference_pair_win_rates(records)
+        for source in (records, MatchTable.from_records(records)):
+            pairs = pair_win_rates(source)
+            assert pairs == expected
+            assert list(pairs) == list(expected)
+        rates = tournament_win_rate(pairs)
+        expected_rates = reference_tournament_win_rate(expected)
+        assert rates == expected_rates
+        assert list(rates) == list(expected_rates)
+        # Axes with ids that never played, and one id twice.
+        gens = ["g3", "g0", "g9", "g1", "g2", "g0"]
+        discs = ["d2", "d9", "d0", "d1", "d3", "d2"]
+        assert heatmap(pairs, gens, discs).values == \
+            reference_heatmap_values(expected, gens, discs)
+
+        specs = ([PlayerSpec(f"g{i}", "generator", iteration=3 - i)
+                  for i in range(4)]
+                 + [PlayerSpec(f"d{i}", "discriminator", iteration=i)
+                    for i in range(4)])
+        summary = summarize(records, {}, specs)
+        assert summary.win_rates == expected_rates
+        assert list(summary.win_rates) == list(expected_rates)
+        assert summary.heatmap.generator_ids == ("g3", "g2", "g1", "g0")
+        assert summary.heatmap.values == reference_heatmap_values(
+            expected, summary.heatmap.generator_ids,
+            summary.heatmap.discriminator_ids)
 
 
 class TestHeatmap:
@@ -235,6 +289,33 @@ class TestArtifactFiles:
         root = ET.parse(path).getroot()
         fills = [el.get("fill") for el in root if el.tag.endswith("rect")]
         assert fills == ["#000000", "#ffffff"]
+
+    def test_heatmap_svg_equals_the_per_cell_formula(self, tmp_path):
+        def grey(value):
+            level = max(0, min(255, round(value * 255.0)))
+            return f"#{level:02x}{level:02x}{level:02x}"
+
+        # Every level, the k/255 values and the ties half-way between them
+        # (round() takes those to even), None, and clamped values.
+        cells = ([0.0, 1.0, None, -0.25, 1.5]
+                 + [k / 255 for k in range(256)]
+                 + [(k + 0.5) / 255 for k in range(255)])
+        cells += [None] * (-len(cells) % 16)
+        values = tuple(tuple(cells[i:i + 16])
+                       for i in range(0, len(cells), 16))
+        hm = Heatmap(tuple(f"g{j}" for j in range(16)),
+                     tuple(f"d{i}" for i in range(len(values))), values)
+        lines = [f'<svg xmlns="http://www.w3.org/2000/svg" '
+                 f'width="{5 * 16}" height="{5 * len(values)}">']
+        for i, row in enumerate(values):
+            for j, value in enumerate(row):
+                fill = "#d04040" if value is None else grey(value)
+                lines.append(f'<rect x="{j * 5}" y="{i * 5}" width="5" '
+                             f'height="5" fill="{fill}"/>')
+        lines.append("</svg>")
+        path = tmp_path / "heatmap.svg"
+        write_heatmap_svg(path, hm, cell=5)
+        assert path.read_text() == "\n".join(lines) + "\n"
 
     def test_curve_svg_draws_one_polyline_per_experiment(self, tmp_path):
         curves = {"a": [CurvePoint(0, 1400.0, 50.0),

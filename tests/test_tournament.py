@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from arena.tournament import (MatchError, MatchRecord, PlayerSpec,
-                              RunSettings, band, explicit_schedule,
+from arena.tournament import (MatchError, MatchRecord, MatchTable,
+                              PlayerSpec, RunSettings, band, explicit_schedule,
                               match_rngs, match_seed, play_match,
                               round_robin, run_tournament, stable_seed,
                               validate_schedule)
 
-from conftest import TEXT_ALPHABET
+from conftest import TEXT_ALPHABET, win_rate
 
 
 def spec(pid: str, role: str, iteration: int | None = None) -> PlayerSpec:
@@ -98,7 +98,59 @@ class TestPlayerSpec:
     def test_win_rate_arithmetic(self):
         rec = MatchRecord("g", "d", n_fake=64, fake_wins=40, n_real=64,
                           real_wins=24, seed=0)
-        assert rec.win_rate == 0.5
+        assert win_rate(rec) == 0.5
+
+
+match_records = st.lists(st.builds(
+    MatchRecord,
+    generator_id=st.text(alphabet=TEXT_ALPHABET, max_size=3),
+    discriminator_id=st.text(alphabet=TEXT_ALPHABET, max_size=3),
+    n_fake=st.integers(0, 2 ** 63 - 1), fake_wins=st.integers(0, 64),
+    n_real=st.integers(0, 2 ** 63 - 1), real_wins=st.integers(0, 64),
+    seed=st.integers(0, 2 ** 64 - 1), threshold=st.floats(0.0, 1.0)),
+    max_size=12)
+
+
+class TestMatchTable:
+    @given(match_records)
+    def test_iteration_gives_back_the_records(self, records):
+        table = MatchTable.from_records(records)
+        assert len(table) == len(records)
+        assert list(table) == records
+        for record, again in zip(records, table):
+            assert type(again.n_fake) is int and type(again.seed) is int
+            assert type(again.threshold) is float
+
+    @given(match_records)
+    def test_columns(self, records):
+        table = MatchTable.from_records(records)
+        assert list(table.ids) == sorted(
+            {r.generator_id for r in records}
+            | {r.discriminator_id for r in records})
+        assert [table.ids[i] for i in table.gen] == [
+            r.generator_id for r in records]
+        assert [table.ids[i] for i in table.disc] == [
+            r.discriminator_id for r in records]
+        assert table.seed.dtype == np.uint64
+        assert table.seed.tolist() == [r.seed for r in records]
+        for name in ("n_fake", "fake_wins", "n_real", "real_wins"):
+            column = getattr(table, name)
+            assert column.dtype == np.int64
+            assert column.tolist() == [getattr(r, name) for r in records]
+
+    def test_a_table_converts_to_itself(self):
+        table = MatchTable.from_records([MatchRecord("g", "d", 8, 3, 8, 4,
+                                                     seed=2 ** 64 - 1)])
+        assert MatchTable.from_records(table) is table
+        assert not MatchTable.from_records([])
+
+    def test_names_may_repeat_and_come_in_any_order(self):
+        table = MatchTable.from_columns(["g", "d", "g"], [2, 0], [1, 1],
+                                        [4, 4], [1, 2], [4, 4], [3, 0],
+                                        [0, 1], [0.5, 0.5])
+        assert table.ids == ("d", "g")
+        assert [(r.generator_id, r.discriminator_id) for r in table] == [
+            ("g", "d"), ("g", "d")]
 
 
 class TestSchedules:
@@ -229,7 +281,7 @@ class TestPlayMatch:
         assert record.n_fake == record.n_real == 8
         assert record.fake_wins == 3
         assert record.real_wins == 5
-        assert record.win_rate == 0.5
+        assert win_rate(record) == 0.5
 
     def test_boundary_scores_favour_the_generator(self):
         class Exactly(StepDiscriminator):
@@ -238,7 +290,7 @@ class TestPlayMatch:
 
         record = self.play(FixedGenerator(), Exactly(0))
         assert record.fake_wins == 8 and record.real_wins == 8
-        assert record.win_rate == 1.0
+        assert win_rate(record) == 1.0
 
     def test_all_fake_verdict_gives_exactly_half(self):
         class AllFake(StepDiscriminator):
@@ -247,7 +299,7 @@ class TestPlayMatch:
 
         record = self.play(FixedGenerator(), AllFake(0))
         assert record.fake_wins == 0 and record.real_wins == 8
-        assert record.win_rate == 0.5
+        assert win_rate(record) == 0.5
 
     def test_custom_threshold_changes_counting(self):
         record = self.play(FixedGenerator(), StepDiscriminator(high=8),
