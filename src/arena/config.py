@@ -208,12 +208,24 @@ class TournamentConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
+# One validator per schema, keyed by identity: every schema validated is a
+# module constant. Checking a schema against its metaschema costs about ten
+# times as much as validating a config, so it happens once, on first use.
+_VALIDATORS: dict[int, jsonschema.protocols.Validator] = {}
+
+
 def _validate(payload, schema, where: str):
-    try:
-        jsonschema.validate(payload, schema)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"{where}: at {path}: {exc.message}") from exc
+    """Raise the error ``jsonschema.validate`` would raise, as a
+    ConfigError."""
+    validator = _VALIDATORS.get(id(schema))
+    if validator is None:
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        validator = _VALIDATORS[id(schema)] = cls(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(payload))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"{where}: at {path}: {error.message}") from error
 
 
 def parse_config(payload: Mapping, where: str = "config"

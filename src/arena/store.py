@@ -24,8 +24,13 @@ from .tournament import MatchRecord, MatchTable
 
 LOG_FORMAT = "arena-log/1"
 
-_RECORD_FIELDS = ("generator_id", "discriminator_id", "n_fake", "fake_wins",
-                  "n_real", "real_wins", "seed", "threshold")
+# Each record field with the JSON types it may have: json.loads gives
+# exactly str, int, float or bool, and a bool is no count.
+_FIELD_TYPES = {"generator_id": (str,), "discriminator_id": (str,),
+                "n_fake": (int,), "fake_wins": (int,), "n_real": (int,),
+                "real_wins": (int,), "seed": (int,),
+                "threshold": (int, float)}
+_RECORD_FIELDS = tuple(_FIELD_TYPES)
 _COUNT_FIELDS = ("n_fake", "fake_wins", "n_real", "real_wins")
 
 # Counts are stored as int64 and seeds as uint64.
@@ -102,20 +107,20 @@ def parse_record(line: str) -> MatchRecord:
     if not isinstance(payload, dict):
         raise LogError(f"record line is not an object: {line.strip()!r}")
     try:
-        record = MatchRecord(
-            generator_id=str(payload["generator_id"]),
-            discriminator_id=str(payload["discriminator_id"]),
-            n_fake=int(payload["n_fake"]),
-            fake_wins=int(payload["fake_wins"]),
-            n_real=int(payload["n_real"]),
-            real_wins=int(payload["real_wins"]),
-            seed=int(payload["seed"]),
-            threshold=float(payload["threshold"]),
-        )
+        values = {name: payload[name] for name in _RECORD_FIELDS}
     except KeyError as exc:
         raise LogError(f"record missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    # Checked, not coerced: int() would read 64.7 and true as counts.
+    for name, kinds in _FIELD_TYPES.items():
+        if type(values[name]) not in kinds:
+            raise LogError(f"record field {name} has a bad value: "
+                           f"{values[name]!r} is not "
+                           f"{' or '.join(k.__name__ for k in kinds)}")
+    try:
+        values["threshold"] = float(values["threshold"])
+    except OverflowError as exc:
         raise LogError(f"record field has a bad value: {exc}") from exc
+    record = MatchRecord(**values)
     for name in _COUNT_FIELDS:
         if not 0 <= getattr(record, name) < _COUNT_LIMIT:
             raise LogError(f"record {name} {getattr(record, name)} is "

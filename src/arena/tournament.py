@@ -21,6 +21,10 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
+# Matches played per window of ``run_tournament``. Each window holds every
+# batch of its matches at once; a bounded window keeps that memory small.
+WINDOW = 512
+
 ROLE_GENERATOR = "generator"
 ROLE_DISCRIMINATOR = "discriminator"
 ROLES = (ROLE_GENERATOR, ROLE_DISCRIMINATOR)
@@ -338,19 +342,10 @@ def _check_scores(scores: np.ndarray, count: int, who: str) -> np.ndarray:
     return scores
 
 
-def play_match(generator, discriminator, data, *, generator_id: str,
-               discriminator_id: str, tournament_seed: int, repeat: int = 0,
-               batch_size: int = 64, threshold: float = 0.5) -> MatchRecord:
-    """Play one match and count per-sample wins for the generator.
-
-    The discriminator judges ``batch_size`` fake samples and a fresh real
-    batch of the same size. A fake sample scoring at or above the threshold
-    and a real sample scoring at or below it are generator wins; ties on the
-    boundary always favor the generator.
-    """
-    seed = match_seed(tournament_seed, generator_id, discriminator_id, repeat)
+def _draw(generator, data, generator_id: str, seed: int, batch_size: int
+          ) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
+    """One match's checked fake and real batches and its judging stream."""
     fake_rng, real_rng, judge_rng = match_rngs(seed)
-
     fake = _check_batch(generator.sample(batch_size, fake_rng), batch_size,
                         f"generator {generator_id!r}")
     real = _check_batch(data.sample(batch_size, real_rng), batch_size,
@@ -358,52 +353,147 @@ def play_match(generator, discriminator, data, *, generator_id: str,
     if fake.shape[1] != real.shape[1]:
         raise MatchError(f"generator {generator_id!r} emits dim "
                          f"{fake.shape[1]}, data source dim {real.shape[1]}")
+    return fake, real, judge_rng
 
-    who = f"discriminator {discriminator_id!r}"
-    fake_scores = _check_scores(discriminator.judge(fake, judge_rng),
-                                batch_size, who)
-    real_scores = _check_scores(discriminator.judge(real, judge_rng),
-                                batch_size, who)
+
+def _count(generator_id: str, discriminator_id: str, seed: int,
+           fake_scores: np.ndarray, real_scores: np.ndarray,
+           threshold: float) -> MatchRecord:
+    """The record of a match from its checked scores."""
     return MatchRecord(
         generator_id=generator_id,
         discriminator_id=discriminator_id,
-        n_fake=batch_size,
+        n_fake=len(fake_scores),
         fake_wins=int(np.count_nonzero(fake_scores >= threshold)),
-        n_real=batch_size,
+        n_real=len(real_scores),
         real_wins=int(np.count_nonzero(real_scores <= threshold)),
         seed=seed,
         threshold=threshold,
     )
 
 
+def play_match(generator, discriminator, data, *, generator_id: str,
+               discriminator_id: str, tournament_seed: int, repeat: int = 0,
+               batch_size: int = 64, threshold: float = 0.5) -> MatchRecord:
+    """Play one match and count per-sample wins for the generator.
+
+    The discriminator judges ``batch_size`` fake samples and a fresh real
+    batch of the same size, one ``judge`` call each. A fake sample scoring
+    at or above the threshold and a real sample scoring at or below it are
+    generator wins; ties on the boundary always favor the generator.
+    """
+    seed = match_seed(tournament_seed, generator_id, discriminator_id, repeat)
+    fake, real, judge_rng = _draw(generator, data, generator_id, seed,
+                                  batch_size)
+    who = f"discriminator {discriminator_id!r}"
+    fake_scores = _check_scores(discriminator.judge(fake, judge_rng),
+                                batch_size, who)
+    real_scores = _check_scores(discriminator.judge(real, judge_rng),
+                                batch_size, who)
+    return _count(generator_id, discriminator_id, seed, fake_scores,
+                  real_scores, threshold)
+
+
+def _play_window(window: Sequence[tuple[str, str, int]],
+                 players: Mapping[str, object], data, settings: RunSettings,
+                 fail: Callable[[tuple[str, str, int], Exception], None]
+                 ) -> list[MatchRecord | None]:
+    """Play consecutive matches grouped by discriminator; the records come
+    back in window order, None where a match failed.
+
+    A discriminator with ``judge_many`` judges every batch of its group in
+    one call: each match's fake batch and then its real batch, each with
+    that match's judging stream. Any other discriminator is asked through
+    ``play_match``, one ``judge`` call per batch.
+    """
+    records: list[MatchRecord | None] = [None] * len(window)
+    groups: dict[str, list[int]] = {}
+    for i, (_, disc_id, _) in enumerate(window):
+        groups.setdefault(disc_id, []).append(i)
+    size = settings.batch_size
+    for disc_id, indices in groups.items():
+        try:
+            discriminator = players[disc_id]
+        except KeyError as exc:
+            for i in indices:
+                fail(window[i], exc)
+            continue
+        judge_many = getattr(discriminator, "judge_many", None)
+        drawn, batches, rngs = [], [], []
+        for i in indices:
+            gen_id, _, repeat = window[i]
+            try:
+                if judge_many is None:
+                    records[i] = play_match(
+                        players[gen_id], discriminator, data,
+                        generator_id=gen_id, discriminator_id=disc_id,
+                        tournament_seed=settings.seed, repeat=repeat,
+                        batch_size=size, threshold=settings.threshold)
+                    continue
+                seed = match_seed(settings.seed, gen_id, disc_id, repeat)
+                fake, real, judge_rng = _draw(players[gen_id], data, gen_id,
+                                              seed, size)
+            except Exception as exc:
+                fail(window[i], exc)
+                continue
+            drawn.append((i, seed))
+            batches += (fake, real)
+            rngs += (judge_rng, judge_rng)
+        if not drawn:
+            continue
+        who = f"discriminator {disc_id!r}"
+        try:
+            scores = np.asarray(judge_many(np.stack(batches), rngs),
+                                dtype=float)
+            if scores.shape[:1] != (len(batches),):
+                raise MatchError(f"{who} returned scores with shape "
+                                 f"{scores.shape} for {len(batches)} "
+                                 "batches")
+        except Exception as exc:
+            for i, _ in drawn:
+                fail(window[i], exc)
+            continue
+        for k, (i, seed) in enumerate(drawn):
+            try:
+                records[i] = _count(
+                    window[i][0], disc_id, seed,
+                    _check_scores(scores[2 * k], size, who),
+                    _check_scores(scores[2 * k + 1], size, who),
+                    settings.threshold)
+            except MatchError as exc:
+                fail(window[i], exc)
+    return records
+
+
 def run_tournament(schedule: Schedule, players: Mapping[str, object], data,
                    settings: RunSettings,
                    sink: Callable[[MatchRecord], None] | None = None
                    ) -> list[MatchRecord]:
-    """Play every scheduled match in order.
+    """Play every scheduled match, ``WINDOW`` consecutive matches at a time.
 
-    ``players`` maps ids to objects with sample()/judge() methods; ``data``
-    supplies real batches. Records are appended (and streamed to ``sink``)
-    in schedule order. With on_error="skip" a failing match is logged and
-    dropped instead of aborting the run.
+    ``players`` maps ids to objects with sample()/judge() methods and, for
+    discriminators, an optional judge_many(batches, rngs) that scores a
+    stack of batches at once; ``data`` supplies real batches. Within a
+    window the matches are played grouped by discriminator. Records are
+    the same as from ``play_match`` and are appended (and streamed to
+    ``sink``) in schedule order once their window is done. With
+    on_error="fatal" the first failure propagates and its window's records
+    are not sent, so the sink holds a schedule-order prefix; with "skip" a
+    failing match is logged and dropped.
     """
+    def fail(match: tuple[str, str, int], exc: Exception) -> None:
+        if settings.on_error == "fatal":
+            raise exc
+        logger.warning("skipping match %s vs %s (repeat %d): %s", *match,
+                       exc)
+
     records: list[MatchRecord] = []
-    for gen_id, disc_id, repeat in schedule.matches:
-        try:
-            generator = players[gen_id]
-            discriminator = players[disc_id]
-            record = play_match(
-                generator, discriminator, data,
-                generator_id=gen_id, discriminator_id=disc_id,
-                tournament_seed=settings.seed, repeat=repeat,
-                batch_size=settings.batch_size, threshold=settings.threshold)
-        except Exception as exc:
-            if settings.on_error == "fatal":
-                raise
-            logger.warning("skipping match %s vs %s (repeat %d): %s",
-                           gen_id, disc_id, repeat, exc)
-            continue
-        records.append(record)
-        if sink is not None:
-            sink(record)
+    matches = schedule.matches
+    for start in range(0, len(matches), WINDOW):
+        for record in _play_window(matches[start:start + WINDOW], players,
+                                   data, settings, fail):
+            if record is not None:
+                records.append(record)
+                if sink is not None:
+                    sink(record)
     return records

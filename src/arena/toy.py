@@ -7,8 +7,9 @@ map toward the target factor. Discriminators score samples with the optimal
 likelihood ratio data/(data + fake) against an explicit fake-density model:
 the generator's own Gaussian (oracle), a uniform mixture over past
 generators kept by reservoir sampling (chekhov), or uniform noise once the
-trajectory has mastered the task (forgetting). Each judges a batch with one
-stacked solve call. Everything is closed form; no player is trained.
+trajectory has mastered the task (forgetting). Each judges a batch, or a
+stack of batches, with one stacked solve call. Everything is closed form; no
+player is trained.
 """
 
 from __future__ import annotations
@@ -34,12 +35,17 @@ def gaussian_log_density(x: np.ndarray, mean: np.ndarray,
     factor is upper triangular with positive diagonal; the quadratic form is
     evaluated by solving against factor.T, so no inverse is ever formed.
     Stacked means (K, d) and factors (K, d, d) give (K, n) from one solve
-    call, each row bit-identical to the single-model (n,) result.
+    call, each row bit-identical to the single-model (n,) result. x may
+    carry leading batch dimensions, (m, n, d) giving (K, m, n): the solve
+    then loops over (K, m) items, each the same LAPACK call as one batch.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if not np.isfinite(x).all():
         raise ValueError("non-finite input to gaussian_log_density")
     dim = mean.shape[-1]
+    ones = (1,) * (x.ndim - 2)
+    mean = mean.reshape(mean.shape[:-1] + ones + mean.shape[-1:])
+    factor = factor.reshape(factor.shape[:-2] + ones + factor.shape[-2:])
     centered = np.swapaxes(x - mean[..., None, :], -1, -2)
     z = np.linalg.solve(np.swapaxes(factor, -1, -2), centered)
     quad = np.einsum("...ij,...ij->...j", z, z)
@@ -224,6 +230,12 @@ class OracleDiscriminator:
               rng: np.random.Generator | None = None) -> np.ndarray:
         return self.score(batch)
 
+    def judge_many(self, batches: np.ndarray,
+                   rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Scores of stacked (m, n, d) batches as (m, n), each row bit for
+        bit what ``judge`` gives that batch."""
+        return self.score(batches)
+
 
 class ForgettingDiscriminator(OracleDiscriminator):
     """Oracle before mastery; uniform(0, 1) noise judgments afterwards.
@@ -244,6 +256,14 @@ class ForgettingDiscriminator(OracleDiscriminator):
         if not self.mastered:
             return self.score(batch)
         return rng.random(len(np.atleast_2d(batch)))
+
+    def judge_many(self, batches: np.ndarray,
+                   rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Like ``judge`` on each batch in turn with its own generator, so
+        each generator is consumed as that many ``judge`` calls would."""
+        if not self.mastered:
+            return self.score(batches)
+        return np.stack([r.random(batches.shape[1]) for r in rngs])
 
 
 def reservoir_sample(items: Sequence, capacity: int,

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import arena
+from arena import config as cfgmod
 from arena import store
 from arena import tournament as tn
 from arena.cli import build_parser, _load_with_overrides, main
@@ -254,14 +255,23 @@ class TestExtend:
                                                      monkeypatch, capsys):
         config, log, fragment = population
         before = log.read_bytes()
-        real_play = tn.play_match
 
-        def flaky(*args, **kwargs):
-            if kwargs["discriminator_id"] == "tiny-d02":
+        class CrashingJudge:
+            def judge(self, batch, rng=None):
                 raise tn.MatchError("judge crashed")
-            return real_play(*args, **kwargs)
 
-        monkeypatch.setattr(tn, "play_match", flaky)
+            def judge_many(self, batches, rngs):
+                raise tn.MatchError("judge crashed")
+
+        real_build = cfgmod.build_players
+
+        def build(*args, **kwargs):
+            built = real_build(*args, **kwargs)
+            if "tiny-d02" in built.players:
+                built.players["tiny-d02"] = CrashingJudge()
+            return built
+
+        monkeypatch.setattr(cfgmod, "build_players", build)
         assert run_cli("extend", log, "--config", config, "--add",
                        fragment, "--strict") == 1
         assert "judge crashed" in capsys.readouterr().err

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import jsonschema
 import numpy as np
 import pytest
 
-from arena import toy
+from arena import config as cfgmod, toy
 from arena.config import (ConfigError, build_players, build_schedule,
                           config_hash, load_config, load_players_fragment,
                           parse_config, run_settings)
@@ -83,6 +84,50 @@ class TestParseConfig:
         payload["rating"] = {"k_factor": 32}
         with pytest.raises(ConfigError, match="k_factor"):
             parse_config(payload)
+
+
+SCHEMAS = {name: value for name, value in vars(cfgmod).items()
+           if name.endswith("_SCHEMA")}
+
+
+class TestSchemas:
+    def test_every_schema_passes_its_metaschema(self):
+        assert len(SCHEMAS) == 10
+        for schema in SCHEMAS.values():
+            jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda p: p.update(extra=1, batch_size=0),
+        lambda p: p.pop("task"),
+        lambda p: p["players"].append({"kind": "constant", "id": "x"}),
+        lambda p: p["players"][0].update(value=2),
+        lambda p: p.update(rating={"tau": -1, "k": 2}),
+        lambda p: p.update(schedule={"kind": "band", "band_width": -1}),
+    ])
+    def test_errors_are_those_of_jsonschema_validate(self, mutate):
+        payload = minimal_payload()
+        mutate(payload)
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(payload, cfgmod.CONFIG_SCHEMA)
+        path = "/".join(map(str, expected.value.absolute_path)) or "<root>"
+        with pytest.raises(ConfigError) as caught:
+            parse_config(payload, where="cfg")
+        assert str(caught.value) == f"cfg: at {path}: {expected.value.message}"
+
+    def test_each_schema_is_checked_once_per_process(self, monkeypatch):
+        cls = jsonschema.validators.validator_for(cfgmod.CONFIG_SCHEMA)
+        check = cls.check_schema
+        checked = []
+
+        def counting(schema, *args, **kwargs):
+            checked.append(schema)
+            return check(schema, *args, **kwargs)
+
+        monkeypatch.setattr(cfgmod, "_VALIDATORS", {})
+        monkeypatch.setattr(cls, "check_schema", counting)
+        for _ in range(3):
+            parse_config(tiny_config_payload())
+        assert checked == [cfgmod.CONFIG_SCHEMA, SCHEMAS["_RATING_SCHEMA"]]
 
 
 class TestConfigHash:

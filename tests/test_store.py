@@ -99,6 +99,19 @@ class TestLineFormats:
         ("seed", 2 ** 64, "seed 18446744073709551616 is outside"),
         ("n_fake", None, "bad value"),
         ("seed", "x", "bad value"),
+        # Types are checked, not coerced.
+        ("n_fake", 64.7, "n_fake has a bad value: 64.7 is not int"),
+        ("n_fake", 64.0, "n_fake has a bad value: 64.0 is not int"),
+        ("n_real", True, "n_real has a bad value: True is not int"),
+        ("real_wins", False, "real_wins has a bad value: False is not int"),
+        ("seed", 1000.0, "seed has a bad value: 1000.0 is not int"),
+        ("seed", True, "seed has a bad value: True is not int"),
+        ("generator_id", 5, "generator_id has a bad value: 5 is not str"),
+        ("discriminator_id", ["d0"], "discriminator_id has a bad value"),
+        ("threshold", "0.5",
+         "threshold has a bad value: '0.5' is not int or float"),
+        ("threshold", True, "threshold has a bad value: True is not int"),
+        ("threshold", None, "threshold has a bad value: None is not int"),
     ])
     def test_out_of_range_fields_are_corrupt(self, field, value, message,
                                              tmp_path):

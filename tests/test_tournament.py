@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from arena import toy
+from arena import tournament as tn
+from arena.config import (build_players, build_schedule, parse_config,
+                          run_settings)
 from arena.tournament import (MatchError, MatchRecord, MatchTable,
                               PlayerSpec, RunSettings, band, explicit_schedule,
                               match_rngs, match_seed, play_match,
                               round_robin, run_tournament, stable_seed,
                               validate_schedule)
 
-from conftest import TEXT_ALPHABET, win_rate
+from conftest import TEXT_ALPHABET, tiny_config_payload, win_rate
 
 
 def spec(pid: str, role: str, iteration: int | None = None) -> PlayerSpec:
@@ -395,3 +399,164 @@ class TestRunTournament:
                                  RunSettings(seed=1, batch_size=4,
                                              on_error="skip"))
         assert records == []
+
+
+def mixed_population(repeats: int = 1):
+    """Chekhov, oracle and forgetting panels (with judge_many), a constant
+    judge and a step judge (without), a real-data generator and a
+    generator that always raises; the schedule is a full round robin."""
+    entries = [{"kind": "toy_trajectory", "experiment": kind,
+                "n_checkpoints": 4, "mastery_fraction": 0.5,
+                "discriminators": kind, "trajectory_seed": 21 + i,
+                "panel_seed": 5, "chekhov_capacity": 2}
+               for i, kind in enumerate(["chekhov", "oracle", "forgetting"])]
+    entries += [{"kind": "constant", "id": "const", "value": 0.25},
+                {"kind": "real_data", "id": "data"}]
+    config = parse_config(tiny_config_payload(
+        players=entries, schedule={"kind": "round_robin",
+                                   "repeats": repeats}))
+    built = build_players(config)
+    built.players["step"] = StepDiscriminator(3)
+    built.players["bad"] = BrokenPlayer()
+    specs = [*built.specs, spec("step", "discriminator"),
+             spec("bad", "generator")]
+    return config, built, build_schedule(config, specs)
+
+
+def replayed(schedule, players, data, settings, skip=()):
+    """Every match through play_match, in schedule order, except those
+    whose (generator, discriminator, repeat) is in ``skip``."""
+    return [play_match(players[g], players[d], data, generator_id=g,
+                       discriminator_id=d, tournament_seed=settings.seed,
+                       repeat=r, batch_size=settings.batch_size,
+                       threshold=settings.threshold)
+            for g, d, r in schedule.matches if (g, d, r) not in skip]
+
+
+class FlakyPanel:
+    """A toy panel whose judge_many fails (raises, or answers the wrong
+    number of rows, or scores one batch out of range) on one call only."""
+
+    def __init__(self, disc, failing_call: int, mode: str):
+        self.disc = disc
+        self.failing_call = failing_call
+        self.mode = mode
+        self.calls = 0
+
+    def judge_many(self, batches, rngs):
+        self.calls += 1
+        scores = self.disc.judge_many(batches, rngs)
+        if self.calls != self.failing_call:
+            return scores
+        if self.mode == "raise":
+            raise RuntimeError("panel crashed")
+        if self.mode == "rows":
+            return scores[:-1]
+        scores[-1, 0] = 1.5
+        return scores
+
+
+class TestGroupedPlay:
+    @pytest.mark.parametrize("window, repeats", [(1, 1), (7, 1), (50, 1),
+                                                 (tn.WINDOW, 3)])
+    def test_records_are_those_of_play_match_in_schedule_order(
+            self, window, repeats, monkeypatch):
+        config, built, schedule = mixed_population(repeats)
+        schedule = explicit_schedule(m for m in schedule.matches
+                                     if m[0] != "bad")
+        assert len(schedule) > window
+        settings = run_settings(config)
+        expected = replayed(schedule, built.players, built.data, settings)
+        monkeypatch.setattr(tn, "WINDOW", window)
+        seen = []
+        records = run_tournament(schedule, built.players, built.data,
+                                 settings, sink=seen.append)
+        assert records == expected
+        assert seen == expected
+
+    def test_a_raising_generator_loses_only_its_own_matches(self, caplog,
+                                                             monkeypatch):
+        config, built, schedule = mixed_population()
+        settings = run_settings(config, "skip")
+        bad = {m for m in schedule.matches if m[0] == "bad"}
+        monkeypatch.setattr(tn, "WINDOW", 40)
+        with caplog.at_level("WARNING"):
+            records = run_tournament(schedule, built.players, built.data,
+                                     settings)
+        assert records == replayed(schedule, built.players, built.data,
+                                   settings, skip=bad)
+        assert sum("skipping match bad vs" in m
+                   for m in caplog.messages) == len(bad) == 14
+
+    @pytest.mark.parametrize("mode, lost", [("raise", "window"),
+                                            ("rows", "window"),
+                                            ("range", "match")])
+    def test_a_failing_judge_many_loses_only_its_window(self, mode, lost,
+                                                        caplog, monkeypatch):
+        config, built, schedule = mixed_population()
+        schedule = explicit_schedule(m for m in schedule.matches
+                                     if m[0] != "bad")
+        settings = run_settings(config, "skip")
+        reference = dict(built.players)
+        built.players["oracle-d01"] = FlakyPanel(
+            built.players["oracle-d01"], failing_call=2, mode=mode)
+        window = 20
+        monkeypatch.setattr(tn, "WINDOW", window)
+        # The flaky panel's matches in the second window that has any.
+        starts = sorted({i // window for i, m in enumerate(schedule.matches)
+                         if m[1] == "oracle-d01"})
+        victims = [m for i, m in enumerate(schedule.matches)
+                   if m[1] == "oracle-d01" and i // window == starts[1]]
+        if lost == "match":
+            victims = victims[-1:]
+        with caplog.at_level("WARNING"):
+            records = run_tournament(schedule, built.players, built.data,
+                                     settings)
+        assert len(victims) >= (1 if lost == "match" else 2)
+        assert records == replayed(schedule, reference, built.data, settings,
+                                   skip=set(victims))
+        assert sum("skipping match" in m for m in caplog.messages) == \
+            len(victims)
+
+    def test_fatal_failure_leaves_a_schedule_order_prefix(self,
+                                                          monkeypatch):
+        config, built, schedule = mixed_population()
+        settings = run_settings(config)
+        first_bad = next(i for i, m in enumerate(schedule.matches)
+                         if m[0] == "bad")
+        window = 9
+        monkeypatch.setattr(tn, "WINDOW", window)
+        seen = []
+        with pytest.raises(RuntimeError, match="deliberately broken"):
+            run_tournament(schedule, built.players, built.data, settings,
+                           sink=seen.append)
+        done = schedule.matches[:first_bad // window * window]
+        assert seen == replayed(explicit_schedule(done), built.players,
+                                built.data, settings)
+
+    @pytest.mark.parametrize("window, solves", [(tn.WINDOW, 1), (38, 2)])
+    def test_one_solve_per_window_for_a_chekhov_group(self, window, solves,
+                                                      monkeypatch):
+        # Play-mix sized: a dim-8 task, batch 64, a 10-reference chekhov
+        # judge facing 76 generators.
+        task = toy.make_task(dim=8, seed=13)
+        gens = toy.trajectory(task, 25, seed=3)
+        disc = toy.chekhov_discriminator(task, gens, 24, seed=7)
+        assert len(disc.fake_models) == 11
+        players = {f"g{i:02d}": gens[i % 25] for i in range(76)}
+        players["chk"] = disc
+        schedule = round_robin([f"g{i:02d}" for i in range(76)], ["chk"])
+        settings = RunSettings(seed=3, batch_size=64)
+        calls = []
+        solve = np.linalg.solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(tn, "WINDOW", window)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        records = run_tournament(schedule, players, task.model, settings)
+        assert len(calls) == solves
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        assert records == replayed(schedule, players, task.model, settings)

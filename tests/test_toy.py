@@ -54,8 +54,10 @@ class TestGaussianLogDensity:
                                      np.eye(2))
 
     @given(st.integers(1, 16), st.integers(1, 130), st.integers(1, 12),
-           st.integers(0, 2**32 - 1))
-    def test_stacked_models_equal_single_model_calls(self, dim, n, k, seed):
+           st.integers(0, 2**32 - 1), st.integers(0, 5))
+    def test_stacked_models_equal_single_model_calls(self, dim, n, k, seed,
+                                                     stack):
+        # stack == 0 is one (n, dim) batch, otherwise (stack, n, dim).
         rng = np.random.default_rng(seed)
         models = []
         for _ in range(k):
@@ -63,14 +65,18 @@ class TestGaussianLogDensity:
             cov = a.T @ a + 0.1 * np.eye(dim)
             models.append(toy.GaussianModel(rng.standard_normal(dim),
                                             cov=cov))
-        x = 3.0 * rng.standard_normal((n, dim))
+        batches = 3.0 * rng.standard_normal((max(stack, 1), n, dim))
+        x = batches if stack else batches[0]
         stacked = toy.gaussian_log_density(
             x, np.stack([m.mean for m in models]),
             np.stack([m.factor for m in models]))
-        assert stacked.shape == (k, n)
+        assert stacked.shape == (k, *x.shape[:-1])
         for row, model in zip(stacked, models):
-            assert np.array_equal(
-                row, toy.gaussian_log_density(x, model.mean, model.factor))
+            single = toy.gaussian_log_density(x, model.mean, model.factor)
+            assert np.array_equal(row, single)
+            for values, batch in zip(row.reshape(-1, n), batches):
+                assert np.array_equal(values, toy.gaussian_log_density(
+                    batch, model.mean, model.factor))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_stacked_path_rejects_non_finite_input(self, bad):
@@ -340,6 +346,56 @@ class TestForgettingDiscriminator:
         scores = disc.judge(batch, np.random.default_rng(8))
         assert np.array_equal(scores, np.random.default_rng(8).random(16))
         assert not np.array_equal(scores, disc.score(batch))
+
+
+def judge_many_panels(task) -> tuple[dict, list]:
+    """Every toy panel kind with judge_many, and the trajectory behind it."""
+    gens = toy.trajectory(task, 20, seed=3)
+
+    def forgetting(mastered):
+        return toy.ForgettingDiscriminator(
+            task.model, [gens[3].density_model(task)], mastered=mastered)
+
+    return {
+        "oracle": toy.OracleDiscriminator(task.model,
+                                          [gens[4].density_model(task)]),
+        "chekhov": toy.chekhov_discriminator(task, gens, 15, seed=7),
+        "noise_oracle": toy.noise_oracle(task, severity=5),
+        "forgetting": forgetting(False),
+        "mastered": forgetting(True),
+    }, gens
+
+
+class TestJudgeMany:
+    @given(st.sampled_from(["oracle", "chekhov", "noise_oracle",
+                            "forgetting", "mastered"]),
+           st.integers(1, 12), st.integers(1, 70), st.integers(0, 2**32 - 1))
+    def test_equals_per_batch_judge_bit_for_bit(self, panel, m, n, seed):
+        task = toy.make_task(dim=4, seed=13)
+        panels, gens = judge_many_panels(task)
+        disc = panels[panel]
+        rng = np.random.default_rng(seed)
+        sources = [task.model, *gens]
+        batches = np.stack([
+            sources[rng.integers(len(sources))].sample(n, rng)
+            for _ in range(m)])
+
+        # As the engine passes them: each match's stream twice in a row.
+        def streams():
+            own = [np.random.default_rng([seed, k]) for k in range(m)]
+            return [own[k // 2] for k in range(m)]
+
+        scores = disc.judge_many(batches, streams())
+        assert scores.shape == (m, n)
+        per_batch = [disc.judge(b, r) for b, r in zip(batches, streams())]
+        assert np.array_equal(scores, np.stack(per_batch))
+        if panel == "mastered":
+            assert np.array_equal(scores[0], np.random.default_rng(
+                [seed, 0]).random(n))
+        else:
+            for row, batch in zip(scores, batches):
+                assert np.array_equal(row, reference_score(
+                    disc.data_model, disc.fake_models, batch))
 
 
 class TestReservoirSample:
