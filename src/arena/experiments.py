@@ -64,13 +64,13 @@ class RunBundle:
 Study = tuple[dict, dict[str, RunBundle]]
 
 
-def run_config(raw: dict, on_error: str = "fatal") -> RunBundle:
+def run_config(raw: dict) -> RunBundle:
     """Validate, build, play, and rate one config dict."""
     config = cfgmod.parse_config(raw)
     built = cfgmod.build_players(config)
     schedule = cfgmod.build_schedule(config, built.specs)
     records = tn.run_tournament(schedule, built.players, built.data,
-                                cfgmod.run_settings(config, on_error))
+                                cfgmod.run_settings(config))
     outcome = glicko.rate_tournament(records, config.rating)
     return RunBundle(config, built, schedule, records, outcome)
 

@@ -8,13 +8,14 @@ with two extensions used by the tournament engine:
 * a whole match set is treated as one rating period and updates are iterated
   to a fixed point, since tournament matches have no temporal order.
 
-The tournament fixed point lays the columns of the match set's
-``MatchTable`` out once as a game table, one row per record side, and runs
-each pass as one vectorized sweep over it: expected scores for every row
-at once, the per-player sums with ``np.bincount``. ``update_player`` is
-the scalar reference: it sums a list of ``GameResult`` objects with
-``math.fsum``. Both paths close the period through the same per-player
-Glicko2 step, so the update rule is written once.
+The tournament fixed point reads the judged rows of the match set's
+``MatchTable`` directly, one row per record, and runs each pass as one
+vectorized sweep over them per side: expected scores for every generator
+side at once and then every discriminator side, each side's per-player sums
+with ``np.bincount``, the two sides added. ``update_player`` is the scalar
+reference: it sums a list of ``GameResult`` objects with ``math.fsum``.
+Both paths close the period through the same per-player Glicko2 step, so
+the update rule is written once.
 
 Idle players are returned unchanged: there is no deviation inflation
 between rating periods because a static tournament has no notion of
@@ -266,55 +267,35 @@ def update_player(rating: Rating, games: Sequence[GameResult],
                          config or RatingConfig())
 
 
-def _game_table(table: MatchTable, mode: str
-                ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray,
-                           np.ndarray]:
-    """Lay the games of a match table out as arrays.
-
-    Returns ``(ids, player, opponent, score, weight)``: the table's sorted
-    player ids, then one row per record side with indices into ``ids``.
-    The generator side scores the record's win fraction against the
-    discriminator, the discriminator side one minus it. The Glicko2
-    accumulators are linear in the games, so in per-sample mode a weight of
-    the judged-sample count is exactly the sum of the per-sample wins and
-    losses; per-match mode plays the same game at weight 1. Records with no
-    judged samples add no rows.
-    """
-    if mode not in ("per-sample", "per-match"):
-        raise ValueError(f"unknown outcome mode: {mode!r}")
-    played, total, s = table.judged()
-    gen, disc = table.gen[played], table.disc[played]
-    weight = total if mode == "per-sample" else np.ones_like(total)
-    # Interleaved generator and discriminator rows keep each player's games
-    # in record order.
-    return (list(table.ids), np.column_stack((gen, disc)).ravel(),
-            np.column_stack((disc, gen)).ravel(),
-            np.column_stack((s, 1.0 - s)).ravel(),
-            np.repeat(weight, 2))
-
-
-def _period_sums(ratings: Sequence[Rating], player: np.ndarray,
-                 opponent: np.ndarray, score: np.ndarray, weight: np.ndarray
+def _period_sums(ratings: Sequence[Rating], gen: np.ndarray,
+                 disc: np.ndarray, score: np.ndarray, weight: np.ndarray
                  ) -> tuple[list[float], list[float]]:
     """Every player's (v_inv, delta_sum) against a snapshot of ratings.
 
-    The same terms as ``_apply_period`` with E evaluated at each player's
-    snapshot estimate, computed for all rows at once and summed per player.
+    One row per judged record: the generator ``gen`` scored ``score``
+    against the discriminator ``disc``, the discriminator ``1 - score``,
+    both at ``weight``. These are the terms of ``_apply_period`` with E
+    evaluated at each player's snapshot estimate, computed for one side of
+    every row at once and summed per player; the sums of the two sides are
+    then added, so each player's terms from one role add in record order.
     """
     rating = np.array([r.rating for r in ratings])
     mu = (rating - _DEFAULT_RATING) / GLICKO2_SCALE
     phi = np.array([r.deviation for r in ratings]) / GLICKO2_SCALE
     g_player = 1.0 / np.sqrt(1.0 + 3.0 * phi * phi / (math.pi * math.pi))
-    g_opp = g_player[opponent]
-    x = g_opp * (mu[player] - mu[opponent])
-    # Saturating logistic: exp() only ever sees non-positive arguments.
-    ex = np.exp(-np.abs(x))
-    e = np.where(x >= 0.0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
     n = len(ratings)
-    v_inv = np.bincount(player, weight * (g_opp * g_opp * e * (1.0 - e)),
-                        minlength=n)
-    delta_sum = np.bincount(player, weight * (g_opp * (score - e)),
-                            minlength=n)
+    v_inv, delta_sum = np.zeros(n), np.zeros(n)
+    for player, opponent, s in ((gen, disc, score),
+                                (disc, gen, 1.0 - score)):
+        g_opp = g_player[opponent]
+        x = g_opp * (mu[player] - mu[opponent])
+        # Saturating logistic: exp() only ever sees non-positive arguments.
+        ex = np.exp(-np.abs(x))
+        e = np.where(x >= 0.0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+        v_inv += np.bincount(player, weight * (g_opp * g_opp * e * (1.0 - e)),
+                             minlength=n)
+        delta_sum += np.bincount(player, weight * (g_opp * (s - e)),
+                                 minlength=n)
     return v_inv.tolist(), delta_sum.tolist()
 
 
@@ -331,15 +312,23 @@ def rate_tournament(records: Iterable[MatchRecord] | MatchTable,
     pass fell below pass_tolerance.
     """
     cfg = config or RatingConfig()
+    if cfg.outcome_mode not in ("per-sample", "per-match"):
+        raise ValueError(f"unknown outcome mode: {cfg.outcome_mode!r}")
     table = MatchTable.from_records(records)
-    ids, *games = _game_table(table, cfg.outcome_mode)
+    # In per-sample mode a weight of the judged-sample count is exactly the
+    # sum of the per-sample wins and losses, since the Glicko2 accumulators
+    # are linear in the games; per-match mode plays the same game at weight
+    # 1. Records with no judged samples add no games.
+    played, total, score = table.judged()
+    weight = total if cfg.outcome_mode == "per-sample" else np.ones_like(total)
+    games = (table.gen[played], table.disc[played], score, weight)
 
     warnings: list[str] = []
     if not len(table):
         warnings.append("empty record set; all players rated at defaults")
 
     start = cfg.default()
-    ratings = [start] * len(ids)
+    ratings = [start] * len(table.ids)
     shifts: list[float] = []
     converged = not len(table)
     while len(shifts) < cfg.max_passes and not converged:
@@ -364,6 +353,7 @@ def rate_tournament(records: Iterable[MatchRecord] | MatchTable,
     if not converged:
         warnings.append(f"ratings did not converge within {cfg.max_passes} "
                         "passes")
-    return RatingOutcome(ratings=dict(zip(ids, ratings)), passes=len(shifts),
+    return RatingOutcome(ratings=dict(zip(table.ids, ratings)),
+                         passes=len(shifts),
                          converged=converged, warnings=tuple(warnings),
                          shifts=tuple(shifts))

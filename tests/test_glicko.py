@@ -9,6 +9,7 @@ from this package, so they catch regressions in either direction.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,9 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 from arena import glicko
 from arena.glicko import (_MIN_INFORMATION, GLICKO2_SCALE, GameResult,
                           Rating, RatingConfig, RatingOutcome, _apply_period,
-                          _game_table, _period_sums, expected_score,
-                          from_internal, g, rate_tournament, to_internal,
-                          update_player, update_volatility)
+                          _period_sums, expected_score, from_internal, g,
+                          rate_tournament, to_internal, update_player,
+                          update_volatility)
 from arena.tournament import MatchRecord, MatchTable
 
 
@@ -89,6 +90,52 @@ def reference_game_table(records, mode: str):
     return (ids, np.column_stack((gen, disc)).ravel(),
             np.column_stack((disc, gen)).ravel(),
             np.column_stack((s, 1.0 - s)).ravel(), np.repeat(weight, 2))
+
+
+def reference_period_sums(ratings, player, opponent, score, weight):
+    """A pass's (v_inv, delta_sum) as one np.bincount over the interleaved
+    game table, in which each player's games stay in record order."""
+    mu = (np.array([r.rating for r in ratings]) - 1500.0) / GLICKO2_SCALE
+    phi = np.array([r.deviation for r in ratings]) / GLICKO2_SCALE
+    g_opp = (1.0 / np.sqrt(1.0 + 3.0 * phi * phi / (math.pi * math.pi))
+             )[opponent]
+    x = g_opp * (mu[player] - mu[opponent])
+    ex = np.exp(-np.abs(x))
+    e = np.where(x >= 0.0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    n = len(ratings)
+    return (np.bincount(player, weight * (g_opp * g_opp * e * (1.0 - e)),
+                        minlength=n).tolist(),
+            np.bincount(player, weight * (g_opp * (score - e)),
+                        minlength=n).tolist())
+
+
+def first_pass(records, cfg: RatingConfig):
+    """The outcome of one ``rate_tournament`` pass, the ``_period_sums``
+    arguments after the ratings in it and its ``(v_inv, delta_sum)``."""
+    calls = []
+
+    def spy(ratings, *games):
+        sums = _period_sums(ratings, *games)
+        calls.append((games, sums))
+        return sums
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(glicko, "_period_sums", spy)
+        outcome = rate_tournament(records, replace(cfg, max_passes=1))
+    (games, sums), = calls
+    return outcome, games, sums
+
+
+def round_robin_table(k: int) -> MatchTable:
+    """k generators against k discriminators, 32 judged samples a record."""
+    rng = np.random.default_rng(0)
+    gen, disc = (a.ravel() for a in np.meshgrid(np.arange(k), np.arange(k),
+                                                indexing="ij"))
+    n = np.full(len(gen), 16)
+    return MatchTable.from_columns(
+        [f"g{i}" for i in range(k)] + [f"d{i}" for i in range(k)],
+        gen, disc + k, n, rng.binomial(n, 0.6), n, rng.binomial(n, 0.4),
+        np.zeros(len(gen), np.uint64), np.full(len(gen), 0.5))
 
 
 def assert_engines_agree(records, cfg: RatingConfig) -> None:
@@ -331,32 +378,49 @@ class TestRateTournament:
     @pytest.mark.parametrize("mode,weight", [("per-sample", 32.0),
                                              ("per-match", 1.0)])
     def test_one_game_per_record_side(self, mode, weight):
-        # The empty record indexes its players but adds no games.
-        ids, player, opponent, score, weights = _game_table(
-            MatchTable.from_records([record("g", "d", 14, 10),
-                                     record("g", "e", 0, 0, n=0)]), mode)
-        assert ids == ["d", "e", "g"]
-        assert player.tolist() == [2, 0]
-        assert opponent.tolist() == [0, 2]
-        assert score.tolist() == [24 / 32, 1.0 - 24 / 32]
-        assert weights.tolist() == [weight, weight]
+        # The empty record indexes its players but adds no games. At the
+        # default snapshot every expected score is exactly 1/2.
+        outcome, _, (v_inv, delta_sum) = first_pass(
+            [record("g", "d", 14, 10), record("g", "e", 0, 0, n=0)],
+            RatingConfig(outcome_mode=mode))
+        g0 = g(350.0 / GLICKO2_SCALE)
+        assert list(outcome.ratings) == ["d", "e", "g"]
+        assert v_inv == [weight * (g0 * g0 * 0.25), 0.0,
+                         weight * (g0 * g0 * 0.25)]
+        assert delta_sum == [weight * (g0 * (1.0 - 24 / 32 - 0.5)), 0.0,
+                             weight * (g0 * (24 / 32 - 0.5))]
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
                               st.integers(0, 40).flatmap(
                                   lambda n: st.tuples(st.just(n),
                                                       st.integers(0, n),
                                                       st.integers(0, n)))),
-                    max_size=24),
-           st.sampled_from(["per-sample", "per-match"]))
-    def test_game_table_equals_the_per_record_reference(self, matches, mode):
+                    min_size=1, max_size=24),
+           st.sampled_from(["per-sample", "per-match"]),
+           st.lists(st.tuples(st.floats(1000.0, 2000.0),
+                              st.floats(20.0, 500.0)),
+                    min_size=8, max_size=8))
+    @settings(deadline=None)
+    def test_period_sums_equal_the_interleaved_game_table(
+            self, matches, mode, snapshot):
+        # Every id plays in one role, so each player's terms add in record
+        # order on both paths and the sums agree bit for bit.
         records = [record(f"g{gen}", f"d{disc}", fake, real, n=n)
                    for gen, disc, (n, fake, real) in matches]
-        ids, *columns = _game_table(MatchTable.from_records(records), mode)
-        expected_ids, *expected = reference_game_table(records, mode)
-        assert ids == expected_ids
-        for got, want in zip(columns, expected):
+        outcome, games, _ = first_pass(records,
+                                       RatingConfig(outcome_mode=mode))
+        ids, player, opponent, score, weight = reference_game_table(records,
+                                                                    mode)
+        assert list(outcome.ratings) == ids
+        for got, want in zip(games, (player[0::2], player[1::2], score[0::2],
+                                     weight[0::2])):
             assert got.dtype == want.dtype
             assert got.tolist() == want.tolist()
+        ratings = [Rating(r, d) for r, d in snapshot[:len(ids)]]
+        for got, want in zip(_period_sums(ratings, *games),
+                             reference_period_sums(ratings, player, opponent,
+                                                   score, weight)):
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_shifts_trace_every_pass(self):
         records = [record("g1", "d1", 14, 12), record("g1", "d2", 3, 1),
@@ -388,10 +452,16 @@ class TestRateTournament:
     # A repeated pairing and a record with no judged samples.
     @example([(0, 0, (16, 9, 12)), (0, 0, (16, 3, 15)), (1, 0, (0, 0, 0)),
               (1, 1, (8, 2, 7))], "per-sample", 1400.0, 200.0)
+    # p3 is a discriminator in one record and a generator in another, and
+    # p2 plays itself.
+    @example([(0, 1, (16, 9, 12)), (3, 2, (16, 3, 15)), (2, 0, (8, 6, 1)),
+              (1, 0, (16, 4, 4))], "per-sample", 1500.0, 350.0)
     @settings(max_examples=60, deadline=None)
     def test_array_pass_matches_the_scalar_reference(
             self, matches, mode, default_rating, default_deviation):
-        records = [record(f"g{gen}", f"d{disc}", fake, real, n=n)
+        # Generators are p0-p3 and discriminators p2-p5, so p2 and p3 may
+        # play both roles, and against themselves.
+        records = [record(f"p{gen}", f"p{disc + 2}", fake, real, n=n)
                    for gen, disc, (n, fake, real) in matches]
         assert_engines_agree(records, RatingConfig(
             outcome_mode=mode, default_rating=default_rating,
@@ -404,12 +474,9 @@ class TestRateTournament:
         cfg = RatingConfig(outcome_mode="per-match", default_deviation=1e7)
         records = [record("g1", f"d{i}", 12, 10) for i in range(5)]
         records.append(record("g2", "d0", 3, 2))
-        ids, *table = _game_table(MatchTable.from_records(records),
-                                  cfg.outcome_mode)
-        v_inv, _ = _period_sums([cfg.default()] * len(ids), *table)
-        info = dict(zip(ids, v_inv))
+        first, _, (v_inv, _) = first_pass(records, cfg)
+        info = dict(zip(first.ratings, v_inv))
         assert info["g2"] <= _MIN_INFORMATION < info["g1"]
-        first = rate_tournament(records, replace(cfg, max_passes=1))
         assert first.ratings["g2"] == cfg.default()
         assert first.ratings["g1"].rating != cfg.default_rating
         assert_engines_agree(records, cfg)
@@ -427,6 +494,24 @@ class TestRateTournament:
         assert second.ratings["d"] == first.ratings["d"]
         assert first.ratings["d"] != RatingConfig().default()
         assert_engines_agree(records, RatingConfig())
+
+    def test_one_pass_holds_no_game_table(self):
+        # A pass that reads one row per record peaks near 105 bytes a
+        # record; one that copies the table into two rows per record, one
+        # per side, peaks near 160.
+        table = round_robin_table(316)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            rate_tournament(table, RatingConfig(max_passes=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert (peak - start) / len(table) < 135.0
 
     def test_outcome_is_a_plain_result_object(self):
         outcome = rate_tournament([record("g", "d", 8, 8)])
