@@ -218,8 +218,16 @@ class OracleDiscriminator:
         # Max-shifted log-mean-exp; with one reference it is that
         # reference's density exactly (top + log 1 - log 1).
         top = stacked.max(axis=0)
-        ld_fake = (top + np.log(np.exp(stacked - top).sum(axis=0))
-                   - math.log(len(stacked)))
+        terms = np.exp(stacked - top)
+        if terms.shape[-1] == 1:
+            # One sample per batch: numpy sums a (K, 1) stack pairwise as one
+            # run, but a (K, m, 1) stack row by row. Summing each batch's K
+            # terms as a contiguous last axis keeps every row of a stacked
+            # call bit-identical to the single-batch result.
+            total = np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(-1)
+        else:
+            total = terms.sum(axis=0)
+        ld_fake = top + np.log(total) - math.log(len(stacked))
         # Saturating logistic: exp() only ever sees non-positive arguments,
         # and equal densities give exactly 0.5.
         x = ld_data - ld_fake
