@@ -163,7 +163,12 @@ CONFIG_SCHEMA = {
                 "repeats": {"type": "integer", "minimum": 1},
                 "matches": {"type": "array",
                             "items": {"type": "array", "minItems": 2,
-                                      "maxItems": 3}},
+                                      "maxItems": 3,
+                                      "prefixItems": [
+                                          {"type": "string"},
+                                          {"type": "string"},
+                                          {"type": "integer",
+                                           "minimum": 0}]}},
             },
         },
         "rating": _RATING_SCHEMA,

@@ -133,7 +133,7 @@ def run_banded(seed: int = DEFAULT_SEED, width: int = BAND_WIDTH) -> Study:
     gen_ids = sorted(s.id for s in full.built.specs if s.role == "generator")
     reference = [full.outcome.ratings[g].rating for g in gen_ids]
     band_ratings = [banded.outcome.ratings[g].rating for g in gen_ids]
-    band_rates = sm.tournament_win_rate(sm.pair_win_rates(banded.records))
+    band_rates = sm.tournament_win_rate(banded.records)
     rho_rating = sm.spearman(reference, band_ratings)
     rho_wr = sm.spearman(reference, [band_rates[g] for g in gen_ids])
     verdict = {

@@ -24,8 +24,9 @@ from .tournament import MatchRecord, MatchTable
 
 LOG_FORMAT = "arena-log/1"
 
-# Each record field with the JSON types it may have: json.loads gives
-# exactly str, int, float or bool, and a bool is no count.
+# Each header and record field with the JSON types it may have: json.loads
+# gives exactly str, int, float or bool, and a bool is no count or seed.
+_HEADER_TYPES = {"config_hash": (str,), "seed": (int,)}
 _FIELD_TYPES = {"generator_id": (str,), "discriminator_id": (str,),
                 "n_fake": (int,), "fake_wins": (int,), "n_real": (int,),
                 "real_wins": (int,), "seed": (int,),
@@ -85,6 +86,21 @@ def record_line(record: MatchRecord) -> str:
     return _dump({name: getattr(record, name) for name in _RECORD_FIELDS})
 
 
+def _checked_fields(payload: dict, types: dict, what: str) -> dict:
+    """The fields named in ``types``, checked, not coerced: int() would read
+    64.7 and true as counts, and str() anything as a config hash."""
+    try:
+        values = {name: payload[name] for name in types}
+    except KeyError as exc:
+        raise LogError(f"{what} missing field {exc}") from exc
+    for name, kinds in types.items():
+        if type(values[name]) not in kinds:
+            raise LogError(f"{what} field {name} has a bad value: "
+                           f"{values[name]!r} is not "
+                           f"{' or '.join(k.__name__ for k in kinds)}")
+    return values
+
+
 def parse_header(line: str) -> LogHeader:
     try:
         payload = json.loads(line)
@@ -92,11 +108,7 @@ def parse_header(line: str) -> LogHeader:
         raise LogError(f"unparseable log header: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != LOG_FORMAT:
         raise LogError(f"not a {LOG_FORMAT} log header: {line.strip()!r}")
-    try:
-        return LogHeader(config_hash=str(payload["config_hash"]),
-                         seed=int(payload["seed"]))
-    except KeyError as exc:
-        raise LogError(f"log header missing field {exc}") from exc
+    return LogHeader(**_checked_fields(payload, _HEADER_TYPES, "log header"))
 
 
 def parse_record(line: str) -> MatchRecord:
@@ -106,16 +118,7 @@ def parse_record(line: str) -> MatchRecord:
         raise LogError(f"unparseable record: {exc}") from exc
     if not isinstance(payload, dict):
         raise LogError(f"record line is not an object: {line.strip()!r}")
-    try:
-        values = {name: payload[name] for name in _RECORD_FIELDS}
-    except KeyError as exc:
-        raise LogError(f"record missing field {exc}") from exc
-    # Checked, not coerced: int() would read 64.7 and true as counts.
-    for name, kinds in _FIELD_TYPES.items():
-        if type(values[name]) not in kinds:
-            raise LogError(f"record field {name} has a bad value: "
-                           f"{values[name]!r} is not "
-                           f"{' or '.join(k.__name__ for k in kinds)}")
+    values = _checked_fields(payload, _FIELD_TYPES, "record")
     try:
         values["threshold"] = float(values["threshold"])
     except OverflowError as exc:
@@ -215,7 +218,10 @@ def read_log(path, strict: bool = True
         first = fh.readline()
         if not first:
             raise LogError(f"{path}: empty file, missing header")
-        header = parse_header(first)
+        try:
+            header = parse_header(first)
+        except LogError as exc:
+            raise LogError(f"{path}:1: {exc}") from exc
         number = 2
         while lines := fh.readlines(_CHUNK_CHARS):
             chunk = _canonical_chunk(lines, codes, raw_codes)

@@ -4,11 +4,13 @@ Turns match records plus ratings into per-generator tournament win rates,
 win-rate heatmaps over checkpoint axes, per-experiment skill curves, and the
 rank-correlation diagnostics used to compare schedules.
 
-Win rates read the columns of a ``MatchTable``. Only records with judged
-samples count, the rule the rating pass follows too. Pairs, and then
-generators, are laid out in first-appearance order and summed with
-``np.bincount`` in that order, so every mean is the left-to-right sum of
-its terms divided by their number.
+Every win rate comes from one place, ``_pair_rates``, which reads the
+columns of a ``MatchTable``; the public functions take records or a table.
+Only records with judged samples count, the rule the rating pass follows
+too. Pairs, and then generators, are laid out in first-appearance order and
+summed with ``np.bincount`` in that order, so every mean is the left-to-right
+sum of its terms divided by their number. The heatmap is a float array with
+NaN for pairs that never played.
 """
 
 from __future__ import annotations
@@ -62,15 +64,6 @@ def _pair_rates(table: MatchTable) -> _PairRates:
     return _PairRates(table.ids, gen[first], disc[first], means)
 
 
-def _as_pair_rates(pairs: Mapping[tuple[str, str], float]) -> _PairRates:
-    index: dict[str, int] = {}
-    gen = [index.setdefault(gen_id, len(index)) for gen_id, _ in pairs]
-    disc = [index.setdefault(disc_id, len(index)) for _, disc_id in pairs]
-    return _PairRates(list(index), np.array(gen, dtype=np.intp),
-                      np.array(disc, dtype=np.intp),
-                      np.fromiter(pairs.values(), float, len(pairs)))
-
-
 def pair_win_rates(records: Iterable[MatchRecord] | MatchTable
                    ) -> dict[tuple[str, str], float]:
     """Mean match win rate per (generator, discriminator) pair.
@@ -91,28 +84,29 @@ def _generator_rates(pairs: _PairRates) -> dict[str, float]:
             for g, mean in zip(pairs.gen[first].tolist(), means.tolist())}
 
 
-def tournament_win_rate(pairs: Mapping[tuple[str, str], float]
+def tournament_win_rate(records: Iterable[MatchRecord] | MatchTable
                         ) -> dict[str, float]:
     """Average win rate of each generator over the discriminators it played.
 
-    Takes the ``pair_win_rates`` table, so repeats of the same pairing are
-    averaged first and every opponent counts once. Generators with no
-    matches are absent rather than rated zero.
+    Takes records or a table, as ``pair_win_rates`` does. Repeats of the
+    same pairing are averaged first, so every opponent counts once.
+    Generators with no judged matches are absent rather than rated zero.
     """
-    return _generator_rates(_as_pair_rates(pairs))
+    return _generator_rates(_pair_rates(MatchTable.from_records(records)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Heatmap:
     """Win-rate matrix: one row per discriminator, one column per generator.
 
-    Missing entries (pairs that never played) are None; the SVG draws them
-    as red cells, which no win rate maps to.
+    ``values`` is a float array of shape (discriminators, generators) with
+    NaN where the pair never played; the CSV leaves those cells blank and
+    the SVG draws them as red cells, which no win rate maps to.
     """
 
     generator_ids: tuple[str, ...]
     discriminator_ids: tuple[str, ...]
-    values: tuple[tuple[float | None, ...], ...]
+    values: np.ndarray
 
 
 def _layout(pairs: _PairRates, generator_ids: Sequence[str],
@@ -133,17 +127,8 @@ def _layout(pairs: _PairRates, generator_ids: Sequence[str],
     at = np.searchsorted(sorted_keys, cells)
     found = ((sorted_keys[at] == cells) & (cols >= 0)[None, :]
              & (rows >= 0)[:, None])
-    values = tuple(
-        tuple(rate if hit else None for rate, hit in zip(rate_row, hit_row))
-        for rate_row, hit_row in zip(rates[at].tolist(), found.tolist()))
-    return Heatmap(tuple(generator_ids), tuple(discriminator_ids), values)
-
-
-def heatmap(pairs: Mapping[tuple[str, str], float],
-            generator_ids: Sequence[str],
-            discriminator_ids: Sequence[str]) -> Heatmap:
-    """Lay the ``pair_win_rates`` table out on the given (ordered) axes."""
-    return _layout(_as_pair_rates(pairs), generator_ids, discriminator_ids)
+    return Heatmap(tuple(generator_ids), tuple(discriminator_ids),
+                   np.where(found, rates[at], np.nan))
 
 
 @dataclass(frozen=True)
@@ -316,13 +301,16 @@ def write_heatmap_csv(path, hm: Heatmap) -> None:
         writer = csv.writer(fh)
         writer.writerow(["discriminator\\generator", *hm.generator_ids])
         for disc_id, row in zip(hm.discriminator_ids, hm.values):
-            writer.writerow([disc_id] + ["" if v is None else f"{v:.6f}"
-                                         for v in row])
+            cells = [f"{v:.6f}" for v in row.tolist()]
+            for j in np.flatnonzero(np.isnan(row)).tolist():
+                cells[j] = ""
+            writer.writerow([disc_id, *cells])
 
 
 # Fill of each grey level, and of a pair that never played.
-_GREYS = tuple(f"#{level:02x}{level:02x}{level:02x}" for level in range(256))
 _MISSING = "#d04040"
+_FILLS = (*(f"#{level:02x}{level:02x}{level:02x}" for level in range(256)),
+          _MISSING)
 
 
 def write_heatmap_svg(path, hm: Heatmap, cell: int = 14) -> None:
@@ -338,12 +326,11 @@ def write_heatmap_svg(path, hm: Heatmap, cell: int = 14) -> None:
         for i, row in enumerate(hm.values):
             # Only x and the fill change along a row.
             middle = f'" y="{i * cell}" width="{cell}" height="{cell}" fill="'
-            cells = []
-            for x, value in zip(xs, row):
-                fill = (_MISSING if value is None
-                        else _GREYS[max(0, min(255, round(value * 255.0)))])
-                cells.append(f'{x}{middle}{fill}"/>\n')
-            fh.write("".join(cells))
+            # np.rint rounds half to even, as round() does.
+            levels = np.clip(np.rint(row * 255.0), 0, 255)
+            levels[np.isnan(row)] = len(_FILLS) - 1
+            fh.write("".join([f'{x}{middle}{_FILLS[level]}"/>\n' for x, level
+                              in zip(xs, levels.astype(np.intp).tolist())]))
         fh.write("</svg>\n")
 
 

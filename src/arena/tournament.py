@@ -251,11 +251,12 @@ def validate_schedule(schedule: Schedule,
                       specs: Mapping[str, PlayerSpec]) -> ScheduleDiagnostics:
     """Check a schedule against the player population.
 
-    Unknown ids and role violations are errors. A match graph that splits
+    Unknown ids, role violations and a (generator, discriminator, repeat)
+    triple scheduled twice are errors. A match graph that splits
     into several connected components only warns: ratings across components
     are mutually incomparable but still well defined.
     """
-    errors: list[str] = []
+    errors: dict[str, None] = {}  # each message once, in first-seen order
     parent: dict[str, str] = {}
 
     def find(x: str) -> str:
@@ -264,20 +265,21 @@ def validate_schedule(schedule: Schedule,
             x = parent[x]
         return x
 
-    for gen_id, disc_id, _ in schedule.matches:
+    seen: set[tuple[str, str, int]] = set()
+    for match in schedule.matches:
+        gen_id, disc_id, repeat = match
+        if match in seen:
+            errors[f"match {gen_id!r} vs {disc_id!r} repeat {repeat} is "
+                   "scheduled twice"] = None
+        seen.add(match)
         for pid, role in ((gen_id, ROLE_GENERATOR),
                           (disc_id, ROLE_DISCRIMINATOR)):
             spec = specs.get(pid)
             if spec is None:
-                msg = f"unknown player id {pid!r}"
-                if msg not in errors:
-                    errors.append(msg)
-                continue
-            if spec.role != role:
-                msg = (f"player {pid!r} has role {spec.role!r} but is "
-                       f"scheduled as {role}")
-                if msg not in errors:
-                    errors.append(msg)
+                errors[f"unknown player id {pid!r}"] = None
+            elif spec.role != role:
+                errors[f"player {pid!r} has role {spec.role!r} but is "
+                       f"scheduled as {role}"] = None
         for pid in (gen_id, disc_id):
             if pid in specs:
                 parent.setdefault(pid, pid)

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from arena import toy
+from arena.tournament import MatchTable
 
 
 # Characters for hypothesis text strategies: quote, backslash, control
@@ -73,9 +74,24 @@ def reference_tournament_win_rate(pairs) -> dict[str, float]:
 
 
 def reference_heatmap_values(pairs, generator_ids, discriminator_ids):
-    return tuple(
-        tuple(pairs.get((gen_id, disc_id)) for gen_id in generator_ids)
-        for disc_id in discriminator_ids)
+    """One row per discriminator, NaN where the pair is absent."""
+    return np.array([[pairs.get((gen_id, disc_id), math.nan)
+                      for gen_id in generator_ids]
+                     for disc_id in discriminator_ids],
+                    dtype=float).reshape(len(discriminator_ids),
+                                         len(generator_ids))
+
+
+def round_robin_table(k: int) -> MatchTable:
+    """k generators against k discriminators, 32 judged samples a record."""
+    rng = np.random.default_rng(0)
+    gen, disc = (a.ravel() for a in np.meshgrid(np.arange(k), np.arange(k),
+                                                indexing="ij"))
+    n = np.full(len(gen), 16)
+    return MatchTable.from_columns(
+        [f"g{i}" for i in range(k)] + [f"d{i}" for i in range(k)],
+        gen, disc + k, n, rng.binomial(n, 0.6), n, rng.binomial(n, 0.4),
+        np.zeros(len(gen), np.uint64), np.full(len(gen), 0.5))
 
 
 def tiny_config_payload(**overrides) -> dict:
@@ -107,7 +123,7 @@ def column_means(hm) -> dict[str, float]:
     """Mean of the defined cells in each generator column of a heatmap."""
     means = {}
     for j, gen_id in enumerate(hm.generator_ids):
-        cells = [row[j] for row in hm.values if row[j] is not None]
+        cells = [v for v in hm.values[:, j].tolist() if not math.isnan(v)]
         if cells:
             means[gen_id] = sum(cells) / len(cells)
     return means

@@ -148,7 +148,7 @@ def test_criterion_4_banded_schedule_rank_agreement(banded_study):
         reference = [full.outcome.ratings[g].rating for g in gen_ids]
         rho_ratings.append(sm.spearman(
             reference, [banded.outcome.ratings[g].rating for g in gen_ids]))
-        rates = sm.tournament_win_rate(sm.pair_win_rates(banded.records))
+        rates = sm.tournament_win_rate(banded.records)
         rho_rates.append(sm.spearman(reference,
                                      [rates[g] for g in gen_ids]))
     elapsed = banded_study["time_banded"]
@@ -291,7 +291,7 @@ def test_criterion_9_win_rate_definitions(banded_study, panel_study,
 
     rank_checked, rank_ok = 0, True
     for bundle in full_bundles:
-        rates = sm.tournament_win_rate(sm.pair_win_rates(bundle.records))
+        rates = sm.tournament_win_rate(bundle.records)
         gen_ids = sorted(rates)
         values = sorted(rates.values())
         if min(b - a for a, b in zip(values, values[1:])) <= 1e-9:

@@ -164,6 +164,17 @@ class TestRate:
         assert run_cli("rate", path) == 0
         assert "no match records" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields", ['"config_hash":"feed","seed":"abc"',
+                                        '"config_hash":5,"seed":1.5'])
+    def test_mistyped_header_is_a_corrupt_log(self, tmp_path, capsys,
+                                              fields):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{%s,"format":"arena-log/1"}\n' % fields)
+        assert run_cli("rate", path) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:1: log header field" in err
+        assert "is not" in err
+
     def test_corrupt_line_fails_strict_mode(self, log_path, capsys):
         with open(log_path, "a") as fh:
             fh.write("{broken\n")
@@ -372,6 +383,20 @@ class TestScheduleCommand:
         assert "--schedule band" in captured.err
         assert "kind:" not in captured.out
 
+    @pytest.mark.parametrize("command", ["run", "schedule"])
+    def test_a_match_scheduled_twice_exits_nonzero(self, tmp_path, capsys,
+                                                  command):
+        payload = tiny_config_payload(
+            schedule={"kind": "explicit",
+                      "matches": [["tiny-g00", "tiny-d00", 1],
+                                  ["tiny-g00", "tiny-d00", 1]]})
+        path = write_yaml(tmp_path / "twice.cfg", payload)
+        out = tmp_path / "out"
+        extra = ("--out-dir", out) if command == "run" else ("--list",)
+        assert run_cli(command, "--config", path, *extra) == 2
+        assert "scheduled twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_role_violations_exit_nonzero(self, tmp_path, capsys):
         payload = tiny_config_payload(
             schedule={"kind": "explicit",
@@ -410,3 +435,42 @@ def test_importing_the_cli_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_still_wraps_every_layer(tmp_path):
+    # perfbench/trace_cli.py patches module functions, cli.ExternalPlayer
+    # and store.LogWriter by name, so a rename breaks the traced command.
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(arena.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    trajectory = dict(tiny_config_payload()["players"][0], n_checkpoints=3)
+    config = write_yaml(tmp_path / "traced.cfg", tiny_config_payload(players=[
+        trajectory,
+        {"kind": "external", "id": "ext", "role": "discriminator",
+         "command": [sys.executable, "-m", "arena.ref_player", "--role",
+                     "discriminator", "--dim", "3"]}]))
+    panels = tmp_path / "panels.json"
+    panels.write_text("{}")
+
+    def traced(name, *argv):
+        result = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "trace_cli.py"),
+             str(tmp_path / f"{name}.json"), str(panels), "--",
+             *map(str, argv)], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        trace = json.loads((tmp_path / f"{name}.json").read_text())
+        return {span[0] for span in trace["spans"]}
+
+    plain, under = tmp_path / "plain", tmp_path / "traced"
+    assert run_cli("run", "--config", config, "--out-dir", plain) == 0
+    assert run_cli("rate", plain / "log.jsonl", "--out-dir",
+                   plain / "rated") == 0
+    spans = traced("run", "run", "--config", config, "--out-dir", under)
+    assert {"tournament.play", "glicko.rate", "summarize.summarize",
+            "extern.spawn"} <= spans
+    spans = traced("rate", "rate", under / "log.jsonl", "--out-dir",
+                   under / "rated")
+    assert {"store.read", "glicko.rate", "summarize.summarize"} <= spans
+    for name in ("log.jsonl", "summary.csv", "rated/summary.csv"):
+        assert (under / name).read_bytes() == (plain / name).read_bytes()

@@ -308,6 +308,19 @@ class TestBuildSchedule:
         assert schedule.matches == (("tiny-g00", "tiny-d01", 0),
                                     ("tiny-g01", "tiny-d01", 2))
 
+    @pytest.mark.parametrize("entry, where", [
+        (["tiny-g00", "tiny-d01", 1.5], "matches/0/2"),
+        (["tiny-g00", "tiny-d01", True], "matches/0/2"),
+        (["tiny-g00", "tiny-d01", -1], "matches/0/2"),
+        ([7, "tiny-d01"], "matches/0/0"),
+        (["tiny-g00", None], "matches/0/1"),
+    ])
+    def test_explicit_entries_are_checked_not_coerced(self, entry, where):
+        payload = tiny_config_payload(
+            schedule={"kind": "explicit", "matches": [entry]})
+        with pytest.raises(ConfigError, match=where):
+            parse_config(payload)
+
     def test_run_settings_mirror_the_config(self):
         config = parse_config(tiny_config_payload())
         settings = run_settings(config, on_error="skip")

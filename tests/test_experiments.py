@@ -110,7 +110,7 @@ class TestRunBundle:
 
     def test_summary_reuses_the_bundle_ratings(self, bundle):
         summary = bundle.summary()
-        rates = sm.tournament_win_rate(sm.pair_win_rates(bundle.records))
+        rates = sm.tournament_win_rate(bundle.records)
         for row in summary.rows:
             assert row.rating == bundle.outcome.ratings[row.id].rating
             if row.role == "generator":

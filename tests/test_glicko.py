@@ -22,7 +22,9 @@ from arena.glicko import (_MIN_INFORMATION, GLICKO2_SCALE, GameResult,
                           _period_sums, expected_score, from_internal, g,
                           rate_tournament, to_internal, update_player,
                           update_volatility)
-from arena.tournament import MatchRecord, MatchTable
+from arena.tournament import MatchRecord
+
+from conftest import round_robin_table
 
 
 def record(gen: str, disc: str, fake_wins: int, real_wins: int,
@@ -124,18 +126,6 @@ def first_pass(records, cfg: RatingConfig):
         outcome = rate_tournament(records, replace(cfg, max_passes=1))
     (games, sums), = calls
     return outcome, games, sums
-
-
-def round_robin_table(k: int) -> MatchTable:
-    """k generators against k discriminators, 32 judged samples a record."""
-    rng = np.random.default_rng(0)
-    gen, disc = (a.ravel() for a in np.meshgrid(np.arange(k), np.arange(k),
-                                                indexing="ij"))
-    n = np.full(len(gen), 16)
-    return MatchTable.from_columns(
-        [f"g{i}" for i in range(k)] + [f"d{i}" for i in range(k)],
-        gen, disc + k, n, rng.binomial(n, 0.6), n, rng.binomial(n, 0.4),
-        np.zeros(len(gen), np.uint64), np.full(len(gen), 0.5))
 
 
 def assert_engines_agree(records, cfg: RatingConfig) -> None:

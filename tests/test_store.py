@@ -72,6 +72,14 @@ class TestLineFormats:
         ("not json", "unparseable"),
         ("[1,2]", "not a arena-log/1 log header"),
         ('{"format":"arena-log/1","seed":3}', "missing field"),
+        ('{"config_hash":"x","format":"arena-log/1","seed":"abc"}',
+         "field seed has a bad value: 'abc' is not int"),
+        ('{"config_hash":"x","format":"arena-log/1","seed":1.5}',
+         "field seed has a bad value: 1.5 is not int"),
+        ('{"config_hash":"x","format":"arena-log/1","seed":true}',
+         "field seed has a bad value: True is not int"),
+        ('{"config_hash":5,"format":"arena-log/1","seed":1}',
+         "field config_hash has a bad value: 5 is not str"),
     ])
     def test_header_parse_errors(self, line, message):
         with pytest.raises(LogError, match=message):

@@ -8,22 +8,25 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arena.glicko import Rating
 from arena.summarize import (WIN_RATE_WARNING, CurvePoint, Heatmap,
-                             format_summary_table, heatmap, pair_win_rates,
-                             pearson, skill_curve, spearman, summarize,
-                             tournament_win_rate, write_curve_svg,
+                             _layout, _pair_rates, format_summary_table,
+                             pair_win_rates, pearson, skill_curve, spearman,
+                             summarize, tournament_win_rate, write_curve_svg,
                              write_heatmap_csv, write_heatmap_svg,
                              write_summary_csv)
 from arena.tournament import MatchRecord, MatchTable, PlayerSpec, round_robin
 
 from conftest import (column_means, reference_heatmap_values,
-                      reference_pair_win_rates, reference_tournament_win_rate)
+                      reference_pair_win_rates, reference_tournament_win_rate,
+                      round_robin_table)
 
 
 def record(gen: str, disc: str, wins: int, n: int = 8,
@@ -32,6 +35,18 @@ def record(gen: str, disc: str, wins: int, n: int = 8,
     return MatchRecord(generator_id=gen, discriminator_id=disc, n_fake=n,
                        fake_wins=min(wins, n), n_real=n,
                        real_wins=max(0, wins - n), seed=repeat_seed)
+
+
+def layout(records, generator_ids, discriminator_ids) -> Heatmap:
+    """The records' pair win rates laid out on the given axes."""
+    return _layout(_pair_rates(MatchTable.from_records(records)),
+                   generator_ids, discriminator_ids)
+
+
+def same_cells(values, expected) -> bool:
+    """Equal shape and cells, a NaN (never played) equal to a NaN."""
+    return np.array_equal(values, np.array(expected, dtype=float),
+                          equal_nan=True)
 
 
 class TestWinRates:
@@ -45,11 +60,11 @@ class TestWinRates:
         records = [record("g", "d1", 16, n=8),   # 1.0 against d1
                    record("g", "d2", 4, n=8),    # 0.25 once ...
                    record("g", "d2", 4, n=8, repeat_seed=1)]  # ... twice
-        rates = tournament_win_rate(pair_win_rates(records))
+        rates = tournament_win_rate(records)
         assert math.isclose(rates["g"], (1.0 + 0.25) / 2.0)
 
     def test_absent_generators_are_absent(self):
-        rates = tournament_win_rate(pair_win_rates([record("g1", "d", 8)]))
+        rates = tournament_win_rate([record("g1", "d", 8)])
         assert "g2" not in rates
 
 
@@ -58,7 +73,7 @@ class TestWinRates:
                    record("g1", "d2", 0, n=0), record("g2", "d1", 0, n=0)]
         rates = pair_win_rates(records)
         assert rates == {("g1", "d1"): 6 / 16}
-        assert tournament_win_rate(rates) == {"g1": 6 / 16}
+        assert tournament_win_rate(records) == {"g1": 6 / 16}
 
 
 trials = st.integers(0, 40).flatmap(
@@ -77,19 +92,19 @@ class TestReferenceIdentity:
     @settings(max_examples=80)
     def test_pairs_generators_and_heatmap(self, records):
         expected = reference_pair_win_rates(records)
+        expected_rates = reference_tournament_win_rate(expected)
         for source in (records, MatchTable.from_records(records)):
             pairs = pair_win_rates(source)
             assert pairs == expected
             assert list(pairs) == list(expected)
-        rates = tournament_win_rate(pairs)
-        expected_rates = reference_tournament_win_rate(expected)
-        assert rates == expected_rates
-        assert list(rates) == list(expected_rates)
+            rates = tournament_win_rate(source)
+            assert rates == expected_rates
+            assert list(rates) == list(expected_rates)
         # Axes with ids that never played, and one id twice.
         gens = ["g3", "g0", "g9", "g1", "g2", "g0"]
         discs = ["d2", "d9", "d0", "d1", "d3", "d2"]
-        assert heatmap(pairs, gens, discs).values == \
-            reference_heatmap_values(expected, gens, discs)
+        assert same_cells(layout(records, gens, discs).values,
+                          reference_heatmap_values(expected, gens, discs))
 
         specs = ([PlayerSpec(f"g{i}", "generator", iteration=3 - i)
                   for i in range(4)]
@@ -99,23 +114,23 @@ class TestReferenceIdentity:
         assert summary.win_rates == expected_rates
         assert list(summary.win_rates) == list(expected_rates)
         assert summary.heatmap.generator_ids == ("g3", "g2", "g1", "g0")
-        assert summary.heatmap.values == reference_heatmap_values(
+        assert same_cells(summary.heatmap.values, reference_heatmap_values(
             expected, summary.heatmap.generator_ids,
-            summary.heatmap.discriminator_ids)
+            summary.heatmap.discriminator_ids))
 
 
 class TestHeatmap:
     def test_layout_and_missing_cells(self):
         records = [record("g1", "d1", 8), record("g2", "d2", 4)]
-        hm = heatmap(pair_win_rates(records), ["g1", "g2"], ["d1", "d2"])
-        assert hm.values == ((0.5, None), (None, 0.25))
+        hm = layout(records, ["g1", "g2"], ["d1", "d2"])
+        assert same_cells(hm.values, [[0.5, math.nan], [math.nan, 0.25]])
 
     def test_generator_means_ignore_missing_cells(self):
         records = [record("g1", "d1", 8), record("g1", "d2", 4),
                    record("g2", "d1", 16)]
-        hm = heatmap(pair_win_rates(records), ["g1", "g2"], ["d1", "d2"])
-        assert hm.values == ((0.5, 1.0), (0.25, None))
-        rates = tournament_win_rate(pair_win_rates(records))
+        hm = layout(records, ["g1", "g2"], ["d1", "d2"])
+        assert same_cells(hm.values, [[0.5, 1.0], [0.25, math.nan]])
+        rates = tournament_win_rate(records)
         for gen_id, mean in column_means(hm).items():
             assert abs(mean - rates[gen_id]) < 1e-12
         assert math.isclose(rates["g1"], (0.5 + 0.25) / 2.0)
@@ -125,8 +140,8 @@ class TestHeatmap:
         records = [record(g, d, wins)
                    for g, wins in (("g1", 3), ("g2", 11))
                    for d in ("d1", "d2")]
-        hm = heatmap(pair_win_rates(records), ["g1", "g2"], ["d1", "d2"])
-        rates = tournament_win_rate(pair_win_rates(records))
+        hm = layout(records, ["g1", "g2"], ["d1", "d2"])
+        rates = tournament_win_rate(records)
         for gen_id, mean in column_means(hm).items():
             assert abs(mean - rates[gen_id]) < 1e-12
 
@@ -230,6 +245,26 @@ class TestSummarize:
                          explicit_schedule([("g1", "d1")]))
         assert loud.warnings == (WIN_RATE_WARNING,)
 
+    def test_summary_retains_an_array_heatmap(self):
+        # The heatmap is one float array, 8 bytes a cell; as nested tuples
+        # of Python floats it kept about 33 bytes a record alive.
+        table = round_robin_table(316)
+        specs = [PlayerSpec(pid, "generator" if pid.startswith("g")
+                            else "discriminator") for pid in table.ids]
+        ratings = {pid: Rating() for pid in table.ids}
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            summary = summarize(table, ratings, specs)
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert retained / len(table) < 16.0
+        assert summary.heatmap.values.shape == (316, 316)
+
     def test_table_is_printable_and_complete(self):
         specs, records, ratings = self.build()
         from arena.tournament import explicit_schedule
@@ -261,7 +296,7 @@ class TestArtifactFiles:
 
     def test_heatmap_csv_layout(self, tmp_path):
         records = [record("g1", "d1", 8), record("g2", "d2", 4)]
-        hm = heatmap(pair_win_rates(records), ["g1", "g2"], ["d1", "d2"])
+        hm = layout(records, ["g1", "g2"], ["d1", "d2"])
         path = tmp_path / "heatmap.csv"
         write_heatmap_csv(path, hm)
         with open(path, newline="") as fh:
@@ -272,7 +307,7 @@ class TestArtifactFiles:
 
     def test_heatmap_svg_is_well_formed(self, tmp_path):
         records = [record("g1", "d1", 8), record("g2", "d2", 4)]
-        hm = heatmap(pair_win_rates(records), ["g1", "g2"], ["d1", "d2"])
+        hm = layout(records, ["g1", "g2"], ["d1", "d2"])
         path = tmp_path / "heatmap.svg"
         write_heatmap_svg(path, hm)
         root = ET.parse(path).getroot()
@@ -283,7 +318,7 @@ class TestArtifactFiles:
 
     def test_heatmap_svg_grey_levels_track_win_rate(self, tmp_path):
         records = [record("g1", "d1", 0), record("g2", "d1", 16)]
-        hm = heatmap(pair_win_rates(records), ["g1", "g2"], ["d1"])
+        hm = layout(records, ["g1", "g2"], ["d1"])
         path = tmp_path / "heatmap.svg"
         write_heatmap_svg(path, hm)
         root = ET.parse(path).getroot()
@@ -304,7 +339,8 @@ class TestArtifactFiles:
         values = tuple(tuple(cells[i:i + 16])
                        for i in range(0, len(cells), 16))
         hm = Heatmap(tuple(f"g{j}" for j in range(16)),
-                     tuple(f"d{i}" for i in range(len(values))), values)
+                     tuple(f"d{i}" for i in range(len(values))),
+                     np.array(values, dtype=float))
         lines = [f'<svg xmlns="http://www.w3.org/2000/svg" '
                  f'width="{5 * 16}" height="{5 * len(values)}">']
         for i, row in enumerate(values):

@@ -250,6 +250,15 @@ class TestValidateSchedule:
         assert diag.components == 2
         assert any("disconnected" in w for w in diag.warnings)
 
+    def test_a_match_scheduled_twice_is_an_error(self):
+        # Both matches would get the same seed and play the same game.
+        diag = validate_schedule(
+            explicit_schedule([("g1", "d1"), ("g1", "d1", 1),
+                               ("g1", "d1", 0), ("g1", "d1", 0)]),
+            self.population())
+        assert diag.errors == (
+            "match 'g1' vs 'd1' repeat 0 is scheduled twice",)
+
     def test_duplicate_errors_are_reported_once(self):
         diag = validate_schedule(
             explicit_schedule([("ghost", "d1"), ("ghost", "d2")]),
