@@ -185,14 +185,19 @@ def cmd_extend(args) -> int:
     config = _load_with_overrides(args)
     header, records, _ = store.read_log(args.log, strict=True)
     expected = cfgmod.config_hash(config)
-    if header.config_hash != expected:
+    for what, logged, current, hint in (
+            ("config hash", header.config_hash, expected,
+             f"{args.config} hashes to {expected}"),
+            ("engine", header.engine, tn.ENGINE,
+             f"this arena plays engine {tn.ENGINE}")):
+        if logged == current:
+            continue
         if not args.force:
-            print(f"error: {args.log} was produced under config hash "
-                  f"{header.config_hash}, but {args.config} hashes to "
-                  f"{expected}; pass --force to extend anyway",
+            print(f"error: {args.log} was produced under {what} {logged}, "
+                  f"but {hint}; pass --force to extend anyway",
                   file=sys.stderr)
             return 2
-        _warn("config hash mismatch; extending anyway (--force)")
+        _warn(f"{what} mismatch; extending anyway (--force)")
 
     fragment = cfgmod.load_players_fragment(args.add)
     baseline_ids = {s.id for s in cfgmod.build_players(config).specs}
@@ -300,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     extend.add_argument("--add", required=True, metavar="FRAGMENT",
                         help="file with a players list to add")
     extend.add_argument("--force", action="store_true",
-                        help="extend even if the config hash differs from "
-                             "the log header")
+                        help="extend even if the config hash or the engine "
+                             "differs from the log header")
     _add_rating_flags(extend)
     extend.add_argument("--out-dir")
     extend.add_argument("--strict", action="store_true")

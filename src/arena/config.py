@@ -129,9 +129,19 @@ _RATING_SCHEMA = {
     },
 }
 
+_KIND_SCHEMAS = [_TOY_TRAJECTORY_SCHEMA, _REAL_DATA_SCHEMA, _TRANSFORM_SCHEMA,
+                 _NOISE_ORACLE_SCHEMA, _CONSTANT_SCHEMA, _EXTERNAL_SCHEMA]
+
+# An entry's kind selects the one schema it must meet, so an error names the
+# key at fault instead of listing every kind the entry is not.
 _PLAYER_SCHEMA = {
-    "oneOf": [_TOY_TRAJECTORY_SCHEMA, _REAL_DATA_SCHEMA, _TRANSFORM_SCHEMA,
-              _NOISE_ORACLE_SCHEMA, _CONSTANT_SCHEMA, _EXTERNAL_SCHEMA],
+    "type": "object",
+    "required": ["kind"],
+    "properties": {"kind": {"enum": [s["properties"]["kind"]["const"]
+                                     for s in _KIND_SCHEMAS]}},
+    "allOf": [{"if": {"type": "object", "required": ["kind"],
+                      "properties": {"kind": s["properties"]["kind"]}},
+               "then": s} for s in _KIND_SCHEMAS],
 }
 
 CONFIG_SCHEMA = {
@@ -226,6 +236,12 @@ def _validate(payload, schema, where: str):
     if validator is None:
         cls = jsonschema.validators.validator_for(schema)
         cls.check_schema(schema)
+        # JSON Schema counts 1.0 as an integer; a config may not, since
+        # `[g, d, 1.0]` would play the match `[g, d, 1]` under another hash.
+        strict = cls.TYPE_CHECKER.redefine(
+            "integer", lambda _, value: isinstance(value, int)
+            and not isinstance(value, bool))
+        cls = jsonschema.validators.extend(cls, type_checker=strict)
         validator = _VALIDATORS[id(schema)] = cls(schema)
     error = jsonschema.exceptions.best_match(validator.iter_errors(payload))
     if error is not None:

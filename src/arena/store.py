@@ -3,7 +3,9 @@
 A log is one header line followed by one line per match record. Lines are
 serialized with sorted keys and compact separators so that write -> read ->
 write round-trips byte-identically, and any line parses on its own, which
-keeps partially written logs recoverable.
+keeps partially written logs recoverable. The header carries the config
+hash, the tournament seed and the version of the match engine that played
+the records; a header with no engine key was written by engine 1.
 
 ``read_log`` returns the records as a columnar ``MatchTable``. It reads the
 body in bounded chunks and parses a chunk whose every line has the writer's
@@ -20,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tournament import MatchRecord, MatchTable
+from .tournament import ENGINE, MatchRecord, MatchTable
 
 LOG_FORMAT = "arena-log/1"
 
 # Each header and record field with the JSON types it may have: json.loads
 # gives exactly str, int, float or bool, and a bool is no count or seed.
-_HEADER_TYPES = {"config_hash": (str,), "seed": (int,)}
+_HEADER_TYPES = {"config_hash": (str,), "engine": (int,), "seed": (int,)}
 _FIELD_TYPES = {"generator_id": (str,), "discriminator_id": (str,),
                 "n_fake": (int,), "fake_wins": (int,), "n_real": (int,),
                 "real_wins": (int,), "seed": (int,),
@@ -68,8 +70,12 @@ class LogError(ValueError):
 
 @dataclass(frozen=True)
 class LogHeader:
+    """A log's first line. ``engine`` is the match engine that played the
+    records (``tournament.ENGINE``)."""
+
     config_hash: str
     seed: int
+    engine: int = ENGINE
     format: str = LOG_FORMAT
 
 
@@ -79,7 +85,7 @@ def _dump(payload: dict) -> str:
 
 def header_line(header: LogHeader) -> str:
     return _dump({"format": header.format, "config_hash": header.config_hash,
-                  "seed": header.seed})
+                  "engine": header.engine, "seed": header.seed})
 
 
 def record_line(record: MatchRecord) -> str:
@@ -108,7 +114,10 @@ def parse_header(line: str) -> LogHeader:
         raise LogError(f"unparseable log header: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != LOG_FORMAT:
         raise LogError(f"not a {LOG_FORMAT} log header: {line.strip()!r}")
-    return LogHeader(**_checked_fields(payload, _HEADER_TYPES, "log header"))
+    # A header written before engines were versioned has no engine key: its
+    # records were played by engine 1.
+    return LogHeader(**_checked_fields({"engine": 1, **payload},
+                                       _HEADER_TYPES, "log header"))
 
 
 def parse_record(line: str) -> MatchRecord:

@@ -14,12 +14,19 @@ from __future__ import annotations
 
 import hashlib
 import logging
+from collections import abc
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
+
+# Version of the match engine, written into every log header. It changes
+# whenever a seeded match may be counted differently. Engine 2 scores the toy
+# panels with whitened densities; engine 1 solved against each factor, and
+# the two can differ in the last bits of a score.
+ENGINE = 2
 
 # Matches played per window of ``run_tournament``. Each window holds every
 # batch of its matches at once; a bounded window keeps that memory small.
@@ -314,12 +321,38 @@ def match_seed(tournament_seed: int, generator_id: str, discriminator_id: str,
                        repeat)
 
 
-def match_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator,
-                                   np.random.Generator]:
-    """Independent substreams for the fake batch, real batch, and judging."""
-    return (np.random.default_rng([seed, 0]),
-            np.random.default_rng([seed, 1]),
-            np.random.default_rng([seed, 2]))
+# Lanes of a match's independent random substreams: the fake batch, the real
+# batch and the discriminator's judging.
+FAKE, REAL, JUDGE = 0, 1, 2
+
+
+def match_stream(seed: int, lane: int) -> np.random.Generator:
+    """One substream of the match seeded ``seed``."""
+    return np.random.default_rng([seed, lane])
+
+
+class JudgeStreams(abc.Sequence):
+    """The ``rngs`` of one ``judge_many`` call: each match's judging stream
+    twice in a row, one per batch, created when first read.
+
+    A panel that never draws noise never reads them, so it costs no
+    seeding.
+    """
+
+    def __init__(self, seeds: Sequence[int]):
+        self._seeds = seeds
+        self._streams: dict[int, np.random.Generator] = {}
+
+    def __len__(self) -> int:
+        return 2 * len(self._seeds)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        match = range(len(self))[index] // 2
+        if match not in self._streams:
+            self._streams[match] = match_stream(self._seeds[match], JUDGE)
+        return self._streams[match]
 
 
 def _check_batch(batch: np.ndarray, count: int, who: str) -> np.ndarray:
@@ -345,17 +378,16 @@ def _check_scores(scores: np.ndarray, count: int, who: str) -> np.ndarray:
 
 
 def _draw(generator, data, generator_id: str, seed: int, batch_size: int
-          ) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
-    """One match's checked fake and real batches and its judging stream."""
-    fake_rng, real_rng, judge_rng = match_rngs(seed)
-    fake = _check_batch(generator.sample(batch_size, fake_rng), batch_size,
-                        f"generator {generator_id!r}")
-    real = _check_batch(data.sample(batch_size, real_rng), batch_size,
-                        "data source")
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """One match's checked fake and real batches."""
+    fake = _check_batch(generator.sample(batch_size, match_stream(seed, FAKE)),
+                        batch_size, f"generator {generator_id!r}")
+    real = _check_batch(data.sample(batch_size, match_stream(seed, REAL)),
+                        batch_size, "data source")
     if fake.shape[1] != real.shape[1]:
         raise MatchError(f"generator {generator_id!r} emits dim "
                          f"{fake.shape[1]}, data source dim {real.shape[1]}")
-    return fake, real, judge_rng
+    return fake, real
 
 
 def _count(generator_id: str, discriminator_id: str, seed: int,
@@ -385,8 +417,8 @@ def play_match(generator, discriminator, data, *, generator_id: str,
     generator wins; ties on the boundary always favor the generator.
     """
     seed = match_seed(tournament_seed, generator_id, discriminator_id, repeat)
-    fake, real, judge_rng = _draw(generator, data, generator_id, seed,
-                                  batch_size)
+    fake, real = _draw(generator, data, generator_id, seed, batch_size)
+    judge_rng = match_stream(seed, JUDGE)
     who = f"discriminator {discriminator_id!r}"
     fake_scores = _check_scores(discriminator.judge(fake, judge_rng),
                                 batch_size, who)
@@ -404,9 +436,11 @@ def _play_window(window: Sequence[tuple[str, str, int]],
     back in window order, None where a match failed.
 
     A discriminator with ``judge_many`` judges every batch of its group in
-    one call: each match's fake batch and then its real batch, each with
-    that match's judging stream. Any other discriminator is asked through
-    ``play_match``, one ``judge`` call per batch.
+    one call: each match's fake batch and then its real batch, with a
+    ``JudgeStreams`` of the matches' judging streams, so a stream is only
+    seeded if the discriminator reads it. Any other discriminator is asked
+    through ``play_match``, one ``judge`` call per batch, with a seeded
+    stream.
     """
     records: list[MatchRecord | None] = [None] * len(window)
     groups: dict[str, list[int]] = {}
@@ -421,7 +455,7 @@ def _play_window(window: Sequence[tuple[str, str, int]],
                 fail(window[i], exc)
             continue
         judge_many = getattr(discriminator, "judge_many", None)
-        drawn, batches, rngs = [], [], []
+        drawn, batches = [], []
         for i in indices:
             gen_id, _, repeat = window[i]
             try:
@@ -433,17 +467,16 @@ def _play_window(window: Sequence[tuple[str, str, int]],
                         batch_size=size, threshold=settings.threshold)
                     continue
                 seed = match_seed(settings.seed, gen_id, disc_id, repeat)
-                fake, real, judge_rng = _draw(players[gen_id], data, gen_id,
-                                              seed, size)
+                fake, real = _draw(players[gen_id], data, gen_id, seed, size)
             except Exception as exc:
                 fail(window[i], exc)
                 continue
             drawn.append((i, seed))
             batches += (fake, real)
-            rngs += (judge_rng, judge_rng)
         if not drawn:
             continue
         who = f"discriminator {disc_id!r}"
+        rngs = JudgeStreams([seed for _, seed in drawn])
         try:
             scores = np.asarray(judge_many(np.stack(batches), rngs),
                                 dtype=float)

@@ -7,9 +7,10 @@ map toward the target factor. Discriminators score samples with the optimal
 likelihood ratio data/(data + fake) against an explicit fake-density model:
 the generator's own Gaussian (oracle), a uniform mixture over past
 generators kept by reservoir sampling (chekhov), or uniform noise once the
-trajectory has mastered the task (forgetting). Each judges a batch, or a
-stack of batches, with one stacked solve call. Everything is closed form; no
-player is trained.
+trajectory has mastered the task (forgetting). Every model caches its
+whitening matrix and log-determinant when it is built, so a panel judges a
+batch, or a stack of batches, with one batched matmul and no solve or
+factorization. Everything is closed form; no player is trained.
 """
 
 from __future__ import annotations
@@ -28,33 +29,13 @@ JITTER = 1e-6
 TRANSFORMS = ("additive_noise", "scale_shift", "coordinate_mask", "impulse")
 
 
-def gaussian_log_density(x: np.ndarray, mean: np.ndarray,
-                         factor: np.ndarray) -> np.ndarray:
-    """Log density of rows of x under N(mean, factor.T @ factor).
-
-    factor is upper triangular with positive diagonal; the quadratic form is
-    evaluated by solving against factor.T, so no inverse is ever formed.
-    Stacked means (K, d) and factors (K, d, d) give (K, n) from one solve
-    call, each row bit-identical to the single-model (n,) result. x may
-    carry leading batch dimensions, (m, n, d) giving (K, m, n): the solve
-    then loops over (K, m) items, each the same LAPACK call as one batch.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite input to gaussian_log_density")
-    dim = mean.shape[-1]
-    ones = (1,) * (x.ndim - 2)
-    mean = mean.reshape(mean.shape[:-1] + ones + mean.shape[-1:])
-    factor = factor.reshape(factor.shape[:-2] + ones + factor.shape[-2:])
-    centered = np.swapaxes(x - mean[..., None, :], -1, -2)
-    z = np.linalg.solve(np.swapaxes(factor, -1, -2), centered)
-    quad = np.einsum("...ij,...ij->...j", z, z)
-    log_det = 2.0 * np.log(np.diagonal(factor, 0, -2, -1)).sum(-1)
-    return -0.5 * (quad + log_det[..., None] + dim * math.log(2.0 * math.pi))
-
-
 class GaussianModel:
-    """A multivariate normal with a cached upper-triangular factor."""
+    """A multivariate normal with a cached upper-triangular factor.
+
+    ``cov = factor.T @ factor``. The model also caches ``whitening``, the
+    inverse of the factor, and ``log_det``, the log-determinant of ``cov``:
+    a row x has squared Mahalanobis distance ``|(x - mean) @ whitening|^2``.
+    """
 
     def __init__(self, mean: np.ndarray, cov: np.ndarray | None = None,
                  factor: np.ndarray | None = None):
@@ -72,6 +53,8 @@ class GaussianModel:
                 raise ValueError("covariance is not positive definite after "
                                  "jitter") from exc
             self.factor = lower.T
+        self.whitening = np.linalg.inv(self.factor)
+        self.log_det = 2.0 * float(np.log(np.diagonal(self.factor)).sum())
 
     @property
     def dim(self) -> int:
@@ -198,7 +181,11 @@ class OracleDiscriminator:
     """Optimal score data / (data + fake) for an explicit fake density.
 
     The fake density is a uniform mixture over reference models; a single
-    reference is the plain per-checkpoint oracle.
+    reference is the plain per-checkpoint oracle. The data model and the
+    references are stacked once, at construction: scoring centres the
+    samples on every model's mean and whitens them with one batched matmul,
+    one (n, d) @ (d, d) product per model and batch, so a row of a stacked
+    call is bit for bit the row of a single-batch call.
     """
 
     def __init__(self, data_model: GaussianModel,
@@ -209,11 +196,28 @@ class OracleDiscriminator:
         self.data_model = data_model
         self.fake_models = list(fake_models)
         self.checkpoint = checkpoint
-        pairs = [(m.mean, m.factor) for m in [data_model, *self.fake_models]]
-        self._means, self._factors = map(np.stack, zip(*pairs))
+        models = [data_model, *self.fake_models]
+        self._means = np.stack([m.mean for m in models])
+        self._whitening = np.stack([m.whitening for m in models])
+        # -0.5 * (log det + d log 2 pi) of each model.
+        self._offsets = -0.5 * (np.array([m.log_det for m in models])
+                                + data_model.dim * math.log(2.0 * math.pi))
+
+    def log_densities(self, batch: np.ndarray) -> np.ndarray:
+        """Log densities of (..., n, d) samples under the data model and
+        each reference, as (1 + K, ..., n)."""
+        x = np.asarray(batch, dtype=float)
+        if not np.isfinite(x).all():
+            raise ValueError("non-finite samples to score")
+        models, dim = self._means.shape
+        stack = (models,) + (1,) * (x.ndim - 1)
+        centered = x - self._means.reshape(stack + (dim,))
+        z = centered @ self._whitening.reshape(stack[:-1] + (dim, dim))
+        return self._offsets.reshape(stack) - 0.5 * np.einsum(
+            "...i,...i->...", z, z)
 
     def score(self, batch: np.ndarray) -> np.ndarray:
-        densities = gaussian_log_density(batch, self._means, self._factors)
+        densities = self.log_densities(np.atleast_2d(batch))
         ld_data, stacked = densities[0], densities[1:]
         # Max-shifted log-mean-exp; with one reference it is that
         # reference's density exactly (top + log 1 - log 1).

@@ -12,6 +12,12 @@ from arena import toy
 from arena.tournament import MatchTable
 
 
+# Tolerances of the whitened densities of engine 2 against the solve-based
+# reference of engine 1, fixed before the change was measured: scores
+# absolute, log densities relative to max(1, |reference|).
+SCORE_ATOL = 1e-12
+DENSITY_RTOL = 1e-11
+
 # Characters for hypothesis text strategies: quote, backslash, control
 # characters (the seed-part separator 0x1f among them), ASCII, non-ASCII BMP
 # characters and one astral character. An explicit alphabet keeps hypothesis
@@ -21,13 +27,39 @@ TEXT_ALPHABET = ('"\\\x00\t\n\x1f\x7f aZ09:,{}'
                  '\u00e9\u00df\u2028\u4e2d\uffff\U0001f600')
 
 
+def gaussian_log_density(x: np.ndarray, mean: np.ndarray,
+                         factor: np.ndarray) -> np.ndarray:
+    """Log density of rows of x under N(mean, factor.T @ factor), by a
+    solve: the density path of engine 1.
+
+    factor is upper triangular with positive diagonal; the quadratic form is
+    evaluated by solving against factor.T, so no inverse is ever formed.
+    Stacked means (K, d) and factors (K, d, d) give (K, n) from one solve
+    call, each row bit-identical to the single-model (n,) result. x may
+    carry leading batch dimensions, (m, n, d) giving (K, m, n): the solve
+    then loops over (K, m) items, each the same LAPACK call as one batch.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite input to gaussian_log_density")
+    dim = mean.shape[-1]
+    ones = (1,) * (x.ndim - 2)
+    mean = mean.reshape(mean.shape[:-1] + ones + mean.shape[-1:])
+    factor = factor.reshape(factor.shape[:-2] + ones + factor.shape[-2:])
+    centered = np.swapaxes(x - mean[..., None, :], -1, -2)
+    z = np.linalg.solve(np.swapaxes(factor, -1, -2), centered)
+    quad = np.einsum("...ij,...ij->...j", z, z)
+    log_det = 2.0 * np.log(np.diagonal(factor, 0, -2, -1)).sum(-1)
+    return -0.5 * (quad + log_det[..., None] + dim * math.log(2.0 * math.pi))
+
+
 def reference_score(data_model, fake_models, batch) -> np.ndarray:
-    """The per-model oracle score: one density call per model, the fake
-    densities stacked with np.stack, a max-shifted log-mean-exp and a
-    saturating logistic. toy.OracleDiscriminator.score must equal it bit for
-    bit."""
+    """The engine-1 oracle score, bit for bit: one solve-based density call
+    per model, the fake densities stacked with np.stack, a max-shifted
+    log-mean-exp and a saturating logistic. toy.OracleDiscriminator.score
+    whitens instead of solving; it agrees to SCORE_ATOL."""
     def density(model):
-        return toy.gaussian_log_density(batch, model.mean, model.factor)
+        return gaussian_log_density(batch, model.mean, model.factor)
 
     ld_data = density(data_model)
     stacked = np.stack([density(m) for m in fake_models])

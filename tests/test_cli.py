@@ -300,6 +300,28 @@ class TestExtend:
                        fragment, "--force") == 0
         assert "config hash mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", [
+        {"engine": 1}, {}, {"engine": 3}])
+    def test_engine_mismatch_refuses_without_force(self, population, header,
+                                                   capsys):
+        config, log, fragment = population
+        first, body = log.read_text().split("\n", 1)
+        payload = {k: v for k, v in json.loads(first).items()
+                   if k != "engine"}
+        log.write_text(json.dumps({**payload, **header}) + "\n" + body)
+        engine = header.get("engine", 1)
+        before = log.read_bytes()
+        assert run_cli("extend", log, "--config", config, "--add",
+                       fragment) == 2
+        err = capsys.readouterr().err
+        assert f"produced under engine {engine}, but this arena plays " \
+            f"engine {tn.ENGINE}; pass --force" in err
+        assert log.read_bytes() == before
+        assert run_cli("extend", log, "--config", config, "--add",
+                       fragment, "--force") == 0
+        assert "engine mismatch; extending anyway" in capsys.readouterr().err
+        assert log.read_bytes().startswith(before)
+
     def test_fragment_without_new_players_is_an_error(self, population,
                                                       tmp_path, capsys):
         config, log, _ = population
@@ -395,6 +417,21 @@ class TestScheduleCommand:
         extra = ("--out-dir", out) if command == "run" else ("--list",)
         assert run_cli(command, "--config", path, *extra) == 2
         assert "scheduled twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, error", [
+        ({"batch_size": 8.0}, "at batch_size: 8.0"),
+        ({"schedule": {"kind": "explicit",
+                       "matches": [["tiny-g00", "tiny-d00", 1.0]]}},
+         "at schedule/matches/0/2: 1.0"),
+    ])
+    def test_a_float_integer_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                    overrides, error):
+        path = write_yaml(tmp_path / "float.cfg",
+                          tiny_config_payload(**overrides))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", path, "--out-dir", out) == 2
+        assert f"{error} is not of type 'integer'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_role_violations_exit_nonzero(self, tmp_path, capsys):

@@ -27,6 +27,24 @@ def minimal_payload() -> dict:
     }
 
 
+# Integer keys of the config schema, each with a setter.
+INTEGER_KEYS = [
+    ("seed", lambda p, v: p.update(seed=v)),
+    ("batch_size", lambda p, v: p.update(batch_size=v)),
+    ("task/dim", lambda p, v: p["task"].update(dim=v)),
+    ("players/0/trajectory_seed",
+     lambda p, v: p["players"][0].update(trajectory_seed=v)),
+    ("players/0/checkpoints/1",
+     lambda p, v: p["players"][0].update(checkpoints=[0, v])),
+    ("schedule/repeats",
+     lambda p, v: p.update(schedule={"kind": "round_robin", "repeats": v})),
+    ("schedule/matches/0/2",
+     lambda p, v: p.update(schedule={
+         "kind": "explicit", "matches": [["tiny-g00", "tiny-d01", v]]})),
+    ("rating/max_passes", lambda p, v: p.update(rating={"max_passes": v})),
+]
+
+
 class TestParseConfig:
     def test_defaults_are_filled(self):
         config = parse_config(minimal_payload())
@@ -51,6 +69,19 @@ class TestParseConfig:
         mutate(payload)
         with pytest.raises(ConfigError, match=fragment):
             parse_config(payload)
+
+    @pytest.mark.parametrize("value", [1.0, True])
+    @pytest.mark.parametrize("where, mutate", INTEGER_KEYS,
+                             ids=[where for where, _ in INTEGER_KEYS])
+    def test_integers_must_be_ints(self, where, mutate, value):
+        # `[g, d, 1.0]` would play the match `[g, d, 1]` under another hash.
+        payload = tiny_config_payload()
+        mutate(payload, value)
+        with pytest.raises(ConfigError, match=f"at {where}: {value!r} is "
+                                              "not of type 'integer'"):
+            parse_config(payload)
+        mutate(payload, 1)
+        parse_config(payload)
 
     def test_band_schedule_requires_width(self):
         payload = minimal_payload()

@@ -11,7 +11,7 @@ from arena import store
 from arena.store import (LOG_FORMAT, LogError, LogHeader, LogWriter,
                          header_line, parse_header, parse_record, read_log,
                          record_line)
-from arena.tournament import MatchRecord, MatchTable
+from arena.tournament import ENGINE, MatchRecord, MatchTable
 
 from conftest import TEXT_ALPHABET
 
@@ -49,9 +49,20 @@ record_strategy = st.tuples(st.integers(1, 512), st.integers(1, 512)).flatmap(
 class TestLineFormats:
     def test_header_is_compact_sorted_json(self):
         line = header_line(HEADER)
-        assert line == ('{"config_hash":"0123456789abcdef",'
+        assert line == ('{"config_hash":"0123456789abcdef","engine":2,'
                         '"format":"arena-log/1","seed":7}')
         assert parse_header(line) == HEADER
+
+    def test_header_round_trips_its_engine(self):
+        assert HEADER.engine == ENGINE == 2
+        for engine in (1, 2, 3):
+            header = LogHeader("feed", 7, engine=engine)
+            assert parse_header(header_line(header)) == header
+
+    def test_header_without_an_engine_is_engine_1(self):
+        header = parse_header('{"config_hash":"0123456789abcdef",'
+                              '"format":"arena-log/1","seed":7}')
+        assert header == LogHeader("0123456789abcdef", 7, engine=1)
 
     def test_record_line_round_trips(self):
         rec = make_record(3)
@@ -80,6 +91,12 @@ class TestLineFormats:
          "field seed has a bad value: True is not int"),
         ('{"config_hash":5,"format":"arena-log/1","seed":1}',
          "field config_hash has a bad value: 5 is not str"),
+        ('{"config_hash":"x","engine":true,"format":"arena-log/1","seed":1}',
+         "field engine has a bad value: True is not int"),
+        ('{"config_hash":"x","engine":2.0,"format":"arena-log/1","seed":1}',
+         "field engine has a bad value: 2.0 is not int"),
+        ('{"config_hash":"x","engine":"2","format":"arena-log/1","seed":1}',
+         "field engine has a bad value: '2' is not int"),
     ])
     def test_header_parse_errors(self, line, message):
         with pytest.raises(LogError, match=message):

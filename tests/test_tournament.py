@@ -14,7 +14,7 @@ from arena.config import (build_players, build_schedule, parse_config,
                           run_settings)
 from arena.tournament import (MatchError, MatchRecord, MatchTable,
                               PlayerSpec, RunSettings, band, explicit_schedule,
-                              match_rngs, match_seed, play_match,
+                              match_seed, match_stream, play_match,
                               round_robin, run_tournament, stable_seed,
                               validate_schedule)
 
@@ -84,10 +84,11 @@ class TestStableSeed:
 
     def test_match_rngs_are_independent_substreams(self):
         seed = match_seed(3, "g", "d", 0)
-        fake, real, judge = match_rngs(seed)
-        for stream, lane in ((fake, 0), (real, 1), (judge, 2)):
+        for lane in (tn.FAKE, tn.REAL, tn.JUDGE):
             expected = np.random.default_rng([seed, lane]).random(4)
-            assert np.array_equal(stream.random(4), expected)
+            assert np.array_equal(match_stream(seed, lane).random(4),
+                                  expected)
+        assert (tn.FAKE, tn.REAL, tn.JUDGE) == (0, 1, 2)
 
 
 class TestPlayerSpec:
@@ -543,11 +544,12 @@ class TestGroupedPlay:
         assert seen == replayed(explicit_schedule(done), built.players,
                                 built.data, settings)
 
-    @pytest.mark.parametrize("window, solves", [(tn.WINDOW, 1), (38, 2)])
-    def test_one_solve_per_window_for_a_chekhov_group(self, window, solves,
-                                                      monkeypatch):
+    @pytest.mark.parametrize("window", [tn.WINDOW, 38])
+    def test_no_solve_or_factorization_during_play(self, window,
+                                                   monkeypatch):
         # Play-mix sized: a dim-8 task, batch 64, a 10-reference chekhov
-        # judge facing 76 generators.
+        # judge facing 76 generators, beside every panel kind of the mixed
+        # population.
         task = toy.make_task(dim=8, seed=13)
         gens = toy.trajectory(task, 25, seed=3)
         disc = toy.chekhov_discriminator(task, gens, 24, seed=7)
@@ -556,16 +558,83 @@ class TestGroupedPlay:
         players["chk"] = disc
         schedule = round_robin([f"g{i:02d}" for i in range(76)], ["chk"])
         settings = RunSettings(seed=3, batch_size=64)
-        calls = []
-        solve = np.linalg.solve
+        config, built, mixed = mixed_population()
+        mixed = explicit_schedule(m for m in mixed.matches if m[0] != "bad")
+        expected = (replayed(schedule, players, task.model, settings),
+                    replayed(mixed, built.players, built.data,
+                             run_settings(config)))
 
-        def counting_solve(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("linear algebra during play")
 
         monkeypatch.setattr(tn, "WINDOW", window)
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        records = run_tournament(schedule, players, task.model, settings)
-        assert len(calls) == solves
-        monkeypatch.setattr(np.linalg, "solve", solve)
-        assert records == replayed(schedule, players, task.model, settings)
+        for name in ("solve", "inv", "cholesky", "det", "slogdet", "qr",
+                     "svd", "eigh", "lstsq", "pinv"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        assert (run_tournament(schedule, players, task.model, settings),
+                run_tournament(mixed, built.players, built.data,
+                               run_settings(config))) == expected
+
+
+class RecordingStreams:
+    """A panel that records the judging streams it is handed, and the state
+    each was in when the call began."""
+
+    def __init__(self, disc):
+        self.disc = disc
+        self.calls = []
+
+    def judge(self, batch, rng):
+        return self.disc.judge(batch, rng)
+
+    def judge_many(self, batches, rngs):
+        self.calls.append((rngs, [r.bit_generator.state for r in rngs]))
+        return self.disc.judge_many(batches, rngs)
+
+
+class TestJudgeStreams:
+    def test_a_mastered_panel_gets_each_match_judging_stream_twice(self):
+        config, built, schedule = mixed_population()
+        panel = RecordingStreams(built.players["forgetting-d03"])
+        assert panel.disc.mastered
+        built.players["forgetting-d03"] = panel
+        matches = [m for m in schedule.matches if m[1] == "forgetting-d03"
+                   and m[0] != "bad"]
+        schedule = explicit_schedule(matches)
+        settings = run_settings(config)
+        records = run_tournament(schedule, built.players, built.data,
+                                 settings)
+        assert records == replayed(schedule, built.players, built.data,
+                                   settings)
+        ((rngs, states),) = panel.calls
+        assert isinstance(rngs, tn.JudgeStreams)
+        assert len(rngs) == 2 * len(matches)
+        for k, (gen_id, disc_id, repeat) in enumerate(matches):
+            fresh = np.random.default_rng(
+                [match_seed(settings.seed, gen_id, disc_id, repeat), 2])
+            assert states[2 * k] == fresh.bit_generator.state
+            assert rngs[2 * k] is rngs[2 * k + 1]
+        assert rngs[-1] is rngs[len(rngs) - 1]
+        assert rngs[::2] == [rngs[i] for i in range(0, len(rngs), 2)]
+        with pytest.raises(IndexError):
+            rngs[len(rngs)]
+
+    def test_oracle_and_chekhov_groups_seed_no_judging_stream(
+            self, monkeypatch):
+        config, built, schedule = mixed_population()
+        kept = [m for m in schedule.matches
+                if m[1].startswith(("oracle-", "chekhov-"))
+                and m[0] != "bad"]
+        lanes = []
+        stream = tn.match_stream
+
+        def recording(seed, lane):
+            lanes.append(lane)
+            return stream(seed, lane)
+
+        monkeypatch.setattr(tn, "match_stream", recording)
+        records = run_tournament(explicit_schedule(kept), built.players,
+                                 built.data, run_settings(config))
+        assert len(records) == len(kept)
+        assert sorted(set(lanes)) == [tn.FAKE, tn.REAL]
+        assert len(lanes) == 2 * len(kept)

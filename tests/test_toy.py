@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 from scipy.special import expit, logsumexp
 
@@ -20,7 +20,8 @@ from arena.config import (build_players, build_schedule, parse_config,
                           run_settings)
 from arena.tournament import run_tournament
 
-from conftest import reference_score, tiny_config_payload
+from conftest import (DENSITY_RTOL, SCORE_ATOL, gaussian_log_density,
+                      reference_score, tiny_config_payload)
 
 
 @pytest.fixture
@@ -29,6 +30,9 @@ def task():
 
 
 class TestGaussianLogDensity:
+    """The solve-based density of engine 1, kept in conftest as the
+    reference that the whitened densities are held to."""
+
     @pytest.mark.parametrize("dim, seed", [(1, 0), (2, 5), (6, 42)])
     def test_matches_scipy(self, dim, seed):
         rng = np.random.default_rng(seed)
@@ -37,21 +41,21 @@ class TestGaussianLogDensity:
         cov = a.T @ a + 0.1 * np.eye(dim)
         factor = np.linalg.cholesky(cov).T
         x = rng.standard_normal((16, dim))
-        ours = toy.gaussian_log_density(x, mean, factor)
+        ours = gaussian_log_density(x, mean, factor)
         reference = stats.multivariate_normal(mean, cov).logpdf(x)
         assert np.allclose(ours, reference, rtol=1e-10, atol=1e-10)
 
     def test_single_row_input(self):
         mean = np.zeros(2)
         factor = np.eye(2)
-        value = toy.gaussian_log_density(np.zeros(2), mean, factor)
+        value = gaussian_log_density(np.zeros(2), mean, factor)
         assert value.shape == (1,)
         assert math.isclose(value[0], -math.log(2.0 * math.pi), rel_tol=1e-12)
 
     def test_rejects_non_finite_input(self):
         with pytest.raises(ValueError, match="non-finite"):
-            toy.gaussian_log_density(np.array([[np.nan, 0.0]]), np.zeros(2),
-                                     np.eye(2))
+            gaussian_log_density(np.array([[np.nan, 0.0]]), np.zeros(2),
+                                 np.eye(2))
 
     @given(st.integers(1, 16), st.integers(1, 130), st.integers(1, 12),
            st.integers(0, 2**32 - 1), st.integers(0, 5))
@@ -67,23 +71,23 @@ class TestGaussianLogDensity:
                                             cov=cov))
         batches = 3.0 * rng.standard_normal((max(stack, 1), n, dim))
         x = batches if stack else batches[0]
-        stacked = toy.gaussian_log_density(
+        stacked = gaussian_log_density(
             x, np.stack([m.mean for m in models]),
             np.stack([m.factor for m in models]))
         assert stacked.shape == (k, *x.shape[:-1])
         for row, model in zip(stacked, models):
-            single = toy.gaussian_log_density(x, model.mean, model.factor)
+            single = gaussian_log_density(x, model.mean, model.factor)
             assert np.array_equal(row, single)
             for values, batch in zip(row.reshape(-1, n), batches):
-                assert np.array_equal(values, toy.gaussian_log_density(
+                assert np.array_equal(values, gaussian_log_density(
                     batch, model.mean, model.factor))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_stacked_path_rejects_non_finite_input(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            toy.gaussian_log_density(np.array([[0.0, 1.0], [bad, 0.0]]),
-                                     np.zeros((3, 2)),
-                                     np.stack([np.eye(2)] * 3))
+            gaussian_log_density(np.array([[0.0, 1.0], [bad, 0.0]]),
+                                 np.zeros((3, 2)),
+                                 np.stack([np.eye(2)] * 3))
 
 
 class TestGaussianModel:
@@ -267,7 +271,7 @@ class TestOracleDiscriminator:
             task.model.sample(64, np.random.default_rng(1)),
             gens[4].sample(64, np.random.default_rng(2)),
             gens[15].sample(64, np.random.default_rng(3))])
-        densities = [toy.gaussian_log_density(batch, m.mean, m.factor)
+        densities = [gaussian_log_density(batch, m.mean, m.factor)
                      for m in [disc.data_model, *disc.fake_models]]
         ld_data, stacked = densities[0], np.stack(densities[1:])
         ld_fake = logsumexp(stacked, axis=0) - math.log(len(stacked))
@@ -275,8 +279,7 @@ class TestOracleDiscriminator:
         assert np.abs(disc.score(batch) - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("panel", ["oracle", "chekhov", "mastered"])
-    def test_score_equals_the_per_model_formula_bit_for_bit(self, task,
-                                                             panel):
+    def test_score_matches_the_engine_1_formula(self, task, panel):
         gens = toy.trajectory(task, 20, seed=3)
         if panel == "oracle":
             disc = toy.OracleDiscriminator(task.model,
@@ -292,28 +295,17 @@ class TestOracleDiscriminator:
             gens[4].sample(64, np.random.default_rng(2)),
             gens[15].sample(64, np.random.default_rng(3))])
         scores = disc.score(batch)
-        assert np.array_equal(
-            scores, reference_score(disc.data_model, disc.fake_models, batch))
+        reference = reference_score(disc.data_model, disc.fake_models, batch)
+        assert np.abs(scores - reference).max() <= SCORE_ATOL
         if panel == "mastered":
             assert np.all(scores == 0.5)
 
-    @pytest.mark.parametrize("index", [0, 1, 5, 15])
-    def test_one_solve_per_score_whatever_the_panel_size(self, task, index,
-                                                         monkeypatch):
-        disc = toy.chekhov_discriminator(task, toy.trajectory(task, 20,
-                                                              seed=3),
-                                         index, seed=7)
-        assert len(disc.fake_models) == min(index, 10) + 1
-        calls = []
-        solve = np.linalg.solve
-
-        def counting_solve(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        disc.score(task.model.sample(8, np.random.default_rng(0)))
-        assert len(calls) == 1
+    def test_rejects_non_finite_samples(self, task):
+        oracle = toy.noise_oracle(task, severity=3)
+        batch = task.model.sample(4, np.random.default_rng(0))
+        batch[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            oracle.score(batch)
 
     def test_far_samples_saturate_without_warnings(self, task):
         weak = toy.trajectory(task, 5, seed=3)[0]
@@ -348,22 +340,62 @@ class TestForgettingDiscriminator:
         assert not np.array_equal(scores, disc.score(batch))
 
 
-def judge_many_panels(task) -> tuple[dict, list]:
-    """Every toy panel kind with judge_many, and the trajectory behind it."""
+def every_panel(task, index: int) -> tuple[dict, list]:
+    """Every toy panel kind, built around checkpoint ``index`` of a
+    20-checkpoint trajectory, and the trajectory."""
     gens = toy.trajectory(task, 20, seed=3)
-
-    def forgetting(mastered):
-        return toy.ForgettingDiscriminator(
-            task.model, [gens[3].density_model(task)], mastered=mastered)
-
+    model = gens[index].density_model(task)
     return {
-        "oracle": toy.OracleDiscriminator(task.model,
-                                          [gens[4].density_model(task)]),
-        "chekhov": toy.chekhov_discriminator(task, gens, 15, seed=7),
-        "noise_oracle": toy.noise_oracle(task, severity=5),
-        "forgetting": forgetting(False),
-        "mastered": forgetting(True),
+        "oracle": toy.OracleDiscriminator(task.model, [model]),
+        "chekhov": toy.chekhov_discriminator(task, gens, index, seed=7),
+        "noise_oracle": toy.noise_oracle(task, severity=index % 9 + 1),
+        "forgetting": toy.ForgettingDiscriminator(task.model, [model],
+                                                  mastered=False),
+        "mastered": toy.ForgettingDiscriminator(task.model, [model],
+                                                mastered=True),
     }, gens
+
+
+class TestWhitenedDensities:
+    @given(st.sampled_from(["oracle", "chekhov", "noise_oracle",
+                            "forgetting", "mastered"]),
+           st.sampled_from([1, 3, 8]), st.integers(0, 19), st.integers(1, 4),
+           st.integers(1, 40), st.integers(0, 2**32 - 1))
+    # Checkpoint 0 is a 0.05-scaled map: its jittered covariance is nearly
+    # singular. One sample per batch is the other edge.
+    @example(panel="oracle", dim=8, index=0, m=3, n=1, seed=0)
+    @example(panel="chekhov", dim=8, index=19, m=2, n=1, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_within_the_fixed_tolerances_of_the_solve_reference(
+            self, panel, dim, index, m, n, seed):
+        task = toy.make_task(dim, seed=13)
+        panels, gens = every_panel(task, index)
+        disc = panels[panel]
+        models = [disc.data_model, *disc.fake_models]
+        rng = np.random.default_rng(seed)
+        sources = [task.model, *gens]
+        batches = np.stack([
+            sources[rng.integers(len(sources))].sample(n, rng)
+            for _ in range(m)])
+        reference = gaussian_log_density(
+            batches, np.stack([mo.mean for mo in models]),
+            np.stack([mo.factor for mo in models]))
+        densities = disc.log_densities(batches)
+        assert densities.shape == (len(models), m, n)
+        assert np.all(np.abs(densities - reference)
+                      <= DENSITY_RTOL * np.maximum(1.0, np.abs(reference)))
+        for batch in batches:
+            assert np.abs(disc.score(batch) - reference_score(
+                disc.data_model, disc.fake_models, batch)).max() <= SCORE_ATOL
+
+    def test_models_cache_their_whitening_and_log_determinant(self, task):
+        for gen in toy.trajectory(task, 5, seed=3):
+            model = gen.density_model(task)
+            assert np.allclose(model.whitening @ model.factor,
+                               np.eye(task.dim), atol=1e-9)
+            assert math.isclose(model.log_det,
+                                np.linalg.slogdet(model.cov)[1],
+                                rel_tol=1e-9, abs_tol=1e-9)
 
 
 class TestJudgeMany:
@@ -375,7 +407,7 @@ class TestJudgeMany:
     @example(panel="chekhov", m=4, n=1, seed=70154)
     def test_equals_per_batch_judge_bit_for_bit(self, panel, m, n, seed):
         task = toy.make_task(dim=4, seed=13)
-        panels, gens = judge_many_panels(task)
+        panels, gens = every_panel(task, 15)
         disc = panels[panel]
         rng = np.random.default_rng(seed)
         sources = [task.model, *gens]
@@ -397,8 +429,9 @@ class TestJudgeMany:
                 [seed, 0]).random(n))
         else:
             for row, batch in zip(scores, batches):
-                assert np.array_equal(row, reference_score(
-                    disc.data_model, disc.fake_models, batch))
+                assert np.abs(row - reference_score(
+                    disc.data_model, disc.fake_models,
+                    batch)).max() <= SCORE_ATOL
 
 
 class TestReservoirSample:
