@@ -544,6 +544,37 @@ class TestGroupedPlay:
         assert seen == replayed(explicit_schedule(done), built.players,
                                 built.data, settings)
 
+    @pytest.mark.parametrize("window, solves", [(tn.WINDOW, 1), (38, 2)])
+    def test_one_solve_per_window_for_a_chekhov_group(self, window, solves,
+                                                      monkeypatch):
+        # Play-mix sized: a dim-8 task, batch 64, a 10-reference chekhov
+        # judge facing 76 generators. Engine 2 whitens where engine 1
+        # solved: one batched pass per window, over the fake and the real
+        # batch of every match in it and the whole panel.
+        task = toy.make_task(dim=8, seed=13)
+        gens = toy.trajectory(task, 25, seed=3)
+        disc = toy.chekhov_discriminator(task, gens, 24, seed=7)
+        assert len(disc.fake_models) == 11
+        players = {f"g{i:02d}": gens[i % 25] for i in range(76)}
+        players["chk"] = disc
+        schedule = round_robin([f"g{i:02d}" for i in range(76)], ["chk"])
+        settings = RunSettings(seed=3, batch_size=64)
+        calls = []
+        einsum = np.einsum
+
+        def counting_einsum(*args, **kwargs):
+            calls.append(args)
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(tn, "WINDOW", window)
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        records = run_tournament(schedule, players, task.model, settings)
+        assert len(calls) == solves
+        assert sum(args[1].shape[1] for args in calls) == 2 * 76
+        assert all(args[1].shape[0] == 12 for args in calls)
+        monkeypatch.setattr(np, "einsum", einsum)
+        assert records == replayed(schedule, players, task.model, settings)
+
     @pytest.mark.parametrize("window", [tn.WINDOW, 38])
     def test_no_solve_or_factorization_during_play(self, window,
                                                    monkeypatch):

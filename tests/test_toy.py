@@ -300,6 +300,27 @@ class TestOracleDiscriminator:
         if panel == "mastered":
             assert np.all(scores == 0.5)
 
+    @pytest.mark.parametrize("index", [0, 1, 5, 15])
+    def test_one_solve_per_score_whatever_the_panel_size(self, task, index,
+                                                         monkeypatch):
+        # Engine 2 whitens where engine 1 solved: one batched pass over the
+        # data model and every reference, whatever the panel size.
+        disc = toy.chekhov_discriminator(task, toy.trajectory(task, 20,
+                                                              seed=3),
+                                         index, seed=7)
+        assert len(disc.fake_models) == min(index, 10) + 1
+        calls = []
+        einsum = np.einsum
+
+        def counting_einsum(*args, **kwargs):
+            calls.append(args)
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        disc.score(task.model.sample(8, np.random.default_rng(0)))
+        assert len(calls) == 1
+        assert calls[0][1].shape == (len(disc.fake_models) + 1, 8, task.dim)
+
     def test_rejects_non_finite_samples(self, task):
         oracle = toy.noise_oracle(task, severity=3)
         batch = task.model.sample(4, np.random.default_rng(0))
