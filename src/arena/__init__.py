@@ -7,9 +7,6 @@ players with known ground truth.
 
 __version__ = "0.1.0"
 
-from arena.glicko import (GameResult, Rating, RatingConfig, RatingOutcome,
-                          rate_tournament, update_player)
-
 __all__ = [
     "GameResult",
     "Rating",
@@ -19,3 +16,12 @@ __all__ = [
     "update_player",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # The rating engine loads on first use, so a process that needs only
+    # part of the package (an external reference player) never imports it.
+    if name in __all__:
+        from . import glicko
+        return getattr(glicko, name)
+    raise AttributeError(f"module 'arena' has no attribute {name!r}")

@@ -47,6 +47,8 @@ def _load_with_overrides(args) -> cfgmod.TournamentConfig:
         rating = dict(raw.get("rating") or {})
         rating.update(updates)
         raw["rating"] = rating
+    if raw == base.raw:
+        return base
     return cfgmod.parse_config(raw, where=str(args.config))
 
 
@@ -169,7 +171,11 @@ def _specs_from_records(table: tn.MatchTable) -> list[PlayerSpec]:
 
 
 def cmd_rate(args) -> int:
-    rating = cfgmod.parse_rating(_rating_updates(args), "command line")
+    # Without a rating flag there is nothing to validate: the defaults are
+    # what an empty ``rating:`` section gives.
+    updates = _rating_updates(args)
+    rating = (cfgmod.parse_rating(updates, "command line") if updates
+              else glicko.RatingConfig())
     header, records, problems = store.read_log(args.log, strict=args.strict)
     for problem in problems:
         _warn(problem)
@@ -348,6 +354,12 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: {exc.filename or exc}: not found", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # A path the user gave that cannot be opened, such as a directory.
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except (tn.MatchError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

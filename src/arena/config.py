@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
-
-import jsonschema
-import yaml
 
 from . import toy
 from .glicko import RatingConfig
@@ -223,24 +221,36 @@ class TournamentConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
+def _is_integer(checker, value) -> bool:
+    # JSON Schema counts 1.0 as an integer; a config may not, since
+    # `[g, d, 1.0]` would play the match `[g, d, 1]` under another hash.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(checker, value) -> bool:
+    # NaN passes every bound and infinity some of them, so neither is a
+    # number here: a NaN rating setting would rate every player NaN.
+    return _is_integer(checker, value) or (isinstance(value, float)
+                                            and math.isfinite(value))
+
+
 # One validator per schema, keyed by identity: every schema validated is a
-# module constant. Checking a schema against its metaschema costs about ten
-# times as much as validating a config, so it happens once, on first use.
-_VALIDATORS: dict[int, jsonschema.protocols.Validator] = {}
+# module constant. The schemas are checked against their metaschema by the
+# test suite, not here; jsonschema is imported only once a payload is
+# validated, so commands that read no config never load it.
+_VALIDATORS: dict[int, object] = {}
 
 
 def _validate(payload, schema, where: str):
     """Raise the error ``jsonschema.validate`` would raise, as a
     ConfigError."""
+    import jsonschema
+
     validator = _VALIDATORS.get(id(schema))
     if validator is None:
         cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        # JSON Schema counts 1.0 as an integer; a config may not, since
-        # `[g, d, 1.0]` would play the match `[g, d, 1]` under another hash.
-        strict = cls.TYPE_CHECKER.redefine(
-            "integer", lambda _, value: isinstance(value, int)
-            and not isinstance(value, bool))
+        strict = cls.TYPE_CHECKER.redefine_many(
+            {"integer": _is_integer, "number": _is_number})
         cls = jsonschema.validators.extend(cls, type_checker=strict)
         validator = _VALIDATORS[id(schema)] = cls(schema)
     error = jsonschema.exceptions.best_match(validator.iter_errors(payload))
@@ -263,7 +273,8 @@ def parse_config(payload: Mapping, where: str = "config"
                           "command line, add --schedule band)")
     if schedule["kind"] == "explicit" and "matches" not in schedule:
         raise ConfigError(f"{where}: schedule kind 'explicit' needs matches")
-    rating = parse_rating(payload.get("rating") or {}, where)
+    # CONFIG_SCHEMA holds _RATING_SCHEMA, so the section is valid already.
+    rating = RatingConfig(**(payload.get("rating") or {}))
     return TournamentConfig(
         seed=int(payload["seed"]),
         batch_size=int(payload.get("batch_size", 64)),
@@ -283,14 +294,22 @@ def parse_rating(section: Mapping, where: str) -> RatingConfig:
     return RatingConfig(**section)
 
 
-def load_config(path) -> TournamentConfig:
+def _read_yaml(path, what: str):
+    import yaml
+
     try:
         with open(path) as fh:
-            payload = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{what} file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+
+
+def load_config(path) -> TournamentConfig:
+    payload = _read_yaml(path, "config")
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return parse_config(payload, where=str(path))
@@ -298,13 +317,7 @@ def load_config(path) -> TournamentConfig:
 
 def load_players_fragment(path) -> list[dict]:
     """Load an extension file containing only new player definitions."""
-    try:
-        with open(path) as fh:
-            payload = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"players file not found: {path}")
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+    payload = _read_yaml(path, "players")
     _validate(payload, PLAYERS_FRAGMENT_SCHEMA, str(path))
     return [dict(p) for p in payload["players"]]
 

@@ -25,8 +25,24 @@ def config_path(tmp_path):
     return write_yaml(tmp_path / "run.cfg", tiny_config_payload())
 
 
+@pytest.fixture
+def log_path(tmp_path, config_path):
+    out = tmp_path / "out"
+    run_cli("run", "--config", config_path, "--out-dir", out)
+    return out / "log.jsonl"
+
+
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def fresh_python(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python *argv`` in a new interpreter that imports this arena."""
+    src = str(Path(arena.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *map(str, argv)], env=env,
+                          capture_output=True, text=True, **kwargs)
 
 
 class TestRun:
@@ -129,12 +145,6 @@ class TestRun:
 
 
 class TestRate:
-    @pytest.fixture
-    def log_path(self, tmp_path, config_path):
-        out = tmp_path / "out"
-        run_cli("run", "--config", config_path, "--out-dir", out)
-        return out / "log.jsonl"
-
     def test_rate_prints_a_table(self, log_path, capsys):
         assert run_cli("rate", log_path) == 0
         stdout = capsys.readouterr().out
@@ -226,6 +236,12 @@ class TestRate:
 
     def test_missing_log_is_a_usage_error(self, tmp_path, capsys):
         assert run_cli("rate", tmp_path / "absent.jsonl") == 2
+
+    def test_directory_log_is_a_usage_error(self, tmp_path, capsys):
+        assert run_cli("rate", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path}: ")
+        assert "directory" in err and "Traceback" not in err
 
 
 @pytest.fixture
@@ -346,6 +362,7 @@ class TestRatingFlags:
     @pytest.mark.parametrize("command", ["rate", "extend"])
     @pytest.mark.parametrize("flag,value,key", [
         ("--tau", "0", "tau"), ("--tau", "-1", "tau"),
+        ("--tau", "nan", "tau"), ("--tau", "inf", "tau"),
         ("--passes", "0", "max_passes")])
     def test_invalid_value_is_a_usage_error(self, population, command, flag,
                                             value, key, capsys):
@@ -434,6 +451,26 @@ class TestScheduleCommand:
         assert f"{error} is not of type 'integer'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["damping", "default_rating"])
+    def test_a_non_finite_number_exits_2_naming_the_key(self, tmp_path,
+                                                        capsys, key):
+        # Written as YAML `.nan`; it used to rate every player NaN.
+        path = write_yaml(tmp_path / "nan.cfg",
+                          tiny_config_payload(rating={key: float("nan")}))
+        assert ".nan" in Path(path).read_text()
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", path, "--out-dir", out) == 2
+        assert (f"at rating/{key}: nan is not of type 'number'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_directory_config_is_a_usage_error(self, tmp_path, capsys):
+        assert run_cli("schedule", "--config", tmp_path) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {tmp_path}: ")
+        assert "directory" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_role_violations_exit_nonzero(self, tmp_path, capsys):
         payload = tiny_config_payload(
             schedule={"kind": "explicit",
@@ -464,23 +501,60 @@ class TestFlagPlumbing:
 
 def test_importing_the_cli_loads_no_scipy():
     # scipy is only a test-time reference; the runtime needs numpy alone.
-    src = str(Path(arena.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = ("import sys, arena.cli; print(sorted(m for m in sys.modules "
              "if m.split('.')[0] == 'scipy'))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
+    result = fresh_python("-c", probe, check=True)
     assert result.stdout.strip() == "[]"
+
+
+class TestColdStart:
+    """Each process loads only what its command uses: the config validator
+    and the YAML reader only where a config or a rating flag is read."""
+
+    PROBE = ("import json, sys\n"
+             "from arena import cli, config\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "loaded = sorted(m for m in ('jsonschema', 'yaml')"
+             " if m in sys.modules)\n"
+             "schemas = [name for name, value in vars(config).items()"
+             " if id(value) in config._VALIDATORS]\n"
+             "print(json.dumps([code, loaded, schemas]))\n")
+
+    def probe(self, *argv):
+        result = fresh_python("-c", self.PROBE, *argv, check=True)
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_rate_without_flags_loads_no_validator_or_yaml(self, log_path):
+        assert self.probe("rate", log_path) == [0, [], []]
+
+    def test_a_rating_flag_is_still_validated(self, log_path):
+        code, loaded, validators = self.probe("rate", log_path, "--tau",
+                                              "0.7")
+        assert (code, loaded) == (0, ["jsonschema"])
+        assert validators == ["_RATING_SCHEMA"]
+
+    def test_an_invalid_rating_flag_still_exits_2(self, log_path):
+        result = fresh_python("-m", "arena.cli", "rate", log_path, "--tau",
+                              "-1")
+        assert result.returncode == 2
+        assert "at tau:" in result.stderr and result.stdout == ""
+
+    def test_reference_player_does_not_import_the_engine(self):
+        result = fresh_python("-X", "importtime", "-m", "arena.ref_player",
+                              "--role", "generator", "--dim", "2",
+                              input='{"type": "shutdown"}\n', check=True)
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in result.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "arena.extern" in imported
+        assert not imported & {"arena.glicko", "arena.tournament",
+                               "jsonschema", "yaml"}
 
 
 def test_benchmark_tracer_still_wraps_every_layer(tmp_path):
     # perfbench/trace_cli.py patches module functions, cli.ExternalPlayer
     # and store.LogWriter by name, so a rename breaks the traced command.
     root = Path(__file__).resolve().parents[1]
-    src = str(Path(arena.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     trajectory = dict(tiny_config_payload()["players"][0], n_checkpoints=3)
     config = write_yaml(tmp_path / "traced.cfg", tiny_config_payload(players=[
         trajectory,
@@ -491,10 +565,8 @@ def test_benchmark_tracer_still_wraps_every_layer(tmp_path):
     panels.write_text("{}")
 
     def traced(name, *argv):
-        result = subprocess.run(
-            [sys.executable, str(root / "perfbench" / "trace_cli.py"),
-             str(tmp_path / f"{name}.json"), str(panels), "--",
-             *map(str, argv)], env=env, capture_output=True, text=True)
+        result = fresh_python(root / "perfbench" / "trace_cli.py",
+                              tmp_path / f"{name}.json", panels, "--", *argv)
         assert result.returncode == 0, result.stderr
         trace = json.loads((tmp_path / f"{name}.json").read_text())
         return {span[0] for span in trace["spans"]}

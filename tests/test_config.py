@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import jsonschema
 import numpy as np
 import pytest
@@ -44,6 +46,16 @@ INTEGER_KEYS = [
     ("rating/max_passes", lambda p, v: p.update(rating={"max_passes": v})),
 ]
 
+# Number keys of the config schema, each with a setter.
+NUMBER_KEYS = [
+    ("threshold", lambda p, v: p.update(threshold=v)),
+    ("players/0/mastery_fraction",
+     lambda p, v: p["players"][0].update(mastery_fraction=v)),
+    ("rating/default_rating",
+     lambda p, v: p.update(rating={"default_rating": v})),
+    ("rating/damping", lambda p, v: p.update(rating={"damping": v})),
+]
+
 
 class TestParseConfig:
     def test_defaults_are_filled(self):
@@ -81,6 +93,20 @@ class TestParseConfig:
                                               "not of type 'integer'"):
             parse_config(payload)
         mutate(payload, 1)
+        parse_config(payload)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where, mutate", NUMBER_KEYS,
+                             ids=[where for where, _ in NUMBER_KEYS])
+    def test_numbers_must_be_finite(self, where, mutate, value):
+        # NaN passes every bound, so a NaN rating setting used to rate
+        # every player NaN.
+        payload = tiny_config_payload()
+        mutate(payload, value)
+        with pytest.raises(ConfigError, match=f"at {where}: {value!r} is "
+                                              "not of type 'number'"):
+            parse_config(payload)
+        mutate(payload, 0.5)
         parse_config(payload)
 
     def test_band_schedule_requires_width(self):
@@ -145,20 +171,26 @@ class TestSchemas:
             parse_config(payload, where="cfg")
         assert str(caught.value) == f"cfg: at {path}: {expected.value.message}"
 
-    def test_each_schema_is_checked_once_per_process(self, monkeypatch):
-        cls = jsonschema.validators.validator_for(cfgmod.CONFIG_SCHEMA)
-        check = cls.check_schema
-        checked = []
+    def test_parse_config_builds_one_validator_and_checks_no_schema(
+            self, monkeypatch):
+        # The schemas are module constants, checked against the metaschema
+        # by the test above; a command only builds the validator it uses.
+        # check_schema looks up its metaschema's validator through
+        # validator_for, so a schema check would show up here.
+        validator_for = jsonschema.validators.validator_for
+        meta = validator_for(cfgmod.CONFIG_SCHEMA).META_SCHEMA
+        looked_up = []
 
-        def counting(schema, *args, **kwargs):
-            checked.append(schema)
-            return check(schema, *args, **kwargs)
+        def spy(schema, *args, **kwargs):
+            looked_up.append(schema)
+            return validator_for(schema, *args, **kwargs)
 
         monkeypatch.setattr(cfgmod, "_VALIDATORS", {})
-        monkeypatch.setattr(cls, "check_schema", counting)
+        monkeypatch.setattr(jsonschema.validators, "validator_for", spy)
         for _ in range(3):
-            parse_config(tiny_config_payload())
-        assert checked == [cfgmod.CONFIG_SCHEMA, SCHEMAS["_RATING_SCHEMA"]]
+            parse_config(tiny_config_payload(rating={"tau": 0.9}))
+        assert looked_up and all(s is not meta for s in looked_up)
+        assert list(cfgmod._VALIDATORS) == [id(cfgmod.CONFIG_SCHEMA)]
 
 
 class TestConfigHash:
@@ -369,6 +401,12 @@ class TestFiles:
     def test_missing_file_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.cfg")
+
+    def test_directory_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match=f"^{tmp_path}: "):
+            load_config(tmp_path)
+        with pytest.raises(ConfigError, match=f"^{tmp_path}: "):
+            load_players_fragment(tmp_path)
 
     def test_invalid_yaml_is_a_config_error(self, tmp_path):
         path = tmp_path / "broken.cfg"
