@@ -161,10 +161,15 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _specs_from_records(table: tn.MatchTable) -> list[PlayerSpec]:
+def _specs_from_records(table: tn.MatchTable, log) -> list[PlayerSpec]:
+    gen_rows, disc_rows = set(table.gen.tolist()), set(table.disc.tolist())
+    both = gen_rows & disc_rows
+    if both:
+        raise store.LogError(f"{log}: player {table.ids[min(both)]!r} is "
+                             "both a generator and a discriminator")
     # The ids are sorted, so sorted indices give sorted ids.
-    gens = [table.ids[i] for i in sorted(set(table.gen.tolist()))]
-    discs = [table.ids[i] for i in sorted(set(table.disc.tolist()))]
+    gens = [table.ids[i] for i in sorted(gen_rows)]
+    discs = [table.ids[i] for i in sorted(disc_rows)]
     return ([PlayerSpec(g, "generator", "custom", None, None) for g in gens]
             + [PlayerSpec(d, "discriminator", "custom", None, None)
                for d in discs])
@@ -183,7 +188,8 @@ def cmd_rate(args) -> int:
         _warn(f"{args.log}: no match records; every player would keep its "
               "default rating")
         return 0
-    _report(records, rating, _specs_from_records(records), args.out_dir, {})
+    _report(records, rating, _specs_from_records(records, args.log),
+            args.out_dir, {})
     return 0
 
 

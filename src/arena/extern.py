@@ -166,7 +166,12 @@ class ExternalPlayer:
                 self._dead = "player process exited"
                 raise ExternError(f"{context}: player process exited "
                                   "(stdin closed)") from None
-            return self._next_message(self.request_timeout, context)
+            try:
+                return self._next_message(self.request_timeout, context)
+            except RequestTimeout:
+                # A late reply would be read as the next request's answer.
+                self._dead = "an earlier request timed out"
+                raise
 
     def sample(self, count: int, rng: np.random.Generator | None = None
                ) -> np.ndarray:

@@ -331,28 +331,39 @@ def match_stream(seed: int, lane: int) -> np.random.Generator:
     return np.random.default_rng([seed, lane])
 
 
-class JudgeStreams(abc.Sequence):
-    """The ``rngs`` of one ``judge_many`` call: each match's judging stream
-    twice in a row, one per batch, created when first read.
+class _LazyStream:
+    """A match's judging stream, seeded when it is first used."""
 
-    A panel that never draws noise never reads them, so it costs no
-    seeding.
+    __slots__ = ("_seed", "_rng")
+
+    def __init__(self, seed: int):
+        self._seed = seed
+        self._rng: np.random.Generator | None = None
+
+    def __getattr__(self, name: str):
+        if self._rng is None:
+            self._rng = match_stream(self._seed, JUDGE)
+        return getattr(self._rng, name)
+
+
+class JudgeStreams(abc.Sequence):
+    """The judging streams of one discriminator group: each match's stream
+    twice in a row, one per batch.
+
+    A stream is seeded when it is first used, so a discriminator that never
+    draws noise costs no seeding.
     """
 
-    def __init__(self, seeds: Sequence[int]):
-        self._seeds = seeds
-        self._streams: dict[int, np.random.Generator] = {}
+    def __init__(self, seeds: Iterable[int]):
+        self._streams = [_LazyStream(seed) for seed in seeds]
 
     def __len__(self) -> int:
-        return 2 * len(self._seeds)
+        return 2 * len(self._streams)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self))[index]]
-        match = range(len(self))[index] // 2
-        if match not in self._streams:
-            self._streams[match] = match_stream(self._seeds[match], JUDGE)
-        return self._streams[match]
+        return self._streams[range(len(self))[index] // 2]
 
 
 def _check_batch(batch: np.ndarray, count: int, who: str) -> np.ndarray:
@@ -377,55 +388,29 @@ def _check_scores(scores: np.ndarray, count: int, who: str) -> np.ndarray:
     return scores
 
 
-def _draw(generator, data, generator_id: str, seed: int, batch_size: int
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """One match's checked fake and real batches."""
-    fake = _check_batch(generator.sample(batch_size, match_stream(seed, FAKE)),
-                        batch_size, f"generator {generator_id!r}")
-    real = _check_batch(data.sample(batch_size, match_stream(seed, REAL)),
-                        batch_size, "data source")
-    if fake.shape[1] != real.shape[1]:
-        raise MatchError(f"generator {generator_id!r} emits dim "
-                         f"{fake.shape[1]}, data source dim {real.shape[1]}")
-    return fake, real
-
-
-def _count(generator_id: str, discriminator_id: str, seed: int,
-           fake_scores: np.ndarray, real_scores: np.ndarray,
-           threshold: float) -> MatchRecord:
-    """The record of a match from its checked scores."""
-    return MatchRecord(
-        generator_id=generator_id,
-        discriminator_id=discriminator_id,
-        n_fake=len(fake_scores),
-        fake_wins=int(np.count_nonzero(fake_scores >= threshold)),
-        n_real=len(real_scores),
-        real_wins=int(np.count_nonzero(real_scores <= threshold)),
-        seed=seed,
-        threshold=threshold,
-    )
-
-
 def play_match(generator, discriminator, data, *, generator_id: str,
                discriminator_id: str, tournament_seed: int, repeat: int = 0,
                batch_size: int = 64, threshold: float = 0.5) -> MatchRecord:
     """Play one match and count per-sample wins for the generator.
 
-    The discriminator judges ``batch_size`` fake samples and a fresh real
-    batch of the same size, one ``judge`` call each. A fake sample scoring
-    at or above the threshold and a real sample scoring at or below it are
-    generator wins; ties on the boundary always favor the generator.
+    A window of one, so the record is the one ``run_tournament`` logs for
+    this match, and the first failure is raised. The discriminator judges
+    ``batch_size`` fake samples and a fresh real batch of the same size. A
+    fake sample scoring at or above the threshold and a real sample scoring
+    at or below it are generator wins; ties on the boundary always favor
+    the generator.
     """
-    seed = match_seed(tournament_seed, generator_id, discriminator_id, repeat)
-    fake, real = _draw(generator, data, generator_id, seed, batch_size)
-    judge_rng = match_stream(seed, JUDGE)
-    who = f"discriminator {discriminator_id!r}"
-    fake_scores = _check_scores(discriminator.judge(fake, judge_rng),
-                                batch_size, who)
-    real_scores = _check_scores(discriminator.judge(real, judge_rng),
-                                batch_size, who)
-    return _count(generator_id, discriminator_id, seed, fake_scores,
-                  real_scores, threshold)
+    if generator_id == discriminator_id:
+        raise ValueError(f"player {generator_id!r} cannot play itself")
+
+    def fail(match: tuple[str, str, int], exc: Exception) -> None:
+        raise exc
+
+    (record,) = _play_window(
+        [(generator_id, discriminator_id, repeat)],
+        {generator_id: generator, discriminator_id: discriminator}, data,
+        RunSettings(tournament_seed, batch_size, threshold), fail)
+    return record
 
 
 def _play_window(window: Sequence[tuple[str, str, int]],
@@ -435,18 +420,18 @@ def _play_window(window: Sequence[tuple[str, str, int]],
     """Play consecutive matches grouped by discriminator; the records come
     back in window order, None where a match failed.
 
-    A discriminator with ``judge_many`` judges every batch of its group in
-    one call: each match's fake batch and then its real batch, with a
-    ``JudgeStreams`` of the matches' judging streams, so a stream is only
-    seeded if the discriminator reads it. Any other discriminator is asked
-    through ``play_match``, one ``judge`` call per batch, with a seeded
-    stream.
+    A group first draws every match's fake and real batch. A discriminator
+    with ``judge_many`` then scores all of them in one call, each match's
+    fake batch and then its real batch. Any other discriminator gets one
+    ``judge`` call per batch, match by match, and is not asked for the real
+    batch of a match whose fake scores failed their check. Both read one
+    ``JudgeStreams``, so a judging stream is only seeded if it is read.
     """
     records: list[MatchRecord | None] = [None] * len(window)
     groups: dict[str, list[int]] = {}
     for i, (_, disc_id, _) in enumerate(window):
         groups.setdefault(disc_id, []).append(i)
-    size = settings.batch_size
+    size, threshold = settings.batch_size, settings.threshold
     for disc_id, indices in groups.items():
         try:
             discriminator = players[disc_id]
@@ -454,20 +439,19 @@ def _play_window(window: Sequence[tuple[str, str, int]],
             for i in indices:
                 fail(window[i], exc)
             continue
-        judge_many = getattr(discriminator, "judge_many", None)
         drawn, batches = [], []
         for i in indices:
             gen_id, _, repeat = window[i]
+            seed = match_seed(settings.seed, gen_id, disc_id, repeat)
+            who = f"generator {gen_id!r}"
             try:
-                if judge_many is None:
-                    records[i] = play_match(
-                        players[gen_id], discriminator, data,
-                        generator_id=gen_id, discriminator_id=disc_id,
-                        tournament_seed=settings.seed, repeat=repeat,
-                        batch_size=size, threshold=settings.threshold)
-                    continue
-                seed = match_seed(settings.seed, gen_id, disc_id, repeat)
-                fake, real = _draw(players[gen_id], data, gen_id, seed, size)
+                fake = _check_batch(players[gen_id].sample(
+                    size, match_stream(seed, FAKE)), size, who)
+                real = _check_batch(data.sample(
+                    size, match_stream(seed, REAL)), size, "data source")
+                if fake.shape[1] != real.shape[1]:
+                    raise MatchError(f"{who} emits dim {fake.shape[1]}, "
+                                     f"data source dim {real.shape[1]}")
             except Exception as exc:
                 fail(window[i], exc)
                 continue
@@ -476,27 +460,36 @@ def _play_window(window: Sequence[tuple[str, str, int]],
         if not drawn:
             continue
         who = f"discriminator {disc_id!r}"
-        rngs = JudgeStreams([seed for _, seed in drawn])
-        try:
-            scores = np.asarray(judge_many(np.stack(batches), rngs),
-                                dtype=float)
-            if scores.shape[:1] != (len(batches),):
-                raise MatchError(f"{who} returned scores with shape "
-                                 f"{scores.shape} for {len(batches)} "
-                                 "batches")
-        except Exception as exc:
-            for i, _ in drawn:
-                fail(window[i], exc)
-            continue
+        rngs = JudgeStreams(seed for _, seed in drawn)
+        judge_many = getattr(discriminator, "judge_many", None)
+        if judge_many is None:
+            def score(j: int) -> np.ndarray:
+                return discriminator.judge(batches[j], rngs[j])
+        else:
+            try:
+                stacked = np.asarray(judge_many(np.stack(batches), rngs),
+                                     dtype=float)
+                if stacked.shape[:1] != (len(batches),):
+                    raise MatchError(f"{who} returned scores with shape "
+                                     f"{stacked.shape} for {len(batches)} "
+                                     "batches")
+            except Exception as exc:
+                for i, _ in drawn:
+                    fail(window[i], exc)
+                continue
+            score = stacked.__getitem__
         for k, (i, seed) in enumerate(drawn):
             try:
-                records[i] = _count(
-                    window[i][0], disc_id, seed,
-                    _check_scores(scores[2 * k], size, who),
-                    _check_scores(scores[2 * k + 1], size, who),
-                    settings.threshold)
-            except MatchError as exc:
+                fake_scores = _check_scores(score(2 * k), size, who)
+                real_scores = _check_scores(score(2 * k + 1), size, who)
+            except Exception as exc:
                 fail(window[i], exc)
+                continue
+            records[i] = MatchRecord(
+                window[i][0], disc_id,
+                size, int(np.count_nonzero(fake_scores >= threshold)),
+                size, int(np.count_nonzero(real_scores <= threshold)),
+                seed, threshold)
     return records
 
 
@@ -508,13 +501,14 @@ def run_tournament(schedule: Schedule, players: Mapping[str, object], data,
 
     ``players`` maps ids to objects with sample()/judge() methods and, for
     discriminators, an optional judge_many(batches, rngs) that scores a
-    stack of batches at once; ``data`` supplies real batches. Within a
-    window the matches are played grouped by discriminator. Records are
-    the same as from ``play_match`` and are appended (and streamed to
-    ``sink``) in schedule order once their window is done. With
-    on_error="fatal" the first failure propagates and its window's records
-    are not sent, so the sink holds a schedule-order prefix; with "skip" a
-    failing match is logged and dropped.
+    stack of batches at once; ``data`` supplies real batches. Each window
+    is played by ``_play_window``, grouped by discriminator, and its
+    records are appended (and streamed to ``sink``) in schedule order once
+    it is done. A record depends only on its own match, never on the
+    window it was played in. With on_error="fatal" the first failure
+    propagates and its window's records are not sent, so the sink holds a
+    schedule-order prefix; with "skip" a failing match is logged and
+    dropped.
     """
     def fail(match: tuple[str, str, int], exc: Exception) -> None:
         if settings.on_error == "fatal":

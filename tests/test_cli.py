@@ -234,6 +234,24 @@ class TestRate:
         assert ":18: record real_wins -7 is outside" in captured.err
         assert captured.out == clean
 
+    @pytest.mark.parametrize("records, both", [
+        ([("g1", "d1"), ("d1", "g2")], "d1"),   # roles swap across records
+        ([("g1", "d1"), ("x", "x")], "x"),      # one record, both sides
+    ], ids=["across-records", "within-a-record"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_an_id_in_both_roles_is_a_corrupt_log(self, tmp_path, capsys,
+                                                  records, both, strict):
+        path = tmp_path / "log.jsonl"
+        with store.LogWriter(path, store.LogHeader("feed", 1)) as sink:
+            for seed, (gen_id, disc_id) in enumerate(records):
+                sink(tn.MatchRecord(gen_id, disc_id, 8, 5, 8, 3, seed=seed))
+        argv = ["rate", path, "--out-dir", tmp_path / "rated"]
+        assert run_cli(*argv, *(["--strict"] if strict else [])) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: player {both!r} is both a generator and a "
+            "discriminator\n")
+        assert not (tmp_path / "rated").exists()
+
     def test_missing_log_is_a_usage_error(self, tmp_path, capsys):
         assert run_cli("rate", tmp_path / "absent.jsonl") == 2
 

@@ -31,7 +31,8 @@ def ref_player(role: str, *extra: str) -> list[str]:
             "--dim", "3", *extra]
 
 
-def inline_child(body: str, hello: bool = False) -> list[str]:
+def inline_child(body: str, hello: bool = False,
+                 role: str = "generator") -> list[str]:
     prologue = textwrap.dedent("""
         import json, sys, time
         def emit(m):
@@ -39,9 +40,31 @@ def inline_child(body: str, hello: bool = False) -> list[str]:
             sys.stdout.flush()
     """)
     if hello:
-        prologue += ('emit({"type": "hello", "role": "generator", '
-                     '"name": "t", "dim": 2, "protocol": 1})\n')
+        prologue += ('emit({"type": "hello", "role": "%s", '
+                     '"name": "t", "dim": 2, "protocol": 1})\n' % role)
     return [sys.executable, "-c", prologue + textwrap.dedent(body)]
+
+
+def slow_first_judge() -> list[str]:
+    """A discriminator that answers its first request only after 1 s."""
+    return inline_child("""
+        for n, line in enumerate(sys.stdin):
+            request = json.loads(line)
+            if request["type"] == "shutdown":
+                break
+            time.sleep(1.0 if n == 0 else 0.0)
+            emit({"type": "scores", "values": [0.5] * len(request["data"])})
+    """, hello=True, role="discriminator")
+
+
+class LocalData:
+    def sample(self, count, rng):
+        return rng.standard_normal((count, 3))
+
+
+class HalfJudge:
+    def judge(self, batch, rng=None):
+        return np.full(len(batch), 0.25)
 
 
 class TestWireFormat:
@@ -208,6 +231,17 @@ class TestRequests:
             with pytest.raises(RequestTimeout, match="no reply within"):
                 player.sample(2)
 
+    def test_a_timed_out_session_answers_no_later_request(self):
+        with ExternalPlayer(slow_first_judge(), role="discriminator",
+                            request_timeout=0.3) as player:
+            with pytest.raises(RequestTimeout):
+                player.judge(np.zeros((2, 2)))
+            time.sleep(1.0)  # the late reply to the first request is in
+            for _ in range(2):
+                with pytest.raises(ExternError,
+                                   match="an earlier request timed out"):
+                    player.judge(np.zeros((2, 2)))
+
     def test_wrong_request_kind_answered_with_an_error(self):
         # Drive the reference player manually to check its own guard rail.
         proc = subprocess.Popen(ref_player("generator"),
@@ -271,14 +305,6 @@ class TestLifecycle:
             player.close()
 
     def test_crashed_player_only_loses_its_own_matches(self):
-        class LocalData:
-            def sample(self, count, rng):
-                return rng.standard_normal((count, 3))
-
-        class HalfJudge:
-            def judge(self, batch, rng=None):
-                return np.full(len(batch), 0.25)
-
         crasher = ExternalPlayer(ref_player("generator", "--crash-after",
                                             "1"), role="generator")
         try:
@@ -292,3 +318,21 @@ class TestLifecycle:
         finally:
             crasher.close()
         assert [r.generator_id for r in records] == ["ext", "local"]
+
+    def test_matches_after_a_timeout_are_lost_not_scored_late(self, caplog):
+        slow = ExternalPlayer(slow_first_judge(), role="discriminator",
+                              request_timeout=0.3)
+        schedule = explicit_schedule(
+            [("g", "ext", r) for r in range(6)] + [("g", "local")])
+        try:
+            with caplog.at_level("WARNING"):
+                records = run_tournament(
+                    schedule, {"g": LocalData(), "ext": slow,
+                               "local": HalfJudge()},
+                    LocalData(), RunSettings(seed=3, batch_size=4,
+                                             on_error="skip"))
+        finally:
+            slow.close()
+        assert [r.discriminator_id for r in records] == ["local"]
+        assert sum("skipping match g vs ext" in m
+                   for m in caplog.messages) == 6

@@ -325,6 +325,24 @@ class TestPlayMatch:
         record = self.play(FixedGenerator(), StepDiscriminator(2))
         assert record.seed == match_seed(7, "g", "d", 0)
 
+    def test_a_player_cannot_play_itself(self):
+        with pytest.raises(ValueError, match="cannot play itself"):
+            self.play(FixedGenerator(), StepDiscriminator(2),
+                      discriminator_id="g")
+
+    def test_is_the_record_run_tournament_logs(self):
+        config, built, schedule = mixed_population()
+        schedule = explicit_schedule(m for m in schedule.matches
+                                     if m[0] != "bad")
+        settings = run_settings(config)
+        assert [play_match(built.players[g], built.players[d], built.data,
+                           generator_id=g, discriminator_id=d,
+                           tournament_seed=settings.seed, repeat=r,
+                           batch_size=settings.batch_size,
+                           threshold=settings.threshold)
+                for g, d, r in schedule.matches] == run_tournament(
+                    schedule, built.players, built.data, settings)
+
     def test_identical_calls_are_bit_identical(self):
         first = self.play(FixedGenerator(), StepDiscriminator(2))
         second = self.play(FixedGenerator(), StepDiscriminator(2))
@@ -433,13 +451,37 @@ def mixed_population(repeats: int = 1):
     return config, built, build_schedule(config, specs)
 
 
+def reference_match(generator, discriminator, data, gen_id, disc_id,
+                    settings, repeat=0):
+    """One match played batch by batch, apart from grouped play: draw the
+    fake and the real batch, judge each with one ``judge`` call on the
+    match's judging stream, check the scores and count the wins."""
+    seed = match_seed(settings.seed, gen_id, disc_id, repeat)
+    size, threshold = settings.batch_size, settings.threshold
+    fake = tn._check_batch(generator.sample(size, match_stream(seed, tn.FAKE)),
+                           size, f"generator {gen_id!r}")
+    real = tn._check_batch(data.sample(size, match_stream(seed, tn.REAL)),
+                           size, "data source")
+    if fake.shape[1] != real.shape[1]:
+        raise MatchError(f"generator {gen_id!r} emits dim {fake.shape[1]}, "
+                         f"data source dim {real.shape[1]}")
+    judge_rng = match_stream(seed, tn.JUDGE)
+    who = f"discriminator {disc_id!r}"
+    fake_scores = tn._check_scores(discriminator.judge(fake, judge_rng),
+                                   size, who)
+    real_scores = tn._check_scores(discriminator.judge(real, judge_rng),
+                                   size, who)
+    return MatchRecord(gen_id, disc_id, len(fake_scores),
+                       int(np.count_nonzero(fake_scores >= threshold)),
+                       len(real_scores),
+                       int(np.count_nonzero(real_scores <= threshold)),
+                       seed, threshold)
+
+
 def replayed(schedule, players, data, settings, skip=()):
-    """Every match through play_match, in schedule order, except those
-    whose (generator, discriminator, repeat) is in ``skip``."""
-    return [play_match(players[g], players[d], data, generator_id=g,
-                       discriminator_id=d, tournament_seed=settings.seed,
-                       repeat=r, batch_size=settings.batch_size,
-                       threshold=settings.threshold)
+    """Every match through ``reference_match``, in schedule order, except
+    those whose (generator, discriminator, repeat) is in ``skip``."""
+    return [reference_match(players[g], players[d], data, g, d, settings, r)
             for g, d, r in schedule.matches if (g, d, r) not in skip]
 
 
@@ -469,7 +511,7 @@ class FlakyPanel:
 class TestGroupedPlay:
     @pytest.mark.parametrize("window, repeats", [(1, 1), (7, 1), (50, 1),
                                                  (tn.WINDOW, 3)])
-    def test_records_are_those_of_play_match_in_schedule_order(
+    def test_records_are_those_of_the_reference_match_in_schedule_order(
             self, window, repeats, monkeypatch):
         config, built, schedule = mixed_population(repeats)
         schedule = explicit_schedule(m for m in schedule.matches
@@ -607,6 +649,29 @@ class TestGroupedPlay:
                                run_settings(config))) == expected
 
 
+def assert_no_judging_stream_is_seeded(monkeypatch, keep):
+    """Play the mixed population's matches against the discriminators that
+    ``keep`` selects: each seeds only its fake and its real stream, and
+    the records are the reference's."""
+    config, built, schedule = mixed_population()
+    kept = explicit_schedule(m for m in schedule.matches
+                             if keep(m[1]) and m[0] != "bad")
+    settings = run_settings(config)
+    expected = replayed(kept, built.players, built.data, settings)
+    lanes = []
+    stream = tn.match_stream
+
+    def recording(seed, lane):
+        lanes.append(lane)
+        return stream(seed, lane)
+
+    monkeypatch.setattr(tn, "match_stream", recording)
+    assert run_tournament(kept, built.players, built.data,
+                          settings) == expected
+    assert sorted(set(lanes)) == [tn.FAKE, tn.REAL]
+    assert len(lanes) == 2 * len(kept)
+
+
 class RecordingStreams:
     """A panel that records the judging streams it is handed, and the state
     each was in when the call began."""
@@ -652,20 +717,70 @@ class TestJudgeStreams:
 
     def test_oracle_and_chekhov_groups_seed_no_judging_stream(
             self, monkeypatch):
-        config, built, schedule = mixed_population()
-        kept = [m for m in schedule.matches
-                if m[1].startswith(("oracle-", "chekhov-"))
-                and m[0] != "bad"]
-        lanes = []
-        stream = tn.match_stream
+        assert_no_judging_stream_is_seeded(
+            monkeypatch, lambda d: d.startswith(("oracle-", "chekhov-")))
 
-        def recording(seed, lane):
-            lanes.append(lane)
-            return stream(seed, lane)
 
-        monkeypatch.setattr(tn, "match_stream", recording)
-        records = run_tournament(explicit_schedule(kept), built.players,
-                                 built.data, run_settings(config))
-        assert len(records) == len(kept)
-        assert sorted(set(lanes)) == [tn.FAKE, tn.REAL]
-        assert len(lanes) == 2 * len(kept)
+class RecordingJudge:
+    """A discriminator without ``judge_many``. It records each batch's
+    first value with the stream it is handed and that stream's state,
+    draws one number from the stream, and scores a batch whose first value
+    is in ``bad`` out of range."""
+
+    def __init__(self, bad=()):
+        self.bad = set(bad)
+        self.calls = []
+
+    def judge(self, batch, rng):
+        self.calls.append((batch[0, 0], rng, rng.bit_generator.state))
+        rng.random()
+        return np.full(len(batch), 1.5 if batch[0, 0] in self.bad else 0.25)
+
+
+class TestJudgeOnlyBranch:
+    settings = RunSettings(seed=5, batch_size=4, on_error="skip")
+    schedule = round_robin(["g1", "g2", "g3"], ["d"])
+
+    def play(self, judge):
+        players = {"g1": FixedGenerator(1.0), "g2": FixedGenerator(2.0),
+                   "g3": FixedGenerator(3.0), "d": judge}
+        return run_tournament(self.schedule, players, FixedGenerator(0.0),
+                              self.settings)
+
+    def test_judge_calls_go_fake_then_real_match_by_match(self):
+        judge = RecordingJudge()
+        records = self.play(judge)
+        assert [value for value, _, _ in judge.calls] == [1, 0, 2, 0, 3, 0]
+        reference = {"g1": FixedGenerator(1.0), "g2": FixedGenerator(2.0),
+                     "g3": FixedGenerator(3.0), "d": RecordingJudge()}
+        assert records == replayed(self.schedule, reference,
+                                   FixedGenerator(0.0), self.settings)
+
+    def test_a_failed_fake_batch_costs_its_match_and_no_real_request(
+            self, caplog):
+        judge = RecordingJudge(bad={2.0})
+        with caplog.at_level("WARNING"):
+            records = self.play(judge)
+        assert [value for value, _, _ in judge.calls] == [1, 0, 2, 3, 0]
+        assert [r.generator_id for r in records] == ["g1", "g3"]
+        assert sum("skipping match" in m for m in caplog.messages) == 1
+        assert "skipping match g2 vs d" in caplog.text
+
+    def test_each_match_judges_both_batches_on_its_own_stream(self):
+        judge = RecordingJudge()
+        self.play(judge)
+        for k, (gen_id, disc_id, repeat) in enumerate(self.schedule.matches):
+            (_, fake_rng, fake_state), (_, real_rng, real_state) = \
+                judge.calls[2 * k:2 * k + 2]
+            fresh = match_stream(
+                match_seed(self.settings.seed, gen_id, disc_id, repeat),
+                tn.JUDGE)
+            assert real_rng is fake_rng
+            assert fake_state == fresh.bit_generator.state
+            fresh.random()
+            assert real_state == fresh.bit_generator.state
+        assert len({id(rng) for _, rng, _ in judge.calls}) == 3
+
+    def test_a_constant_group_seeds_no_judging_stream(self, monkeypatch):
+        assert_no_judging_stream_is_seeded(
+            monkeypatch, lambda d: d == "const")
