@@ -511,7 +511,7 @@ class FlakyPanel:
 class TestGroupedPlay:
     @pytest.mark.parametrize("window, repeats", [(1, 1), (7, 1), (50, 1),
                                                  (tn.WINDOW, 3)])
-    def test_records_are_those_of_the_reference_match_in_schedule_order(
+    def test_records_are_those_of_play_match_in_schedule_order(
             self, window, repeats, monkeypatch):
         config, built, schedule = mixed_population(repeats)
         schedule = explicit_schedule(m for m in schedule.matches
@@ -519,6 +519,12 @@ class TestGroupedPlay:
         assert len(schedule) > window
         settings = run_settings(config)
         expected = replayed(schedule, built.players, built.data, settings)
+        assert [play_match(built.players[g], built.players[d], built.data,
+                           generator_id=g, discriminator_id=d,
+                           tournament_seed=settings.seed, repeat=r,
+                           batch_size=settings.batch_size,
+                           threshold=settings.threshold)
+                for g, d, r in schedule.matches] == expected
         monkeypatch.setattr(tn, "WINDOW", window)
         seen = []
         records = run_tournament(schedule, built.players, built.data,
