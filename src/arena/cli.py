@@ -72,8 +72,7 @@ def _out_dir(args, config: cfgmod.TournamentConfig | None = None) -> str:
 
 
 def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
-          schedule: tn.Schedule, strict: bool, sink=None
-          ) -> list[tn.MatchRecord]:
+          schedule: tn.Schedule, strict: bool, sink=None) -> tn.MatchTable:
     """Spawn the external players, play the schedule, and close the
     sessions again whatever happens.
 
@@ -107,13 +106,11 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
             session.close()
 
 
-def _report(records: list[tn.MatchRecord] | tn.MatchTable,
-            rating: glicko.RatingConfig, specs: list[PlayerSpec],
-            directory: str | None, names: dict,
+def _report(table: tn.MatchTable, rating: glicko.RatingConfig,
+            specs: list[PlayerSpec], directory: str | None, names: dict,
             schedule: tn.Schedule | None = None) -> None:
-    """Rate the records, write the artifacts into ``directory`` if one is
+    """Rate the match set, write the artifacts into ``directory`` if one is
     given, and print the table and every warning."""
-    table = tn.MatchTable.from_records(records)
     outcome = glicko.rate_tournament(table, rating)
     summary = sm.summarize(table, outcome.ratings, specs, schedule)
     if directory:
@@ -238,7 +235,7 @@ def cmd_extend(args) -> int:
     with store.LogWriter(args.log) as sink:
         for record in new_records:
             sink(record)
-    _report([*records, *new_records], config.rating, built.specs,
+    _report(records.concat(new_records), config.rating, built.specs,
             args.out_dir, config.outputs)
     print(f"appended {len(new_records)} records to {args.log} "
           f"(new players: {', '.join(new_gens + new_discs)})")

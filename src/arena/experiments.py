@@ -18,6 +18,8 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import config as cfgmod
 from . import glicko, store
 from . import summarize as sm
@@ -41,7 +43,7 @@ class RunBundle:
     config: cfgmod.TournamentConfig
     built: cfgmod.BuiltPlayers
     schedule: tn.Schedule
-    records: list[tn.MatchRecord]
+    records: tn.MatchTable
     outcome: glicko.RatingOutcome
 
     def summary(self) -> sm.TournamentSummary:
@@ -175,9 +177,12 @@ def _quality_correlation(bundle: RunBundle, cov_errors: list[float],
         ratings = bundle.outcome.ratings
     else:
         by_id = {s.id: s for s in bundle.built.specs}
-        kept = [r for r in bundle.records
-                if by_id[r.discriminator_id].iteration >= min_disc_iteration]
-        ratings = glicko.rate_tournament(kept, bundle.config.rating).ratings
+        table = bundle.records
+        late = np.array([by_id[pid].role == tn.ROLE_DISCRIMINATOR
+                         and by_id[pid].iteration >= min_disc_iteration
+                         for pid in table.ids], dtype=bool)
+        ratings = glicko.rate_tournament(table.take(late[table.disc]),
+                                         bundle.config.rating).ratings
     specs = sorted((s for s in bundle.built.specs if s.role == "generator"),
                    key=lambda s: s.iteration)
     xs = [ratings[s.id].rating for s in specs]

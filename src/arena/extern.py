@@ -77,6 +77,25 @@ def parse_message(line: str) -> dict:
     return message
 
 
+def _numbers(value, what: str, rows: bool = False) -> np.ndarray:
+    """A reply's payload as floats: a list of numbers or, with ``rows``, a
+    list of equally long lists of numbers. Anything else (strings,
+    booleans, objects, ragged rows, integers beyond double range) is a
+    ProtocolError, not coerced."""
+    items = value if rows else [value]
+    try:
+        if (isinstance(value, list)
+                and all(isinstance(item, list) for item in items)
+                and len({len(item) for item in items}) <= 1
+                and all(type(x) in (int, float)
+                        for item in items for x in item)):
+            return np.array(value, dtype=float)
+    except OverflowError:
+        pass
+    raise ProtocolError(f"{what} is not a list of "
+                        f"{'equally long rows of ' if rows else ''}numbers")
+
+
 class ExternalPlayer:
     """One child process playing as a generator or discriminator.
 
@@ -183,7 +202,7 @@ class ExternalPlayer:
                                "seed": seed}, "generate")
         if reply["type"] != "samples":
             raise ProtocolError(f"generate answered with {reply['type']!r}")
-        data = np.asarray(reply.get("data", []), dtype=float)
+        data = _numbers(reply.get("data", []), "samples data", rows=True)
         if data.size == 0:
             data = data.reshape(0, self.dim)
         if data.ndim != 2 or data.shape[0] != count:
@@ -204,7 +223,7 @@ class ExternalPlayer:
                               "judge")
         if reply["type"] != "scores":
             raise ProtocolError(f"judge answered with {reply['type']!r}")
-        values = np.asarray(reply.get("values", []), dtype=float)
+        values = _numbers(reply.get("values", []), "scores values")
         if values.shape != (len(batch),):
             raise BatchSizeMismatch(f"judged {len(batch)} samples, got "
                                     f"{values.shape} scores")

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .tournament import MatchRecord, MatchTable
+from .tournament import MatchTable
 
 # Fixed conversion between the public scale (1500-anchored) and the internal
 # mu/phi scale. The anchor stays at 1500 even when players start elsewhere.
@@ -299,10 +299,9 @@ def _period_sums(ratings: Sequence[Rating], gen: np.ndarray,
     return v_inv.tolist(), delta_sum.tolist()
 
 
-def rate_tournament(records: Iterable[MatchRecord] | MatchTable,
-                    config: RatingConfig | None = None) -> RatingOutcome:
-    """Rate a full match set, a ``MatchTable`` or an iterable of records,
-    by fixed-point iteration.
+def rate_tournament(table: MatchTable, config: RatingConfig | None = None
+                    ) -> RatingOutcome:
+    """Rate a full match set by fixed-point iteration.
 
     The whole match set forms a single rating period. Each pass re-rates
     every player from their prior against a snapshot of the opponents'
@@ -314,7 +313,6 @@ def rate_tournament(records: Iterable[MatchRecord] | MatchTable,
     cfg = config or RatingConfig()
     if cfg.outcome_mode not in ("per-sample", "per-match"):
         raise ValueError(f"unknown outcome mode: {cfg.outcome_mode!r}")
-    table = MatchTable.from_records(records)
     # In per-sample mode a weight of the judged-sample count is exactly the
     # sum of the per-sample wins and losses, since the Glicko2 accumulators
     # are linear in the games; per-match mode plays the same game at weight

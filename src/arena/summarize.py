@@ -1,11 +1,11 @@
 """Summary artifacts for finished tournaments.
 
-Turns match records plus ratings into per-generator tournament win rates,
+Turns a match table plus ratings into per-generator tournament win rates,
 win-rate heatmaps over checkpoint axes, per-experiment skill curves, and the
 rank-correlation diagnostics used to compare schedules.
 
 Every win rate comes from one place, ``_pair_rates``, which reads the
-columns of a ``MatchTable``; the public functions take records or a table.
+columns of a ``MatchTable``, the one type the public functions take.
 Only records with judged samples count, the rule the rating pass follows
 too. Pairs, and then generators, are laid out in first-appearance order and
 summed with ``np.bincount`` in that order, so every mean is the left-to-right
@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .glicko import Rating
-from .tournament import MatchRecord, MatchTable, PlayerSpec, Schedule
+from .tournament import MatchTable, PlayerSpec, Schedule
 
 WIN_RATE_WARNING = ("win rates from a non-round-robin schedule are not "
                     "comparable between players")
@@ -64,15 +64,14 @@ def _pair_rates(table: MatchTable) -> _PairRates:
     return _PairRates(table.ids, gen[first], disc[first], means)
 
 
-def pair_win_rates(records: Iterable[MatchRecord] | MatchTable
-                   ) -> dict[tuple[str, str], float]:
+def pair_win_rates(table: MatchTable) -> dict[tuple[str, str], float]:
     """Mean match win rate per (generator, discriminator) pair.
 
     A match's win rate is the fraction of its judged samples the generator
     won. Records without judged samples are left out, so a pair that has
     only such records is absent. Pairs come in first-appearance order.
     """
-    pairs = _pair_rates(MatchTable.from_records(records))
+    pairs = _pair_rates(table)
     ids = pairs.ids
     return {(ids[g], ids[d]): rate for g, d, rate in zip(
         pairs.gen.tolist(), pairs.disc.tolist(), pairs.rate.tolist())}
@@ -84,15 +83,14 @@ def _generator_rates(pairs: _PairRates) -> dict[str, float]:
             for g, mean in zip(pairs.gen[first].tolist(), means.tolist())}
 
 
-def tournament_win_rate(records: Iterable[MatchRecord] | MatchTable
-                        ) -> dict[str, float]:
+def tournament_win_rate(table: MatchTable) -> dict[str, float]:
     """Average win rate of each generator over the discriminators it played.
 
-    Takes records or a table, as ``pair_win_rates`` does. Repeats of the
-    same pairing are averaged first, so every opponent counts once.
-    Generators with no judged matches are absent rather than rated zero.
+    Repeats of the same pairing are averaged first, so every opponent counts
+    once. Generators with no judged matches are absent rather than rated
+    zero.
     """
-    return _generator_rates(_pair_rates(MatchTable.from_records(records)))
+    return _generator_rates(_pair_rates(table))
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,11 +225,11 @@ def _axis(specs: Sequence[PlayerSpec], role: str) -> list[str]:
     return [s.id for s in chosen]
 
 
-def summarize(records: Iterable[MatchRecord] | MatchTable,
-              ratings: Mapping[str, Rating], players: Sequence[PlayerSpec],
+def summarize(table: MatchTable, ratings: Mapping[str, Rating],
+              players: Sequence[PlayerSpec],
               schedule: Schedule | None = None) -> TournamentSummary:
     """Assemble every summary artifact for one tournament."""
-    pairs = _pair_rates(MatchTable.from_records(records))
+    pairs = _pair_rates(table)
     rates = _generator_rates(pairs)
     by_id = {spec.id: spec for spec in players}
     rows = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from collections import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -82,7 +82,8 @@ class MatchTable:
     ``ids`` holds every player id once, sorted, and ``gen``/``disc`` index
     into it. The counts are int64, ``seed`` is uint64 (blake2b-64 seeds
     reach 2**64 - 1) and ``threshold`` is float. ``len()`` counts the
-    records and iterating yields them as ``MatchRecord``s, in order.
+    records and iterating yields them as ``MatchRecord``s, in order. This
+    is the one type for a set of matches, from play to report.
     """
 
     ids: tuple[str, ...]
@@ -114,12 +115,8 @@ class MatchTable:
                    column(seed, np.uint64), column(threshold, float))
 
     @classmethod
-    def from_records(cls, records: Iterable[MatchRecord] | MatchTable
-                     ) -> MatchTable:
-        """The one converter from records to a table; a table is returned
-        as it is."""
-        if isinstance(records, cls):
-            return records
+    def from_records(cls, records: Iterable[MatchRecord]) -> MatchTable:
+        """The one converter from records to a table."""
         records = list(records)
         index: dict[str, int] = {}
         gen = [index.setdefault(r.generator_id, len(index)) for r in records]
@@ -130,6 +127,23 @@ class MatchTable:
             [r.fake_wins for r in records], [r.n_real for r in records],
             [r.real_wins for r in records], [r.seed for r in records],
             [r.threshold for r in records])
+
+    def concat(self, other: MatchTable) -> MatchTable:
+        """This table's rows and then ``other``'s, each in its own order."""
+        def join(name: str) -> np.ndarray:
+            return np.concatenate([getattr(self, name), getattr(other, name)])
+
+        return MatchTable.from_columns(
+            self.ids + other.ids,
+            np.concatenate([self.gen, other.gen + len(self.ids)]),
+            np.concatenate([self.disc, other.disc + len(self.ids)]),
+            *map(join, ("n_fake", "fake_wins", "n_real", "real_wins", "seed",
+                        "threshold")))
+
+    def take(self, rows) -> MatchTable:
+        """The chosen rows, by index or boolean mask, over the same ids."""
+        return MatchTable(self.ids, *(getattr(self, column.name)[rows]
+                                      for column in fields(self)[1:]))
 
     def judged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows with judged samples: their indices, their judged-sample
@@ -496,19 +510,19 @@ def _play_window(window: Sequence[tuple[str, str, int]],
 def run_tournament(schedule: Schedule, players: Mapping[str, object], data,
                    settings: RunSettings,
                    sink: Callable[[MatchRecord], None] | None = None
-                   ) -> list[MatchRecord]:
+                   ) -> MatchTable:
     """Play every scheduled match, ``WINDOW`` consecutive matches at a time.
 
     ``players`` maps ids to objects with sample()/judge() methods and, for
     discriminators, an optional judge_many(batches, rngs) that scores a
     stack of batches at once; ``data`` supplies real batches. Each window
     is played by ``_play_window``, grouped by discriminator, and its
-    records are appended (and streamed to ``sink``) in schedule order once
-    it is done. A record depends only on its own match, never on the
-    window it was played in. With on_error="fatal" the first failure
-    propagates and its window's records are not sent, so the sink holds a
-    schedule-order prefix; with "skip" a failing match is logged and
-    dropped.
+    records are kept (and streamed to ``sink``) in schedule order once it
+    is done; they come back as a ``MatchTable`` in that order. A record
+    depends only on its own match, never on the window it was played in.
+    With on_error="fatal" the first failure propagates and its window's
+    records are not sent, so the sink holds a schedule-order prefix; with
+    "skip" a failing match is logged and dropped.
     """
     def fail(match: tuple[str, str, int], exc: Exception) -> None:
         if settings.on_error == "fatal":
@@ -525,4 +539,4 @@ def run_tournament(schedule: Schedule, players: Mapping[str, object], data,
                 records.append(record)
                 if sink is not None:
                     sink(record)
-    return records
+    return MatchTable.from_records(records)

@@ -21,6 +21,7 @@ from arena import toy
 from arena.cli import main
 from arena.config import load_config
 from arena.glicko import GameResult, Rating, rate_tournament, update_player
+from arena.tournament import MatchTable
 
 from conftest import column_means, tiny_config_payload, win_rate, write_yaml
 
@@ -95,7 +96,7 @@ def test_criterion_2_real_data_neutrality():
                     {"kind": "constant", "id": "all-fake", "value": 0.0}],
         "schedule": {"kind": "round_robin"},
     })
-    exact = win_rate(judged.records[0])
+    exact = win_rate(list(judged.records)[0])
 
     # A panel of pre-mastery snapshot oracles; the mastered snapshot is
     # excluded because its scores tie the threshold on every sample.
@@ -175,7 +176,8 @@ def test_criterion_5_forgetting_vs_retentive_panels(panel_study):
             by_id = {s.id: s for s in bundle.built.specs}
             kept = [r for r in bundle.records
                     if by_id[r.discriminator_id].iteration >= mastery]
-            ratings = rate_tournament(kept, bundle.config.rating).ratings
+            ratings = rate_tournament(MatchTable.from_records(kept),
+                                      bundle.config.rating).ratings
         else:
             ratings = bundle.outcome.ratings
         return abs(sm.pearson([ratings[s.id].rating for s in gens], quality))

@@ -2,22 +2,26 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import arena
+from arena import cli
 from arena import config as cfgmod
 from arena import store
 from arena import tournament as tn
 from arena.cli import build_parser, _load_with_overrides, main
 from arena.config import config_hash, load_config
 
-from conftest import tiny_config_payload, write_yaml
+from conftest import round_robin_table, tiny_config_payload, write_yaml
 
 
 @pytest.fixture
@@ -374,6 +378,80 @@ class TestExtend:
         assert run_cli("extend", log, "--config", config, "--add",
                        duplicate) == 2
         assert "duplicate player id" in capsys.readouterr().err
+
+
+def rated_columns(summary_csv) -> list[tuple[str, ...]]:
+    """The id, rating, deviation, volatility and win_rate of every row."""
+    with open(summary_csv, newline="") as fh:
+        return [(row["id"], row["rating"], row["deviation"],
+                 row["volatility"], row["win_rate"])
+                for row in csv.DictReader(fh)]
+
+
+class TestRerating:
+    def test_rate_reproduces_run_and_extend(self, population, tmp_path):
+        # The log carries no config, so the spec columns (iteration,
+        # experiment) of a re-rated summary are still empty.
+        config, log, fragment = population
+        out = log.parent
+        assert run_cli("rate", log, "--out-dir", tmp_path / "rated") == 0
+        assert rated_columns(tmp_path / "rated" / "summary.csv") == \
+            rated_columns(out / "summary.csv")
+        assert run_cli("extend", log, "--config", config, "--add", fragment,
+                       "--out-dir", tmp_path / "extended") == 0
+        assert run_cli("rate", log, "--out-dir",
+                       tmp_path / "rated-extended") == 0
+        extended = rated_columns(tmp_path / "extended" / "summary.csv")
+        assert extended == rated_columns(
+            tmp_path / "rated-extended" / "summary.csv")
+        assert len(extended) == len(rated_columns(out / "summary.csv")) + 2
+
+    def test_extend_reports_a_large_table_in_bounded_memory(
+            self, population, monkeypatch, capsys):
+        # A stored 316x316 round robin plus one new generator's 316
+        # records, from extend's join of the two through the printed
+        # report. Joining the columns peaks near 186 traced bytes a
+        # record; expanding both into MatchRecord objects and packing them
+        # back into a table peaked at 363.
+        config, log, fragment = population
+        header, _, _ = store.read_log(log)
+        stored = round_robin_table(316)
+        rng = np.random.default_rng(1)
+        n = np.full(316, 16)
+        new = tn.MatchTable.from_columns(
+            ["g-new", *(f"d{i}" for i in range(316))], np.zeros(316, int),
+            np.arange(1, 317), n, rng.binomial(n, 0.6), n,
+            rng.binomial(n, 0.4), np.zeros(316, np.uint64),
+            np.full(316, 0.5))
+
+        class NoWrites:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                pass
+
+            def __call__(self, record):
+                pass
+
+        monkeypatch.setattr(store, "read_log",
+                            lambda path, strict=True: (header, stored, []))
+        monkeypatch.setattr(cli, "_play", lambda *args: new)
+        monkeypatch.setattr(store, "LogWriter", lambda path: NoWrites())
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            assert run_cli("extend", log, "--config", config, "--add",
+                           fragment) == 0
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert "appended 316 records" in capsys.readouterr().out
+        assert peak / (len(stored) + len(new)) <= 256.0
 
 
 class TestRatingFlags:

@@ -150,7 +150,8 @@ class TestSimulate:
         assert sorted(p.name for p in target.iterdir()) == sorted(
             [*names, "verdict.json"])
         header, records, _ = read_log(target / "full.jsonl")
-        assert list(records) == ex.run_config(ex.within_config(1)).records
+        assert list(records) == list(
+            ex.run_config(ex.within_config(1)).records)
         assert header.seed == 1
 
     def test_multi_population_verdict_holds(self):

@@ -17,13 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from arena.cli import main
 from arena.extern import (MESSAGE_TYPES, BatchSizeMismatch, ExternError,
                           ExternalPlayer, HandshakeFailed, ProtocolError,
                           RequestTimeout, RoleMismatch, ScoreOutOfRange,
                           dump_message, parse_message)
 from arena.tournament import RunSettings, explicit_schedule, run_tournament
 
-from conftest import TEXT_ALPHABET
+from conftest import TEXT_ALPHABET, tiny_config_payload, write_yaml
 
 
 def ref_player(role: str, *extra: str) -> list[str]:
@@ -55,6 +56,38 @@ def slow_first_judge() -> list[str]:
             time.sleep(1.0 if n == 0 else 0.0)
             emit({"type": "scores", "values": [0.5] * len(request["data"])})
     """, hello=True, role="discriminator")
+
+
+def malformed_child(role: str, payload: str) -> list[str]:
+    """A player that answers every request with ``payload``, a Python
+    expression in the request's sample count ``n``, as its samples data
+    (a generator) or its scores values (a discriminator)."""
+    reply, field = (("samples", "data") if role == "generator"
+                    else ("scores", "values"))
+    return inline_child(f"""
+        for line in sys.stdin:
+            request = json.loads(line)
+            if request["type"] == "shutdown":
+                break
+            n = request.get("count") or len(request["data"])
+            emit({{"type": "{reply}", "{field}": {payload}}})
+    """, hello=True, role=role)
+
+
+# Replies that are not a list of numbers (rows of numbers for samples), or
+# that hold an integer beyond double range; none may be coerced into a
+# batch. The children declare dim 2.
+MALFORMED = [
+    pytest.param("generator", "[[0.0, 0.0]] * (n - 1) + [[0.0]]",
+                 id="ragged-samples"),
+    pytest.param("generator", '{"a": 1}', id="object-samples"),
+    pytest.param("generator", '[["0.5", "0.5"]] * n', id="string-samples"),
+    pytest.param("generator", "[[True, False]] * n", id="boolean-samples"),
+    pytest.param("discriminator", '{"a": 1}', id="object-scores"),
+    pytest.param("discriminator", '["0.5"] * n', id="string-scores"),
+    pytest.param("discriminator", "[True] * n", id="boolean-scores"),
+    pytest.param("discriminator", "[10 ** 400] * n", id="huge-int-scores"),
+]
 
 
 class LocalData:
@@ -258,6 +291,48 @@ class TestRequests:
         finally:
             proc.stdin.close()
             proc.wait(timeout=5)
+
+
+class TestMalformedReplies:
+    @pytest.mark.parametrize("role, payload", MALFORMED)
+    def test_a_reply_that_is_not_numbers_is_a_protocol_error(self, role,
+                                                             payload):
+        with ExternalPlayer(malformed_child(role, payload),
+                            role=role) as player:
+            with pytest.raises(ProtocolError, match="not a list of"):
+                if role == "generator":
+                    player.sample(4)
+                else:
+                    player.judge(np.zeros((4, 2)))
+
+    def test_well_formed_replies_still_pass(self):
+        with ExternalPlayer(malformed_child("generator", "[[1, 0.5]] * n"),
+                            role="generator") as player:
+            assert np.array_equal(player.sample(3), np.full((3, 2), [1, .5]))
+        with ExternalPlayer(malformed_child("discriminator", "[0, 1.0] * 2"),
+                            role="discriminator") as player:
+            assert player.judge(np.zeros((4, 2))).tolist() == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("role, payload", MALFORMED)
+    def test_strict_runs_exit_1_and_lenient_runs_skip(self, role, payload,
+                                                      tmp_path, capsys):
+        trajectory = dict(tiny_config_payload()["players"][0],
+                          n_checkpoints=2)
+        config = write_yaml(tmp_path / "run.cfg", tiny_config_payload(
+            task={"dim": 2, "seed": 13},
+            players=[trajectory, {"kind": "external", "id": "ext",
+                                  "role": role,
+                                  "command": malformed_child(role,
+                                                             payload)}]))
+        assert main(["run", "--config", config, "--out-dir",
+                     str(tmp_path / "strict"), "--strict"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a list of" in err
+        assert "Traceback" not in err
+        assert main(["run", "--config", config, "--out-dir",
+                     str(tmp_path / "lenient")]) == 0
+        log = (tmp_path / "lenient" / "log.jsonl").read_text()
+        assert '"ext"' not in log and log.count("\n") == 1 + 2 * 2
 
 
 class TestLifecycle:

@@ -22,7 +22,7 @@ from arena.glicko import (_MIN_INFORMATION, GLICKO2_SCALE, GameResult,
                           _period_sums, expected_score, from_internal, g,
                           rate_tournament, to_internal, update_player,
                           update_volatility)
-from arena.tournament import MatchRecord
+from arena.tournament import MatchRecord, MatchTable
 
 from conftest import round_robin_table
 
@@ -32,6 +32,11 @@ def record(gen: str, disc: str, fake_wins: int, real_wins: int,
     return MatchRecord(generator_id=gen, discriminator_id=disc, n_fake=n,
                        fake_wins=fake_wins, n_real=n, real_wins=real_wins,
                        seed=0)
+
+
+def rate(records, config: RatingConfig | None = None) -> RatingOutcome:
+    """``rate_tournament`` on the table of ``records``."""
+    return rate_tournament(MatchTable.from_records(records), config)
 
 
 def reference_rate(records, cfg: RatingConfig
@@ -123,7 +128,7 @@ def first_pass(records, cfg: RatingConfig):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(glicko, "_period_sums", spy)
-        outcome = rate_tournament(records, replace(cfg, max_passes=1))
+        outcome = rate(records, replace(cfg, max_passes=1))
     (games, sums), = calls
     return outcome, games, sums
 
@@ -132,7 +137,7 @@ def assert_engines_agree(records, cfg: RatingConfig) -> None:
     """rate_tournament matches the scalar reference to relative 1e-9 (the
     two sum in different orders, and the volatility solve amplifies
     last-bit differences, so the bound is relative)."""
-    outcome = rate_tournament(records, cfg)
+    outcome = rate(records, cfg)
     ratings, shifts = reference_rate(records, cfg)
     assert outcome.passes == len(shifts)
     assert list(outcome.ratings) == list(ratings)
@@ -298,13 +303,13 @@ class TestUpdatePlayer:
 class TestRateTournament:
     def test_balanced_record_keeps_everyone_at_default(self):
         # 8 wins and 8 losses against an equal opponent is exactly neutral.
-        outcome = rate_tournament([record("gen", "disc", 8, 0, n=8)])
+        outcome = rate([record("gen", "disc", 8, 0, n=8)])
         assert outcome.converged
         assert outcome.ratings["gen"].rating == 1500.0
         assert outcome.ratings["disc"].rating == 1500.0
 
     def test_one_sided_record_orders_players(self):
-        outcome = rate_tournament([record("gen", "disc", 16, 16)])
+        outcome = rate([record("gen", "disc", 16, 16)])
         assert outcome.ratings["gen"].rating > outcome.ratings["disc"].rating
 
     def test_record_order_never_matters(self):
@@ -312,8 +317,8 @@ class TestRateTournament:
         # to floating-point accumulation order (last ulp), not bit-exact.
         records = [record("g1", "d1", 14, 12), record("g1", "d2", 3, 1),
                    record("g2", "d1", 9, 9), record("g2", "d2", 16, 15)]
-        forward = rate_tournament(records)
-        backward = rate_tournament(list(reversed(records)))
+        forward = rate(records)
+        backward = rate(list(reversed(records)))
         assert forward.passes == backward.passes
         for pid, rating in forward.ratings.items():
             other = backward.ratings[pid]
@@ -323,11 +328,10 @@ class TestRateTournament:
 
     def test_repeated_call_is_bit_identical(self):
         records = [record("g1", "d1", 14, 12), record("g2", "d1", 2, 5)]
-        assert rate_tournament(records).ratings == \
-            rate_tournament(records).ratings
+        assert rate(records).ratings == rate(records).ratings
 
     def test_empty_records_warn_and_converge(self):
-        outcome = rate_tournament([])
+        outcome = rate([])
         assert outcome.converged
         assert outcome.passes == 0
         assert outcome.ratings == {}
@@ -336,7 +340,7 @@ class TestRateTournament:
     def test_pass_cap_reports_non_convergence(self):
         records = [record("g1", "d1", 14, 12), record("g1", "d2", 3, 1),
                    record("g2", "d1", 9, 9), record("g2", "d2", 16, 15)]
-        outcome = rate_tournament(records, RatingConfig(max_passes=1))
+        outcome = rate(records, RatingConfig(max_passes=1))
         assert not outcome.converged
         assert outcome.passes == 1
         assert any("did not converge" in w for w in outcome.warnings)
@@ -344,8 +348,8 @@ class TestRateTournament:
     def test_per_match_mode_carries_less_information(self):
         records = [record("g1", "d1", 14, 12), record("g1", "d2", 3, 1),
                    record("g2", "d1", 9, 9), record("g2", "d2", 16, 15)]
-        per_sample = rate_tournament(records)
-        per_match = rate_tournament(
+        per_sample = rate(records)
+        per_match = rate(
             records, RatingConfig(outcome_mode="per-match"))
         for pid in per_sample.ratings:
             assert per_match.ratings[pid].deviation > \
@@ -357,8 +361,7 @@ class TestRateTournament:
                    record("g3", "d1", 2, 3, n=32)]
         by_mode = {}
         for mode in ("per-sample", "per-match"):
-            outcome = rate_tournament(records,
-                                      RatingConfig(outcome_mode=mode))
+            outcome = rate(records, RatingConfig(outcome_mode=mode))
             by_mode[mode] = sorted(
                 ["g1", "g2", "g3"],
                 key=lambda pid: outcome.ratings[pid].rating)
@@ -416,20 +419,20 @@ class TestRateTournament:
         records = [record("g1", "d1", 14, 12), record("g1", "d2", 3, 1),
                    record("g2", "d1", 9, 9), record("g2", "d2", 16, 15)]
         cfg = RatingConfig()
-        outcome = rate_tournament(records, cfg)
+        outcome = rate(records, cfg)
         assert outcome.converged
         assert len(outcome.shifts) == outcome.passes > 1
         assert outcome.shifts[-1] < cfg.pass_tolerance
         assert all(shift >= cfg.pass_tolerance
                    for shift in outcome.shifts[:-1])
-        capped = rate_tournament(records, RatingConfig(max_passes=2))
+        capped = rate(records, RatingConfig(max_passes=2))
         assert capped.shifts == outcome.shifts[:2]
-        assert rate_tournament([]).shifts == ()
+        assert rate([]).shifts == ()
 
     def test_unknown_outcome_mode_raises(self):
         with pytest.raises(ValueError, match="unknown outcome mode"):
-            rate_tournament([record("g", "d", 8, 8)],
-                            RatingConfig(outcome_mode="per-game"))
+            rate([record("g", "d", 8, 8)],
+                 RatingConfig(outcome_mode="per-game"))
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
                               st.integers(0, 32).flatmap(
@@ -479,8 +482,8 @@ class TestRateTournament:
         # prior.
         monkeypatch.setattr(glicko, "_MIN_INFORMATION", 3.0)
         records = [record("g", "d", 16, 16), record("g", "e", 12, 10)]
-        first = rate_tournament(records, RatingConfig(max_passes=1))
-        second = rate_tournament(records, RatingConfig(max_passes=2))
+        first = rate(records, RatingConfig(max_passes=1))
+        second = rate(records, RatingConfig(max_passes=2))
         assert second.ratings["d"] == first.ratings["d"]
         assert first.ratings["d"] != RatingConfig().default()
         assert_engines_agree(records, RatingConfig())
@@ -504,7 +507,7 @@ class TestRateTournament:
         assert (peak - start) / len(table) < 135.0
 
     def test_outcome_is_a_plain_result_object(self):
-        outcome = rate_tournament([record("g", "d", 8, 8)])
+        outcome = rate([record("g", "d", 8, 8)])
         assert isinstance(outcome, RatingOutcome)
         assert set(outcome.ratings) == {"g", "d"}
         assert outcome.warnings == ()
@@ -518,5 +521,5 @@ class TestRatingConfig:
 
     def test_custom_defaults_seed_the_tournament(self):
         cfg = RatingConfig(default_rating=1000.0)
-        outcome = rate_tournament([record("g", "d", 8, 0, n=8)], cfg)
+        outcome = rate([record("g", "d", 8, 0, n=8)], cfg)
         assert outcome.ratings["g"].rating == 1000.0

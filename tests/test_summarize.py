@@ -53,27 +53,29 @@ class TestWinRates:
     def test_pair_rates_average_repeats(self):
         records = [record("g", "d", 4, n=8), record("g", "d", 12, n=8,
                                                     repeat_seed=1)]
-        rates = pair_win_rates(records)
+        rates = pair_win_rates(MatchTable.from_records(records))
         assert rates == {("g", "d"): (0.25 + 0.75) / 2.0}
 
     def test_tournament_rate_weights_each_opponent_once(self):
         records = [record("g", "d1", 16, n=8),   # 1.0 against d1
                    record("g", "d2", 4, n=8),    # 0.25 once ...
                    record("g", "d2", 4, n=8, repeat_seed=1)]  # ... twice
-        rates = tournament_win_rate(records)
+        rates = tournament_win_rate(MatchTable.from_records(records))
         assert math.isclose(rates["g"], (1.0 + 0.25) / 2.0)
 
     def test_absent_generators_are_absent(self):
-        rates = tournament_win_rate([record("g1", "d", 8)])
+        rates = tournament_win_rate(
+            MatchTable.from_records([record("g1", "d", 8)]))
         assert "g2" not in rates
 
 
     def test_records_without_judged_samples_are_left_out(self):
-        records = [record("g1", "d1", 0, n=0), record("g1", "d1", 6, n=8),
-                   record("g1", "d2", 0, n=0), record("g2", "d1", 0, n=0)]
-        rates = pair_win_rates(records)
+        table = MatchTable.from_records([
+            record("g1", "d1", 0, n=0), record("g1", "d1", 6, n=8),
+            record("g1", "d2", 0, n=0), record("g2", "d1", 0, n=0)])
+        rates = pair_win_rates(table)
         assert rates == {("g1", "d1"): 6 / 16}
-        assert tournament_win_rate(records) == {"g1": 6 / 16}
+        assert tournament_win_rate(table) == {"g1": 6 / 16}
 
 
 trials = st.integers(0, 40).flatmap(
@@ -93,13 +95,13 @@ class TestReferenceIdentity:
     def test_pairs_generators_and_heatmap(self, records):
         expected = reference_pair_win_rates(records)
         expected_rates = reference_tournament_win_rate(expected)
-        for source in (records, MatchTable.from_records(records)):
-            pairs = pair_win_rates(source)
-            assert pairs == expected
-            assert list(pairs) == list(expected)
-            rates = tournament_win_rate(source)
-            assert rates == expected_rates
-            assert list(rates) == list(expected_rates)
+        table = MatchTable.from_records(records)
+        pairs = pair_win_rates(table)
+        assert pairs == expected
+        assert list(pairs) == list(expected)
+        rates = tournament_win_rate(table)
+        assert rates == expected_rates
+        assert list(rates) == list(expected_rates)
         # Axes with ids that never played, and one id twice.
         gens = ["g3", "g0", "g9", "g1", "g2", "g0"]
         discs = ["d2", "d9", "d0", "d1", "d3", "d2"]
@@ -110,7 +112,7 @@ class TestReferenceIdentity:
                   for i in range(4)]
                  + [PlayerSpec(f"d{i}", "discriminator", iteration=i)
                     for i in range(4)])
-        summary = summarize(records, {}, specs)
+        summary = summarize(table, {}, specs)
         assert summary.win_rates == expected_rates
         assert list(summary.win_rates) == list(expected_rates)
         assert summary.heatmap.generator_ids == ("g3", "g2", "g1", "g0")
@@ -130,7 +132,7 @@ class TestHeatmap:
                    record("g2", "d1", 16)]
         hm = layout(records, ["g1", "g2"], ["d1", "d2"])
         assert same_cells(hm.values, [[0.5, 1.0], [0.25, math.nan]])
-        rates = tournament_win_rate(records)
+        rates = tournament_win_rate(MatchTable.from_records(records))
         for gen_id, mean in column_means(hm).items():
             assert abs(mean - rates[gen_id]) < 1e-12
         assert math.isclose(rates["g1"], (0.5 + 0.25) / 2.0)
@@ -141,7 +143,7 @@ class TestHeatmap:
                    for g, wins in (("g1", 3), ("g2", 11))
                    for d in ("d1", "d2")]
         hm = layout(records, ["g1", "g2"], ["d1", "d2"])
-        rates = tournament_win_rate(records)
+        rates = tournament_win_rate(MatchTable.from_records(records))
         for gen_id, mean in column_means(hm).items():
             assert abs(mean - rates[gen_id]) < 1e-12
 
@@ -219,7 +221,8 @@ class TestSummarize:
                  PlayerSpec("g2", "generator", "toy_checkpoint", 1, "run"),
                  PlayerSpec("d1", "discriminator", "toy_checkpoint", 0,
                             "run")]
-        records = [record("g1", "d1", 4), record("g2", "d1", 12)]
+        records = MatchTable.from_records([record("g1", "d1", 4),
+                                           record("g2", "d1", 12)])
         ratings = {"g1": Rating(1450.0, 80.0), "g2": Rating(1550.0, 80.0),
                    "d1": Rating(1500.0, 75.0)}
         return specs, records, ratings

@@ -143,11 +143,25 @@ class TestMatchTable:
             assert column.dtype == np.int64
             assert column.tolist() == [getattr(r, name) for r in records]
 
-    def test_a_table_converts_to_itself(self):
-        table = MatchTable.from_records([MatchRecord("g", "d", 8, 3, 8, 4,
-                                                     seed=2 ** 64 - 1)])
-        assert MatchTable.from_records(table) is table
-        assert not MatchTable.from_records([])
+    @given(match_records, match_records)
+    def test_concat_gives_both_tables_rows_in_order(self, first, second):
+        table = MatchTable.from_records(first).concat(
+            MatchTable.from_records(second))
+        assert list(table) == first + second
+        assert table.ids == MatchTable.from_records(first + second).ids
+
+    @given(match_records)
+    def test_take_keeps_the_chosen_rows_over_every_id(self, records):
+        table = MatchTable.from_records(records)
+        keep = np.array([r.n_fake % 2 == 0 for r in records], dtype=bool)
+        taken = table.take(keep)
+        assert list(taken) == [r for r in records if r.n_fake % 2 == 0]
+        assert taken.ids == table.ids
+
+    def test_no_records_make_an_empty_table(self):
+        table = MatchTable.from_records([])
+        assert not table and table.ids == ()
+        assert list(table) == []
 
     def test_names_may_repeat_and_come_in_any_order(self):
         table = MatchTable.from_columns(["g", "d", "g"], [2, 0], [1, 1],
@@ -340,8 +354,8 @@ class TestPlayMatch:
                            tournament_seed=settings.seed, repeat=r,
                            batch_size=settings.batch_size,
                            threshold=settings.threshold)
-                for g, d, r in schedule.matches] == run_tournament(
-                    schedule, built.players, built.data, settings)
+                for g, d, r in schedule.matches] == list(run_tournament(
+                    schedule, built.players, built.data, settings))
 
     def test_identical_calls_are_bit_identical(self):
         first = self.play(FixedGenerator(), StepDiscriminator(2))
@@ -397,9 +411,9 @@ class TestRunTournament:
     def test_sink_sees_every_record_in_order(self):
         schedule = round_robin(["g1", "g2"], ["d1"])
         seen = []
-        records = run_tournament(schedule, self.players(), FixedGenerator(),
-                                 RunSettings(seed=1, batch_size=4),
-                                 sink=seen.append)
+        records = list(run_tournament(
+            schedule, self.players(), FixedGenerator(),
+            RunSettings(seed=1, batch_size=4), sink=seen.append))
         assert seen == records
 
     def test_fatal_mode_propagates_failures(self):
@@ -423,9 +437,9 @@ class TestRunTournament:
         with pytest.raises(KeyError):
             run_tournament(schedule, self.players(), FixedGenerator(),
                            RunSettings(seed=1, batch_size=4))
-        records = run_tournament(schedule, self.players(), FixedGenerator(),
-                                 RunSettings(seed=1, batch_size=4,
-                                             on_error="skip"))
+        records = list(run_tournament(
+            schedule, self.players(), FixedGenerator(),
+            RunSettings(seed=1, batch_size=4, on_error="skip")))
         assert records == []
 
 
@@ -527,8 +541,8 @@ class TestGroupedPlay:
                 for g, d, r in schedule.matches] == expected
         monkeypatch.setattr(tn, "WINDOW", window)
         seen = []
-        records = run_tournament(schedule, built.players, built.data,
-                                 settings, sink=seen.append)
+        records = list(run_tournament(schedule, built.players, built.data,
+                                      settings, sink=seen.append))
         assert records == expected
         assert seen == expected
 
@@ -539,8 +553,8 @@ class TestGroupedPlay:
         bad = {m for m in schedule.matches if m[0] == "bad"}
         monkeypatch.setattr(tn, "WINDOW", 40)
         with caplog.at_level("WARNING"):
-            records = run_tournament(schedule, built.players, built.data,
-                                     settings)
+            records = list(run_tournament(schedule, built.players, built.data,
+                                          settings))
         assert records == replayed(schedule, built.players, built.data,
                                    settings, skip=bad)
         assert sum("skipping match bad vs" in m
@@ -568,8 +582,8 @@ class TestGroupedPlay:
         if lost == "match":
             victims = victims[-1:]
         with caplog.at_level("WARNING"):
-            records = run_tournament(schedule, built.players, built.data,
-                                     settings)
+            records = list(run_tournament(schedule, built.players, built.data,
+                                          settings))
         assert len(victims) >= (1 if lost == "match" else 2)
         assert records == replayed(schedule, reference, built.data, settings,
                                    skip=set(victims))
@@ -616,7 +630,7 @@ class TestGroupedPlay:
 
         monkeypatch.setattr(tn, "WINDOW", window)
         monkeypatch.setattr(np, "einsum", counting_einsum)
-        records = run_tournament(schedule, players, task.model, settings)
+        records = list(run_tournament(schedule, players, task.model, settings))
         assert len(calls) == solves
         assert sum(args[1].shape[1] for args in calls) == 2 * 76
         assert all(args[1].shape[0] == 12 for args in calls)
@@ -650,9 +664,9 @@ class TestGroupedPlay:
         for name in ("solve", "inv", "cholesky", "det", "slogdet", "qr",
                      "svd", "eigh", "lstsq", "pinv"):
             monkeypatch.setattr(np.linalg, name, forbidden)
-        assert (run_tournament(schedule, players, task.model, settings),
-                run_tournament(mixed, built.players, built.data,
-                               run_settings(config))) == expected
+        assert (list(run_tournament(schedule, players, task.model, settings)),
+                list(run_tournament(mixed, built.players, built.data,
+                                    run_settings(config)))) == expected
 
 
 def assert_no_judging_stream_is_seeded(monkeypatch, keep):
@@ -672,8 +686,8 @@ def assert_no_judging_stream_is_seeded(monkeypatch, keep):
         return stream(seed, lane)
 
     monkeypatch.setattr(tn, "match_stream", recording)
-    assert run_tournament(kept, built.players, built.data,
-                          settings) == expected
+    assert list(run_tournament(kept, built.players, built.data,
+                               settings)) == expected
     assert sorted(set(lanes)) == [tn.FAKE, tn.REAL]
     assert len(lanes) == 2 * len(kept)
 
@@ -704,8 +718,8 @@ class TestJudgeStreams:
                    and m[0] != "bad"]
         schedule = explicit_schedule(matches)
         settings = run_settings(config)
-        records = run_tournament(schedule, built.players, built.data,
-                                 settings)
+        records = list(run_tournament(schedule, built.players, built.data,
+                                      settings))
         assert records == replayed(schedule, built.players, built.data,
                                    settings)
         ((rngs, states),) = panel.calls
@@ -750,8 +764,8 @@ class TestJudgeOnlyBranch:
     def play(self, judge):
         players = {"g1": FixedGenerator(1.0), "g2": FixedGenerator(2.0),
                    "g3": FixedGenerator(3.0), "d": judge}
-        return run_tournament(self.schedule, players, FixedGenerator(0.0),
-                              self.settings)
+        return list(run_tournament(self.schedule, players, FixedGenerator(0.0),
+                                   self.settings))
 
     def test_judge_calls_go_fake_then_real_match_by_match(self):
         judge = RecordingJudge()

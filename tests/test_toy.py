@@ -629,13 +629,13 @@ class TestStackedJudgingInTournaments:
         config = parse_config(tiny_config_payload(players=entries))
         built = build_players(config)
         schedule = build_schedule(config, built.specs)
-        records = run_tournament(schedule, built.players, built.data,
-                                 run_settings(config))
+        records = list(run_tournament(schedule, built.players, built.data,
+                                      run_settings(config)))
         reference = {
             pid: ReferenceDiscriminator(player)
             if isinstance(player, toy.OracleDiscriminator) else player
             for pid, player in built.players.items()}
         assert len(records) == 18 * 18
         assert len({r.fake_wins + r.real_wins for r in records}) > 5
-        assert run_tournament(schedule, reference, built.data,
-                              run_settings(config)) == records
+        assert list(run_tournament(schedule, reference, built.data,
+                                   run_settings(config))) == records
