@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import config as cfgmod
-from . import experiments, glicko, store
+from . import glicko, store
 from . import summarize as sm
 from . import tournament as tn
 from .extern import ExternalPlayer, ExternError
@@ -28,12 +28,9 @@ def _warn(message: str) -> None:
 def _load_with_overrides(args) -> cfgmod.TournamentConfig:
     base = cfgmod.load_config(args.config)
     raw = copy.deepcopy(base.raw)
-    if getattr(args, "seed", None) is not None:
-        raw["seed"] = args.seed
-    if getattr(args, "batch_size", None) is not None:
-        raw["batch_size"] = args.batch_size
-    if getattr(args, "threshold", None) is not None:
-        raw["threshold"] = args.threshold
+    for key in ("seed", "batch_size", "threshold"):
+        if getattr(args, key, None) is not None:
+            raw[key] = getattr(args, key)
     if getattr(args, "schedule", None) is not None:
         schedule = dict(raw.get("schedule") or {})
         schedule["kind"] = args.schedule
@@ -53,33 +50,28 @@ def _load_with_overrides(args) -> cfgmod.TournamentConfig:
 
 
 def _rating_updates(args) -> dict:
-    updates = {}
-    if getattr(args, "passes", None) is not None:
-        updates["max_passes"] = args.passes
-    if getattr(args, "tau", None) is not None:
-        updates["tau"] = args.tau
-    if getattr(args, "outcome_mode", None) is not None:
-        updates["outcome_mode"] = args.outcome_mode
-    return updates
-
-
-def _out_dir(args, config: cfgmod.TournamentConfig | None = None) -> str:
-    if getattr(args, "out_dir", None):
-        return args.out_dir
-    if config is not None and config.outputs.get("directory"):
-        return config.outputs["directory"]
-    return "arena-out"
+    flags = {"passes": "max_passes", "tau": "tau",
+             "outcome_mode": "outcome_mode"}
+    return {key: getattr(args, flag) for flag, key in flags.items()
+            if getattr(args, flag, None) is not None}
 
 
 def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
-          schedule: tn.Schedule, strict: bool, sink=None) -> tn.MatchTable:
+          schedule: tn.Schedule, strict: bool,
+          log_path: str | None = None) -> tn.MatchTable:
     """Spawn the external players, play the schedule, and close the
     sessions again whatever happens.
 
+    With ``log_path`` a new log is started there, under the config's
+    header, and every record is written to it as soon as it is played.
     Without ``strict`` a player that cannot be started costs only its own
     matches: it is reported once, with the number of its matches, and
     they are dropped from the schedule.
     """
+    sink = None
+    if log_path is not None:
+        sink = store.LogWriter(log_path, store.LogHeader(
+            cfgmod.config_hash(config), config.seed))
     sessions = []
     try:
         for entry in built.external:
@@ -104,17 +96,26 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
     finally:
         for session in sessions:
             session.close()
+        if sink is not None:
+            sink.close()
 
 
 def _report(table: tn.MatchTable, rating: glicko.RatingConfig,
             specs: list[PlayerSpec], directory: str | None, names: dict,
-            schedule: tn.Schedule | None = None) -> None:
-    """Rate the match set, write the artifacts into ``directory`` if one is
-    given, and print the table and every warning."""
+            schedule: tn.Schedule | None = None
+            ) -> tuple[glicko.RatingOutcome, sm.TournamentSummary]:
+    """Rate the match set and summarize it, and write the artifacts into
+    ``directory`` if one is given."""
     outcome = glicko.rate_tournament(table, rating)
     summary = sm.summarize(table, outcome.ratings, specs, schedule)
     if directory:
         sm.write_artifacts(directory, summary, names)
+    return outcome, summary
+
+
+def _print_report(outcome: glicko.RatingOutcome,
+                  summary: sm.TournamentSummary) -> None:
+    """Print the summary table, then every warning."""
     print(sm.format_summary_table(summary))
     for message in (*summary.warnings, *outcome.warnings):
         _warn(message)
@@ -141,19 +142,13 @@ def cmd_run(args) -> int:
     if not diagnostics.ok:
         return 2
 
-    directory = _out_dir(args, config)
+    directory = args.out_dir or config.outputs.get("directory") or "arena-out"
     os.makedirs(directory, exist_ok=True)
     log_path = os.path.join(directory,
                             config.outputs.get("log", "log.jsonl"))
-    header = store.LogHeader(cfgmod.config_hash(config), config.seed)
-
-    sink = store.LogWriter(log_path, header)
-    try:
-        records = _play(config, built, schedule, args.strict, sink)
-    finally:
-        sink.close()
-    _report(records, config.rating, built.specs, directory, config.outputs,
-            schedule)
+    records = _play(config, built, schedule, args.strict, log_path)
+    _print_report(*_report(records, config.rating, built.specs, directory,
+                           config.outputs, schedule))
     print(f"log: {log_path} ({len(records)} records)")
     return 0
 
@@ -165,11 +160,9 @@ def _specs_from_records(table: tn.MatchTable, log) -> list[PlayerSpec]:
         raise store.LogError(f"{log}: player {table.ids[min(both)]!r} is "
                              "both a generator and a discriminator")
     # The ids are sorted, so sorted indices give sorted ids.
-    gens = [table.ids[i] for i in sorted(gen_rows)]
-    discs = [table.ids[i] for i in sorted(disc_rows)]
-    return ([PlayerSpec(g, "generator", "custom", None, None) for g in gens]
-            + [PlayerSpec(d, "discriminator", "custom", None, None)
-               for d in discs])
+    return ([PlayerSpec(table.ids[i], "generator") for i in sorted(gen_rows)]
+            + [PlayerSpec(table.ids[i], "discriminator")
+               for i in sorted(disc_rows)])
 
 
 def cmd_rate(args) -> int:
@@ -185,8 +178,9 @@ def cmd_rate(args) -> int:
         _warn(f"{args.log}: no match records; every player would keep its "
               "default rating")
         return 0
-    _report(records, rating, _specs_from_records(records, args.log),
-            args.out_dir, {})
+    _print_report(*_report(records, rating,
+                           _specs_from_records(records, args.log),
+                           args.out_dir, {}))
     return 0
 
 
@@ -211,16 +205,13 @@ def cmd_extend(args) -> int:
     fragment = cfgmod.load_players_fragment(args.add)
     baseline_ids = {s.id for s in cfgmod.build_players(config).specs}
     built = cfgmod.build_players(config, extra=fragment)
-    new_gens = sorted(s.id for s in built.specs
-                      if s.role == "generator" and s.id not in baseline_ids)
-    new_discs = sorted(s.id for s in built.specs
-                       if s.role == "discriminator"
-                       and s.id not in baseline_ids)
-    old_gens = sorted(s.id for s in built.specs
-                      if s.role == "generator" and s.id in baseline_ids)
-    old_discs = sorted(s.id for s in built.specs
-                       if s.role == "discriminator"
-                       and s.id in baseline_ids)
+
+    def ids(role: str, new: bool) -> list[str]:
+        return sorted(s.id for s in built.specs
+                      if s.role == role and (s.id not in baseline_ids) == new)
+
+    new_gens, new_discs = ids("generator", True), ids("discriminator", True)
+    old_gens, old_discs = ids("generator", False), ids("discriminator", False)
     if not new_gens and not new_discs:
         print("error: --add fragment introduces no new players",
               file=sys.stderr)
@@ -235,14 +226,16 @@ def cmd_extend(args) -> int:
     with store.LogWriter(args.log) as sink:
         for record in new_records:
             sink(record)
-    _report(records.concat(new_records), config.rating, built.specs,
-            args.out_dir, config.outputs)
+    _print_report(*_report(records.concat(new_records), config.rating,
+                           built.specs, args.out_dir, config.outputs))
     print(f"appended {len(new_records)} records to {args.log} "
           f"(new players: {', '.join(new_gens + new_discs)})")
     return 0
 
 
 def cmd_simulate(args) -> int:
+    from . import experiments
+
     verdict = experiments.simulate(args.experiment, args.seed, args.out_dir)
     print(json.dumps(verdict, indent=2, sort_keys=True))
     return 0 if all(verdict["checks"].values()) else 1
@@ -279,6 +272,8 @@ def _add_rating_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import experiments
+
     parser = argparse.ArgumentParser(
         prog="arena",
         description="Generator-vs-discriminator tournaments with "
@@ -344,12 +339,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except cfgmod.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except store.LogError as exc:
-        # LogError subclasses ValueError but is a runtime failure, not a
-        # usage error, so it must be caught first.
+    except (store.LogError, tn.MatchError, RuntimeError) as exc:
+        # Runtime failures. LogError subclasses ValueError, so it must be
+        # caught before the usage errors, ConfigError among them.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
@@ -364,9 +356,6 @@ def main(argv=None) -> int:
             raise
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
-    except (tn.MatchError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -3,6 +3,9 @@
 Each experiment builds a config, runs the tournament, and reduces the
 outcome to a verdict dict whose ``checks`` entries can gate CI. The same
 functions back the ``arena simulate`` command and the acceptance tests.
+Every tournament is played and reported by ``arena run``'s own code in
+``cli``, so a bundle written under an output directory is byte for byte
+what ``arena run`` writes for the same config.
 
 The defaults pin a geometry where the qualitative findings are strong and
 fast: dimension 8, 20-checkpoint trajectories, batch 64. Seed 1 is the
@@ -20,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cli
 from . import config as cfgmod
-from . import glicko, store
+from . import glicko
 from . import summarize as sm
 from . import tournament as tn
 from . import toy
@@ -38,17 +42,14 @@ EXPERIMENTS = ("within", "banded", "chekhov", "distortion", "multi")
 
 @dataclass(frozen=True)
 class RunBundle:
-    """One tournament run kept whole: config through ratings."""
+    """One tournament run kept whole: config through summary."""
 
     config: cfgmod.TournamentConfig
     built: cfgmod.BuiltPlayers
     schedule: tn.Schedule
     records: tn.MatchTable
     outcome: glicko.RatingOutcome
-
-    def summary(self) -> sm.TournamentSummary:
-        return sm.summarize(self.records, self.outcome.ratings,
-                            self.built.specs, self.schedule)
+    summary: sm.TournamentSummary
 
     def generator_series(self, experiment: str | None = None
                          ) -> tuple[list[int], list[float]]:
@@ -62,19 +63,35 @@ class RunBundle:
 
 
 # What every run_<name> returns: the verdict, and the bundles it was computed
-# from keyed by the file stem ``simulate`` writes them under.
+# from keyed by the file stem they are written under.
 Study = tuple[dict, dict[str, RunBundle]]
 
 
-def run_config(raw: dict) -> RunBundle:
-    """Validate, build, play, and rate one config dict."""
+def _file_names(stem: str) -> dict[str, str]:
+    """A bundle's file names: its log under ``log``, then its artifacts."""
+    return {"log": f"{stem}.jsonl",
+            **{key: f"{stem}_{name}"
+               for key, name in sm.ARTIFACT_NAMES.items()}}
+
+
+def run_config(raw: dict, out_dir: str | None = None,
+               stem: str = "run") -> RunBundle:
+    """Validate, build, play, rate and summarize one config dict. With
+    ``out_dir`` the log streams to ``<stem>.jsonl`` as the matches play and
+    the artifacts go to ``<stem>_*`` files, as ``arena run`` writes them."""
     config = cfgmod.parse_config(raw)
     built = cfgmod.build_players(config)
     schedule = cfgmod.build_schedule(config, built.specs)
-    records = tn.run_tournament(schedule, built.players, built.data,
-                                cfgmod.run_settings(config))
-    outcome = glicko.rate_tournament(records, config.rating)
-    return RunBundle(config, built, schedule, records, outcome)
+    names, log_path = {}, None
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        names = _file_names(stem)
+        log_path = os.path.join(out_dir, names["log"])
+    records = cli._play(config, built, schedule, strict=True,
+                        log_path=log_path)
+    outcome, summary = cli._report(records, config.rating, built.specs,
+                                   out_dir, names, schedule)
+    return RunBundle(config, built, schedule, records, outcome, summary)
 
 
 def _derive(seed: int, label: str) -> int:
@@ -107,9 +124,9 @@ def within_config(seed: int, *, schedule: dict | None = None) -> dict:
     }
 
 
-def run_within(seed: int = DEFAULT_SEED) -> Study:
+def run_within(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> Study:
     """Full round robin along one trajectory (skill should track progress)."""
-    bundle = run_config(within_config(seed))
+    bundle = run_config(within_config(seed), out_dir, "within")
     rho = sm.spearman(*bundle.generator_series("within"))
     verdict = {
         "experiment": "within",
@@ -121,21 +138,22 @@ def run_within(seed: int = DEFAULT_SEED) -> Study:
     return verdict, {"within": bundle}
 
 
-def run_banded(seed: int = DEFAULT_SEED, width: int = BAND_WIDTH) -> Study:
+def run_banded(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> Study:
     """Banded schedule vs the full round robin on the same population.
 
     Ratings should survive the omitted matches; the raw win rate should
     not, because each generator now faces a different opponent slice.
     """
-    full = run_config(within_config(seed))
+    full = run_config(within_config(seed), out_dir, "full")
     banded = run_config(within_config(
-        seed, schedule={"kind": "band", "band_width": width}))
+        seed, schedule={"kind": "band", "band_width": BAND_WIDTH}), out_dir,
+        "banded")
     fraction = len(banded.schedule.matches) / len(full.schedule.matches)
 
     gen_ids = sorted(s.id for s in full.built.specs if s.role == "generator")
     reference = [full.outcome.ratings[g].rating for g in gen_ids]
     band_ratings = [banded.outcome.ratings[g].rating for g in gen_ids]
-    band_rates = sm.tournament_win_rate(banded.records)
+    band_rates = banded.summary.win_rates
     rho_rating = sm.spearman(reference, band_ratings)
     rho_wr = sm.spearman(reference, [band_rates[g] for g in gen_ids])
     verdict = {
@@ -198,7 +216,8 @@ def _cov_errors(bundle: RunBundle) -> list[float]:
             for s in gens]
 
 
-def run_chekhov(seed: int = DEFAULT_SEED) -> Study:
+def run_chekhov(seed: int = DEFAULT_SEED, out_dir: str | None = None
+                ) -> Study:
     """Forgetting panel vs reservoir panel on one early-mastered trajectory.
 
     Generators master the task halfway through. Forgetting discriminators
@@ -206,8 +225,9 @@ def run_chekhov(seed: int = DEFAULT_SEED) -> Study:
     rank the early generators; reservoir discriminators keep old fake
     models around and still can.
     """
-    forgetting = run_config(chekhov_config(seed, "forgetting"))
-    chekhov = run_config(chekhov_config(seed, "chekhov"))
+    forgetting = run_config(chekhov_config(seed, "forgetting"), out_dir,
+                            "forgetting")
+    chekhov = run_config(chekhov_config(seed, "chekhov"), out_dir, "chekhov")
     mastery = toy.mastery_index(N_CHECKPOINTS, 0.5)
     cov_errors = _cov_errors(chekhov)
     forgetting_post = _quality_correlation(forgetting, cov_errors, mastery)
@@ -248,18 +268,18 @@ def distortion_config(seed: int, severities=range(1, 10)) -> dict:
     }
 
 
-def run_distortion(seed: int = DEFAULT_SEED) -> Study:
+def run_distortion(seed: int = DEFAULT_SEED, out_dir: str | None = None
+                   ) -> Study:
     """Additive-noise sweep judged by the matching analytic oracle panel.
 
     Heavier noise should never help: ratings must be non-increasing in
     severity up to one adjacent wobble inside the uncertainty bands.
     """
-    bundle = run_config(distortion_config(seed))
-    severities, ratings = bundle.generator_series("distortion")
-    by_sev = {s.iteration: s for s in bundle.built.specs
-              if s.role == "generator"}
-    deviations = [bundle.outcome.ratings[by_sev[s].id].deviation
-                  for s in severities]
+    bundle = run_config(distortion_config(seed), out_dir, "distortion")
+    curve = bundle.summary.curves["distortion"]
+    severities = [point.iteration for point in curve]
+    ratings = [point.rating for point in curve]
+    deviations = [point.deviation for point in curve]
     inversions = []
     for i in range(len(severities) - 1):
         rise = ratings[i + 1] - ratings[i]
@@ -316,7 +336,7 @@ def multi_config(seed: int) -> dict:
     }
 
 
-def run_multi(seed: int = DEFAULT_SEED) -> Study:
+def run_multi(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> Study:
     """One tournament mixing players of unrelated provenance.
 
     Checks assert only what the construction implies. Checkpoints past
@@ -329,7 +349,7 @@ def run_multi(seed: int = DEFAULT_SEED) -> Study:
     oracle is on the panel; the separation check reads that one judge's
     pairwise win rates rather than the noise-dominated overall rating.
     """
-    bundle = run_config(multi_config(seed))
+    bundle = run_config(multi_config(seed), out_dir, "multi")
     rho_by_run = {}
     mastered: list[str] = []
     for run, n, mf in (("fast", 8, 0.5), ("slow", 8, 1.0),
@@ -374,22 +394,10 @@ def run_multi(seed: int = DEFAULT_SEED) -> Study:
     return verdict, {"multi": bundle}
 
 
-def _write_bundle(out_dir: str, stem: str, bundle: RunBundle) -> list[str]:
-    log_path = os.path.join(out_dir, f"{stem}.jsonl")
-    header = store.LogHeader(cfgmod.config_hash(bundle.config),
-                             bundle.config.seed)
-    with store.LogWriter(log_path, header) as sink:
-        for record in bundle.records:
-            sink(record)
-    names = {key: f"{stem}_{name}"
-             for key, name in sm.ARTIFACT_NAMES.items()}
-    return sorted([log_path,
-                   *sm.write_artifacts(out_dir, bundle.summary(), names)])
-
-
 def simulate(name: str, seed: int | None = None,
              out_dir: str | None = None) -> dict:
-    """Run one bundled experiment; write artifacts if out_dir is given."""
+    """Run one bundled experiment; write its files under ``out_dir/name``
+    if out_dir is given."""
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; "
                          f"expected one of {', '.join(EXPERIMENTS)}")
@@ -397,14 +405,13 @@ def simulate(name: str, seed: int | None = None,
     runner = {"within": run_within, "banded": run_banded,
               "chekhov": run_chekhov, "distortion": run_distortion,
               "multi": run_multi}[name]
-    verdict, bundles = runner(seed)
+    # Every runner plays through run_config, which makes the directory.
+    target = None if out_dir is None else os.path.join(out_dir, name)
+    verdict, bundles = runner(seed, out_dir=target)
 
-    if out_dir is not None:
-        target = os.path.join(out_dir, name)
-        os.makedirs(target, exist_ok=True)
-        files: list[str] = []
-        for stem, bundle in bundles.items():
-            files += _write_bundle(target, stem, bundle)
+    if target is not None:
+        files = [os.path.join(target, file_name) for stem in bundles
+                 for file_name in _file_names(stem).values()]
         if name == "chekhov":
             curve = os.path.join(target, "cov_error.csv")
             with open(curve, "w", encoding="utf-8") as fh:

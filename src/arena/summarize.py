@@ -228,10 +228,12 @@ def _axis(specs: Sequence[PlayerSpec], role: str) -> list[str]:
 def summarize(table: MatchTable, ratings: Mapping[str, Rating],
               players: Sequence[PlayerSpec],
               schedule: Schedule | None = None) -> TournamentSummary:
-    """Assemble every summary artifact for one tournament."""
+    """Assemble every summary artifact for one tournament. A rated id
+    without a ``PlayerSpec`` is a discriminator if it judged a match."""
     pairs = _pair_rates(table)
     rates = _generator_rates(pairs)
     by_id = {spec.id: spec for spec in players}
+    judges = {table.ids[i] for i in np.flatnonzero(np.bincount(table.disc))}
     rows = []
     for pid in sorted(ratings):
         spec = by_id.get(pid)
@@ -240,7 +242,8 @@ def summarize(table: MatchTable, ratings: Mapping[str, Rating],
             id=pid,
             experiment=spec.experiment if spec else None,
             iteration=spec.iteration if spec else None,
-            role=spec.role if spec else "generator",
+            role=spec.role if spec else (
+                "discriminator" if pid in judges else "generator"),
             rating=r.rating,
             deviation=r.deviation,
             volatility=r.volatility,

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import arena
 from arena import toy
 from arena.tournament import MatchTable
 
@@ -165,6 +170,15 @@ def write_yaml(path, payload) -> str:
     with open(path, "w") as fh:
         yaml.safe_dump(payload, fh)
     return str(path)
+
+
+def fresh_python(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python *argv`` in a new interpreter that imports this arena."""
+    src = str(Path(arena.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *map(str, argv)], env=env,
+                          capture_output=True, text=True, **kwargs)
 
 
 @pytest.fixture

@@ -286,7 +286,7 @@ def test_criterion_9_win_rate_definitions(banded_study, panel_study,
 
     worst_gap = 0.0
     for bundle in bundles:
-        summary = bundle.summary()
+        summary = bundle.summary
         means = column_means(summary.heatmap)
         for gen_id, rate in summary.win_rates.items():
             worst_gap = max(worst_gap, abs(rate - means[gen_id]))

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -13,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import arena
 from arena import cli
 from arena import config as cfgmod
 from arena import store
@@ -21,7 +18,8 @@ from arena import tournament as tn
 from arena.cli import build_parser, _load_with_overrides, main
 from arena.config import config_hash, load_config
 
-from conftest import round_robin_table, tiny_config_payload, write_yaml
+from conftest import (fresh_python, round_robin_table, tiny_config_payload,
+                      write_yaml)
 
 
 @pytest.fixture
@@ -38,15 +36,6 @@ def log_path(tmp_path, config_path):
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
-
-
-def fresh_python(*argv, **kwargs) -> subprocess.CompletedProcess:
-    """Run ``python *argv`` in a new interpreter that imports this arena."""
-    src = str(Path(arena.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *map(str, argv)], env=env,
-                          capture_output=True, text=True, **kwargs)
 
 
 class TestRun:
@@ -481,13 +470,13 @@ class TestSimulate:
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_exit_code_tracks_the_checks(self, monkeypatch, capsys):
-        from arena import cli as climod
+        from arena import experiments
 
         def fake(name, seed, out_dir):
             return {"experiment": name,
                     "checks": {"holds": name == "within"}}
 
-        monkeypatch.setattr(climod.experiments, "simulate", fake)
+        monkeypatch.setattr(experiments, "simulate", fake)
         assert run_cli("simulate", "within") == 0
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["checks"]["holds"] is True

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from arena import experiments as ex
+from arena import glicko
 from arena import summarize as sm
+from arena.cli import main
 from arena.config import parse_config
 from arena.store import read_log
 from arena.tournament import stable_seed
 
-from conftest import tiny_config_payload
+from conftest import fresh_python, tiny_config_payload, write_yaml
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 class TestSeedDerivation:
@@ -109,7 +114,7 @@ class TestRunBundle:
         assert bundle.generator_series() == (iterations, ratings)
 
     def test_summary_reuses_the_bundle_ratings(self, bundle):
-        summary = bundle.summary()
+        summary = bundle.summary
         rates = sm.tournament_win_rate(bundle.records)
         for row in summary.rows:
             assert row.rating == bundle.outcome.ratings[row.id].rating
@@ -154,9 +159,61 @@ class TestSimulate:
             ex.run_config(ex.within_config(1)).records)
         assert header.seed == 1
 
+    def test_within_bundle_is_what_arena_run_writes(self, tmp_path):
+        ex.simulate("within", seed=1, out_dir=str(tmp_path / "sim"))
+        config = write_yaml(tmp_path / "within.cfg", ex.within_config(1))
+        run = tmp_path / "run"
+        assert main(["run", "--config", config, "--out-dir", str(run)]) == 0
+        sim = tmp_path / "sim" / "within"
+        assert (sim / "within.jsonl").read_bytes() == \
+            (run / "log.jsonl").read_bytes()
+        for name in sm.ARTIFACT_NAMES.values():
+            assert (sim / f"within_{name}").read_bytes() == \
+                (run / name).read_bytes(), name
+
+    def test_bundle_logs_are_streamed_before_rating(self, tmp_path,
+                                                     monkeypatch):
+        # Each bundle's log holds its header and every record by the time
+        # its match set is rated, as arena run's log does.
+        rate, stems, checked = glicko.rate_tournament, ["full", "banded"], []
+
+        def rate_after_checking_the_log(table, *args, **kwargs):
+            stem = stems[len(checked)]
+            header, records, problems = read_log(
+                tmp_path / "banded" / f"{stem}.jsonl")
+            assert (header.seed, problems) == (1, [])
+            assert list(records) == list(table)
+            checked.append(stem)
+            return rate(table, *args, **kwargs)
+
+        monkeypatch.setattr(glicko, "rate_tournament",
+                            rate_after_checking_the_log)
+        ex.simulate("banded", seed=1, out_dir=str(tmp_path))
+        assert checked == stems
+
     def test_multi_population_verdict_holds(self):
         verdict, bundles = ex.run_multi(1)
         assert all(verdict["checks"].values()), verdict
         assert verdict["rating_bench"] > verdict["rating_stalled_final"]
         assert verdict["rating_bench"] == \
             bundles["multi"].outcome.ratings["bench"].rating
+
+
+class TestScripts:
+    def test_run_experiments_writes_a_bundle(self, tmp_path):
+        result = fresh_python(SCRIPTS / "run_experiments.py", "--experiments",
+                              "within", "--out-dir", tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("within ")
+        assert result.stdout.rstrip().endswith("ok")
+        artifacts = [f"within_{name}" for name in sm.ARTIFACT_NAMES.values()]
+        assert sorted(p.name for p in (tmp_path / "within").iterdir()) == \
+            sorted(["within.jsonl", "verdict.json", *artifacts])
+
+    def test_seed_study_runs(self):
+        result = fresh_python(SCRIPTS / "seed_study.py", "--experiments",
+                              "within", "--seeds", "1")
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert len(lines) == 2 and lines[0] == "== within =="
+        assert lines[1].startswith("  seed   1: rho=")

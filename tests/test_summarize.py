@@ -237,6 +237,21 @@ class TestSummarize:
         assert by_id["g2"].role == "generator"
         assert by_id["g2"].iteration == 1
 
+    def test_an_id_without_a_spec_takes_its_role_from_the_table(self):
+        specs = [PlayerSpec("g0", "generator", "toy_checkpoint", 0, "run"),
+                 PlayerSpec("d0", "discriminator", "toy_checkpoint", 0,
+                            "run")]
+        records = MatchTable.from_records([record("g0", "d0", 4),
+                                           record("g0", "d1", 12),
+                                           record("g1", "d0", 8)])
+        ratings = {pid: Rating() for pid in ("d0", "d1", "g0", "g1")}
+        rows = {row.id: row for row in summarize(records, ratings,
+                                                  specs).rows}
+        assert rows["d1"].role == "discriminator"
+        assert rows["d1"].win_rate is None
+        assert rows["g1"].role == "generator"
+        assert rows["g1"].win_rate == tournament_win_rate(records)["g1"]
+
     def test_non_round_robin_schedules_warn(self):
         specs, records, ratings = self.build()
         quiet = summarize(records, ratings, specs,
