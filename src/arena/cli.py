@@ -166,11 +166,7 @@ def _specs_from_records(table: tn.MatchTable, log) -> list[PlayerSpec]:
 
 
 def cmd_rate(args) -> int:
-    # Without a rating flag there is nothing to validate: the defaults are
-    # what an empty ``rating:`` section gives.
-    updates = _rating_updates(args)
-    rating = (cfgmod.parse_rating(updates, "command line") if updates
-              else glicko.RatingConfig())
+    rating = cfgmod.parse_rating(_rating_updates(args), "command line")
     header, records, problems = store.read_log(args.log, strict=args.strict)
     for problem in problems:
         _warn(problem)

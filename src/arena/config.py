@@ -1,10 +1,11 @@
 """Tournament configuration: schema, loading, and player construction.
 
-Configs are YAML (hand-editable, comments allowed) validated against a JSON
-schema before anything executes; unknown keys are rejected outright. The
-config hash covers exactly the fields that determine match outcomes (seed,
-batch size, threshold, task, players, schedule), so re-rating with different
-rating knobs never invalidates a stored log.
+Configs are YAML (hand-editable, comments allowed) checked against JSON
+schemas, by an in-repo checker of the keywords they use, before anything
+executes; unknown keys are rejected outright. The config hash covers
+exactly the fields that determine match outcomes (seed, batch size,
+threshold, task, players, schedule), so re-rating with different rating
+knobs never invalidates a stored log.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -221,58 +223,100 @@ class TournamentConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
-def _is_integer(checker, value) -> bool:
-    # JSON Schema counts 1.0 as an integer; a config may not, since
-    # `[g, d, 1.0]` would play the match `[g, d, 1]` under another hash.
-    return isinstance(value, int) and not isinstance(value, bool)
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "integer": int, "number": (int, float)}
+_SIZES = {"minLength": str, "minItems": list, "maxItems": list}
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum"),
+}
 
 
-def _is_number(checker, value) -> bool:
-    # NaN passes every bound and infinity some of them, so neither is a
-    # number here: a NaN rating setting would rate every player NaN.
-    return _is_integer(checker, value) or (isinstance(value, float)
-                                            and math.isfinite(value))
+def _is(value, kind: str) -> bool:
+    """Strict JSON types, so `[g, d, 1.0]` cannot play `[g, d, 1]` under
+    another hash, and NaN (passing every bound) is no number."""
+    if isinstance(value, float):
+        return kind == "number" and math.isfinite(value)
+    return (isinstance(value, bool) == (kind == "boolean")
+            and isinstance(value, _TYPES[kind]))
 
 
-# One validator per schema, keyed by identity: every schema validated is a
-# module constant. The schemas are checked against their metaschema by the
-# test suite, not here; jsonschema is imported only once a payload is
-# validated, so commands that read no config never load it.
-_VALIDATORS: dict[int, object] = {}
+def _errors(value, schema: dict, path: tuple = ()):
+    """Yield ``(path, off, message)`` per way ``value`` breaks ``schema``,
+    in the order and words of the Python JSON Schema validator; ``off``:
+    ``value`` is not of the schema's type, or it names none."""
+    off = "type" not in schema or not _is(value, schema["type"])
+    is_dict, is_list = isinstance(value, dict), isinstance(value, list)
+    for key, want in schema.items():
+        if key == "type" and off:
+            yield path, off, f"{value!r} is not of type {want!r}"
+        elif key == "const" and value != want:
+            yield path, off, f"{want!r} was expected"
+        elif key == "enum" and value not in want:
+            yield path, off, f"{value!r} is not one of {want!r}"
+        elif key in _BOUNDS and _is(value, "number") \
+                and _BOUNDS[key][0](value, want):
+            yield path, off, f"{value!r} is {_BOUNDS[key][1]} of {want!r}"
+        elif key in _SIZES and isinstance(value, _SIZES[key]) and (
+                len(value) > want if key == "maxItems" else len(value) < want):
+            yield path, off, f"{value!r} " + (
+                "is too long" if key == "maxItems" else
+                "should be non-empty" if want == 1 else "is too short")
+        elif key == "required" and is_dict:
+            yield from ((path, off, f"{name!r} is a required property")
+                        for name in want if name not in value)
+        elif key == "additionalProperties" and want is False and is_dict:
+            extra = sorted({k for k in value
+                            if k not in schema.get("properties", {})}, key=str)
+            if extra:
+                yield path, off, "Additional properties are not allowed " \
+                    f"({', '.join(map(repr, extra))} " \
+                    f"{'were' if len(extra) > 1 else 'was'} unexpected)"
+        elif key == "properties" and is_dict:
+            for name in [name for name in want if name in value]:
+                yield from _errors(value[name], want[name], path + (name,))
+        elif key == "prefixItems" and is_list:
+            for i, (item, sub) in enumerate(zip(value, want)):
+                yield from _errors(item, sub, path + (i,))
+        elif key == "items" and is_list:
+            for i in range(len(schema.get("prefixItems", ())), len(value)):
+                yield from _errors(value[i], want, path + (i,))
+        elif key == "allOf":
+            for sub in want:
+                yield from _errors(value, sub, path)
+        elif key == "if" and next(_errors(value, want), None) is None:
+            yield from _errors(value, schema.get("then", {}), path)
 
 
-def _validate(payload, schema, where: str):
-    """Raise the error ``jsonschema.validate`` would raise, as a
-    ConfigError."""
-    import jsonschema
-
-    validator = _VALIDATORS.get(id(schema))
-    if validator is None:
-        cls = jsonschema.validators.validator_for(schema)
-        strict = cls.TYPE_CHECKER.redefine_many(
-            {"integer": _is_integer, "number": _is_number})
-        cls = jsonschema.validators.extend(cls, type_checker=strict)
-        validator = _VALIDATORS[id(schema)] = cls(schema)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(payload))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"{where}: at {path}: {error.message}") from error
+def _validate(payload, schema: dict, where: str) -> None:
+    """Raise the error JSON Schema's ``best_match`` would pick: the
+    shallowest, the last by path, an ``off`` one, the first found."""
+    best = max(_errors(payload, schema), default=None,
+               key=lambda error: (-len(error[0]), error[0], error[1]))
+    if best is not None:
+        path = "/".join(map(str, best[0])) or "<root>"
+        raise ConfigError(f"{where}: at {path}: {best[2]}")
 
 
 def parse_config(payload: Mapping, where: str = "config"
                  ) -> TournamentConfig:
     _validate(payload, CONFIG_SCHEMA, where)
     schedule = dict(payload.get("schedule") or {})
-    schedule.setdefault("kind", "round_robin")
+    kind = schedule.setdefault("kind", "round_robin")
+    band_hint = " (on the command line, add --schedule band)"
+    for key, owner, hint in (("band_width", "band", band_hint),
+                             ("matches", "explicit", "")):
+        if kind == owner and key not in schedule:
+            raise ConfigError(f"{where}: schedule kind {owner!r} needs {key}")
+        if kind != owner and key in schedule:
+            raise ConfigError(f"{where}: {key} applies only to schedule kind "
+                              f"{owner!r}, not {kind!r}{hint}")
+    if kind == "explicit" and "repeats" in schedule:
+        raise ConfigError(f"{where}: repeats does not apply to schedule kind "
+                          "'explicit', which plays each listed match once")
     schedule.setdefault("repeats", 1)
-    if schedule["kind"] == "band" and "band_width" not in schedule:
-        raise ConfigError(f"{where}: schedule kind 'band' needs band_width")
-    if schedule["kind"] != "band" and "band_width" in schedule:
-        raise ConfigError(f"{where}: band_width applies only to schedule "
-                          f"kind 'band', not {schedule['kind']!r} (on the "
-                          "command line, add --schedule band)")
-    if schedule["kind"] == "explicit" and "matches" not in schedule:
-        raise ConfigError(f"{where}: schedule kind 'explicit' needs matches")
     # CONFIG_SCHEMA holds _RATING_SCHEMA, so the section is valid already.
     rating = RatingConfig(**(payload.get("rating") or {}))
     return TournamentConfig(

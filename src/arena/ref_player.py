@@ -19,12 +19,11 @@ import sys
 
 import numpy as np
 
-from .extern import PROTOCOL_VERSION
+from .extern import PROTOCOL_VERSION, dump_message
 
 
 def _emit(message: dict) -> None:
-    sys.stdout.write(json.dumps(message, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+    sys.stdout.write(dump_message(message) + "\n")
     sys.stdout.flush()
 
 

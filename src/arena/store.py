@@ -17,6 +17,7 @@ the same lines.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass
 
@@ -148,19 +149,24 @@ def parse_record(line: str) -> MatchRecord:
 
 class LogWriter:
     """The one way to write a log: ``LogWriter(path, header)`` starts a new
-    log, ``LogWriter(path)`` appends to an existing one.
+    log, ``LogWriter(path)`` appends to an existing one, first ending its
+    last line if that has no newline, so no record is glued onto it.
 
     Every line is flushed as it is written, so a killed run keeps every
     record it finished.
     """
 
     def __init__(self, path, header: LogHeader | None = None):
-        self._fh = open(path, "w" if header is not None else "a")
+        self._fh = open(path, "wb" if header is not None else "ab+")
         if header is not None:
             self._write(header_line(header))
+        elif self._fh.seek(0, os.SEEK_END):
+            self._fh.seek(-1, os.SEEK_END)
+            if self._fh.read(1) != b"\n":
+                self._fh.write(b"\n")
 
     def _write(self, line: str) -> None:
-        self._fh.write(line + "\n")
+        self._fh.write(line.encode() + b"\n")
         self._fh.flush()
 
     def __call__(self, record: MatchRecord) -> None:

@@ -289,6 +289,17 @@ class TestExtend:
         assert all("tiny-g02" in pair or "tiny-d02" in pair
                    for pair in pairs)
 
+    def test_extends_a_log_whose_last_line_has_no_newline(self, population,
+                                                           capsys):
+        config, log, fragment = population
+        log.write_bytes(log.read_bytes().rstrip(b"\n"))
+        _, before, _ = store.read_log(log, strict=True)
+        assert run_cli("extend", log, "--config", config, "--add",
+                       fragment) == 0
+        _, after, _ = store.read_log(log, strict=True)
+        assert list(after)[:len(before)] == list(before)
+        assert len(after) == len(before) + 6
+
     def test_strict_failure_leaves_the_log_untouched(self, population,
                                                      monkeypatch, capsys):
         config, log, fragment = population
@@ -549,6 +560,20 @@ class TestScheduleCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("schedule, key", [
+        ({"kind": "round_robin", "matches": [["tiny-g00", "x"]]}, "matches"),
+        ({"kind": "explicit", "matches": [["tiny-g00", "tiny-d00"]],
+          "repeats": 3}, "repeats")])
+    def test_a_key_the_schedule_kind_ignores_exits_2_naming_it(
+            self, tmp_path, capsys, schedule, key):
+        path = write_yaml(tmp_path / "ignored.cfg",
+                          tiny_config_payload(schedule=schedule))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", path, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {key} ") and "'explicit'" in err
+        assert not out.exists()
+
     def test_directory_config_is_a_usage_error(self, tmp_path, capsys):
         assert run_cli("schedule", "--config", tmp_path) == 2
         captured = capsys.readouterr()
@@ -593,17 +618,18 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 class TestColdStart:
-    """Each process loads only what its command uses: the config validator
-    and the YAML reader only where a config or a rating flag is read."""
+    """Each process loads only what its command uses: the YAML reader only
+    where a config is read, and never jsonschema or its dependencies, since
+    configs are checked in-repo."""
 
     PROBE = ("import json, sys\n"
-             "from arena import cli, config\n"
+             "from arena import cli\n"
              "code = cli.main(sys.argv[1:])\n"
              "loaded = sorted(m for m in ('jsonschema', 'yaml')"
              " if m in sys.modules)\n"
-             "schemas = [name for name, value in vars(config).items()"
-             " if id(value) in config._VALIDATORS]\n"
-             "print(json.dumps([code, loaded, schemas]))\n")
+             "stack = sorted(m for m in ('attrs', 'referencing', 'rpds')"
+             " if m in sys.modules)\n"
+             "print(json.dumps([code, loaded, stack]))\n")
 
     def probe(self, *argv):
         result = fresh_python("-c", self.PROBE, *argv, check=True)
@@ -613,10 +639,15 @@ class TestColdStart:
         assert self.probe("rate", log_path) == [0, [], []]
 
     def test_a_rating_flag_is_still_validated(self, log_path):
-        code, loaded, validators = self.probe("rate", log_path, "--tau",
-                                              "0.7")
-        assert (code, loaded) == (0, ["jsonschema"])
-        assert validators == ["_RATING_SCHEMA"]
+        # Validated without jsonschema: --tau -1 still exits 2 (below).
+        assert self.probe("rate", log_path, "--tau", "0.7") == [0, [], []]
+
+    def test_config_commands_load_no_jsonschema(self, population, tmp_path):
+        config, log, fragment = population
+        for argv in (["run", "--config", config, "--out-dir", tmp_path / "r"],
+                     ["schedule", "--config", config],
+                     ["extend", log, "--config", config, "--add", fragment]):
+            assert self.probe(*argv) == [0, ["yaml"], []], argv
 
     def test_an_invalid_rating_flag_still_exits_2(self, log_path):
         result = fresh_python("-m", "arena.cli", "rate", log_path, "--tau",

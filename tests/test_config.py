@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arena import config as cfgmod, toy
 from arena.config import (ConfigError, build_players, build_schedule,
@@ -127,6 +129,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="matches"):
             parse_config(payload)
 
+    @pytest.mark.parametrize("kind", ["round_robin", "band"])
+    def test_matches_require_explicit_schedule(self, kind):
+        # The listed matches were ignored, their unknown ids unreported.
+        payload = minimal_payload()
+        payload["schedule"] = {"kind": kind, "band_width": 1,
+                               "matches": [["data", "x"]]}
+        if kind == "round_robin":
+            del payload["schedule"]["band_width"]
+        with pytest.raises(ConfigError, match="matches applies only to "
+                           f"schedule kind 'explicit', not '{kind}'"):
+            parse_config(payload)
+
+    def test_explicit_schedule_takes_no_repeats(self):
+        # The repeats were ignored: each listed match played once.
+        payload = minimal_payload()
+        payload["schedule"] = {"kind": "explicit", "repeats": 3,
+                               "matches": [["data", "judge"]]}
+        with pytest.raises(ConfigError, match="repeats does not apply"):
+            parse_config(payload)
+
+    def test_explicit_schedule_keeps_its_hash(self):
+        payload = minimal_payload()
+        payload["schedule"] = {"kind": "explicit",
+                               "matches": [["data", "judge"]]}
+        config = parse_config(payload)
+        assert config.schedule["repeats"] == 1
+        assert config_hash(config) == "de26c7f17e271586"
+
     def test_rating_section_mirrors_rating_config(self):
         payload = minimal_payload()
         payload["rating"] = {"tau": 0.3, "max_passes": 7,
@@ -171,26 +201,151 @@ class TestSchemas:
             parse_config(payload, where="cfg")
         assert str(caught.value) == f"cfg: at {path}: {expected.value.message}"
 
-    def test_parse_config_builds_one_validator_and_checks_no_schema(
-            self, monkeypatch):
-        # The schemas are module constants, checked against the metaschema
-        # by the test above; a command only builds the validator it uses.
-        # check_schema looks up its metaschema's validator through
-        # validator_for, so a schema check would show up here.
-        validator_for = jsonschema.validators.validator_for
-        meta = validator_for(cfgmod.CONFIG_SCHEMA).META_SCHEMA
-        looked_up = []
 
-        def spy(schema, *args, **kwargs):
-            looked_up.append(schema)
-            return validator_for(schema, *args, **kwargs)
+def _strict_integer(checker, value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-        monkeypatch.setattr(cfgmod, "_VALIDATORS", {})
-        monkeypatch.setattr(jsonschema.validators, "validator_for", spy)
-        for _ in range(3):
-            parse_config(tiny_config_payload(rating={"tau": 0.9}))
-        assert looked_up and all(s is not meta for s in looked_up)
-        assert list(cfgmod._VALIDATORS) == [id(cfgmod.CONFIG_SCHEMA)]
+
+def _strict_number(checker, value) -> bool:
+    return _strict_integer(checker, value) or (isinstance(value, float)
+                                               and math.isfinite(value))
+
+
+_REFERENCE_VALIDATORS: dict[int, object] = {}
+
+
+def reference_validate(payload, schema, where: str) -> None:
+    """The reference the in-repo checker is held to: jsonschema with strict
+    integer and number types, raising the error ``best_match`` picks."""
+    validator = _REFERENCE_VALIDATORS.get(id(schema))
+    if validator is None:
+        cls = jsonschema.validators.validator_for(schema)
+        strict = cls.TYPE_CHECKER.redefine_many(
+            {"integer": _strict_integer, "number": _strict_number})
+        cls = jsonschema.validators.extend(cls, type_checker=strict)
+        validator = _REFERENCE_VALIDATORS[id(schema)] = cls(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(payload))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"{where}: at {path}: {error.message}")
+
+
+def _message(validate, payload, schema):
+    try:
+        validate(payload, schema, "cfg")
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+def _every_kind_payload() -> dict:
+    return tiny_config_payload(
+        threshold=0.25,
+        players=tiny_config_payload()["players"] + [
+            {"kind": "toy_trajectory", "experiment": "b",
+             "checkpoints": [0, 1], "generators": False,
+             "discriminators": "chekhov", "chekhov_capacity": 2},
+            {"kind": "real_data", "id": "data", "experiment": "b"},
+            {"kind": "transform", "id": "t", "transform": "impulse",
+             "severity": 3, "iteration": 1},
+            {"kind": "noise_oracle", "id": "n", "severity": 2},
+            {"kind": "constant", "id": "c", "value": 0.5},
+            {"kind": "external", "id": "x", "role": "discriminator",
+             "command": ["judge", "--dim", "3"]}],
+        schedule={"kind": "explicit",
+                  "matches": [["tiny-g00", "c"], ["data", "x", 2]]},
+        rating={"tau": 0.5, "max_passes": 9, "damping": 0.5,
+                "outcome_mode": "per-match"},
+        outputs={"directory": "out", "log": "log.jsonl"})
+
+
+# Valid payloads of each schema the commands validate, to mutate.
+VALID_PAYLOADS = {
+    "CONFIG_SCHEMA": [minimal_payload(), tiny_config_payload(),
+                      tiny_config_payload(schedule={"kind": "band",
+                                                    "band_width": 1,
+                                                    "repeats": 2}),
+                      _every_kind_payload()],
+    "PLAYERS_FRAGMENT_SCHEMA": [
+        {"players": _every_kind_payload()["players"]}],
+    "_RATING_SCHEMA": [{}, _every_kind_payload()["rating"],
+                       {"default_rating": -3, "default_deviation": 1e-9,
+                        "default_volatility": 2, "convergence_eps": 1,
+                        "pass_tolerance": 0.1, "outcome_mode": "per-sample"}],
+}
+REPLACEMENTS = [None, True, 0, -1, 1.0, 0.5, math.nan, math.inf, -math.inf,
+                "", [], ["x", 0], {}, {"kind": "constant"}, {0: "x", 1: 2}]
+
+
+def _slots(node) -> list:
+    """Every (container, key) pair in ``node``, at any depth."""
+    keys = (list(node) if isinstance(node, dict) else
+            range(len(node)) if isinstance(node, list) else [])
+    return [slot for key in keys
+            for slot in [(node, key)] + _slots(node[key])]
+
+
+@st.composite
+def mutated(draw, schema_name):
+    payload = copy.deepcopy(draw(st.sampled_from(VALID_PAYLOADS[schema_name])))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(payload)
+        dicts = [payload] + [c[k] for c, k in slots
+                             if isinstance(c[k], dict)]
+        op = draw(st.sampled_from(["replace", "delete", "add"]))
+        if op == "add":
+            draw(st.sampled_from(dicts))[draw(st.sampled_from(
+                ["extra", "0", 0, "kind", "zz"]))] = copy.deepcopy(
+                    draw(st.sampled_from(REPLACEMENTS)))
+        elif op == "delete" and any(isinstance(c, dict) for c, _ in slots):
+            container, key = draw(st.sampled_from(
+                [(c, k) for c, k in slots if isinstance(c, dict)]))
+            del container[key]
+        elif slots:
+            container, key = draw(st.sampled_from(slots))
+            container[key] = copy.deepcopy(
+                draw(st.sampled_from(REPLACEMENTS)))
+    return payload
+
+
+class TestChecker:
+    """The in-repo checker raises what jsonschema would: the same payloads
+    pass, and a failing one fails with the same message."""
+
+    def test_every_valid_payload_passes_both(self):
+        for name, payloads in VALID_PAYLOADS.items():
+            for payload in payloads:
+                assert _message(reference_validate, payload,
+                                SCHEMAS[name]) is None
+                assert _message(cfgmod._validate, payload,
+                                SCHEMAS[name]) is None
+
+    @pytest.mark.parametrize("name", sorted(VALID_PAYLOADS))
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_payloads_get_jsonschemas_verdict(self, name, data):
+        payload = data.draw(mutated(name))
+        schema = SCHEMAS[name]
+        assert _message(cfgmod._validate, payload, schema) == \
+            _message(reference_validate, payload, schema)
+
+    def test_the_schemas_use_only_the_checked_keywords(self):
+        checked = {"type", "const", "enum", "minimum", "maximum",
+                   "exclusiveMinimum", "exclusiveMaximum", "minLength",
+                   "minItems", "maxItems", "required", "additionalProperties",
+                   "properties", "items", "prefixItems", "allOf", "if",
+                   "then"}
+
+        def keywords(schema):
+            assert schema.get("additionalProperties", False) is False
+            subs = [*schema.get("properties", {}).values(),
+                    *schema.get("prefixItems", []), *schema.get("allOf", []),
+                    *(schema[k] for k in ("items", "if", "then")
+                      if k in schema)]
+            return set(schema).union(*map(keywords, subs))
+
+        for schema in SCHEMAS.values():
+            assert keywords(schema) <= checked
 
 
 class TestConfigHash:

@@ -189,6 +189,16 @@ class TestFileRoundTrip:
         assert list(records) == [make_record(0), make_record(1),
                                  make_record(2)]
 
+    def test_append_first_ends_a_last_line_without_newline(self, tmp_path):
+        # Appended straight after it, the first new record would be glued
+        # onto the old last line, and both would be lost.
+        path = tmp_path / "log.jsonl"
+        write_records(path, [make_record(0)])
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        write_records(path, [make_record(1)], header=None)
+        _, records, _ = read_log(path, strict=True)
+        assert list(records) == [make_record(0), make_record(1)]
+
     def test_log_writer_streams_records(self, tmp_path):
         path = tmp_path / "log.jsonl"
         with LogWriter(path, HEADER) as sink:
