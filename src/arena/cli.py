@@ -34,6 +34,11 @@ def _load_with_overrides(args) -> cfgmod.TournamentConfig:
     if getattr(args, "schedule", None) is not None:
         schedule = dict(raw.get("schedule") or {})
         schedule["kind"] = args.schedule
+        # Drop what only the kind being left accepts; a --band-width flag
+        # is put back below, and refused there if the new kind is no band.
+        for key, owner in (("matches", "explicit"), ("band_width", "band")):
+            if args.schedule != owner:
+                schedule.pop(key, None)
         raw["schedule"] = schedule
     if getattr(args, "band_width", None) is not None:
         schedule = dict(raw.get("schedule") or {"kind": "band"})

@@ -7,7 +7,9 @@ One request is in flight at a time and all timeouts are enforced here on
 the host side, so a wedged child cannot stall the tournament forever.
 
 Payload numbers cross the boundary as decimal-serialized doubles; value
-fidelity is expected, bit-exactness is not promised.
+fidelity is expected, bit-exactness is not promised. numpy is imported
+only where a reply becomes an array, so the reference player, which shares
+this module's wire format, starts without it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import json
 import queue
 import subprocess
 import threading
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 PROTOCOL_VERSION = 1
 HANDSHAKE_TIMEOUT = 30.0
@@ -82,6 +86,8 @@ def _numbers(value, what: str, rows: bool = False) -> np.ndarray:
     list of equally long lists of numbers. Anything else (strings,
     booleans, objects, ragged rows, integers beyond double range) is a
     ProtocolError, not coerced."""
+    import numpy as np
+
     items = value if rows else [value]
     try:
         if (isinstance(value, list)
@@ -218,6 +224,8 @@ class ExternalPlayer:
         """Score one batch; every score must already lie in [0, 1]."""
         if self.role != "discriminator":
             raise RoleMismatch("judge() on a generator session")
+        import numpy as np
+
         batch = np.asarray(batch, dtype=float)
         reply = self._request({"type": "judge", "data": batch.tolist()},
                               "judge")

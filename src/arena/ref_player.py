@@ -2,8 +2,9 @@
 
 Run as ``python -m arena.ref_player --role generator --dim 4``. The
 generator answers each request with standard-normal vectors drawn from
-the request seed; the discriminator scores every sample with a constant.
-The fault flags exist so adapter error paths stay testable:
+the request seed; the discriminator scores every sample with a constant
+and never imports numpy. The fault flags exist so adapter error paths stay
+testable:
 
 * ``--crash-after N``  exit abruptly after N replies
 * ``--misbehave short-batch``  drop one sample or score per reply
@@ -17,8 +18,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .extern import PROTOCOL_VERSION, dump_message
 
 
@@ -28,6 +27,8 @@ def _emit(message: dict) -> None:
 
 
 def _generate(request: dict, dim: int, short: bool) -> dict:
+    import numpy as np  # only a generator needs it
+
     rng = np.random.default_rng(request.get("seed", 0))
     count = int(request.get("count", 0))
     if short and count > 0:

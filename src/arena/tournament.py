@@ -8,6 +8,12 @@ answers exactly at the threshold concedes everything.
 All randomness is derived from (tournament seed, generator id,
 discriminator id, repeat index) through a stable 64-bit hash, so any match
 can be replayed in isolation and schedule order never affects outcomes.
+A match seeded ``seed`` draws its fake batch, its real batch and its
+judging noise from ``np.random.default_rng([seed, lane])`` for the lanes
+FAKE, REAL and JUDGE. Play builds those very streams without calling
+``default_rng``: ``seeding.pcg64_states`` hashes every seed of a window in
+one array pass, and ``seeding.stream`` makes each Generator from its
+state; a judging stream is built only if the discriminator reads it.
 """
 
 from __future__ import annotations
@@ -336,40 +342,21 @@ def match_seed(tournament_seed: int, generator_id: str, discriminator_id: str,
 
 
 # Lanes of a match's independent random substreams: the fake batch, the real
-# batch and the discriminator's judging.
+# batch and the discriminator's judging. The stream of a lane is
+# ``np.random.default_rng([match seed, lane])``, built by ``seeding``.
 FAKE, REAL, JUDGE = 0, 1, 2
-
-
-def match_stream(seed: int, lane: int) -> np.random.Generator:
-    """One substream of the match seeded ``seed``."""
-    return np.random.default_rng([seed, lane])
-
-
-class _LazyStream:
-    """A match's judging stream, seeded when it is first used."""
-
-    __slots__ = ("_seed", "_rng")
-
-    def __init__(self, seed: int):
-        self._seed = seed
-        self._rng: np.random.Generator | None = None
-
-    def __getattr__(self, name: str):
-        if self._rng is None:
-            self._rng = match_stream(self._seed, JUDGE)
-        return getattr(self._rng, name)
 
 
 class JudgeStreams(abc.Sequence):
     """The judging streams of one discriminator group: each match's stream
     twice in a row, one per batch.
 
-    A stream is seeded when it is first used, so a discriminator that never
-    draws noise costs no seeding.
+    A stream is built when it is first used, so a discriminator that never
+    draws noise costs no Generator.
     """
 
-    def __init__(self, seeds: Iterable[int]):
-        self._streams = [_LazyStream(seed) for seed in seeds]
+    def __init__(self, streams: Iterable):
+        self._streams = list(streams)
 
     def __len__(self) -> int:
         return 2 * len(self._streams)
@@ -400,6 +387,14 @@ def _check_scores(scores: np.ndarray, count: int, who: str) -> np.ndarray:
     if scores.min() < 0.0 or scores.max() > 1.0:
         raise MatchError(f"{who} returned scores outside [0, 1]")
     return scores
+
+
+def _valid_rows(stacked: np.ndarray, count: int) -> np.ndarray:
+    """For each row of stacked scores, whether ``_check_scores`` passes it:
+    the rows are ``count`` wide, and every score is in [0, 1] (so finite)."""
+    if stacked.ndim != 2 or stacked.shape[1] != count:
+        return np.zeros(len(stacked), dtype=bool)
+    return ((stacked >= 0.0) & (stacked <= 1.0)).all(axis=1)
 
 
 def play_match(generator, discriminator, data, *, generator_id: str,
@@ -434,13 +429,21 @@ def _play_window(window: Sequence[tuple[str, str, int]],
     """Play consecutive matches grouped by discriminator; the records come
     back in window order, None where a match failed.
 
-    A group first draws every match's fake and real batch. A discriminator
-    with ``judge_many`` then scores all of them in one call, each match's
-    fake batch and then its real batch. Any other discriminator gets one
-    ``judge`` call per batch, match by match, and is not asked for the real
-    batch of a match whose fake scores failed their check. Both read one
-    ``JudgeStreams``, so a judging stream is only seeded if it is read.
+    The seeds of the whole window are hashed into stream states in one
+    array pass. A group first draws every match's fake and real batch. A
+    discriminator with ``judge_many`` then scores all of them in one call,
+    each match's fake batch and then its real batch, and one mask over the
+    stacked scores finds the rows ``_check_scores`` would reject; it runs on
+    those alone, to raise their message. Any other discriminator gets one
+    ``judge`` call per batch, match by match, each checked, and is not
+    asked for the real batch of a match whose fake scores failed their
+    check. Both read one ``JudgeStreams``, so a judging stream is only
+    built if it is read.
     """
+    from . import seeding  # loads numpy.random, which only play needs
+
+    seeds = [match_seed(settings.seed, *match) for match in window]
+    states = seeding.pcg64_states(seeds, JUDGE + 1)
     records: list[MatchRecord | None] = [None] * len(window)
     groups: dict[str, list[int]] = {}
     for i, (_, disc_id, _) in enumerate(window):
@@ -455,30 +458,41 @@ def _play_window(window: Sequence[tuple[str, str, int]],
             continue
         drawn, batches = [], []
         for i in indices:
-            gen_id, _, repeat = window[i]
-            seed = match_seed(settings.seed, gen_id, disc_id, repeat)
+            gen_id = window[i][0]
             who = f"generator {gen_id!r}"
             try:
                 fake = _check_batch(players[gen_id].sample(
-                    size, match_stream(seed, FAKE)), size, who)
+                    size, seeding.stream(states[i, FAKE], seeds[i], FAKE)),
+                    size, who)
                 real = _check_batch(data.sample(
-                    size, match_stream(seed, REAL)), size, "data source")
+                    size, seeding.stream(states[i, REAL], seeds[i], REAL)),
+                    size, "data source")
                 if fake.shape[1] != real.shape[1]:
                     raise MatchError(f"{who} emits dim {fake.shape[1]}, "
                                      f"data source dim {real.shape[1]}")
             except Exception as exc:
                 fail(window[i], exc)
                 continue
-            drawn.append((i, seed))
+            drawn.append(i)
             batches += (fake, real)
         if not drawn:
             continue
         who = f"discriminator {disc_id!r}"
-        rngs = JudgeStreams(seed for _, seed in drawn)
+        rngs = JudgeStreams(seeding.LazyStream(states[i, JUDGE], seeds[i],
+                                               JUDGE) for i in drawn)
+        scored = []
         judge_many = getattr(discriminator, "judge_many", None)
         if judge_many is None:
-            def score(j: int) -> np.ndarray:
-                return discriminator.judge(batches[j], rngs[j])
+            for k, i in enumerate(drawn):
+                try:
+                    fake_scores = _check_scores(discriminator.judge(
+                        batches[2 * k], rngs[2 * k]), size, who)
+                    real_scores = _check_scores(discriminator.judge(
+                        batches[2 * k + 1], rngs[2 * k + 1]), size, who)
+                except Exception as exc:
+                    fail(window[i], exc)
+                    continue
+                scored.append((i, fake_scores, real_scores))
         else:
             try:
                 stacked = np.asarray(judge_many(np.stack(batches), rngs),
@@ -488,22 +502,26 @@ def _play_window(window: Sequence[tuple[str, str, int]],
                                      f"{stacked.shape} for {len(batches)} "
                                      "batches")
             except Exception as exc:
-                for i, _ in drawn:
+                for i in drawn:
                     fail(window[i], exc)
                 continue
-            score = stacked.__getitem__
-        for k, (i, seed) in enumerate(drawn):
-            try:
-                fake_scores = _check_scores(score(2 * k), size, who)
-                real_scores = _check_scores(score(2 * k + 1), size, who)
-            except Exception as exc:
-                fail(window[i], exc)
-                continue
+            valid = _valid_rows(stacked, size)
+            for k, i in enumerate(drawn):
+                fake_scores, real_scores = stacked[2 * k], stacked[2 * k + 1]
+                if not (valid[2 * k] and valid[2 * k + 1]):
+                    try:
+                        _check_scores(fake_scores, size, who)
+                        _check_scores(real_scores, size, who)
+                    except Exception as exc:
+                        fail(window[i], exc)
+                        continue
+                scored.append((i, fake_scores, real_scores))
+        for i, fake_scores, real_scores in scored:
             records[i] = MatchRecord(
                 window[i][0], disc_id,
                 size, int(np.count_nonzero(fake_scores >= threshold)),
                 size, int(np.count_nonzero(real_scores <= threshold)),
-                seed, threshold)
+                seeds[i], threshold)
     return records
 
 

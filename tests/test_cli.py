@@ -518,6 +518,29 @@ class TestScheduleCommand:
         assert "--schedule band" in captured.err
         assert "kind:" not in captured.out
 
+    @pytest.mark.parametrize("schedule", [
+        {"kind": "explicit", "matches": [["tiny-g00", "tiny-d00"]]},
+        {"kind": "band", "band_width": 0}], ids=["explicit", "band"])
+    def test_the_schedule_flag_leaves_a_band_or_explicit_schedule(
+            self, tmp_path, capsys, schedule):
+        # It used to keep the old kind's matches or band_width, which
+        # round_robin refuses, so the flag exited 2.
+        path = write_yaml(tmp_path / "from.cfg",
+                          tiny_config_payload(schedule=schedule))
+        assert run_cli("schedule", "--config", path, "--schedule",
+                       "round_robin") == 0
+        stdout = capsys.readouterr().out
+        assert "kind: round_robin" in stdout
+        assert "matches: 16 (100% of full round robin)" in stdout
+        assert run_cli("schedule", "--config", path, "--schedule", "band",
+                       "--band-width", "1") == 0
+        stdout = capsys.readouterr().out
+        assert "kind: band" in stdout and "band_width: 1" in stdout
+        # A width given with a kind that is no band is still refused.
+        assert run_cli("schedule", "--config", path, "--schedule",
+                       "round_robin", "--band-width", "1") == 2
+        assert "--schedule band" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["run", "schedule"])
     def test_a_match_scheduled_twice_exits_nonzero(self, tmp_path, capsys,
                                                   command):
@@ -665,6 +688,30 @@ class TestColdStart:
         assert "arena.extern" in imported
         assert not imported & {"arena.glicko", "arena.tournament",
                                "jsonschema", "yaml"}
+
+    def test_reference_discriminator_never_imports_numpy(self):
+        result = fresh_python(
+            "-X", "importtime", "-m", "arena.ref_player", "--role",
+            "discriminator", "--dim", "2",
+            input='{"type": "judge", "data": [[0.5, 1.0]]}\n'
+                  '{"type": "shutdown"}\n', check=True)
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in result.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert '"values":[0.5]' in result.stdout
+        assert "arena.extern" in imported
+        assert not {name for name in imported
+                    if name.split(".")[0] == "numpy"}
+
+    def test_rate_does_not_load_numpy_random(self, log_path):
+        # Only play builds random streams; importing numpy.random would
+        # cost every re-rating its import time.
+        result = fresh_python(
+            "-c", "import sys\nfrom arena import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, 'numpy.random' in sys.modules)\n",
+            "rate", log_path, check=True)
+        assert result.stdout.splitlines()[-1] == "0 False"
 
 
 def test_benchmark_tracer_still_wraps_every_layer(tmp_path):

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from arena import toy
+from arena import seeding, toy
 from arena import tournament as tn
 from arena.config import (build_players, build_schedule, parse_config,
                           run_settings)
 from arena.tournament import (MatchError, MatchRecord, MatchTable,
                               PlayerSpec, RunSettings, band, explicit_schedule,
-                              match_seed, match_stream, play_match,
+                              match_seed, play_match,
                               round_robin, run_tournament, stable_seed,
                               validate_schedule)
 
@@ -84,10 +84,11 @@ class TestStableSeed:
 
     def test_match_rngs_are_independent_substreams(self):
         seed = match_seed(3, "g", "d", 0)
+        (states,) = seeding.pcg64_states([seed], 3)
         for lane in (tn.FAKE, tn.REAL, tn.JUDGE):
             expected = np.random.default_rng([seed, lane]).random(4)
-            assert np.array_equal(match_stream(seed, lane).random(4),
-                                  expected)
+            assert np.array_equal(
+                seeding.stream(states[lane], seed, lane).random(4), expected)
         assert (tn.FAKE, tn.REAL, tn.JUDGE) == (0, 1, 2)
 
 
@@ -472,14 +473,16 @@ def reference_match(generator, discriminator, data, gen_id, disc_id,
     match's judging stream, check the scores and count the wins."""
     seed = match_seed(settings.seed, gen_id, disc_id, repeat)
     size, threshold = settings.batch_size, settings.threshold
-    fake = tn._check_batch(generator.sample(size, match_stream(seed, tn.FAKE)),
-                           size, f"generator {gen_id!r}")
-    real = tn._check_batch(data.sample(size, match_stream(seed, tn.REAL)),
-                           size, "data source")
+    fake = tn._check_batch(
+        generator.sample(size, np.random.default_rng([seed, tn.FAKE])), size,
+        f"generator {gen_id!r}")
+    real = tn._check_batch(
+        data.sample(size, np.random.default_rng([seed, tn.REAL])), size,
+        "data source")
     if fake.shape[1] != real.shape[1]:
         raise MatchError(f"generator {gen_id!r} emits dim {fake.shape[1]}, "
                          f"data source dim {real.shape[1]}")
-    judge_rng = match_stream(seed, tn.JUDGE)
+    judge_rng = np.random.default_rng([seed, tn.JUDGE])
     who = f"discriminator {disc_id!r}"
     fake_scores = tn._check_scores(discriminator.judge(fake, judge_rng),
                                    size, who)
@@ -500,8 +503,9 @@ def replayed(schedule, players, data, settings, skip=()):
 
 
 class FlakyPanel:
-    """A toy panel whose judge_many fails (raises, or answers the wrong
-    number of rows, or scores one batch out of range) on one call only."""
+    """A toy panel whose judge_many fails on one call only: it raises,
+    answers the wrong number of rows or rows of the wrong width, or scores
+    one batch out of range or NaN."""
 
     def __init__(self, disc, failing_call: int, mode: str):
         self.disc = disc
@@ -518,7 +522,9 @@ class FlakyPanel:
             raise RuntimeError("panel crashed")
         if self.mode == "rows":
             return scores[:-1]
-        scores[-1, 0] = 1.5
+        if self.mode == "width":
+            return scores[:, :-1]
+        scores[-1, 0] = 1.5 if self.mode == "range" else np.nan
         return scores
 
 
@@ -562,9 +568,17 @@ class TestGroupedPlay:
 
     @pytest.mark.parametrize("mode, lost", [("raise", "window"),
                                             ("rows", "window"),
-                                            ("range", "match")])
+                                            ("width", "window"),
+                                            ("range", "match"),
+                                            ("nan", "match")])
     def test_a_failing_judge_many_loses_only_its_window(self, mode, lost,
                                                         caplog, monkeypatch):
+        # Past the raise, the reason is _check_scores's message.
+        reason = {"raise": "panel crashed",
+                  "rows": "returned scores with shape (",
+                  "width": "returned scores with shape (7,), expected (8,)",
+                  "range": "returned scores outside [0, 1]",
+                  "nan": "returned non-finite scores"}[mode]
         config, built, schedule = mixed_population()
         schedule = explicit_schedule(m for m in schedule.matches
                                      if m[0] != "bad")
@@ -587,8 +601,12 @@ class TestGroupedPlay:
         assert len(victims) >= (1 if lost == "match" else 2)
         assert records == replayed(schedule, reference, built.data, settings,
                                    skip=set(victims))
-        assert sum("skipping match" in m for m in caplog.messages) == \
-            len(victims)
+        skipped = [m for m in caplog.messages if "skipping match" in m]
+        assert len(skipped) == len(victims)
+        for (g, d, r), message in zip(victims, skipped):
+            assert message.startswith(f"skipping match {g} vs {d} (repeat "
+                                      f"{r}): ")
+            assert reason in message
 
     def test_fatal_failure_leaves_a_schedule_order_prefix(self,
                                                           monkeypatch):
@@ -679,13 +697,13 @@ def assert_no_judging_stream_is_seeded(monkeypatch, keep):
     settings = run_settings(config)
     expected = replayed(kept, built.players, built.data, settings)
     lanes = []
-    stream = tn.match_stream
+    stream = seeding.stream
 
-    def recording(seed, lane):
+    def recording(state, seed, lane):
         lanes.append(lane)
-        return stream(seed, lane)
+        return stream(state, seed, lane)
 
-    monkeypatch.setattr(tn, "match_stream", recording)
+    monkeypatch.setattr(seeding, "stream", recording)
     assert list(run_tournament(kept, built.players, built.data,
                                settings)) == expected
     assert sorted(set(lanes)) == [tn.FAKE, tn.REAL]
@@ -792,9 +810,9 @@ class TestJudgeOnlyBranch:
         for k, (gen_id, disc_id, repeat) in enumerate(self.schedule.matches):
             (_, fake_rng, fake_state), (_, real_rng, real_state) = \
                 judge.calls[2 * k:2 * k + 2]
-            fresh = match_stream(
-                match_seed(self.settings.seed, gen_id, disc_id, repeat),
-                tn.JUDGE)
+            fresh = np.random.default_rng(
+                [match_seed(self.settings.seed, gen_id, disc_id, repeat),
+                 tn.JUDGE])
             assert real_rng is fake_rng
             assert fake_state == fresh.bit_generator.state
             fresh.random()
