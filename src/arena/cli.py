@@ -68,7 +68,8 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
     sessions again whatever happens.
 
     With ``log_path`` a new log is started there, under the config's
-    header, and every record is written to it as soon as it is played.
+    header, and each window's records are written to it as soon as the
+    window is played.
     Without ``strict`` a player that cannot be started costs only its own
     matches: it is reported once, with the number of its matches, and
     they are dropped from the schedule.
@@ -99,6 +100,10 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
             cfgmod.run_settings(config, "fatal" if strict else "skip"),
             sink=sink)
     finally:
+        # Every child is told to stop before any is waited for, so they
+        # wind down together.
+        for session in sessions:
+            session.shutdown()
         for session in sessions:
             session.close()
         if sink is not None:
@@ -225,8 +230,7 @@ def cmd_extend(args) -> int:
     # Appended only once every new match has been played, so a --strict
     # failure leaves the log untouched.
     with store.LogWriter(args.log) as sink:
-        for record in new_records:
-            sink(record)
+        sink(new_records)
     _print_report(*_report(records.concat(new_records), config.rating,
                            built.specs, args.out_dir, config.outputs))
     print(f"appended {len(new_records)} records to {args.log} "

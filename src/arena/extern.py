@@ -8,16 +8,14 @@ the host side, so a wedged child cannot stall the tournament forever.
 
 Payload numbers cross the boundary as decimal-serialized doubles; value
 fidelity is expected, bit-exactness is not promised. numpy is imported
-only where a reply becomes an array, so the reference player, which shares
-this module's wire format, starts without it.
+only where a reply becomes an array, and ``subprocess``, ``threading`` and
+``queue`` only where a session is opened, so the reference player, which
+shares this module's wire format, starts without any of them.
 """
 
 from __future__ import annotations
 
 import json
-import queue
-import subprocess
-import threading
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -26,6 +24,9 @@ if TYPE_CHECKING:
 PROTOCOL_VERSION = 1
 HANDSHAKE_TIMEOUT = 30.0
 REQUEST_TIMEOUT = 60.0
+# Seconds a child may take to exit once it has been shut down; then it is
+# killed.
+CLOSE_TIMEOUT = 5.0
 
 MESSAGE_TYPES = ("hello", "generate", "samples", "judge", "scores",
                  "error", "shutdown")
@@ -113,6 +114,10 @@ class ExternalPlayer:
     def __init__(self, command, *, role: str, env=None,
                  handshake_timeout: float = HANDSHAKE_TIMEOUT,
                  request_timeout: float = REQUEST_TIMEOUT):
+        import queue
+        import subprocess
+        import threading
+
         if role not in ROLES:
             raise ValueError(f"role must be one of {ROLES}, got {role!r}")
         self.role = role
@@ -163,6 +168,8 @@ class ExternalPlayer:
         self._lines.put(None)
 
     def _next_message(self, timeout: float, context: str) -> dict:
+        import queue  # loaded when the session was opened
+
         if self._dead is not None:
             raise ExternError(f"{context}: {self._dead}")
         try:
@@ -241,11 +248,13 @@ class ExternalPlayer:
                 f"scores outside [0, 1]: {values[bad][:4].tolist()}")
         return values
 
-    def close(self) -> None:
-        """Send shutdown, close the child's stdin and reap the child,
-        killing it if it is still running 5 s later; safe to call
+    def shutdown(self) -> None:
+        """Ask the child to exit: send shutdown and close its stdin, without
+        waiting for it. ``close`` does this first; safe to call
         repeatedly."""
         proc = self._proc
+        if proc.stdin.closed:
+            return
         if proc.poll() is None:
             try:
                 proc.stdin.write(dump_message({"type": "shutdown"}) + "\n")
@@ -256,13 +265,27 @@ class ExternalPlayer:
             proc.stdin.close()
         except OSError:
             pass
-        try:
-            proc.wait(timeout=5.0)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
+
+    def close(self) -> None:
+        """Shut the child down and reap it with a blocking wait, killing it
+        if it is still running ``CLOSE_TIMEOUT`` s later; safe to call
+        repeatedly."""
+        import threading
+
+        self.shutdown()
+        proc = self._proc
+        if proc.poll() is None:
+            killer = threading.Timer(CLOSE_TIMEOUT, proc.kill)
+            killer.start()
+            try:
+                proc.wait()
+            finally:
+                killer.cancel()
+                killer.join()
         self._dead = self._dead or "session closed"
-        self._reader.join(timeout=5.0)
+        self._reader.join(timeout=CLOSE_TIMEOUT)
+        if not self._reader.is_alive():
+            proc.stdout.close()
 
     def __enter__(self) -> "ExternalPlayer":
         return self

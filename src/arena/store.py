@@ -20,6 +20,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -89,8 +90,36 @@ def header_line(header: LogHeader) -> str:
                   "engine": header.engine, "seed": header.seed})
 
 
+# A record line with its fields in sorted key order, as _dump lays it out.
+# Counts and seeds are ints, whose JSON text is their str(); ids and
+# thresholds are filled in as JSON text.
+_RECORD_TEMPLATE = ('{"discriminator_id":%s,"fake_wins":%s,'
+                    '"generator_id":%s,"n_fake":%s,"n_real":%s,'
+                    '"real_wins":%s,"seed":%s,"threshold":%s}\n')
+
+
+def _record_lines(records, texts: dict) -> str:
+    """Each record's line, newline included, all joined: the bytes of
+    ``_dump`` of each record's fields. ``texts`` caches the JSON text of
+    each id (keyed by the id) and of each threshold (keyed by its type and
+    value, since 1 == 1.0 == True but each dumps differently)."""
+    def text(key, value) -> str:
+        try:
+            return texts[key]
+        except KeyError:
+            texts[key] = found = _dump(value)
+            return found
+
+    return "".join([_RECORD_TEMPLATE % (
+        text(r.discriminator_id, r.discriminator_id), r.fake_wins,
+        text(r.generator_id, r.generator_id), r.n_fake, r.n_real,
+        r.real_wins, r.seed,
+        text((type(r.threshold), r.threshold), r.threshold))
+        for r in records])
+
+
 def record_line(record: MatchRecord) -> str:
-    return _dump({name: getattr(record, name) for name in _RECORD_FIELDS})
+    return _record_lines([record], {})[:-1]
 
 
 def _checked_fields(payload: dict, types: dict, what: str) -> dict:
@@ -152,25 +181,27 @@ class LogWriter:
     log, ``LogWriter(path)`` appends to an existing one, first ending its
     last line if that has no newline, so no record is glued onto it.
 
-    Every line is flushed as it is written, so a killed run keeps every
-    record it finished.
+    ``writer(records)`` writes the lines of a batch of records, such as a
+    finished window of play, with one write and one flush, so a killed
+    run keeps every batch it handed over.
     """
 
     def __init__(self, path, header: LogHeader | None = None):
         self._fh = open(path, "wb" if header is not None else "ab+")
+        self._texts: dict = {}
         if header is not None:
-            self._write(header_line(header))
+            self._write(header_line(header) + "\n")
         elif self._fh.seek(0, os.SEEK_END):
             self._fh.seek(-1, os.SEEK_END)
             if self._fh.read(1) != b"\n":
                 self._fh.write(b"\n")
 
-    def _write(self, line: str) -> None:
-        self._fh.write(line.encode() + b"\n")
+    def _write(self, text: str) -> None:
+        self._fh.write(text.encode())
         self._fh.flush()
 
-    def __call__(self, record: MatchRecord) -> None:
-        self._write(record_line(record))
+    def __call__(self, records: Iterable[MatchRecord]) -> None:
+        self._write(_record_lines(records, self._texts))
 
     def close(self) -> None:
         self._fh.close()

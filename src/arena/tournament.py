@@ -367,11 +367,17 @@ class JudgeStreams(abc.Sequence):
         return self._streams[range(len(self))[index] // 2]
 
 
-def _check_batch(batch: np.ndarray, count: int, who: str) -> np.ndarray:
+def _shaped(batch, count: int, who: str) -> np.ndarray:
+    """The batch as floats, if it holds ``count`` samples."""
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[0] != count:
         raise MatchError(f"{who} returned batch shape {batch.shape}, "
                          f"expected ({count}, dim)")
+    return batch
+
+
+def _check_batch(batch, count: int, who: str) -> np.ndarray:
+    batch = _shaped(batch, count, who)
     if not np.isfinite(batch).all():
         raise MatchError(f"{who} returned non-finite samples")
     return batch
@@ -422,6 +428,88 @@ def play_match(generator, discriminator, data, *, generator_id: str,
     return record
 
 
+def _draw_group(indices: Sequence[int],
+                window: Sequence[tuple[str, str, int]],
+                players: Mapping[str, object], data, size: int, stream,
+                fail: Callable[[tuple[str, str, int], Exception], None]
+                ) -> tuple[list[int], np.ndarray | None]:
+    """Draw the fake and the real batch of each match of one discriminator
+    group; return the matches whose batches pass their checks, and those
+    batches stacked, each match's fake batch and then its real batch.
+
+    The real batches come from one ``data.sample_many`` call if the data
+    source defines it, else from one ``sample`` call per match. Shapes
+    are checked batch by batch, finiteness with one mask over the stack.
+    Failures are reported in match order, each with the message of the
+    first batch-by-batch check the match fails: the fake batch's shape,
+    its finiteness, the real batch's shape, its finiteness, their dims.
+    """
+    lost: dict[int, Exception] = {}
+    fakes: dict[int, np.ndarray] = {}
+    for i in indices:
+        gen_id = window[i][0]
+        try:
+            fakes[i] = _shaped(players[gen_id].sample(size, stream(i, FAKE)),
+                               size, f"generator {gen_id!r}")
+        except Exception as exc:
+            lost[i] = exc
+    sample_many = getattr(data, "sample_many", None)
+    reals = None
+    if sample_many is not None and fakes:
+        try:
+            reals = list(sample_many(size, [stream(i, REAL) for i in fakes]))
+            if len(reals) != len(fakes):
+                raise MatchError(f"data source returned {len(reals)} "
+                                 f"batches for {len(fakes)}")
+        except Exception as exc:
+            reals = [exc] * len(fakes)
+    drawn, batches = [], []
+    for k, (i, fake) in enumerate(fakes.items()):
+        who = f"generator {window[i][0]!r}"
+        try:
+            real = (data.sample(size, stream(i, REAL)) if reals is None
+                    else reals[k])
+            if isinstance(real, Exception):
+                raise real
+            real = _shaped(real, size, "data source")
+            if fake.shape[1] != real.shape[1]:
+                raise MatchError(f"{who} emits dim {fake.shape[1]}, data "
+                                 f"source dim {real.shape[1]}")
+        except Exception as exc:
+            lost[i] = exc
+            try:  # the fake batch's finiteness is checked first
+                _check_batch(fake, size, who)
+            except MatchError as first:
+                lost[i] = first
+            continue
+        drawn.append(i)
+        batches += (fake, real)
+    stacked = None
+    if drawn:
+        try:
+            stacked = np.stack(batches)
+        except ValueError as exc:  # a data source whose dim changes
+            lost.update(dict.fromkeys(drawn, exc))
+            drawn = []
+    if drawn:
+        finite = np.isfinite(stacked).all(axis=(1, 2))
+        ok = finite[0::2] & finite[1::2]
+        for k in np.flatnonzero(~ok):  # each fails a batch-by-batch check
+            i = drawn[k]
+            try:
+                _check_batch(stacked[2 * k], size,
+                             f"generator {window[i][0]!r}")
+                _check_batch(stacked[2 * k + 1], size, "data source")
+            except MatchError as exc:
+                lost[i] = exc
+        if not ok.all():
+            drawn = [i for i, good in zip(drawn, ok) if good]
+            stacked = stacked[np.repeat(ok, 2)]
+    for i in sorted(lost):
+        fail(window[i], lost[i])
+    return drawn, stacked
+
+
 def _play_window(window: Sequence[tuple[str, str, int]],
                  players: Mapping[str, object], data, settings: RunSettings,
                  fail: Callable[[tuple[str, str, int], Exception], None]
@@ -430,20 +518,25 @@ def _play_window(window: Sequence[tuple[str, str, int]],
     back in window order, None where a match failed.
 
     The seeds of the whole window are hashed into stream states in one
-    array pass. A group first draws every match's fake and real batch. A
-    discriminator with ``judge_many`` then scores all of them in one call,
-    each match's fake batch and then its real batch, and one mask over the
-    stacked scores finds the rows ``_check_scores`` would reject; it runs on
-    those alone, to raise their message. Any other discriminator gets one
-    ``judge`` call per batch, match by match, each checked, and is not
-    asked for the real batch of a match whose fake scores failed their
-    check. Both read one ``JudgeStreams``, so a judging stream is only
-    built if it is read.
+    array pass. A group first draws every match's fake and real batch
+    (``_draw_group``). A discriminator with ``judge_many`` then scores all
+    of them in one call, each match's fake batch and then its real batch,
+    and one mask over the stacked scores finds the rows ``_check_scores``
+    would reject; it runs on those alone, to raise their message. Any
+    other discriminator gets one ``judge`` call per batch, match by match,
+    each checked, and is not asked for the real batch of a match whose
+    fake scores failed their check. Both read one ``JudgeStreams``, so a
+    judging stream is only built if it is read. Each side's wins are
+    counted over the whole group at once.
     """
     from . import seeding  # loads numpy.random, which only play needs
 
     seeds = [match_seed(settings.seed, *match) for match in window]
     states = seeding.pcg64_states(seeds, JUDGE + 1)
+
+    def stream(i: int, lane: int):
+        return seeding.stream(states[i, lane], seeds[i], lane)
+
     records: list[MatchRecord | None] = [None] * len(window)
     groups: dict[str, list[int]] = {}
     for i, (_, disc_id, _) in enumerate(window):
@@ -456,31 +549,14 @@ def _play_window(window: Sequence[tuple[str, str, int]],
             for i in indices:
                 fail(window[i], exc)
             continue
-        drawn, batches = [], []
-        for i in indices:
-            gen_id = window[i][0]
-            who = f"generator {gen_id!r}"
-            try:
-                fake = _check_batch(players[gen_id].sample(
-                    size, seeding.stream(states[i, FAKE], seeds[i], FAKE)),
-                    size, who)
-                real = _check_batch(data.sample(
-                    size, seeding.stream(states[i, REAL], seeds[i], REAL)),
-                    size, "data source")
-                if fake.shape[1] != real.shape[1]:
-                    raise MatchError(f"{who} emits dim {fake.shape[1]}, "
-                                     f"data source dim {real.shape[1]}")
-            except Exception as exc:
-                fail(window[i], exc)
-                continue
-            drawn.append(i)
-            batches += (fake, real)
+        drawn, batches = _draw_group(indices, window, players, data, size,
+                                     stream, fail)
         if not drawn:
             continue
         who = f"discriminator {disc_id!r}"
         rngs = JudgeStreams(seeding.LazyStream(states[i, JUDGE], seeds[i],
                                                JUDGE) for i in drawn)
-        scored = []
+        scored, rows = [], []
         judge_many = getattr(discriminator, "judge_many", None)
         if judge_many is None:
             for k, i in enumerate(drawn):
@@ -492,51 +568,58 @@ def _play_window(window: Sequence[tuple[str, str, int]],
                 except Exception as exc:
                     fail(window[i], exc)
                     continue
-                scored.append((i, fake_scores, real_scores))
+                scored.append(i)
+                rows += (fake_scores, real_scores)
+            if not scored:
+                continue
+            scores = np.stack(rows)
         else:
             try:
-                stacked = np.asarray(judge_many(np.stack(batches), rngs),
-                                     dtype=float)
-                if stacked.shape[:1] != (len(batches),):
+                scores = np.asarray(judge_many(batches, rngs), dtype=float)
+                if scores.shape[:1] != (len(batches),):
                     raise MatchError(f"{who} returned scores with shape "
-                                     f"{stacked.shape} for {len(batches)} "
+                                     f"{scores.shape} for {len(batches)} "
                                      "batches")
             except Exception as exc:
                 for i in drawn:
                     fail(window[i], exc)
                 continue
-            valid = _valid_rows(stacked, size)
-            for k, i in enumerate(drawn):
-                fake_scores, real_scores = stacked[2 * k], stacked[2 * k + 1]
-                if not (valid[2 * k] and valid[2 * k + 1]):
-                    try:
-                        _check_scores(fake_scores, size, who)
-                        _check_scores(real_scores, size, who)
-                    except Exception as exc:
-                        fail(window[i], exc)
-                        continue
-                scored.append((i, fake_scores, real_scores))
-        for i, fake_scores, real_scores in scored:
-            records[i] = MatchRecord(
-                window[i][0], disc_id,
-                size, int(np.count_nonzero(fake_scores >= threshold)),
-                size, int(np.count_nonzero(real_scores <= threshold)),
-                seeds[i], threshold)
+            valid = _valid_rows(scores, size)
+            ok = valid[0::2] & valid[1::2]
+            # The mask rejects the rows _check_scores rejects, so each of
+            # these matches fails, with its message.
+            for k in np.flatnonzero(~ok):
+                try:
+                    _check_scores(scores[2 * k], size, who)
+                    _check_scores(scores[2 * k + 1], size, who)
+                except Exception as exc:
+                    fail(window[drawn[k]], exc)
+            if not ok.any():
+                continue
+            scored = [i for i, good in zip(drawn, ok) if good]
+            scores = scores if ok.all() else scores[np.repeat(ok, 2)]
+        fake_wins = np.count_nonzero(scores[0::2] >= threshold, axis=1)
+        real_wins = np.count_nonzero(scores[1::2] <= threshold, axis=1)
+        for i, fake, real in zip(scored, fake_wins.tolist(),
+                                 real_wins.tolist()):
+            records[i] = MatchRecord(window[i][0], disc_id, size, fake, size,
+                                     real, seeds[i], threshold)
     return records
 
 
 def run_tournament(schedule: Schedule, players: Mapping[str, object], data,
                    settings: RunSettings,
-                   sink: Callable[[MatchRecord], None] | None = None
+                   sink: Callable[[list[MatchRecord]], None] | None = None
                    ) -> MatchTable:
     """Play every scheduled match, ``WINDOW`` consecutive matches at a time.
 
     ``players`` maps ids to objects with sample()/judge() methods and, for
     discriminators, an optional judge_many(batches, rngs) that scores a
     stack of batches at once; ``data`` supplies real batches. Each window
-    is played by ``_play_window``, grouped by discriminator, and its
-    records are kept (and streamed to ``sink``) in schedule order once it
-    is done; they come back as a ``MatchTable`` in that order. A record
+    is played by ``_play_window``, grouped by discriminator, and once it
+    is done its records are kept, in schedule order, and handed to
+    ``sink`` in one call; they come back as a ``MatchTable`` in that
+    order. A record
     depends only on its own match, never on the window it was played in.
     With on_error="fatal" the first failure propagates and its window's
     records are not sent, so the sink holds a schedule-order prefix; with
@@ -551,10 +634,10 @@ def run_tournament(schedule: Schedule, players: Mapping[str, object], data,
     records: list[MatchRecord] = []
     matches = schedule.matches
     for start in range(0, len(matches), WINDOW):
-        for record in _play_window(matches[start:start + WINDOW], players,
-                                   data, settings, fail):
-            if record is not None:
-                records.append(record)
-                if sink is not None:
-                    sink(record)
+        played = [record for record in _play_window(
+            matches[start:start + WINDOW], players, data, settings, fail)
+            if record is not None]
+        records += played
+        if sink is not None and played:
+            sink(played)
     return MatchTable.from_records(records)

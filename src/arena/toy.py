@@ -9,7 +9,7 @@ the generator's own Gaussian (oracle), a uniform mixture over past
 generators kept by reservoir sampling (chekhov), or uniform noise once the
 trajectory has mastered the task (forgetting). Every model caches its
 whitening matrix and log-determinant when it is built, so a panel judges a
-batch, or a stack of batches, with one batched matmul and no solve or
+batch, or a stack of batches, with one matmul per model and no solve or
 factorization. Everything is closed form; no player is trained.
 """
 
@@ -63,6 +63,19 @@ class GaussianModel:
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         z = rng.standard_normal((count, self.dim))
         return z @ self.factor + self.mean
+
+    def sample_many(self, count: int,
+                    rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """``sample(count, rng)`` for each generator in turn, as one
+        (m, count, dim) array whose rows are bit for bit those batches: the
+        draws fill one buffer, and the stacked matmul makes the same
+        per-batch product."""
+        z = np.empty((len(rngs), count, self.dim))
+        for rng, out in zip(rngs, z):
+            rng.standard_normal(out=out)
+        x = z @ self.factor
+        x += self.mean
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,8 +196,8 @@ class OracleDiscriminator:
     The fake density is a uniform mixture over reference models; a single
     reference is the plain per-checkpoint oracle. The data model and the
     references are stacked once, at construction: scoring centres the
-    samples on every model's mean and whitens them with one batched matmul,
-    one (n, d) @ (d, d) product per model and batch, so a row of a stacked
+    samples on each model's mean and whitens them with one matmul per
+    model, one (n, d) @ (d, d) product per batch, so a row of a stacked
     call is bit for bit the row of a single-batch call.
     """
 
@@ -205,16 +218,25 @@ class OracleDiscriminator:
 
     def log_densities(self, batch: np.ndarray) -> np.ndarray:
         """Log densities of (..., n, d) samples under the data model and
-        each reference, as (1 + K, ..., n)."""
+        each reference, as (1 + K, ..., n).
+
+        One model at a time, through two buffers the size of ``batch``:
+        a (1 + K, ..., n, d) temporary of a chekhov panel's stack would
+        pass the allocator's mmap threshold and be mapped and zero-filled
+        afresh on every call.
+        """
         x = np.asarray(batch, dtype=float)
         if not np.isfinite(x).all():
             raise ValueError("non-finite samples to score")
-        models, dim = self._means.shape
-        stack = (models,) + (1,) * (x.ndim - 1)
-        centered = x - self._means.reshape(stack + (dim,))
-        z = centered @ self._whitening.reshape(stack[:-1] + (dim, dim))
-        return self._offsets.reshape(stack) - 0.5 * np.einsum(
-            "...i,...i->...", z, z)
+        models = len(self._means)
+        centered, z = np.empty(x.shape), np.empty(x.shape)
+        squares = np.empty((models,) + x.shape[:-1])
+        for k in range(models):
+            np.subtract(x, self._means[k], out=centered)
+            np.matmul(centered, self._whitening[k], out=z)
+            np.einsum("...i,...i->...", z, z, out=squares[k])
+        return (self._offsets.reshape((models,) + (1,) * (x.ndim - 1))
+                - 0.5 * squares)
 
     def score(self, batch: np.ndarray) -> np.ndarray:
         densities = self.log_densities(np.atleast_2d(batch))

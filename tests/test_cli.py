@@ -196,9 +196,9 @@ class TestRate:
             self, tmp_path, capsys):
         path = tmp_path / "log.jsonl"
         with store.LogWriter(path, store.LogHeader("feed", 1)) as sink:
-            sink(tn.MatchRecord("g1", "d1", 8, 5, 8, 3, seed=1))
-            sink(tn.MatchRecord("g1", "d2", 0, 0, 0, 0, seed=2))
-            sink(tn.MatchRecord("g2", "d1", 0, 0, 0, 0, seed=3))
+            sink([tn.MatchRecord("g1", "d1", 8, 5, 8, 3, seed=1)])
+            sink([tn.MatchRecord("g1", "d2", 0, 0, 0, 0, seed=2)])
+            sink([tn.MatchRecord("g2", "d1", 0, 0, 0, 0, seed=3)])
         out = tmp_path / "rated"
         assert run_cli("rate", path, "--out-dir", out) == 0
         assert "Traceback" not in capsys.readouterr().err
@@ -237,7 +237,7 @@ class TestRate:
         path = tmp_path / "log.jsonl"
         with store.LogWriter(path, store.LogHeader("feed", 1)) as sink:
             for seed, (gen_id, disc_id) in enumerate(records):
-                sink(tn.MatchRecord(gen_id, disc_id, 8, 5, 8, 3, seed=seed))
+                sink([tn.MatchRecord(gen_id, disc_id, 8, 5, 8, 3, seed=seed)])
         argv = ["rate", path, "--out-dir", tmp_path / "rated"]
         assert run_cli(*argv, *(["--strict"] if strict else [])) == 1
         assert capsys.readouterr().err == (
@@ -431,7 +431,7 @@ class TestRerating:
             def __exit__(self, *exc_info):
                 pass
 
-            def __call__(self, record):
+            def __call__(self, records):
                 pass
 
         monkeypatch.setattr(store, "read_log",
@@ -688,6 +688,18 @@ class TestColdStart:
         assert "arena.extern" in imported
         assert not imported & {"arena.glicko", "arena.tournament",
                                "jsonschema", "yaml"}
+
+    def test_reference_player_starts_without_subprocess(self):
+        # extern loads subprocess, threading and queue only where a session
+        # is opened, which a child never does. (The interpreter's own start
+        # may load threading, so the probe asks what the import added.)
+        result = fresh_python(
+            "-c", "import sys\nbefore = set(sys.modules)\n"
+            "import arena.ref_player\n"
+            "print('subprocess' in sys.modules, sorted(\n"
+            "    {'threading', 'queue'} & (set(sys.modules) - before)))\n",
+            check=True)
+        assert result.stdout.splitlines()[-1] == "False []"
 
     def test_reference_discriminator_never_imports_numpy(self):
         result = fresh_python(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,29 @@ class TestScripts:
         artifacts = [f"within_{name}" for name in sm.ARTIFACT_NAMES.values()]
         assert sorted(p.name for p in (tmp_path / "within").iterdir()) == \
             sorted(["within.jsonl", "verdict.json", *artifacts])
+
+    def test_same_outputs_of_one_tree(self):
+        src = Path(ex.__file__).resolve().parents[1]
+        config = SCRIPTS.parent / "configs" / "within_trajectory.cfg"
+        result = fresh_python(SCRIPTS / "same_outputs.py", src, src, config)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout.splitlines()[-1] == \
+            "7 outputs compared, 0 differ"
+
+    def test_same_outputs_names_what_differs(self, tmp_path):
+        # Another engine version changes the log header and nothing else.
+        src = Path(ex.__file__).resolve().parents[1]
+        shutil.copytree(src / "arena", tmp_path / "arena",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        tournament = tmp_path / "arena" / "tournament.py"
+        tournament.write_text(tournament.read_text().replace(
+            "\nENGINE = 2\n", "\nENGINE = 3\n"))
+        config = SCRIPTS.parent / "configs" / "within_trajectory.cfg"
+        result = fresh_python(SCRIPTS / "same_outputs.py", src, tmp_path,
+                              config)
+        assert result.returncode == 1
+        assert result.stdout.splitlines() == [
+            f"differs: {config}: log.jsonl", "7 outputs compared, 1 differ"]
 
     def test_seed_study_runs(self):
         result = fresh_python(SCRIPTS / "seed_study.py", "--experiments",

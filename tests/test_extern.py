@@ -8,6 +8,7 @@ player cannot produce.
 from __future__ import annotations
 
 import json
+import signal
 import subprocess
 import sys
 import textwrap
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from arena import cli, extern
 from arena.cli import main
 from arena.extern import (MESSAGE_TYPES, BatchSizeMismatch, ExternError,
                           ExternalPlayer, HandshakeFailed, ProtocolError,
@@ -354,6 +356,56 @@ class TestLifecycle:
         player.close()
         assert time.perf_counter() - start < 2.0
         assert player._proc.returncode == 0  # exited on its own, not killed
+
+    def test_child_that_ignores_shutdown_and_end_of_input_is_killed(
+            self, monkeypatch):
+        child = inline_child("""
+            import signal
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            time.sleep(60)  # reads neither shutdown nor end of input
+        """, hello=True)
+        player = ExternalPlayer(child, role="generator")
+        monkeypatch.setattr(extern, "CLOSE_TIMEOUT", 0.3)
+        start = time.perf_counter()
+        player.close()
+        assert 0.3 <= time.perf_counter() - start < 5.0
+        assert player._proc.returncode == -signal.SIGKILL
+        player.close()  # idempotent once reaped
+
+    def test_shutdown_asks_without_waiting_and_close_reaps(self):
+        player = ExternalPlayer(ref_player("generator"), role="generator")
+        player.shutdown()
+        assert player._proc.stdin.closed
+        player.shutdown()  # idempotent
+        player.close()
+        assert player._proc.returncode == 0
+
+    def test_a_run_shuts_every_session_down_before_reaping_any(
+            self, monkeypatch, tmp_path):
+        events = []
+
+        class Recorded(ExternalPlayer):
+            def shutdown(self):
+                events.append(("shutdown", self.role))
+                super().shutdown()
+
+            def close(self):
+                events.append(("close", self.role))
+                super().close()
+
+        monkeypatch.setattr(cli, "ExternalPlayer", Recorded)
+        config = write_yaml(tmp_path / "pair.cfg", tiny_config_payload(
+            players=[
+                {"kind": "toy_trajectory", "experiment": "t",
+                 "n_checkpoints": 2, "discriminators": "oracle"},
+                *({"kind": "external", "id": f"ext-{role[0]}", "role": role,
+                   "command": ref_player(role)}
+                  for role in ("generator", "discriminator"))]))
+        assert main(["run", "--config", str(config), "--out-dir",
+                     str(tmp_path / "out")]) == 0
+        assert [kind for kind, _ in events[:2]] == ["shutdown", "shutdown"]
+        assert [kind for kind, _ in events if kind == "close"] == \
+            ["close", "close"]
 
     def test_crash_mid_session_fails_fast_afterwards(self):
         player = ExternalPlayer(ref_player("generator", "--crash-after",

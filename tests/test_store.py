@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +19,7 @@ from arena.tournament import ENGINE, MatchRecord, MatchTable
 from conftest import TEXT_ALPHABET
 
 HEADER = LogHeader(config_hash="0123456789abcdef", seed=7)
+RECORD_FIELDS = [field.name for field in dataclasses.fields(MatchRecord)]
 
 ids = st.text(alphabet="".join(map(chr, range(33, 127))),
               min_size=1, max_size=12)
@@ -25,8 +29,7 @@ def write_records(path, records, header: LogHeader | None = HEADER) -> None:
     """Write records through LogWriter: a new log when a header is given,
     an append otherwise."""
     with LogWriter(path, header) as sink:
-        for record in records:
-            sink(record)
+        sink(records)
 
 
 def make_record(i: int = 0) -> MatchRecord:
@@ -202,8 +205,8 @@ class TestFileRoundTrip:
     def test_log_writer_streams_records(self, tmp_path):
         path = tmp_path / "log.jsonl"
         with LogWriter(path, HEADER) as sink:
-            sink(make_record(0))
-            sink(make_record(1))
+            sink([make_record(0)])
+            sink([make_record(1)])
         lines = [header_line(HEADER), record_line(make_record(0)),
                  record_line(make_record(1))]
         assert path.read_text() == "".join(line + "\n" for line in lines)
@@ -214,7 +217,7 @@ class TestFileRoundTrip:
         sink = LogWriter(path, HEADER)
         try:
             for i in range(3):
-                sink(make_record(i))
+                sink([make_record(i)])
                 _, records, _ = read_log(path)
                 assert list(records) == [make_record(k)
                                          for k in range(i + 1)]
@@ -344,6 +347,32 @@ def corrupt_lines(draw):
         payload["n_fake"] = 0
     payload[field] = value
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+class TestRecordTemplate:
+    @given(st.lists(st.builds(
+        lambda record, threshold: dataclasses.replace(record,
+                                                      threshold=threshold),
+        wide_records, st.one_of(st.floats(), st.integers(-2, 2 ** 70),
+                                st.booleans())), max_size=8))
+    @settings(max_examples=200)
+    def test_lines_are_those_of_json_dumps(self, records):
+        # Quotes, backslashes, control characters, non-ASCII and non-BMP
+        # ids; counts and seeds up to their limits; NaN, infinite, integer
+        # and boolean thresholds (1, 1.0 and True dump differently).
+        expected = "".join(
+            json.dumps({name: getattr(r, name) for name in RECORD_FIELDS},
+                       sort_keys=True, separators=(",", ":")) + "\n"
+            for r in records)
+        assert "".join(record_line(r) + "\n" for r in records) == expected
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "log.jsonl")
+            with LogWriter(path, HEADER) as sink:
+                sink(records)
+                sink(records)  # every id and threshold text now cached
+            with open(path, "rb") as fh:
+                assert fh.read() == (header_line(HEADER) + "\n"
+                                     + 2 * expected).encode()
 
 
 log_lines = st.lists(st.one_of(

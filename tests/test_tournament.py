@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from arena import seeding, toy
+from arena import seeding, store, toy
 from arena import tournament as tn
 from arena.config import (build_players, build_schedule, parse_config,
                           run_settings)
@@ -414,7 +414,7 @@ class TestRunTournament:
         seen = []
         records = list(run_tournament(
             schedule, self.players(), FixedGenerator(),
-            RunSettings(seed=1, batch_size=4), sink=seen.append))
+            RunSettings(seed=1, batch_size=4), sink=seen.extend))
         assert seen == records
 
     def test_fatal_mode_propagates_failures(self):
@@ -548,7 +548,7 @@ class TestGroupedPlay:
         monkeypatch.setattr(tn, "WINDOW", window)
         seen = []
         records = list(run_tournament(schedule, built.players, built.data,
-                                      settings, sink=seen.append))
+                                      settings, sink=seen.extend))
         assert records == expected
         assert seen == expected
 
@@ -619,18 +619,41 @@ class TestGroupedPlay:
         seen = []
         with pytest.raises(RuntimeError, match="deliberately broken"):
             run_tournament(schedule, built.players, built.data, settings,
-                           sink=seen.append)
+                           sink=seen.extend)
         done = schedule.matches[:first_bad // window * window]
         assert seen == replayed(explicit_schedule(done), built.players,
                                 built.data, settings)
+
+    def test_a_fatal_failure_in_the_second_window_logs_the_first(
+            self, tmp_path, monkeypatch):
+        # The log gets a window's lines only once the window is done, so a
+        # killed or failed run keeps every finished window, whole.
+        config, built, schedule = mixed_population()
+        settings = run_settings(config)
+        good = [m for m in schedule.matches if m[0] != "bad"]
+        bad = next(m for m in schedule.matches if m[0] == "bad")
+        window = 9
+        monkeypatch.setattr(tn, "WINDOW", window)
+        matches = good[:window + 4] + [bad] + good[window + 4:3 * window]
+        header = store.LogHeader("feed", 1)
+        path = tmp_path / "log.jsonl"
+        with store.LogWriter(path, header) as sink:
+            with pytest.raises(RuntimeError, match="deliberately broken"):
+                run_tournament(explicit_schedule(matches), built.players,
+                               built.data, settings, sink=sink)
+        first = replayed(explicit_schedule(good[:window]), built.players,
+                         built.data, settings)
+        assert path.read_text().splitlines(keepends=True) == [
+            line + "\n" for line in (store.header_line(header),
+                                     *map(store.record_line, first))]
 
     @pytest.mark.parametrize("window, solves", [(tn.WINDOW, 1), (38, 2)])
     def test_one_solve_per_window_for_a_chekhov_group(self, window, solves,
                                                       monkeypatch):
         # Play-mix sized: a dim-8 task, batch 64, a 10-reference chekhov
         # judge facing 76 generators. Engine 2 whitens where engine 1
-        # solved: one batched pass per window, over the fake and the real
-        # batch of every match in it and the whole panel.
+        # solved: one pass per window over the fake and the real batch of
+        # every match in it, one einsum per model of the panel.
         task = toy.make_task(dim=8, seed=13)
         gens = toy.trajectory(task, 25, seed=3)
         disc = toy.chekhov_discriminator(task, gens, 24, seed=7)
@@ -649,9 +672,9 @@ class TestGroupedPlay:
         monkeypatch.setattr(tn, "WINDOW", window)
         monkeypatch.setattr(np, "einsum", counting_einsum)
         records = list(run_tournament(schedule, players, task.model, settings))
-        assert len(calls) == solves
-        assert sum(args[1].shape[1] for args in calls) == 2 * 76
-        assert all(args[1].shape[0] == 12 for args in calls)
+        assert len(calls) == 12 * solves
+        assert sum(args[1].shape[0] for args in calls) == 12 * 2 * 76
+        assert all(args[1].shape[1:] == (64, 8) for args in calls)
         monkeypatch.setattr(np, "einsum", einsum)
         assert records == replayed(schedule, players, task.model, settings)
 

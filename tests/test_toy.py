@@ -303,8 +303,9 @@ class TestOracleDiscriminator:
     @pytest.mark.parametrize("index", [0, 1, 5, 15])
     def test_one_solve_per_score_whatever_the_panel_size(self, task, index,
                                                          monkeypatch):
-        # Engine 2 whitens where engine 1 solved: one batched pass over the
-        # data model and every reference, whatever the panel size.
+        # Engine 2 whitens where engine 1 solved: one pass over the data
+        # model and every reference, one einsum each, whatever the panel
+        # size.
         disc = toy.chekhov_discriminator(task, toy.trajectory(task, 20,
                                                               seed=3),
                                          index, seed=7)
@@ -318,8 +319,8 @@ class TestOracleDiscriminator:
 
         monkeypatch.setattr(np, "einsum", counting_einsum)
         disc.score(task.model.sample(8, np.random.default_rng(0)))
-        assert len(calls) == 1
-        assert calls[0][1].shape == (len(disc.fake_models) + 1, 8, task.dim)
+        assert len(calls) == len(disc.fake_models) + 1
+        assert all(args[1].shape == (8, task.dim) for args in calls)
 
     def test_rejects_non_finite_samples(self, task):
         oracle = toy.noise_oracle(task, severity=3)
@@ -453,6 +454,46 @@ class TestJudgeMany:
                 assert np.abs(row - reference_score(
                     disc.data_model, disc.fake_models,
                     batch)).max() <= SCORE_ATOL
+
+
+class TestSampleMany:
+    @given(st.integers(0, 19), st.sampled_from([1, 3, 8]), st.integers(1, 32),
+           st.sampled_from([1, 2, 7, 64]), st.integers(0, 2**32 - 1))
+    @example(source=0, dim=8, m=32, n=1, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_sample_per_stream(self, source, dim, m, n, seed):
+        # The task's own model (the data source of a run) or a jittered
+        # checkpoint model, which has no factor of the task.
+        task = toy.make_task(dim, seed=13)
+        model = (task.model if source == 0 else toy.trajectory(
+            task, 20, seed=3)[source].density_model(task))
+        many = model.sample_many(n, [np.random.default_rng([seed, k])
+                                     for k in range(m)])
+        assert many.shape == (m, n, dim)
+        for k, row in enumerate(many):
+            assert row.tobytes() == model.sample(
+                n, np.random.default_rng([seed, k])).tobytes()
+
+
+class TestChekhovSizedStacks:
+    @given(st.integers(0, 19), st.integers(1, 16),
+           st.sampled_from([1, 2, 64]), st.integers(0, 2**32 - 1))
+    # Twelve models, sixteen batches of 64: the (12, 16, 64, 8) stack of the
+    # densities' old temporaries was 768 KiB.
+    @example(index=19, m=16, n=64, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_judge_many_equals_per_batch_judge(self, index, m, n, seed):
+        task = toy.make_task(dim=8, seed=13)
+        gens = toy.trajectory(task, 20, seed=3)
+        disc = toy.chekhov_discriminator(task, gens, index, seed=7)
+        assert len(disc.fake_models) + 1 == min(index, 10) + 2
+        rng = np.random.default_rng(seed)
+        sources = [task.model, *gens]
+        batches = np.stack([sources[rng.integers(len(sources))].sample(n, rng)
+                            for _ in range(m)])
+        scores = disc.judge_many(batches, [None] * m)
+        assert scores.tobytes() == np.stack(
+            [disc.judge(batch) for batch in batches]).tobytes()
 
 
 class TestReservoirSample:
