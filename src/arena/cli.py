@@ -20,6 +20,10 @@ from . import tournament as tn
 from .extern import ExternalPlayer, ExternError
 from .tournament import PlayerSpec
 
+# The bundled experiments ``simulate`` runs (experiments.py plays them).
+# Named here so that no other command loads that module.
+EXPERIMENTS = ("within", "banded", "chekhov", "distortion", "multi")
+
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
@@ -277,8 +281,6 @@ def _add_rating_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from . import experiments
-
     parser = argparse.ArgumentParser(
         prog="arena",
         description="Generator-vs-discriminator tournaments with "
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser(
         "simulate", help="run a bundled experiment and print its verdict")
     simulate.add_argument("experiment",
-                          help=f"one of: {', '.join(experiments.EXPERIMENTS)}")
+                          help=f"one of: {', '.join(EXPERIMENTS)}")
     simulate.add_argument("--seed", type=int)
     simulate.add_argument("--out-dir", default="arena-out")
     simulate.set_defaults(func=cmd_simulate)

@@ -37,7 +37,7 @@ BAND_WIDTH = 4
 STUDY_SEEDS = (1, 7, 8, 10, 11)
 DEFAULT_SEED = 1
 
-EXPERIMENTS = ("within", "banded", "chekhov", "distortion", "multi")
+EXPERIMENTS = cli.EXPERIMENTS
 
 
 @dataclass(frozen=True)

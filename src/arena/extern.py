@@ -1,16 +1,22 @@
 """Run an external process as a tournament player over JSON lines.
 
 A child process speaks a line-delimited JSON protocol on stdin/stdout:
-it opens with a ``hello`` declaring its role and sample dimension, then
-answers ``generate`` or ``judge`` requests until it receives ``shutdown``.
-One request is in flight at a time and all timeouts are enforced here on
-the host side, so a wedged child cannot stall the tournament forever.
+it opens with a ``hello`` declaring its role, sample dimension and
+protocol, then answers ``generate`` or ``judge`` requests until it
+receives ``shutdown``. One request is in flight at a time and all
+timeouts are enforced here on the host side, so a wedged child cannot
+stall the tournament forever.
 
-Payload numbers cross the boundary as decimal-serialized doubles; value
-fidelity is expected, bit-exactness is not promised. numpy is imported
-only where a reply becomes an array, and ``subprocess``, ``threading`` and
-``queue`` only where a session is opened, so the reference player, which
-shares this module's wire format, starts without any of them.
+Sample arrays (a ``samples`` reply's and a ``judge`` request's ``data``)
+travel by the protocol the child declares: under protocol 2 as one base64
+string of row-major little-endian float64, so every double crosses bit
+for bit, and under protocol 1, which third-party players may still speak,
+as lists of decimal numbers. ``encode_samples`` and ``decode_samples`` are
+the one place either format is written or read. numpy and ``base64`` are
+imported only where a payload is encoded or decoded, and ``subprocess``,
+``threading`` and ``queue`` only where a session is opened, so the
+reference player, which shares this module's wire format, starts without
+any of them.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+# Protocols a child may declare in its hello.
+PROTOCOLS = (1, 2)
 HANDSHAKE_TIMEOUT = 30.0
 REQUEST_TIMEOUT = 60.0
 # Seconds a child may take to exit once it has been shut down; then it is
@@ -82,6 +90,11 @@ def parse_message(line: str) -> dict:
     return message
 
 
+def _wire(message: dict) -> bytes:
+    """One message as the bytes of its line, newline included."""
+    return (dump_message(message) + "\n").encode()
+
+
 def _numbers(value, what: str, rows: bool = False) -> np.ndarray:
     """A reply's payload as floats: a list of numbers or, with ``rows``, a
     list of equally long lists of numbers. Anything else (strings,
@@ -101,6 +114,46 @@ def _numbers(value, what: str, rows: bool = False) -> np.ndarray:
         pass
     raise ProtocolError(f"{what} is not a list of "
                         f"{'equally long rows of ' if rows else ''}numbers")
+
+
+def encode_samples(batch, protocol: int):
+    """A batch of samples as the ``data`` of a message: under protocol 2
+    one base64 string (standard alphabet, padded) of its row-major
+    little-endian float64s, under protocol 1 a list of rows of numbers."""
+    import numpy as np
+
+    batch = np.asarray(batch, dtype=float)
+    if protocol == 1:
+        return batch.tolist()
+    import base64
+
+    return base64.b64encode(batch.astype("<f8", copy=False).tobytes()
+                            ).decode("ascii")
+
+
+def decode_samples(value, dim: int, protocol: int) -> np.ndarray:
+    """The ``data`` of a message as a 2-d float array, ``dim`` columns
+    wide under protocol 2, where the row count is the byte length over
+    8 * dim. A value that is not a string of valid base64 whole rows
+    (protocol 2), or not a list of equally long rows of numbers (protocol
+    1), is a ProtocolError."""
+    if protocol == 1:
+        data = _numbers(value, "samples data", rows=True)
+        return data.reshape(0, dim) if data.size == 0 else data
+    import base64
+
+    import numpy as np
+
+    if not isinstance(value, str):
+        raise ProtocolError("samples data is not a base64 string")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise ProtocolError("samples data is not valid base64") from None
+    if len(raw) % (8 * dim):
+        raise ProtocolError(f"samples data holds {len(raw)} bytes, not "
+                            f"whole rows of {dim} float64")
+    return np.frombuffer(raw, dtype="<f8").reshape(-1, dim).astype(float)
 
 
 class ExternalPlayer:
@@ -127,10 +180,10 @@ class ExternalPlayer:
         try:
             self._proc = subprocess.Popen(
                 list(command), stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE, text=True, bufsize=1, env=env)
+                stdout=subprocess.PIPE, env=env)
         except OSError as exc:
             raise HandshakeFailed(f"cannot spawn {command!r}: {exc}") from None
-        self._lines: queue.Queue[str | None] = queue.Queue()
+        self._lines: queue.Queue[bytes | None] = queue.Queue()
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
 
@@ -147,10 +200,11 @@ class ExternalPlayer:
             self.close()
             raise HandshakeFailed(f"first message was {hello.get('type')!r}, "
                                   "expected hello")
-        if hello.get("protocol") != PROTOCOL_VERSION:
+        protocol = hello.get("protocol")
+        if protocol not in PROTOCOLS:
             self.close()
-            raise HandshakeFailed(f"protocol {hello.get('protocol')!r} "
-                                  f"unsupported, want {PROTOCOL_VERSION}")
+            raise HandshakeFailed(f"protocol {protocol!r} unsupported, "
+                                  f"want one of {PROTOCOLS}")
         if hello.get("role") != role:
             self.close()
             raise RoleMismatch(f"child declared role {hello.get('role')!r}, "
@@ -160,6 +214,7 @@ class ExternalPlayer:
             self.close()
             raise HandshakeFailed(f"invalid sample dimension {dim!r}")
         self.dim = dim
+        self.protocol = int(protocol)
         self.name = str(hello.get("name", ""))
 
     def _pump(self) -> None:
@@ -181,7 +236,14 @@ class ExternalPlayer:
             self._dead = "player process exited"
             raise ExternError(f"{context}: player process exited "
                               f"(code {self._proc.poll()})")
-        message = parse_message(line)
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # Where the next reply starts can no longer be trusted.
+            self._dead = "an earlier reply was not UTF-8"
+            raise ProtocolError(
+                f"{context}: undecodable message: {exc}") from None
+        message = parse_message(text)
         if message["type"] == "error":
             raise ProtocolError(
                 f"{context}: player error: {message.get('message', '')}")
@@ -192,7 +254,7 @@ class ExternalPlayer:
             if self._dead is not None:
                 raise ExternError(f"{context}: {self._dead}")
             try:
-                self._proc.stdin.write(dump_message(payload) + "\n")
+                self._proc.stdin.write(_wire(payload))
                 self._proc.stdin.flush()
             except (OSError, ValueError):
                 self._dead = "player process exited"
@@ -215,9 +277,7 @@ class ExternalPlayer:
                                "seed": seed}, "generate")
         if reply["type"] != "samples":
             raise ProtocolError(f"generate answered with {reply['type']!r}")
-        data = _numbers(reply.get("data", []), "samples data", rows=True)
-        if data.size == 0:
-            data = data.reshape(0, self.dim)
+        data = decode_samples(reply.get("data", []), self.dim, self.protocol)
         if data.ndim != 2 or data.shape[0] != count:
             raise BatchSizeMismatch(f"asked for {count} samples, got "
                                     f"shape {data.shape}")
@@ -234,8 +294,13 @@ class ExternalPlayer:
         import numpy as np
 
         batch = np.asarray(batch, dtype=float)
-        reply = self._request({"type": "judge", "data": batch.tolist()},
-                              "judge")
+        if self.protocol > 1 and batch.shape[1:] != (self.dim,):
+            # The child counts rows by its declared dim.
+            raise ProtocolError(f"cannot judge a batch of shape "
+                                f"{batch.shape} with a player of dim "
+                                f"{self.dim}")
+        reply = self._request({"type": "judge", "data": encode_samples(
+            batch, self.protocol)}, "judge")
         if reply["type"] != "scores":
             raise ProtocolError(f"judge answered with {reply['type']!r}")
         values = _numbers(reply.get("values", []), "scores values")
@@ -257,7 +322,7 @@ class ExternalPlayer:
             return
         if proc.poll() is None:
             try:
-                proc.stdin.write(dump_message({"type": "shutdown"}) + "\n")
+                proc.stdin.write(_wire({"type": "shutdown"}))
                 proc.stdin.flush()
             except (OSError, ValueError):
                 pass

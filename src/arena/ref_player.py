@@ -1,10 +1,11 @@
-"""Reference external player speaking the JSON-lines protocol.
+"""Reference external player speaking protocol 2 of the JSON-lines protocol.
 
 Run as ``python -m arena.ref_player --role generator --dim 4``. The
 generator answers each request with standard-normal vectors drawn from
-the request seed; the discriminator scores every sample with a constant
-and never imports numpy. The fault flags exist so adapter error paths stay
-testable:
+the request seed, sent bit for bit as base64 float64; the discriminator
+scores every sample with a constant and never imports numpy: it counts a
+batch's rows from its decoded byte length. The fault flags exist so
+adapter error paths stay testable:
 
 * ``--crash-after N``  exit abruptly after N replies
 * ``--misbehave short-batch``  drop one sample or score per reply
@@ -18,7 +19,7 @@ import json
 import os
 import sys
 
-from .extern import PROTOCOL_VERSION, dump_message
+from .extern import PROTOCOL_VERSION, dump_message, encode_samples
 
 
 def _emit(message: dict) -> None:
@@ -33,12 +34,15 @@ def _generate(request: dict, dim: int, short: bool) -> dict:
     count = int(request.get("count", 0))
     if short and count > 0:
         count -= 1
-    return {"type": "samples",
-            "data": rng.standard_normal((count, dim)).tolist()}
+    return {"type": "samples", "data": encode_samples(
+        rng.standard_normal((count, dim)), PROTOCOL_VERSION)}
 
 
-def _judge(request: dict, value: float, short: bool, big: bool) -> dict:
-    n = len(request.get("data", []))
+def _judge(request: dict, dim: int, value: float, short: bool,
+           big: bool) -> dict:
+    import base64
+
+    n = len(base64.b64decode(request.get("data", ""))) // (8 * dim)
     if short and n > 0:
         n -= 1
     scores = [1.2 if big else value] * n
@@ -78,7 +82,7 @@ def main(argv=None) -> int:
             _emit(_generate(request, args.dim,
                             args.misbehave == "short-batch"))
         elif kind == "judge" and args.role == "discriminator":
-            _emit(_judge(request, args.value,
+            _emit(_judge(request, args.dim, args.value,
                          args.misbehave == "short-batch",
                          args.misbehave == "big-score"))
         else:

@@ -642,13 +642,15 @@ def test_importing_the_cli_loads_no_scipy():
 
 class TestColdStart:
     """Each process loads only what its command uses: the YAML reader only
-    where a config is read, and never jsonschema or its dependencies, since
-    configs are checked in-repo."""
+    where a config is read, the bundled experiments only under simulate,
+    and never jsonschema or its dependencies, since configs are checked
+    in-repo."""
 
     PROBE = ("import json, sys\n"
              "from arena import cli\n"
              "code = cli.main(sys.argv[1:])\n"
-             "loaded = sorted(m for m in ('jsonschema', 'yaml')"
+             "loaded = sorted(m for m in ('arena.experiments', 'jsonschema',"
+             " 'yaml')"
              " if m in sys.modules)\n"
              "stack = sorted(m for m in ('attrs', 'referencing', 'rpds')"
              " if m in sys.modules)\n"
@@ -705,7 +707,8 @@ class TestColdStart:
         result = fresh_python(
             "-X", "importtime", "-m", "arena.ref_player", "--role",
             "discriminator", "--dim", "2",
-            input='{"type": "judge", "data": [[0.5, 1.0]]}\n'
+            # One row, [0.5, 1.0], as protocol 2's base64 float64.
+            input='{"type": "judge", "data": "AAAAAAAA4D8AAAAAAADwPw=="}\n'
                   '{"type": "shutdown"}\n', check=True)
         imported = {line.rsplit("|", 1)[-1].strip()
                     for line in result.stderr.splitlines()

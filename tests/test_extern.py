@@ -7,6 +7,7 @@ player cannot produce.
 
 from __future__ import annotations
 
+import base64
 import json
 import signal
 import subprocess
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from arena import cli, extern
+from arena import tournament as tn
 from arena.cli import main
 from arena.extern import (MESSAGE_TYPES, BatchSizeMismatch, ExternError,
                           ExternalPlayer, HandshakeFailed, ProtocolError,
@@ -34,8 +36,8 @@ def ref_player(role: str, *extra: str) -> list[str]:
             "--dim", "3", *extra]
 
 
-def inline_child(body: str, hello: bool = False,
-                 role: str = "generator") -> list[str]:
+def inline_child(body: str, hello: bool = False, role: str = "generator",
+                 dim: int = 2, protocol: int = 1) -> list[str]:
     prologue = textwrap.dedent("""
         import json, sys, time
         def emit(m):
@@ -43,8 +45,8 @@ def inline_child(body: str, hello: bool = False,
             sys.stdout.flush()
     """)
     if hello:
-        prologue += ('emit({"type": "hello", "role": "%s", '
-                     '"name": "t", "dim": 2, "protocol": 1})\n' % role)
+        prologue += ('emit({"type": "hello", "role": "%s", "name": "t", '
+                     '"dim": %d, "protocol": %d})\n' % (role, dim, protocol))
     return [sys.executable, "-c", prologue + textwrap.dedent(body)]
 
 
@@ -60,7 +62,8 @@ def slow_first_judge() -> list[str]:
     """, hello=True, role="discriminator")
 
 
-def malformed_child(role: str, payload: str) -> list[str]:
+def malformed_child(role: str, payload: str, protocol: int = 1
+                    ) -> list[str]:
     """A player that answers every request with ``payload``, a Python
     expression in the request's sample count ``n``, as its samples data
     (a generator) or its scores values (a discriminator)."""
@@ -73,22 +76,37 @@ def malformed_child(role: str, payload: str) -> list[str]:
                 break
             n = request.get("count") or len(request["data"])
             emit({{"type": "{reply}", "{field}": {payload}}})
-    """, hello=True, role=role)
+    """, hello=True, role=role, protocol=protocol)
+
+
+def packed(rows) -> str:
+    """Rows of floats as protocol 2 sends them."""
+    return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode()
+
+
+def malformed(role: str, payload: str, id: str, protocol: int = 1,
+              fragment: str = "not a list of"):
+    return pytest.param(role, payload, protocol, fragment, id=id)
 
 
 # Replies that are not a list of numbers (rows of numbers for samples), or
-# that hold an integer beyond double range; none may be coerced into a
-# batch. The children declare dim 2.
+# that hold an integer beyond double range, under protocol 1, and samples
+# data that is not a base64 string of whole rows under protocol 2; none may
+# be coerced into a batch. The children declare dim 2.
 MALFORMED = [
-    pytest.param("generator", "[[0.0, 0.0]] * (n - 1) + [[0.0]]",
-                 id="ragged-samples"),
-    pytest.param("generator", '{"a": 1}', id="object-samples"),
-    pytest.param("generator", '[["0.5", "0.5"]] * n', id="string-samples"),
-    pytest.param("generator", "[[True, False]] * n", id="boolean-samples"),
-    pytest.param("discriminator", '{"a": 1}', id="object-scores"),
-    pytest.param("discriminator", '["0.5"] * n', id="string-scores"),
-    pytest.param("discriminator", "[True] * n", id="boolean-scores"),
-    pytest.param("discriminator", "[10 ** 400] * n", id="huge-int-scores"),
+    malformed("generator", "[[0.0, 0.0]] * (n - 1) + [[0.0]]",
+              "ragged-samples"),
+    malformed("generator", '{"a": 1}', "object-samples"),
+    malformed("generator", '[["0.5", "0.5"]] * n', "string-samples"),
+    malformed("generator", "[[True, False]] * n", "boolean-samples"),
+    malformed("discriminator", '{"a": 1}', "object-scores"),
+    malformed("discriminator", '["0.5"] * n', "string-scores"),
+    malformed("discriminator", "[True] * n", "boolean-scores"),
+    malformed("discriminator", "[10 ** 400] * n", "huge-int-scores"),
+    malformed("generator", '"%%%"', "v2-not-base64", 2, "not valid base64"),
+    malformed("generator", '"AAAA"', "v2-partial-row", 2, "not whole rows"),
+    malformed("generator", "[[0.0, 0.0]] * n", "v2-list-samples", 2,
+              "not a base64 string"),
 ]
 
 
@@ -266,6 +284,22 @@ class TestRequests:
             with pytest.raises(RequestTimeout, match="no reply within"):
                 player.sample(2)
 
+    def test_an_undecodable_reply_fails_at_once_and_ends_the_session(self):
+        child = inline_child("""
+            reply = b'{"type": "samples", "data": "\\xff"}\\n'
+            for line in sys.stdin:
+                sys.stdout.buffer.write(reply)
+                sys.stdout.flush()
+        """, hello=True)
+        with ExternalPlayer(child, role="generator",
+                            request_timeout=5.0) as player:
+            start = time.perf_counter()
+            with pytest.raises(ProtocolError, match="undecodable message"):
+                player.sample(2)
+            assert time.perf_counter() - start < 2.0
+            with pytest.raises(ExternError, match="not UTF-8"):
+                player.sample(2)
+
     def test_a_timed_out_session_answers_no_later_request(self):
         with ExternalPlayer(slow_first_judge(), role="discriminator",
                             request_timeout=0.3) as player:
@@ -296,12 +330,12 @@ class TestRequests:
 
 
 class TestMalformedReplies:
-    @pytest.mark.parametrize("role, payload", MALFORMED)
-    def test_a_reply_that_is_not_numbers_is_a_protocol_error(self, role,
-                                                             payload):
-        with ExternalPlayer(malformed_child(role, payload),
+    @pytest.mark.parametrize("role, payload, protocol, fragment", MALFORMED)
+    def test_a_reply_that_is_not_numbers_is_a_protocol_error(
+            self, role, payload, protocol, fragment):
+        with ExternalPlayer(malformed_child(role, payload, protocol),
                             role=role) as player:
-            with pytest.raises(ProtocolError, match="not a list of"):
+            with pytest.raises(ProtocolError, match=fragment):
                 if role == "generator":
                     player.sample(4)
                 else:
@@ -315,26 +349,189 @@ class TestMalformedReplies:
                             role="discriminator") as player:
             assert player.judge(np.zeros((4, 2))).tolist() == [0, 1, 0, 1]
 
-    @pytest.mark.parametrize("role, payload", MALFORMED)
-    def test_strict_runs_exit_1_and_lenient_runs_skip(self, role, payload,
-                                                      tmp_path, capsys):
+    @pytest.mark.parametrize("role, payload, protocol, fragment", MALFORMED)
+    def test_strict_runs_exit_1_and_lenient_runs_skip(
+            self, role, payload, protocol, fragment, tmp_path, capsys):
         trajectory = dict(tiny_config_payload()["players"][0],
                           n_checkpoints=2)
         config = write_yaml(tmp_path / "run.cfg", tiny_config_payload(
             task={"dim": 2, "seed": 13},
             players=[trajectory, {"kind": "external", "id": "ext",
                                   "role": role,
-                                  "command": malformed_child(role,
-                                                             payload)}]))
+                                  "command": malformed_child(
+                                      role, payload, protocol)}]))
         assert main(["run", "--config", config, "--out-dir",
                      str(tmp_path / "strict"), "--strict"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "not a list of" in err
+        assert err.startswith("error: ") and fragment in err
         assert "Traceback" not in err
         assert main(["run", "--config", config, "--out-dir",
                      str(tmp_path / "lenient")]) == 0
         log = (tmp_path / "lenient" / "log.jsonl").read_text()
         assert '"ext"' not in log and log.count("\n") == 1 + 2 * 2
+
+
+def v1_reference(role: str) -> list[str]:
+    """A protocol-1 player that answers as the reference player does: the
+    generator draws the same standard normals from the wire seed, the
+    discriminator scores every sample 0.5, and samples travel as lists."""
+    if role == "generator":
+        return inline_child("""
+            import numpy as np
+            for line in sys.stdin:
+                request = json.loads(line)
+                if request["type"] == "shutdown":
+                    break
+                rng = np.random.default_rng(request["seed"])
+                data = rng.standard_normal((request["count"], 3))
+                emit({"type": "samples", "data": data.tolist()})
+        """, hello=True, dim=3)
+    return inline_child("""
+        for line in sys.stdin:
+            request = json.loads(line)
+            if request["type"] == "shutdown":
+                break
+            emit({"type": "scores", "values": [0.5] * len(request["data"])})
+    """, hello=True, role="discriminator", dim=3)
+
+
+def relay_child(path, protocol: int) -> list[str]:
+    """A dim-2 generator that answers every request with the JSON text in
+    the file at ``path``, read anew for each request, as its samples data."""
+    return [*inline_child("""
+        for line in sys.stdin:
+            if json.loads(line)["type"] == "shutdown":
+                break
+            with open(sys.argv[1]) as fh:
+                data = fh.read()
+            sys.stdout.write('{"type": "samples", "data": ' + data + '}\\n')
+            sys.stdout.flush()
+    """, hello=True, protocol=protocol), str(path)]
+
+
+@pytest.fixture(scope="module")
+def relays(tmp_path_factory):
+    """A protocol-1 and a protocol-2 relay generator sharing one reply
+    file, and a function that sets that file."""
+    path = tmp_path_factory.mktemp("relay") / "data.json"
+    path.write_text("[]")
+    sessions = [ExternalPlayer(relay_child(path, protocol), role="generator")
+                for protocol in (1, 2)]
+    yield (*sessions, lambda payload: path.write_text(json.dumps(payload)))
+    for session in sessions:
+        session.close()
+
+
+COUNT = 4
+finite = st.floats(allow_nan=False, allow_infinity=False)
+row = st.tuples(finite, finite)
+
+
+@st.composite
+def replies(draw):
+    """A fault (or none), the protocol-1 and protocol-2 samples data that
+    carry it, and the exception class, or the rows, both must give."""
+    fault = draw(st.sampled_from(["not-a-string", "not-base64",
+                                  "partial-row", "row-count", "non-finite",
+                                  "well-formed"]))
+    if fault == "not-a-string":
+        v2 = draw(st.one_of(st.none(), st.booleans(), st.integers(), finite,
+                            st.lists(st.lists(finite, min_size=2,
+                                              max_size=2), max_size=4),
+                            st.dictionaries(st.just("a"), st.integers())))
+        return fault, {"a": 1}, v2, ProtocolError
+    if fault == "not-base64":
+        text = packed(draw(st.lists(row, min_size=1, max_size=4)))
+        at = draw(st.integers(0, len(text)))
+        bad = draw(st.sampled_from(["!", "-", "_", " ", "\n", "é", "=",
+                                    "A"]))
+        v2 = text[:at] + bad + text[at:]
+        return fault, [["0.5", "0.5"]] * COUNT, v2, ProtocolError
+    if fault == "partial-row":
+        raw = draw(st.binary(max_size=80).filter(lambda b: len(b) % 16))
+        v2 = base64.b64encode(raw).decode()
+        return fault, [[0.0, 0.0]] * (COUNT - 1) + [[0.0]], v2, ProtocolError
+    if fault == "row-count":
+        rows = draw(st.lists(row, max_size=9).filter(
+            lambda r: len(r) != COUNT))
+        return fault, [list(r) for r in rows], packed(rows), BatchSizeMismatch
+    if fault == "non-finite":
+        rows = draw(st.lists(st.tuples(st.floats(), st.floats()),
+                             min_size=COUNT, max_size=COUNT).filter(
+            lambda r: not np.isfinite(r).all()))
+    else:
+        rows = draw(st.lists(row, min_size=COUNT, max_size=COUNT))
+    return fault, [list(r) for r in rows], packed(rows), np.array(rows)
+
+
+class TestProtocol2:
+    def test_reference_player_speaks_protocol_2(self):
+        for role in ("generator", "discriminator"):
+            with ExternalPlayer(ref_player(role), role=role) as player:
+                assert player.protocol == 2 == extern.PROTOCOL_VERSION
+
+    def test_a_protocol_1_player_logs_what_the_reference_player_logs(
+            self, tmp_path):
+        logs = []
+        for name, command in (("v1", v1_reference), ("v2", ref_player)):
+            config = write_yaml(tmp_path / f"{name}.cfg", tiny_config_payload(
+                players=[*tiny_config_payload()["players"], *(
+                    {"kind": "external", "id": f"ext-{role[0]}",
+                     "role": role, "command": command(role)}
+                    for role in ("generator", "discriminator"))]))
+            out = tmp_path / name
+            assert main(["run", "--config", str(config), "--out-dir",
+                         str(out)]) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            log = files.pop("log.jsonl")
+            header = json.loads(log.split(b"\n", 1)[0])
+            logs.append((log, header["config_hash"].encode(), files))
+        (v1_log, v1_hash, v1_files), (v2_log, v2_hash, v2_files) = logs
+        # The configs differ in their commands, so only in the hash.
+        assert v1_hash != v2_hash
+        assert v1_log.replace(v1_hash, v2_hash) == v2_log
+        assert v1_files == v2_files and "summary.csv" in v2_files
+        for player in (b'"ext-g"', b'"ext-d"'):
+            assert player in v2_log
+        # ext-g's samples are judged by the oracle panel, so every one of
+        # its bits reaches the log.
+        assert v2_log.count(b'"ext-g"') == 5
+
+    @given(replies())
+    def test_a_reply_fails_or_passes_as_it_does_in_protocol_1(
+            self, relays, reply):
+        v1, v2, send = relays
+        fault, v1_data, v2_data, expected = reply
+
+        def outcome(session, data):
+            send(data)
+            try:
+                return session.sample(COUNT)
+            except ExternError as exc:
+                return type(exc)
+
+        got = [outcome(v1, v1_data), outcome(v2, v2_data)]
+        if isinstance(expected, type):
+            assert got == [expected, expected]
+            return
+        v1_batch, v2_batch = got
+        assert v2_batch.shape == (COUNT, 2)
+        assert v2_batch.tobytes() == expected.tobytes()  # bit for bit
+        if fault == "well-formed":
+            assert v1_batch.tobytes() == expected.tobytes()
+            return
+        # Decimal text carries no NaN payload bits.
+        assert np.array_equal(v1_batch, expected, equal_nan=True)
+        for batch in got:
+            with pytest.raises(tn.MatchError, match="non-finite"):
+                tn._check_batch(batch, COUNT, "generator 'ext'")
+
+    def test_a_batch_of_another_dim_is_not_sent(self):
+        with ExternalPlayer(ref_player("discriminator"),
+                            role="discriminator") as player:
+            with pytest.raises(ProtocolError, match="player of dim 3"):
+                player.judge(np.zeros((4, 2)))
+            assert player.judge(np.zeros((4, 3))).tolist() == [0.5] * 4
 
 
 class TestLifecycle:
