@@ -366,4 +366,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # Run as ``python -m arena.cli``: register this module under its package
+    # name, so that ``experiments`` imports it instead of running cli.py a
+    # second time.
+    sys.modules.setdefault("arena.cli", sys.modules[__name__])
     sys.exit(main())

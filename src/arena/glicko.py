@@ -285,17 +285,39 @@ def _period_sums(ratings: Sequence[Rating], gen: np.ndarray,
     g_player = 1.0 / np.sqrt(1.0 + 3.0 * phi * phi / (math.pi * math.pi))
     n = len(ratings)
     v_inv, delta_sum = np.zeros(n), np.zeros(n)
-    for player, opponent, s in ((gen, disc, score),
-                                (disc, gen, 1.0 - score)):
-        g_opp = g_player[opponent]
-        x = g_opp * (mu[player] - mu[opponent])
+    # Four row-length buffers and a mask, reused by both sides. Each
+    # operation below is one step of
+    #   x = g_opp * (mu[player] - mu[opponent])
+    #   e = x >= 0 ? 1 / (1 + ex) : ex / (1 + ex),  ex = exp(-|x|)
+    #   v_inv term = weight * (g_opp * g_opp * e * (1 - e))
+    #   delta term = weight * (g_opp * (s - e))
+    # in that order, so every term keeps its bits.
+    g_opp, x, t, e = np.empty((4, len(score)))
+    ahead = np.empty(len(score), dtype=bool)
+    # Every index is a player's code, so take() may write straight into
+    # its buffer ("clip" never clips here; "raise" would copy first).
+    for side, (player, opponent) in enumerate(((gen, disc), (disc, gen))):
+        np.take(g_player, opponent, out=g_opp, mode="clip")
+        np.take(mu, player, out=x, mode="clip")
+        x -= np.take(mu, opponent, out=t, mode="clip")
+        x *= g_opp
+        np.greater_equal(x, 0.0, out=ahead)
         # Saturating logistic: exp() only ever sees non-positive arguments.
-        ex = np.exp(-np.abs(x))
-        e = np.where(x >= 0.0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-        v_inv += np.bincount(player, weight * (g_opp * g_opp * e * (1.0 - e)),
-                             minlength=n)
-        delta_sum += np.bincount(player, weight * (g_opp * (s - e)),
-                                 minlength=n)
+        np.exp(np.negative(np.abs(x, out=t), out=t), out=t)
+        np.add(t, 1.0, out=x)
+        # The numerator: 1 where x >= 0, else ex (ex <= 1, NaN stays NaN).
+        np.divide(np.maximum(t, ahead, out=t), x, out=e)
+        np.multiply(g_opp, g_opp, out=x)
+        x *= e
+        x *= np.subtract(1.0, e, out=t)
+        x *= weight
+        v_inv += np.bincount(player, x, minlength=n)
+        # The generator scored s = score, the discriminator 1 - score.
+        s = np.subtract(1.0, score, out=t) if side else score
+        np.subtract(s, e, out=x)
+        x *= g_opp
+        x *= weight
+        delta_sum += np.bincount(player, x, minlength=n)
     return v_inv.tolist(), delta_sum.tolist()
 
 

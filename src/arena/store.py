@@ -231,20 +231,23 @@ def _canonical_chunk(lines: list[str], codes: dict[str, int],
     disc, fake_wins, gen, n_fake, n_real, real_wins, seed, threshold = (
         zip(*rows))
     n = len(rows)
-    nf, fw, nr, rw = (np.fromiter(map(int, column), np.int64, n)
-                      for column in (n_fake, fake_wins, n_real, real_wins))
-    if (fw > nf).any() or (rw > nr).any():
-        return None
+    # numpy parses these texts exactly as int() and float() do; a seed of
+    # 2**64 or more overflows uint64. A numpy that refuses some text sends
+    # the chunk to the line-by-line path, which then decides.
     try:
-        seeds = np.fromiter(map(int, seed), np.uint64, n)
-    except OverflowError:
+        nf, fw, nr, rw = (np.array(column, dtype=np.int64) for column
+                          in (n_fake, fake_wins, n_real, real_wins))
+        seeds = np.array(seed, dtype=np.uint64)
+        thresholds = np.array(threshold, dtype=float)
+    except (OverflowError, ValueError):
+        return None
+    if (fw > nf).any() or (rw > nr).any():
         return None
     for raw in set(gen).union(disc).difference(raw_codes):
         raw_codes[raw] = codes.setdefault(_decode_id(raw), len(codes))
     return [np.fromiter(map(raw_codes.__getitem__, gen), np.intp, n),
             np.fromiter(map(raw_codes.__getitem__, disc), np.intp, n),
-            nf, fw, nr, rw, seeds,
-            np.fromiter(map(float, threshold), float, n)]
+            nf, fw, nr, rw, seeds, thresholds]
 
 
 def read_log(path, strict: bool = True

@@ -680,6 +680,18 @@ class TestColdStart:
         assert result.returncode == 2
         assert "at tau:" in result.stderr and result.stdout == ""
 
+    def test_simulate_runs_the_cli_module_once(self, tmp_path):
+        # Run as __main__, cli.py must also be the arena.cli that
+        # experiments imports, not a second copy executed beside it.
+        result = fresh_python("-X", "importtime", "-m", "arena.cli",
+                              "simulate", "within", "--out-dir", tmp_path,
+                              check=True)
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in result.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "arena.experiments" in imported
+        assert "arena.cli" not in imported
+
     def test_reference_player_does_not_import_the_engine(self):
         result = fresh_python("-X", "importtime", "-m", "arena.ref_player",
                               "--role", "generator", "--dim", "2",

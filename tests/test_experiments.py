@@ -217,7 +217,32 @@ class TestScripts:
         result = fresh_python(SCRIPTS / "same_outputs.py", src, src, config)
         assert result.returncode == 0, result.stdout + result.stderr
         assert result.stdout.splitlines()[-1] == \
-            "7 outputs compared, 0 differ"
+            "8 outputs compared, 0 differ"
+
+    def test_same_outputs_rerates_a_log_in_both_outcome_modes(self,
+                                                               tmp_path):
+        src = Path(ex.__file__).resolve().parents[1]
+        config = SCRIPTS.parent / "configs" / "within_trajectory.cfg"
+        assert main(["run", "--config", str(config), "--out-dir",
+                     str(tmp_path)]) == 0
+        log = tmp_path / "log.jsonl"
+        shutil.copytree(src / "arena", tmp_path / "arena",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        # A per-match game worth a little more moves per-match ratings only.
+        glicko_py = tmp_path / "arena" / "glicko.py"
+        glicko_py.write_text(glicko_py.read_text().replace(
+            "else np.ones_like(total)", "else np.full_like(total, 1.5)"))
+        result = fresh_python(SCRIPTS / "same_outputs.py", src, tmp_path,
+                              log)
+        assert result.returncode == 1
+        differing = [line for line in result.stdout.splitlines()
+                     if line.startswith("differs: ")]
+        # stdout, stderr, exit code and four artifacts per command.
+        assert result.stdout.splitlines()[-1] == \
+            f"14 outputs compared, {len(differing)} differ"
+        assert differing and all(
+            line.startswith(f"differs: rate {log} --outcome-mode per-match: ")
+            for line in differing)
 
     def test_same_outputs_names_what_differs(self, tmp_path):
         # Another engine version changes the log header and nothing else.
@@ -232,7 +257,8 @@ class TestScripts:
                               config)
         assert result.returncode == 1
         assert result.stdout.splitlines() == [
-            f"differs: {config}: log.jsonl", "7 outputs compared, 1 differ"]
+            f"differs: run --config {config}: log.jsonl",
+            "8 outputs compared, 1 differ"]
 
     def test_seed_study_runs(self):
         result = fresh_python(SCRIPTS / "seed_study.py", "--experiments",

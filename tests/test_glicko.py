@@ -116,6 +116,37 @@ def reference_period_sums(ratings, player, opponent, score, weight):
                         minlength=n).tolist())
 
 
+def out_of_place_period_sums(ratings, gen, disc, score, weight):
+    """``_period_sums`` written with a fresh array for every operation: the
+    same expressions in the same order, so the sums must agree bit for
+    bit with the engine's buffered version."""
+    rating = np.array([r.rating for r in ratings])
+    mu = (rating - 1500.0) / GLICKO2_SCALE
+    phi = np.array([r.deviation for r in ratings]) / GLICKO2_SCALE
+    g_player = 1.0 / np.sqrt(1.0 + 3.0 * phi * phi / (math.pi * math.pi))
+    n = len(ratings)
+    v_inv, delta_sum = np.zeros(n), np.zeros(n)
+    for player, opponent, s in ((gen, disc, score),
+                                (disc, gen, 1.0 - score)):
+        g_opp = g_player[opponent]
+        x = g_opp * (mu[player] - mu[opponent])
+        ex = np.exp(-np.abs(x))
+        e = np.where(x >= 0.0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+        v_inv += np.bincount(player, weight * (g_opp * g_opp * e * (1.0 - e)),
+                             minlength=n)
+        delta_sum += np.bincount(player, weight * (g_opp * (s - e)),
+                                 minlength=n)
+    return v_inv.tolist(), delta_sum.tolist()
+
+
+# Snapshots that range from near-even games to expected scores saturated
+# either way (ratings far apart, deviations from tiny to huge).
+snapshots = st.lists(st.tuples(
+    st.one_of(st.floats(1000.0, 2000.0), st.floats(-1e6, 1e6)),
+    st.one_of(st.floats(20.0, 500.0), st.floats(1e-3, 1e7))),
+    min_size=1, max_size=10)
+
+
 def first_pass(records, cfg: RatingConfig):
     """The outcome of one ``rate_tournament`` pass, the ``_period_sums``
     arguments after the ratings in it and its ``(v_inv, delta_sum)``."""
@@ -414,6 +445,35 @@ class TestRateTournament:
                              reference_period_sums(ratings, player, opponent,
                                                    score, weight)):
             assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @given(snapshots.flatmap(lambda snapshot: st.tuples(
+               st.just(snapshot),
+               st.lists(st.tuples(
+                   st.integers(0, len(snapshot) - 1),
+                   st.integers(0, len(snapshot) - 1),
+                   st.one_of(st.sampled_from([0.0, 1.0]),
+                             st.integers(0, 64).map(lambda k: k / 64)),
+                   st.integers(1, 10 ** 6)), max_size=40))),
+           st.sampled_from(["per-sample", "per-match"]))
+    @example(([(1500.0, 350.0), (-1e6, 1e-3), (1e6, 1e-3)],
+              [(0, 1, 1.0, 64), (1, 2, 0.0, 7), (2, 0, 0.5, 1),
+               (2, 1, 1.0, 10 ** 6)]), "per-sample")
+    @settings(deadline=None)
+    def test_period_sums_equal_the_out_of_place_expressions(self, drawn,
+                                                            mode):
+        snapshot, rows = drawn
+        ratings = [Rating(r, d) for r, d in snapshot]
+        gen, disc = (np.array([row[k] for row in rows], dtype=np.intp)
+                     for k in (0, 1))
+        score = np.array([row[2] for row in rows], dtype=float)
+        total = np.array([row[3] for row in rows], dtype=float)
+        weight = total if mode == "per-sample" else np.ones_like(total)
+        got = _period_sums(ratings, gen, disc, score, weight)
+        want = out_of_place_period_sums(ratings, gen, disc, score, weight)
+        for g_sums, w_sums in zip(got, want):
+            assert np.array_equal(g_sums, w_sums)
+            # array_equal takes -0.0 for 0.0; the bit patterns must match too.
+            assert np.array(g_sums).tobytes() == np.array(w_sums).tobytes()
 
     def test_shifts_trace_every_pass(self):
         records = [record("g1", "d1", 14, 12), record("g1", "d2", 3, 1),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -382,6 +383,17 @@ log_lines = st.lists(st.one_of(
 CANONICAL = record_line(make_record(0))
 
 
+def with_value(field: str, text) -> str:
+    """CANONICAL with one count, seed or threshold written as ``text``."""
+    return re.sub(f'"{field}":[^,}}]*', f'"{field}":{text}', CANONICAL)
+
+
+# An 18-digit count and win count, the longest the pattern takes.
+LONG_COUNTS = with_value("fake_wins", 10 ** 18 - 2).replace(
+    '"n_fake":64', f'"n_fake":{10 ** 18 - 1}')
+EDGE_THRESHOLDS = ("-0.0", "1e400", "NaN", "-Infinity", "5e-324")
+
+
 class TestBulkReader:
     @given(lines=log_lines, chunk=st.integers(1, 400),
            trailing_newline=st.booleans())
@@ -400,6 +412,20 @@ class TestBulkReader:
     # that float() cannot convert, float() of the text gives inf.
     @example(lines=[CANONICAL.replace('"threshold":0.5',
                                       '"threshold":1' + "0" * 400)],
+             chunk=1000, trailing_newline=True)
+    # The edges of numpy's column conversions: the largest seed and count
+    # the pattern and the columns take, seeds past uint64 (left to the
+    # per-line reader and its message), and float texts numpy must read
+    # exactly as float() does.
+    @example(lines=[CANONICAL, with_value("seed", 2 ** 64 - 1), CANONICAL],
+             chunk=1000, trailing_newline=True)
+    @example(lines=[CANONICAL, with_value("seed", 2 ** 64), CANONICAL],
+             chunk=1000, trailing_newline=True)
+    @example(lines=[CANONICAL, with_value("seed", 10 ** 20 - 1), CANONICAL],
+             chunk=1000, trailing_newline=True)
+    @example(lines=[CANONICAL, LONG_COUNTS, CANONICAL],
+             chunk=1000, trailing_newline=True)
+    @example(lines=[with_value("threshold", text) for text in EDGE_THRESHOLDS],
              chunk=1000, trailing_newline=True)
     @settings(max_examples=150, deadline=None)
     def test_equals_the_per_line_reader(self, lines, chunk, trailing_newline,
@@ -434,3 +460,24 @@ class TestBulkReader:
             column = getattr(table, name)
             assert column.dtype == getattr(expected, name).dtype
             assert column.tolist() == getattr(expected, name).tolist()
+
+    @pytest.mark.parametrize("line", [
+        with_value("seed", 2 ** 64 - 1), LONG_COUNTS,
+        *(with_value("threshold", text) for text in EDGE_THRESHOLDS)])
+    def test_bulk_columns_read_edge_values_as_the_line_reader(self, line):
+        columns = store._canonical_chunk([line + "\n"], {}, {})
+        assert columns is not None
+        expected = MatchTable.from_records([parse_record(line)])
+        for name, column in zip(("n_fake", "fake_wins", "n_real",
+                                 "real_wins", "seed", "threshold"),
+                                columns[2:]):
+            assert column.dtype == getattr(expected, name).dtype
+            # Bit patterns, so -0.0 and NaN compare as themselves.
+            assert column.tobytes() == getattr(expected, name).tobytes()
+
+    @pytest.mark.parametrize("seed", [2 ** 64, 10 ** 20 - 1])
+    def test_bulk_columns_leave_seeds_past_uint64_to_the_line_reader(
+            self, seed):
+        assert store._canonical_chunk(
+            [CANONICAL + "\n", with_value("seed", seed) + "\n"], {}, {}
+        ) is None

@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arena.glicko import Rating
 from arena.summarize import (WIN_RATE_WARNING, CurvePoint, Heatmap,
@@ -35,6 +35,30 @@ def record(gen: str, disc: str, wins: int, n: int = 8,
     return MatchRecord(generator_id=gen, discriminator_id=disc, n_fake=n,
                        fake_wins=min(wins, n), n_real=n,
                        real_wins=max(0, wins - n), seed=repeat_seed)
+
+
+def per_cell_heatmap_csv(path, hm: Heatmap) -> None:
+    """The heatmap CSV formatted one cell at a time: each value with
+    ``:.6f``, a NaN as a blank cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["discriminator\\generator", *hm.generator_ids])
+        for disc_id, row in zip(hm.discriminator_ids, hm.values):
+            cells = [f"{v:.6f}" for v in row.tolist()]
+            for j in np.flatnonzero(np.isnan(row)).tolist():
+                cells[j] = ""
+            writer.writerow([disc_id, *cells])
+
+
+# Cell values with repeats, both zeros, NaN, subnormals, values that round
+# to -0.000000, and the win rates of small matches.
+cell_values = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, 5e-324, -5e-324, 2.2e-308, -1e-9,
+                     0.5, 1.0, 0.0000005, 0.0000015]),
+    st.integers(0, 16).map(lambda k: k / 16),
+    st.floats(allow_nan=True, allow_infinity=True))
+# Ids that csv.writer must quote.
+csv_ids = st.text(alphabet='ab,"\n\r ', min_size=1, max_size=4)
 
 
 def layout(records, generator_ids, discriminator_ids) -> Heatmap:
@@ -322,6 +346,26 @@ class TestArtifactFiles:
         assert rows[0] == ["discriminator\\generator", "g1", "g2"]
         assert rows[1] == ["d1", "0.500000", ""]
         assert rows[2] == ["d2", "", "0.250000"]
+
+    @given(st.integers(0, 6).flatmap(lambda cols: st.tuples(
+               st.lists(csv_ids, min_size=cols, max_size=cols),
+               st.lists(st.tuples(csv_ids, st.lists(
+                   cell_values, min_size=cols, max_size=cols)),
+                   max_size=6))))
+    @example((["g,1", 'g"2'], [("d\n1", [math.nan, -0.0]),
+                               ("d 2", [0.0, 5e-324])]))
+    @settings(max_examples=200, deadline=None)
+    def test_heatmap_csv_equals_the_per_cell_writer(self, tmp_path_factory,
+                                                    drawn):
+        generator_ids, rows = drawn
+        values = np.array([row for _, row in rows], dtype=float).reshape(
+            len(rows), len(generator_ids))
+        hm = Heatmap(tuple(generator_ids), tuple(d for d, _ in rows), values)
+        directory = tmp_path_factory.mktemp("heatmap")
+        write_heatmap_csv(directory / "got.csv", hm)
+        per_cell_heatmap_csv(directory / "want.csv", hm)
+        assert ((directory / "got.csv").read_bytes()
+                == (directory / "want.csv").read_bytes())
 
     def test_heatmap_svg_is_well_formed(self, tmp_path):
         records = [record("g1", "d1", 8), record("g2", "d2", 4)]
