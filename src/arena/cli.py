@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import config as cfgmod
 from . import glicko, store
 from . import summarize as sm
@@ -168,15 +170,17 @@ def cmd_run(args) -> int:
 
 
 def _specs_from_records(table: tn.MatchTable, log) -> list[PlayerSpec]:
-    gen_rows, disc_rows = set(table.gen.tolist()), set(table.disc.tolist())
-    both = gen_rows & disc_rows
-    if both:
-        raise store.LogError(f"{log}: player {table.ids[min(both)]!r} is "
+    gens, discs = (np.bincount(codes, minlength=len(table.ids)) > 0
+                   for codes in (table.gen, table.disc))
+    both = np.flatnonzero(gens & discs)
+    if len(both):
+        raise store.LogError(f"{log}: player {table.ids[both[0]]!r} is "
                              "both a generator and a discriminator")
-    # The ids are sorted, so sorted indices give sorted ids.
-    return ([PlayerSpec(table.ids[i], "generator") for i in sorted(gen_rows)]
+    # The ids are sorted, so ascending indices give sorted ids.
+    return ([PlayerSpec(table.ids[i], "generator")
+             for i in np.flatnonzero(gens).tolist()]
             + [PlayerSpec(table.ids[i], "discriminator")
-               for i in sorted(disc_rows)])
+               for i in np.flatnonzero(discs).tolist()])
 
 
 def cmd_rate(args) -> int:

@@ -10,7 +10,6 @@ knobs never invalidates a stored log.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
@@ -368,6 +367,8 @@ def load_players_fragment(path) -> list[dict]:
 
 def config_hash(config: TournamentConfig) -> str:
     """Hash of exactly the fields that determine match outcomes."""
+    import hashlib  # loads OpenSSL, which re-rating a log never needs
+
     basis = {
         "seed": config.seed,
         "batch_size": config.batch_size,

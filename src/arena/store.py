@@ -11,7 +11,9 @@ the records; a header with no engine key was written by engine 1.
 body in bounded chunks and parses a chunk whose every line has the writer's
 own layout with one regular expression; any other chunk goes line by line
 through ``parse_record``, so both paths accept, reject and number exactly
-the same lines.
+the same lines. Each column is allocated once, for as many records as the
+file could hold, and every chunk is written into its slice, so the read
+holds one copy of the table; pages past the last record are never touched.
 """
 
 from __future__ import annotations
@@ -47,7 +49,11 @@ _SEED_LIMIT = 2 ** 64
 # in memory as one string.
 _CHUNK_CHARS = 1 << 18
 
-# One record line exactly as record_line writes it. Only what json.loads
+# Dtype of each record column, in _RECORD_FIELDS order.
+_COLUMN_TYPES = (np.intp, np.intp, np.int64, np.int64, np.int64, np.int64,
+                 np.uint64, float)
+
+# One record line exactly as LogWriter writes it. Only what json.loads
 # reads the same way matches: ASCII digits without leading zeros, ids
 # without raw control characters and with JSON's own escapes, and float
 # thresholds. Counts of at most 18 digits fit int64; a seed's range is
@@ -116,10 +122,6 @@ def _record_lines(records, texts: dict) -> str:
         r.real_wins, r.seed,
         text((type(r.threshold), r.threshold), r.threshold))
         for r in records])
-
-
-def record_line(record: MatchRecord) -> str:
-    return _record_lines([record], {})[:-1]
 
 
 def _checked_fields(payload: dict, types: dict, what: str) -> dict:
@@ -213,6 +215,13 @@ class LogWriter:
         self.close()
 
 
+# Characters in the shortest line parse_record accepts: every field once,
+# with empty ids and one-digit numbers. A record's line takes at least that
+# many bytes of the file, and one more for its newline unless it is last.
+_SHORTEST_RECORD = len(_dump({**dict.fromkeys(_RECORD_FIELDS, 0),
+                              "generator_id": "", "discriminator_id": ""}))
+
+
 def _decode_id(raw: str) -> str:
     return json.loads(f'"{raw}"') if "\\" in raw else raw
 
@@ -258,11 +267,15 @@ def read_log(path, strict: bool = True
     first corrupt line raises LogError (with its line number); otherwise
     corrupt lines are collected into ``problems`` and skipped. Blank lines
     are ignored.
+
+    Each column is allocated once, sized by the most records the file's
+    size allows, and each chunk's rows are written into its slice; the
+    table holds the first rows, as many as were read. Should the file grow
+    while it is read, the columns grow with it.
     """
     problems: list[str] = []
     codes: dict[str, int] = {}
     raw_codes: dict[str, int] = {}
-    parts: list[list[np.ndarray]] = [[] for _ in _RECORD_FIELDS]
     with open(path) as fh:
         first = fh.readline()
         if not first:
@@ -271,6 +284,10 @@ def read_log(path, strict: bool = True
             header = parse_header(first)
         except LogError as exc:
             raise LogError(f"{path}:1: {exc}") from exc
+        capacity = ((os.fstat(fh.fileno()).st_size + 1)
+                    // (_SHORTEST_RECORD + 1))
+        columns = [np.empty(capacity, dtype) for dtype in _COLUMN_TYPES]
+        count = 0
         number = 2
         while lines := fh.readlines(_CHUNK_CHARS):
             chunk = _canonical_chunk(lines, codes, raw_codes)
@@ -292,12 +309,13 @@ def read_log(path, strict: bool = True
                 chunk = [remap[table.gen], remap[table.disc], table.n_fake,
                          table.fake_wins, table.n_real, table.real_wins,
                          table.seed, table.threshold]
-            for part, column in zip(parts, chunk):
-                part.append(column)
+            end = count + len(chunk[0])
+            if end > capacity:
+                capacity = max(2 * capacity, end)
+                columns = [np.resize(column, capacity) for column in columns]
+            for column, part in zip(columns, chunk):
+                column[count:end] = part
+            count = end
             number += len(lines)
-    # Join one column at a time, letting go of its chunks before the next.
-    columns = []
-    while parts:
-        chunks = parts.pop(0)
-        columns.append(np.concatenate(chunks) if chunks else chunks)
-    return header, MatchTable.from_columns(list(codes), *columns), problems
+    return header, MatchTable.from_columns(
+        list(codes), *(column[:count] for column in columns)), problems

@@ -7,9 +7,9 @@ rank-correlation diagnostics used to compare schedules.
 Every win rate comes from one place, ``_pair_rates``, which reads the
 columns of a ``MatchTable``, the one type the public functions take.
 Only records with judged samples count, the rule the rating pass follows
-too. Pairs, and then generators, are laid out in first-appearance order and
-summed with ``np.bincount`` in that order, so every mean is the left-to-right
-sum of its terms divided by their number. The heatmap is a float array with
+too. Pairs, and then generators, are laid out in first-appearance order,
+and each mean is the left-to-right sum of its terms, taken with
+``np.bincount``, divided by their number. The heatmap is a float array with
 NaN for pairs that never played.
 """
 
@@ -46,21 +46,39 @@ def _means(keys: np.ndarray, values: np.ndarray
     Returns the position of each key's first value and the means, keys in
     first-appearance order.
     """
-    _, first, inverse = np.unique(keys, return_index=True,
-                                  return_inverse=True)
-    # np.unique sorts the keys; renumber them by first appearance.
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    group = rank[inverse]
-    return first[order], (np.bincount(group, values, minlength=len(order))
-                          / np.bincount(group, minlength=len(order)))
+    # A stable sort keeps each key's values in input order, so summing them
+    # in sorted order adds every key's terms in the order they came, and
+    # puts each key's first position first. Row-length arrays are let go
+    # as soon as they are used up.
+    order = np.argsort(keys, kind="mergesort")
+    # One buffer holds the sorted keys, then each row's group, in key order.
+    group = np.take(keys, order)
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(group[1:], group[:-1], out=starts[1:])
+    first = order[starts]
+    weights = np.take(values, order)
+    del order
+    np.cumsum(starts, out=group)
+    del starts
+    group -= 1
+    # (bincount gives an empty result its int dtype, weights or not.)
+    means = np.bincount(group, weights, minlength=len(first)).astype(
+        float, copy=False)
+    del weights
+    means /= np.bincount(group, minlength=len(first))
+    del group
+    by_first = np.argsort(first)
+    return first[by_first], means[by_first]
 
 
 def _pair_rates(table: MatchTable) -> _PairRates:
     played, _, rate = table.judged()
+    del _  # the judged-sample counts, which no win rate needs
     gen, disc = table.gen[played], table.disc[played]
-    first, means = _means(gen * len(table.ids) + disc, rate)
+    keys = gen * len(table.ids)
+    keys += disc
+    first, means = _means(keys, rate)
     return _PairRates(table.ids, gen[first], disc[first], means)
 
 
@@ -83,16 +101,6 @@ def _generator_rates(pairs: _PairRates) -> dict[str, float]:
             for g, mean in zip(pairs.gen[first].tolist(), means.tolist())}
 
 
-def tournament_win_rate(table: MatchTable) -> dict[str, float]:
-    """Average win rate of each generator over the discriminators it played.
-
-    Repeats of the same pairing are averaged first, so every opponent counts
-    once. Generators with no judged matches are absent rather than rated
-    zero.
-    """
-    return _generator_rates(_pair_rates(table))
-
-
 @dataclass(frozen=True, eq=False)
 class Heatmap:
     """Win-rate matrix: one row per discriminator, one column per generator.
@@ -109,24 +117,30 @@ class Heatmap:
 
 def _layout(pairs: _PairRates, generator_ids: Sequence[str],
             discriminator_ids: Sequence[str]) -> Heatmap:
-    n = len(pairs.ids)
-    index = {pid: i for i, pid in enumerate(pairs.ids)}
+    rows, cols = len(discriminator_ids), len(generator_ids)
 
-    def positions(axis: Sequence[str]) -> np.ndarray:
-        return np.array([index.get(pid, -1) for pid in axis], dtype=np.int64)
+    def slots(axis: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """For each of ``pairs.ids``, the first position of that id on the
+        axis (one past the end if it is not on it); for each position on
+        the axis, the first position of its id."""
+        first: dict[str, int] = {}
+        at = [first.setdefault(pid, k) for k, pid in enumerate(axis)]
+        return (np.array([first.get(pid, len(axis)) for pid in pairs.ids],
+                         dtype=np.intp), np.array(at, dtype=np.intp))
 
-    cols, rows = positions(generator_ids), positions(discriminator_ids)
-    keys = pairs.gen.astype(np.int64) * n + pairs.disc
-    order = np.argsort(keys)
-    # A key above every pair's keeps each lookup inside the arrays.
-    sorted_keys = np.append(keys[order], n * n)
-    rates = np.append(pairs.rate[order], 0.0)
-    cells = cols[None, :] * n + rows[:, None]
-    at = np.searchsorted(sorted_keys, cells)
-    found = ((sorted_keys[at] == cells) & (cols >= 0)[None, :]
-             & (rows >= 0)[:, None])
+    row_of, row_at = slots(discriminator_ids)
+    col_of, col_at = slots(generator_ids)
+    # Every pair's rate goes to the cell of its ids' first positions; a
+    # pair with an id off the axes goes to the extra last row or column.
+    grid = np.full((rows + 1, cols + 1), np.nan)
+    cells = row_of[pairs.disc]
+    cells *= cols + 1
+    cells += col_of[pairs.gen]
+    grid.ravel()[cells] = pairs.rate
+    del cells
+    # An id that is on an axis twice gets its first position's cells.
     return Heatmap(tuple(generator_ids), tuple(discriminator_ids),
-                   np.where(found, rates[at], np.nan))
+                   grid[np.ix_(row_at, col_at)])
 
 
 @dataclass(frozen=True)

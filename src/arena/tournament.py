@@ -18,7 +18,6 @@ state; a judging stream is built only if the discriminator reads it.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from collections import abc
 from dataclasses import dataclass, fields
@@ -34,8 +33,10 @@ logger = logging.getLogger(__name__)
 # the two can differ in the last bits of a score.
 ENGINE = 2
 
-# Matches played per window of ``run_tournament``. Each window holds every
-# batch of its matches at once; a bounded window keeps that memory small.
+# Matches played per window of ``run_tournament``. A window's batches are
+# drawn and judged one discriminator group at a time; the window bounds the
+# seeds, stream states and records held at once, and each window is one
+# log write.
 WINDOW = 512
 
 ROLE_GENERATOR = "generator"
@@ -106,7 +107,12 @@ class MatchTable:
     def from_columns(cls, names: Sequence[str], gen, disc, n_fake, fake_wins,
                      n_real, real_wins, seed, threshold) -> MatchTable:
         """Table whose ``gen``/``disc`` index into ``names``, which may be
-        in any order and may repeat an id."""
+        in any order and may repeat an id.
+
+        The table takes the columns it is given: an array that already has
+        its column's dtype is kept, not copied, and ``gen``/``disc`` arrays
+        of dtype intp are recoded to index the sorted ids in place.
+        """
         ids = sorted(set(names))
         position = {pid: i for i, pid in enumerate(ids)}
         remap = np.array([position[pid] for pid in names], dtype=np.intp)
@@ -114,8 +120,15 @@ class MatchTable:
         def column(values, dtype):
             return np.asarray(values, dtype=dtype)
 
-        return cls(tuple(ids), remap[column(gen, np.intp)],
-                   remap[column(disc, np.intp)],
+        def recoded(values) -> np.ndarray:
+            codes = column(values, np.intp)
+            if len(codes) and not 0 <= codes.min() <= codes.max() < len(
+                    remap):
+                raise IndexError(f"player codes outside [0, {len(remap)})")
+            # "clip" never clips here; "raise" would copy the codes first.
+            return np.take(remap, codes, out=codes, mode="clip")
+
+        return cls(tuple(ids), recoded(gen), recoded(disc),
                    column(n_fake, np.int64), column(fake_wins, np.int64),
                    column(n_real, np.int64), column(real_wins, np.int64),
                    column(seed, np.uint64), column(threshold, float))
@@ -151,14 +164,26 @@ class MatchTable:
         return MatchTable(self.ids, *(getattr(self, column.name)[rows]
                                       for column in fields(self)[1:]))
 
-    def judged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows with judged samples: their indices, their judged-sample
-        counts and the fraction of those the generator won."""
-        total = self.n_fake.astype(float) + self.n_real
-        played = np.flatnonzero(total > 0.0)
-        total = total[played]
-        return played, total, (self.fake_wins[played].astype(float)
-                               + self.real_wins[played]) / total
+    def judged(self) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
+        """The rows with judged samples, their judged-sample counts and the
+        fraction of those the generator won.
+
+        The rows are an index array, or ``slice(None)`` when every row has
+        judged samples (as in every log play writes), so that selecting
+        them from a column copies nothing.
+        """
+        total = self.n_fake.astype(float)
+        total += self.n_real
+        played = total > 0.0
+        if played.all():
+            rows = slice(None)
+        else:
+            rows = np.flatnonzero(played)
+            total = total[rows]
+        score = self.fake_wins[rows].astype(float)
+        score += self.real_wins[rows]
+        score /= total
+        return rows, total, score
 
     def __len__(self) -> int:
         return len(self.gen)
@@ -327,11 +352,21 @@ def validate_schedule(schedule: Schedule,
 
 def stable_seed(*parts) -> int:
     """Deterministic 64-bit integer from the string forms of the parts."""
-    digest = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        digest.update(str(part).encode("utf-8"))
-        digest.update(b"\x1f")
-    return int.from_bytes(digest.digest(), "big")
+    return _stable_seeds([parts])[0]
+
+
+def _stable_seeds(parts_list: Iterable[Sequence]) -> list[int]:
+    """``stable_seed`` of each tuple of parts."""
+    import hashlib  # loads OpenSSL, which re-rating a log never needs
+
+    seeds = []
+    for parts in parts_list:
+        digest = hashlib.blake2b(digest_size=8)
+        for part in parts:
+            digest.update(str(part).encode("utf-8"))
+            digest.update(b"\x1f")
+        seeds.append(int.from_bytes(digest.digest(), "big"))
+    return seeds
 
 
 def match_seed(tournament_seed: int, generator_id: str, discriminator_id: str,
@@ -531,7 +566,7 @@ def _play_window(window: Sequence[tuple[str, str, int]],
     """
     from . import seeding  # loads numpy.random, which only play needs
 
-    seeds = [match_seed(settings.seed, *match) for match in window]
+    seeds = _stable_seeds((settings.seed, *match) for match in window)
     states = seeding.pcg64_states(seeds, JUDGE + 1)
 
     def stream(i: int, lane: int):

@@ -13,8 +13,8 @@ import pytest
 import yaml
 
 import arena
-from arena import toy
-from arena.tournament import MatchTable
+from arena import store, summarize, toy
+from arena.tournament import MatchRecord, MatchTable
 
 
 # Tolerances of the whitened densities of engine 2 against the solve-based
@@ -100,6 +100,20 @@ def reference_pair_win_rates(records) -> dict[tuple[str, str], float]:
             key = (record.generator_id, record.discriminator_id)
             totals.setdefault(key, []).append(win_rate(record))
     return {key: left_to_right_mean(rates) for key, rates in totals.items()}
+
+
+def record_line(record: MatchRecord) -> str:
+    """The record's log line, without its newline, as ``store.LogWriter``
+    writes it."""
+    return store._record_lines([record], {})[:-1]
+
+
+def tournament_win_rate(table: MatchTable) -> dict[str, float]:
+    """Average win rate of each generator over the discriminators it
+    played, the ``win_rate`` ``summarize`` reports: repeats of a pairing
+    are averaged first, and generators without judged matches are absent.
+    """
+    return summarize._generator_rates(summarize._pair_rates(table))
 
 
 def reference_tournament_win_rate(pairs) -> dict[str, float]:

@@ -23,7 +23,8 @@ from arena.config import load_config
 from arena.glicko import GameResult, Rating, rate_tournament, update_player
 from arena.tournament import MatchTable
 
-from conftest import column_means, tiny_config_payload, win_rate, write_yaml
+from conftest import (column_means, tiny_config_payload, tournament_win_rate,
+                      win_rate, write_yaml)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -149,7 +150,7 @@ def test_criterion_4_banded_schedule_rank_agreement(banded_study):
         reference = [full.outcome.ratings[g].rating for g in gen_ids]
         rho_ratings.append(sm.spearman(
             reference, [banded.outcome.ratings[g].rating for g in gen_ids]))
-        rates = sm.tournament_win_rate(banded.records)
+        rates = tournament_win_rate(banded.records)
         rho_rates.append(sm.spearman(reference,
                                      [rates[g] for g in gen_ids]))
     elapsed = banded_study["time_banded"]
@@ -293,7 +294,7 @@ def test_criterion_9_win_rate_definitions(banded_study, panel_study,
 
     rank_checked, rank_ok = 0, True
     for bundle in full_bundles:
-        rates = sm.tournament_win_rate(bundle.records)
+        rates = tournament_win_rate(bundle.records)
         gen_ids = sorted(rates)
         values = sorted(rates.values())
         if min(b - a for a, b in zip(values, values[1:])) <= 1e-9:

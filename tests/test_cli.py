@@ -730,15 +730,18 @@ class TestColdStart:
         assert not {name for name in imported
                     if name.split(".")[0] == "numpy"}
 
-    def test_rate_does_not_load_numpy_random(self, log_path):
-        # Only play builds random streams; importing numpy.random would
-        # cost every re-rating its import time.
-        result = fresh_python(
-            "-c", "import sys\nfrom arena import cli\n"
-            "code = cli.main(sys.argv[1:])\n"
-            "print(code, 'numpy.random' in sys.modules)\n",
-            "rate", log_path, check=True)
-        assert result.stdout.splitlines()[-1] == "0 False"
+    def test_rate_does_not_load_numpy_random(self, log_path, tmp_path):
+        # Only play builds random streams, and only play and config hashes
+        # use hashlib, whose _hashlib loads OpenSSL: either would cost every
+        # re-rating its import time and its memory.
+        for argv in ([], ["--out-dir", tmp_path / "rated"]):
+            result = fresh_python(
+                "-c", "import sys\nfrom arena import cli\n"
+                "code = cli.main(sys.argv[1:])\n"
+                "print(code, 'numpy.random' in sys.modules,"
+                " '_hashlib' in sys.modules)\n",
+                "rate", log_path, *argv, check=True)
+            assert result.stdout.splitlines()[-1] == "0 False False", argv
 
 
 def test_benchmark_tracer_still_wraps_every_layer(tmp_path):

@@ -16,7 +16,8 @@ from arena.config import parse_config
 from arena.store import read_log
 from arena.tournament import stable_seed
 
-from conftest import fresh_python, tiny_config_payload, write_yaml
+from conftest import (fresh_python, tiny_config_payload, tournament_win_rate,
+                      write_yaml)
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -116,7 +117,7 @@ class TestRunBundle:
 
     def test_summary_reuses_the_bundle_ratings(self, bundle):
         summary = bundle.summary
-        rates = sm.tournament_win_rate(bundle.records)
+        rates = tournament_win_rate(bundle.records)
         for row in summary.rows:
             assert row.rating == bundle.outcome.ratings[row.id].rating
             if row.role == "generator":
@@ -259,6 +260,35 @@ class TestScripts:
         assert result.stdout.splitlines() == [
             f"differs: run --config {config}: log.jsonl",
             "8 outputs compared, 1 differ"]
+
+    def test_rerate_memory_times_each_tree(self, tmp_path):
+        src = Path(ex.__file__).resolve().parents[1]
+        shutil.copytree(src / "arena", tmp_path / "arena",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        result = fresh_python(SCRIPTS / "rerate_memory.py", "--players", "5",
+                              "--runs", "2", src, tmp_path)
+        assert result.returncode == 0, result.stdout + result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0] == "log: 25 records, 0.0 MiB"
+        # Alternating, every other round in reverse order.
+        assert [line.split(":")[0] for line in lines[1:]] == [
+            f"run 1 {src}", f"run 1 {tmp_path}", f"run 2 {tmp_path}",
+            f"run 2 {src}", f"median {src}", f"median {tmp_path}"]
+        assert all(line.endswith(" MiB") for line in lines[1:])
+
+    def test_rerate_memory_fails_when_the_reports_differ(self, tmp_path):
+        src = Path(ex.__file__).resolve().parents[1]
+        shutil.copytree(src / "arena", tmp_path / "arena",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        # Another prior rating moves every printed rating.
+        glicko_py = tmp_path / "arena" / "glicko.py"
+        glicko_py.write_text(glicko_py.read_text().replace(
+            "_DEFAULT_RATING = 1500.0", "_DEFAULT_RATING = 1400.0"))
+        result = fresh_python(SCRIPTS / "rerate_memory.py", "--players", "3",
+                              "--runs", "1", src, tmp_path)
+        assert result.returncode == 1
+        assert result.stdout.splitlines()[-1] == \
+            "the trees printed different reports"
 
     def test_seed_study_runs(self):
         result = fresh_python(SCRIPTS / "seed_study.py", "--experiments",

@@ -17,16 +17,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from arena.glicko import Rating
 from arena.summarize import (WIN_RATE_WARNING, CurvePoint, Heatmap,
-                             _layout, _pair_rates, format_summary_table,
+                             _layout, _means, _pair_rates,
+                             format_summary_table,
                              pair_win_rates, pearson, skill_curve, spearman,
-                             summarize, tournament_win_rate, write_curve_svg,
-                             write_heatmap_csv, write_heatmap_svg,
-                             write_summary_csv)
+                             summarize, write_curve_svg, write_heatmap_csv,
+                             write_heatmap_svg, write_summary_csv)
 from arena.tournament import MatchRecord, MatchTable, PlayerSpec, round_robin
 
 from conftest import (column_means, reference_heatmap_values,
                       reference_pair_win_rates, reference_tournament_win_rate,
-                      round_robin_table)
+                      round_robin_table, tournament_win_rate)
 
 
 def record(gen: str, disc: str, wins: int, n: int = 8,
@@ -143,6 +143,66 @@ class TestReferenceIdentity:
         assert same_cells(summary.heatmap.values, reference_heatmap_values(
             expected, summary.heatmap.generator_ids,
             summary.heatmap.discriminator_ids))
+
+
+def unique_means(keys: np.ndarray, values: np.ndarray):
+    """_means through np.unique's first indices and inverse, renumbered by
+    first appearance: the reference for the sort-and-scan _means."""
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    group = rank[inverse]
+    return first[order], (np.bincount(group, values, minlength=len(order))
+                          / np.bincount(group, minlength=len(order)))
+
+
+# Keys from a small range, so they repeat and first appear out of order;
+# values whose sums depend on the order they are added in.
+mean_inputs = st.integers(0, 60).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-3, 6), min_size=n, max_size=n),
+    st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from(
+        [0.1, 0.2, 0.3, 1e-300, -0.0])), min_size=n, max_size=n)))
+
+
+class TestMeans:
+    @given(mean_inputs)
+    @example(([5], [0.25]))
+    @example(([4, 4, 4], [0.1, 0.2, 0.3]))
+    @example(([3, 1, 3, 2, 1], [0.1, 0.7, 0.2, 1e-300, 0.3]))
+    @settings(max_examples=200)
+    def test_equals_the_unique_reference_bit_for_bit(self, drawn):
+        keys = np.array(drawn[0], dtype=np.intp)
+        values = np.array(drawn[1], dtype=float)
+        first, means = _means(keys, values)
+        expected_first, expected_means = unique_means(keys, values)
+        assert first.dtype == expected_first.dtype
+        assert first.tolist() == expected_first.tolist()
+        assert means.dtype == expected_means.dtype
+        assert means.tobytes() == expected_means.tobytes()
+
+    def test_summarize_peaks_below_72_bytes_a_record(self):
+        # A 316x316 round robin: every record its own pair. np.unique's
+        # inverse and the sorted gather of the heatmap lifted the traced
+        # peak to 121 bytes a record; the sort-and-scan means and the
+        # scattered heatmap peak at 56.
+        table = round_robin_table(316)
+        specs = [PlayerSpec(pid, "generator" if pid.startswith("g")
+                            else "discriminator") for pid in table.ids]
+        ratings = {pid: Rating() for pid in table.ids}
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            summarize(table, ratings, specs)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak / len(table) < 72.0
 
 
 class TestHeatmap:

@@ -18,7 +18,8 @@ from arena.tournament import (MatchError, MatchRecord, MatchTable,
                               round_robin, run_tournament, stable_seed,
                               validate_schedule)
 
-from conftest import TEXT_ALPHABET, tiny_config_payload, win_rate
+from conftest import (TEXT_ALPHABET, record_line, tiny_config_payload,
+                      win_rate)
 
 
 def spec(pid: str, role: str, iteration: int | None = None) -> PlayerSpec:
@@ -163,6 +164,31 @@ class TestMatchTable:
         table = MatchTable.from_records([])
         assert not table and table.ids == ()
         assert list(table) == []
+
+    def test_intp_codes_are_recoded_in_place(self):
+        gen, disc = np.array([2, 0], np.intp), np.array([1, 1], np.intp)
+        table = MatchTable.from_columns(["g", "d", "g"], gen, disc,
+                                        [4, 4], [1, 2], [4, 4], [3, 0],
+                                        [0, 1], [0.5, 0.5])
+        assert table.gen is gen and table.disc is disc
+        assert gen.tolist() == [1, 1] and disc.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("code", [-1, 3])
+    def test_codes_outside_the_names_are_refused(self, code):
+        with pytest.raises(IndexError, match="outside"):
+            MatchTable.from_columns(["g", "d", "g"], [code], [1], [4], [1],
+                                    [4], [3], [0], [0.5])
+
+    def test_judged_rows_copy_nothing_when_every_row_is_judged(self):
+        records = [MatchRecord("g", "d", 4, 1, 4, 3, 0),
+                   MatchRecord("g", "e", 2, 2, 0, 0, 1)]
+        rows, total, score = MatchTable.from_records(records).judged()
+        assert rows == slice(None)
+        assert total.tolist() == [8.0, 2.0] and score.tolist() == [0.5, 1.0]
+        rows, total, score = MatchTable.from_records(
+            [*records, MatchRecord("h", "d", 0, 0, 0, 0, 2)]).judged()
+        assert rows.tolist() == [0, 1]
+        assert total.tolist() == [8.0, 2.0] and score.tolist() == [0.5, 1.0]
 
     def test_names_may_repeat_and_come_in_any_order(self):
         table = MatchTable.from_columns(["g", "d", "g"], [2, 0], [1, 1],
@@ -645,7 +671,7 @@ class TestGroupedPlay:
                          built.data, settings)
         assert path.read_text().splitlines(keepends=True) == [
             line + "\n" for line in (store.header_line(header),
-                                     *map(store.record_line, first))]
+                                     *map(record_line, first))]
 
     @pytest.mark.parametrize("window, solves", [(tn.WINDOW, 1), (38, 2)])
     def test_one_solve_per_window_for_a_chekhov_group(self, window, solves,
