@@ -9,18 +9,19 @@ the records; a header with no engine key was written by engine 1.
 
 ``read_log`` returns the records as a columnar ``MatchTable``. It reads the
 body in bounded chunks and parses a chunk whose every line has the writer's
-own layout with one regular expression; any other chunk goes line by line
-through ``parse_record``, so both paths accept, reject and number exactly
-the same lines. Each column is allocated once, for as many records as the
-file could hold, and every chunk is written into its slice, so the read
-holds one copy of the table; pages past the last record are never touched.
+own layout in one vectorized pass over its bytes (``logscan``); any other
+chunk goes line by line through ``parse_record``, so both paths accept,
+reject and number exactly the same lines. Each column is allocated once,
+for as many records as the file could hold, and every chunk is written into
+its slice, so the read holds one copy of the table; pages past the last
+record are never touched.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
-import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -45,31 +46,13 @@ _COUNT_LIMIT = 2 ** 63
 _SEED_LIMIT = 2 ** 64
 
 # Size hint, in characters, of one chunk of log lines: large enough that
-# the per-chunk overhead vanishes, small enough that a large log never sits
-# in memory as one string.
-_CHUNK_CHARS = 1 << 18
+# the per-chunk overhead is small, small enough that a large log never sits
+# in memory as one string, nor the bulk parser's temporaries in glibc's heap.
+_CHUNK_CHARS = 1 << 17
 
 # Dtype of each record column, in _RECORD_FIELDS order.
 _COLUMN_TYPES = (np.intp, np.intp, np.int64, np.int64, np.int64, np.int64,
                  np.uint64, float)
-
-# One record line exactly as LogWriter writes it. Only what json.loads
-# reads the same way matches: ASCII digits without leading zeros, ids
-# without raw control characters and with JSON's own escapes, and float
-# thresholds. Counts of at most 18 digits fit int64; a seed's range is
-# checked when it is converted.
-_ID_CHARS = r'[^"\\\x00-\x1f]*'
-_ESCAPE = r'\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})'
-_ID = f"({_ID_CHARS}(?:{_ESCAPE}{_ID_CHARS})*)"
-_COUNT = r"(0|[1-9][0-9]{0,17})"
-# Compiled on first use (re caches it), not on import by every command.
-_CANONICAL = (
-    r'^\{"discriminator_id":"' + _ID + r'","fake_wins":' + _COUNT
-    + r',"generator_id":"' + _ID + r'","n_fake":' + _COUNT
-    + r',"n_real":' + _COUNT + r',"real_wins":' + _COUNT
-    + r',"seed":(0|[1-9][0-9]{0,19}),"threshold":'
-    r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
-    r"|NaN|-?Infinity)\}$")
 
 
 class LogError(ValueError):
@@ -107,8 +90,8 @@ _RECORD_TEMPLATE = ('{"discriminator_id":%s,"fake_wins":%s,'
 def _record_lines(records, texts: dict) -> str:
     """Each record's line, newline included, all joined: the bytes of
     ``_dump`` of each record's fields. ``texts`` caches the JSON text of
-    each id (keyed by the id) and of each threshold (keyed by its type and
-    value, since 1 == 1.0 == True but each dumps differently)."""
+    each id (keyed by the id) and threshold (keyed by type and value, as
+    1 == 1.0 == True dump differently; a zero by its text, as -0.0 == 0.0)."""
     def text(key, value) -> str:
         try:
             return texts[key]
@@ -120,7 +103,8 @@ def _record_lines(records, texts: dict) -> str:
         text(r.discriminator_id, r.discriminator_id), r.fake_wins,
         text(r.generator_id, r.generator_id), r.n_fake, r.n_real,
         r.real_wins, r.seed,
-        text((type(r.threshold), r.threshold), r.threshold))
+        text((type(r.threshold), r.threshold or repr(r.threshold)),
+             r.threshold))
         for r in records])
 
 
@@ -222,43 +206,6 @@ _SHORTEST_RECORD = len(_dump({**dict.fromkeys(_RECORD_FIELDS, 0),
                               "generator_id": "", "discriminator_id": ""}))
 
 
-def _decode_id(raw: str) -> str:
-    return json.loads(f'"{raw}"') if "\\" in raw else raw
-
-
-def _canonical_chunk(lines: list[str], codes: dict[str, int],
-                     raw_codes: dict[str, int]) -> list[np.ndarray] | None:
-    """The chunk's columns, or None unless every line is a record line in
-    the writer's layout with counts and seed in range.
-
-    Ids are numbered in ``codes``, by first appearance across chunks;
-    ``raw_codes`` remembers the code of each id as written.
-    """
-    rows = re.findall(_CANONICAL, "".join(lines), re.MULTILINE)
-    if len(rows) != len(lines):
-        return None
-    disc, fake_wins, gen, n_fake, n_real, real_wins, seed, threshold = (
-        zip(*rows))
-    n = len(rows)
-    # numpy parses these texts exactly as int() and float() do; a seed of
-    # 2**64 or more overflows uint64. A numpy that refuses some text sends
-    # the chunk to the line-by-line path, which then decides.
-    try:
-        nf, fw, nr, rw = (np.array(column, dtype=np.int64) for column
-                          in (n_fake, fake_wins, n_real, real_wins))
-        seeds = np.array(seed, dtype=np.uint64)
-        thresholds = np.array(threshold, dtype=float)
-    except (OverflowError, ValueError):
-        return None
-    if (fw > nf).any() or (rw > nr).any():
-        return None
-    for raw in set(gen).union(disc).difference(raw_codes):
-        raw_codes[raw] = codes.setdefault(_decode_id(raw), len(codes))
-    return [np.fromiter(map(raw_codes.__getitem__, gen), np.intp, n),
-            np.fromiter(map(raw_codes.__getitem__, disc), np.intp, n),
-            nf, fw, nr, rw, seeds, thresholds]
-
-
 def read_log(path, strict: bool = True
              ) -> tuple[LogHeader, MatchTable, list[str]]:
     """Read a log; returns (header, records, problems).
@@ -275,7 +222,7 @@ def read_log(path, strict: bool = True
     """
     problems: list[str] = []
     codes: dict[str, int] = {}
-    raw_codes: dict[str, int] = {}
+    raw_codes: dict[bytes, int] = {}
     with open(path) as fh:
         first = fh.readline()
         if not first:
@@ -289,11 +236,13 @@ def read_log(path, strict: bool = True
         columns = [np.empty(capacity, dtype) for dtype in _COLUMN_TYPES]
         count = 0
         number = 2
-        while lines := fh.readlines(_CHUNK_CHARS):
-            chunk = _canonical_chunk(lines, codes, raw_codes)
+        while text := fh.read(_CHUNK_CHARS):
+            from . import logscan  # compiled only once a body is read
+            text += fh.readline()
+            chunk = logscan.canonical_chunk(text, codes, raw_codes)
             if chunk is None:
                 records = []
-                for offset, line in enumerate(lines):
+                for offset, line in enumerate(io.StringIO(text)):
                     if not line.strip():
                         continue
                     try:
@@ -316,6 +265,6 @@ def read_log(path, strict: bool = True
             for column, part in zip(columns, chunk):
                 column[count:end] = part
             count = end
-            number += len(lines)
+            number += text.count("\n")
     return header, MatchTable.from_columns(
         list(codes), *(column[:count] for column in columns)), problems

@@ -730,6 +730,20 @@ class TestColdStart:
         assert not {name for name in imported
                     if name.split(".")[0] == "numpy"}
 
+    def test_the_bulk_parser_loads_on_the_first_body_chunk(self, log_path,
+                                                           tmp_path):
+        # A header-only log, the benchmark's set-up command, reads no body
+        # chunk: the bulk parser is neither compiled nor are its tables and
+        # patterns built.
+        header_only = tmp_path / "header.jsonl"
+        store.LogWriter(header_only, store.LogHeader("feed", 1)).close()
+        probe = ("import sys\nfrom arena import cli\n"
+                 "code = cli.main(sys.argv[1:])\n"
+                 "print(code, 'arena.logscan' in sys.modules)\n")
+        for log, loaded in ((header_only, False), (log_path, True)):
+            result = fresh_python("-c", probe, "rate", log, check=True)
+            assert result.stdout.splitlines()[-1] == f"0 {loaded}", log
+
     def test_rate_does_not_load_numpy_random(self, log_path, tmp_path):
         # Only play builds random streams, and only play and config hashes
         # use hashlib, whose _hashlib loads OpenSSL: either would cost every

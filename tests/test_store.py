@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from arena import store
+from arena import logscan, store
 from arena.store import (LOG_FORMAT, LogError, LogHeader, LogWriter,
                          header_line, parse_header, parse_record, read_log)
 from arena.tournament import ENGINE, MatchRecord, MatchTable
@@ -356,6 +357,9 @@ class TestRecordTemplate:
                                                       threshold=threshold),
         wide_records, st.one_of(st.floats(), st.integers(-2, 2 ** 70),
                                 st.booleans())), max_size=8))
+    # Both zeros in one batch: 0.0 == -0.0, but each dumps differently.
+    @example([MatchRecord("g", "d", 1, 0, 1, 0, 0, threshold)
+              for threshold in (0.0, -0.0, 0.0)])
     @settings(max_examples=200)
     def test_lines_are_those_of_json_dumps(self, records):
         # Quotes, backslashes, control characters, non-ASCII and non-BMP
@@ -394,7 +398,66 @@ LONG_COUNTS = with_value("fake_wins", 10 ** 18 - 2).replace(
 EDGE_THRESHOLDS = ("-0.0", "1e400", "NaN", "-Infinity", "5e-324")
 
 
+@st.composite
+def mutated_runs(draw):
+    """A run of writer lines with one byte replaced, inserted or deleted at
+    any offset: a quote, backslash, colon, comma, brace, digit, line end,
+    NUL, DEL or non-ASCII character."""
+    text = "".join(record_line(r) + "\n" for r in draw(
+        st.lists(wide_records, min_size=1, max_size=4)))
+    at = draw(st.integers(0, len(text)))
+    kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+    byte = draw(st.sampled_from(
+        ['"', "\\", ":", ",", "{", "}", "\n", "\r", "\x00", "\x7f",
+         "\u00e9", "\U0001f600", *"0123456789"]))
+    return (text[:at] + ("" if kind == "delete" else byte)
+            + text[at + (kind != "insert"):])
+
+
+EDGE_VALUES = (0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324)
+# Ids of 1, 7, 8, 9 and 17 bytes, either side of the 8-byte words that the
+# bulk reader keys ids by, and of 200 bytes, too wide to key every id of a
+# small chunk by, so that chunk's ids are coded through a dict.
+sized_ids = st.sampled_from([1, 7, 8, 9, 17, 200]).flatmap(
+    lambda size: st.text("g-09", min_size=size, max_size=size))
+
+
+@st.composite
+def bulk_records(draw):
+    """A wide record as the bulk reader takes it: ids with quotes (escaped
+    by the writer as \\"), backslashes, control characters and non-BMP
+    characters are kept. Counts of 19 digits, past the 18 the bulk reader
+    parses, are the one kind of writer line it leaves to the line-by-line
+    path; they are taken out."""
+    record = draw(wide_records)
+    ids = [draw(st.one_of(st.just(pid), sized_ids))
+           for pid in (record.generator_id, record.discriminator_id)]
+    counts = []
+    for trials, wins in ((record.n_fake, record.fake_wins),
+                         (record.n_real, record.real_wins)):
+        trials %= 10 ** 18
+        counts += [trials, wins % (trials + 1)]
+    return MatchRecord(
+        *ids, *counts,
+        seed=draw(st.sampled_from([record.seed, 0, 2 ** 64 - 1])),
+        threshold=draw(st.sampled_from([record.threshold, *EDGE_VALUES])))
+
+
 class TestBulkReader:
+    def assert_reads_as_the_per_line_reader(self, path, chunk):
+        expected = reference_read_log(path, strict=False)
+        with pytest.MonkeyPatch.context() as patch:
+            # Small chunks put chunk boundaries between most lines.
+            patch.setattr(store, "_CHUNK_CHARS", chunk)
+            header, table, problems = read_log(path, strict=False)
+            strict = strict_outcome(read_log, path)
+        assert header == expected[0]
+        # record_line compares NaN thresholds and int/float types too.
+        assert [record_line(r) for r in table] == [
+            record_line(r) for r in expected[1]]
+        assert problems == expected[2]
+        assert strict == strict_outcome(reference_read_log, path)
+
     @given(lines=log_lines, chunk=st.integers(1, 400),
            trailing_newline=st.booleans())
     # Forms json.loads rejects and a careless pattern would take: a leading
@@ -425,6 +488,8 @@ class TestBulkReader:
              chunk=1000, trailing_newline=True)
     @example(lines=[CANONICAL, LONG_COUNTS, CANONICAL],
              chunk=1000, trailing_newline=True)
+    @example(lines=[CANONICAL, with_value("n_real", 2 ** 63), CANONICAL],
+             chunk=1000, trailing_newline=True)
     @example(lines=[with_value("threshold", text) for text in EDGE_THRESHOLDS],
              chunk=1000, trailing_newline=True)
     @settings(max_examples=150, deadline=None)
@@ -433,18 +498,74 @@ class TestBulkReader:
         path = tmp_path_factory.mktemp("bulk") / "log.jsonl"
         body = "\n".join([header_line(HEADER), *lines])
         path.write_text(body + ("\n" if trailing_newline else ""))
-        expected = reference_read_log(path, strict=False)
-        with pytest.MonkeyPatch.context() as patch:
-            # Small chunks put chunk boundaries between most lines.
-            patch.setattr(store, "_CHUNK_CHARS", chunk)
-            header, table, problems = read_log(path, strict=False)
-            strict = strict_outcome(read_log, path)
-        assert header == expected[0]
-        # record_line compares NaN thresholds and int/float types too.
-        assert [record_line(r) for r in table] == [
-            record_line(r) for r in expected[1]]
-        assert problems == expected[2]
-        assert strict == strict_outcome(reference_read_log, path)
+        self.assert_reads_as_the_per_line_reader(path, chunk)
+
+    @given(body=mutated_runs(), chunk=st.integers(1, 1500))
+    # CRLF and lone CR line ends, a NUL in an id or in place of a line end
+    # (json.loads then finds extra data), no final newline.
+    @example(body=CANONICAL + "\r\n" + CANONICAL + "\n", chunk=1500)
+    @example(body=CANONICAL + "\x00" + CANONICAL + "\n", chunk=1500)
+    @example(body=CANONICAL + "\r" + CANONICAL + "\n", chunk=1500)
+    @example(body=CANONICAL.replace('"g0"', '"g\x000"') + "\n", chunk=1500)
+    @example(body=CANONICAL + "\n" + CANONICAL, chunk=1500)
+    # A one-digit count or seed deleted: an empty field.
+    @example(body=with_value("fake_wins", "") + "\n", chunk=1500)
+    @example(body=with_value("seed", "") + "\n", chunk=1500)
+    # More wins than trials.
+    @example(body=with_value("fake_wins", 90) + "\n", chunk=1500)
+    @example(body=with_value("real_wins", 90) + "\n", chunk=1500)
+    # A byte before a line's first brace, or in place of its last.
+    @example(body="5" + CANONICAL + "\n", chunk=1500)
+    @example(body=CANONICAL + "\n," + CANONICAL + "\n", chunk=1500)
+    @example(body=CANONICAL[:-1] + "5\n", chunk=1500)
+    # Thresholds as json.loads reads them alone: after a byte order mark
+    # (taken from bytes, refused in text), between spaces, an int.
+    @example(body=with_value("threshold", "\ufeff0.5") + "\n", chunk=1500)
+    @example(body=with_value("threshold", " 0.5 ") + "\n", chunk=1500)
+    @example(body=with_value("threshold", "1") + "\n", chunk=1500)
+    @settings(max_examples=300, deadline=None)
+    def test_one_byte_mutations_read_as_the_per_line_reader(
+            self, body, chunk, tmp_path_factory):
+        path = tmp_path_factory.mktemp("mutated") / "log.jsonl"
+        path.write_text(header_line(HEADER) + "\n" + body)
+        self.assert_reads_as_the_per_line_reader(path, chunk)
+
+    @given(records=st.lists(bulk_records(), min_size=1, max_size=12),
+           split=st.integers(0, 12))
+    @example(records=[MatchRecord(gen, disc, 64, 3, 64, 5, seed=7,
+                                  threshold=0.5)
+                      for gen, disc in (("g", "d" * 7), ("g" * 8, "d" * 9),
+                                        ("g" * 17, "d"), ("g" * 9, "d" * 8))],
+             split=2)
+    # Escaped quotes in ids, with the keyed ids and then coded through a
+    # dict beside a 200-byte id.
+    @example(records=[MatchRecord(gen, disc, 64, 3, 64, 5, seed=7,
+                                  threshold=0.5)
+                      for gen, disc in (('g"', 'd\\"'), ("g" * 8, '\\"\\'),
+                                        ("g" * 200, 'd"'), ("g", "d" * 9))],
+             split=2)
+    @settings(max_examples=200, deadline=None)
+    def test_writer_lines_take_the_bulk_path(self, records, split):
+        # Written by LogWriter in two batches and read as two chunks: no
+        # chunk may fall back to the line-by-line path.
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "log.jsonl")
+            with LogWriter(path, HEADER) as sink:
+                sink(records[:split])
+                sink(records[split:])
+            with open(path) as fh:
+                lines = fh.readlines()[1:]
+        codes: dict[str, int] = {}
+        raw_codes: dict[bytes, int] = {}
+        chunks = [logscan.canonical_chunk("".join(part), codes, raw_codes)
+                  for part in (lines[:split], lines[split:]) if part]
+        assert None not in chunks
+        table = MatchTable.from_columns(
+            list(codes), *map(np.concatenate, zip(*chunks)))
+        # Read back as the line-by-line path reads them: the writer keeps no
+        # NaN payload.
+        assert table_bytes(table) == table_bytes(
+            MatchTable.from_records(map(parse_record, lines)))
 
     def test_columns_equal_those_of_the_records(self, tmp_path):
         records = [make_record(i) for i in range(4)]
@@ -465,7 +586,7 @@ class TestBulkReader:
         with_value("seed", 2 ** 64 - 1), LONG_COUNTS,
         *(with_value("threshold", text) for text in EDGE_THRESHOLDS)])
     def test_bulk_columns_read_edge_values_as_the_line_reader(self, line):
-        columns = store._canonical_chunk([line + "\n"], {}, {})
+        columns = logscan.canonical_chunk(line + "\n", {}, {})
         assert columns is not None
         expected = MatchTable.from_records([parse_record(line)])
         for name, column in zip(("n_fake", "fake_wins", "n_real",
@@ -478,8 +599,8 @@ class TestBulkReader:
     @pytest.mark.parametrize("seed", [2 ** 64, 10 ** 20 - 1])
     def test_bulk_columns_leave_seeds_past_uint64_to_the_line_reader(
             self, seed):
-        assert store._canonical_chunk(
-            [CANONICAL + "\n", with_value("seed", seed) + "\n"], {}, {}
+        assert logscan.canonical_chunk(
+            CANONICAL + "\n" + with_value("seed", seed) + "\n", {}, {}
         ) is None
 
 
@@ -489,16 +610,17 @@ def concatenating_read_log(path, strict: bool = True):
     read_log fills in place."""
     problems: list[str] = []
     codes: dict[str, int] = {}
-    raw_codes: dict[str, int] = {}
+    raw_codes: dict[bytes, int] = {}
     chunks = []
     with open(path) as fh:
         header = parse_header(fh.readline())
         number = 2
-        while lines := fh.readlines(store._CHUNK_CHARS):
-            chunk = store._canonical_chunk(lines, codes, raw_codes)
+        while text := fh.read(store._CHUNK_CHARS):
+            text += fh.readline()
+            chunk = logscan.canonical_chunk(text, codes, raw_codes)
             if chunk is None:
                 records = []
-                for offset, line in enumerate(lines):
+                for offset, line in enumerate(io.StringIO(text)):
                     if not line.strip():
                         continue
                     try:
@@ -515,7 +637,7 @@ def concatenating_read_log(path, strict: bool = True):
                          table.fake_wins, table.n_real, table.real_wins,
                          table.seed, table.threshold]
             chunks.append(chunk)
-            number += len(lines)
+            number += text.count("\n")
     columns = [np.concatenate(parts) if parts else []
                for parts in zip(*chunks)] or [[]] * 8
     return header, MatchTable.from_columns(list(codes), *columns), problems
