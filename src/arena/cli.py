@@ -90,13 +90,14 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
             try:
                 session = ExternalPlayer(entry["command"], role=entry["role"])
             except ExternError as exc:
+                error = tn.MatchError("player-start", str(exc))
                 if strict:
-                    raise
+                    raise error from exc
                 kept = tuple(m for m in schedule.matches
                              if entry["id"] not in m[:2])
                 _warn(f"external player {entry['id']!r} could not be "
                       f"started, its {len(schedule) - len(kept)} matches "
-                      f"are skipped: {exc}")
+                      f"are skipped: {error}")
                 schedule = dataclasses.replace(schedule, matches=kept)
                 continue
             built.players[entry["id"]] = session
@@ -350,7 +351,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (store.LogError, tn.MatchError, RuntimeError) as exc:
+    except (store.LogError, RuntimeError) as exc:
         # Runtime failures. LogError subclasses ValueError, so it must be
         # caught before the usage errors, ConfigError among them.
         print(f"error: {exc}", file=sys.stderr)

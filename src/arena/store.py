@@ -123,6 +123,19 @@ def _checked_fields(payload: dict, types: dict, what: str) -> dict:
     return values
 
 
+def _utf8(line: str) -> str:
+    """The line, if the bytes it was read from are UTF-8. ``read_log``
+    decodes with surrogateescape, which reads every other byte as a lone
+    surrogate."""
+    try:
+        line.encode()
+    except UnicodeEncodeError as exc:
+        byte = line[exc.start].encode(errors="surrogateescape")[0]
+        raise LogError(f"byte {byte:#04x} at character {exc.start + 1} is "
+                       "not UTF-8") from None
+    return line
+
+
 def parse_header(line: str) -> LogHeader:
     try:
         payload = json.loads(line)
@@ -212,8 +225,8 @@ def read_log(path, strict: bool = True
 
     The records come as a ``MatchTable`` in log order. In strict mode the
     first corrupt line raises LogError (with its line number); otherwise
-    corrupt lines are collected into ``problems`` and skipped. Blank lines
-    are ignored.
+    corrupt lines are collected into ``problems`` and skipped. A line that
+    holds a byte that is not UTF-8 is corrupt. Blank lines are ignored.
 
     Each column is allocated once, sized by the most records the file's
     size allows, and each chunk's rows are written into its slice; the
@@ -223,12 +236,12 @@ def read_log(path, strict: bool = True
     problems: list[str] = []
     codes: dict[str, int] = {}
     raw_codes: dict[bytes, int] = {}
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         first = fh.readline()
         if not first:
             raise LogError(f"{path}: empty file, missing header")
         try:
-            header = parse_header(first)
+            header = parse_header(_utf8(first))
         except LogError as exc:
             raise LogError(f"{path}:1: {exc}") from exc
         capacity = ((os.fstat(fh.fileno()).st_size + 1)
@@ -239,14 +252,17 @@ def read_log(path, strict: bool = True
         while text := fh.read(_CHUNK_CHARS):
             from . import logscan  # compiled only once a body is read
             text += fh.readline()
-            chunk = logscan.canonical_chunk(text, codes, raw_codes)
+            try:
+                chunk = logscan.canonical_chunk(text, codes, raw_codes)
+            except UnicodeEncodeError:  # a byte that is not UTF-8
+                chunk = None
             if chunk is None:
                 records = []
                 for offset, line in enumerate(io.StringIO(text)):
                     if not line.strip():
                         continue
                     try:
-                        records.append(parse_record(line))
+                        records.append(parse_record(_utf8(line)))
                     except LogError as exc:
                         message = f"{path}:{number + offset}: {exc}"
                         if strict:

@@ -47,8 +47,20 @@ PLAYER_KINDS = ("toy_checkpoint", "real_data", "transform", "external",
                 "custom")
 
 
+# Why a match can fail; a MatchError's message is "<code>: <detail>". Play
+# reads each code off the shapes and masks it checks, but for player-start
+# (why a player did not start) and player-error (what a player raised).
+FAULTS = ("fake-shape", "fake-nonfinite", "real-shape", "real-nonfinite",
+          "dim-mismatch", "scores-shape", "scores-range", "player-start",
+          "player-error")
+
+
 class MatchError(RuntimeError):
-    """A player misbehaved while a match was being played."""
+    """A failed match; ``code`` is one of ``FAULTS``."""
+
+    def __init__(self, code: str, detail: str):
+        super().__init__(f"{code}: {detail}")
+        self.code = code
 
 
 @dataclass(frozen=True)
@@ -402,40 +414,24 @@ class JudgeStreams(abc.Sequence):
         return self._streams[range(len(self))[index] // 2]
 
 
-def _shaped(batch, count: int, who: str) -> np.ndarray:
-    """The batch as floats, if it holds ``count`` samples."""
+def _shaped(batch, count: int, code: str) -> np.ndarray:
+    """The batch as floats, if it holds ``count`` samples; else MatchError
+    ``code``."""
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[0] != count:
-        raise MatchError(f"{who} returned batch shape {batch.shape}, "
-                         f"expected ({count}, dim)")
+        raise MatchError(code, f"batch shape {batch.shape}, expected "
+                               f"({count}, dim)")
     return batch
 
 
-def _check_batch(batch, count: int, who: str) -> np.ndarray:
-    batch = _shaped(batch, count, who)
-    if not np.isfinite(batch).all():
-        raise MatchError(f"{who} returned non-finite samples")
-    return batch
-
-
-def _check_scores(scores: np.ndarray, count: int, who: str) -> np.ndarray:
+def _scored(scores, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The scores as floats, if they have ``shape``, and whether each row
+    lies in [0, 1], which no NaN does; else MatchError ``scores-shape``."""
     scores = np.asarray(scores, dtype=float)
-    if scores.shape != (count,):
-        raise MatchError(f"{who} returned scores with shape {scores.shape}, "
-                         f"expected ({count},)")
-    if not np.isfinite(scores).all():
-        raise MatchError(f"{who} returned non-finite scores")
-    if scores.min() < 0.0 or scores.max() > 1.0:
-        raise MatchError(f"{who} returned scores outside [0, 1]")
-    return scores
-
-
-def _valid_rows(stacked: np.ndarray, count: int) -> np.ndarray:
-    """For each row of stacked scores, whether ``_check_scores`` passes it:
-    the rows are ``count`` wide, and every score is in [0, 1] (so finite)."""
-    if stacked.ndim != 2 or stacked.shape[1] != count:
-        return np.zeros(len(stacked), dtype=bool)
-    return ((stacked >= 0.0) & (stacked <= 1.0)).all(axis=1)
+    if scores.shape != shape:
+        raise MatchError("scores-shape", f"scores of shape {scores.shape}, "
+                                         f"expected {shape}")
+    return scores, ((scores >= 0.0) & (scores <= 1.0)).all(axis=-1)
 
 
 def play_match(generator, discriminator, data, *, generator_id: str,
@@ -443,49 +439,42 @@ def play_match(generator, discriminator, data, *, generator_id: str,
                batch_size: int = 64, threshold: float = 0.5) -> MatchRecord:
     """Play one match and count per-sample wins for the generator.
 
-    A window of one, so the record is the one ``run_tournament`` logs for
-    this match, and the first failure is raised. The discriminator judges
-    ``batch_size`` fake samples and a fresh real batch of the same size. A
-    fake sample scoring at or above the threshold and a real sample scoring
-    at or below it are generator wins; ties on the boundary always favor
-    the generator.
+    A schedule of one for ``run_tournament``, so the record is the one it
+    logs for this match, and a failure raises its MatchError. The
+    discriminator judges ``batch_size`` fake samples and a fresh real
+    batch of the same size. A fake sample scoring at or above the
+    threshold and a real sample scoring at or below it are generator wins;
+    ties on the boundary always favor the generator.
     """
     if generator_id == discriminator_id:
         raise ValueError(f"player {generator_id!r} cannot play itself")
-
-    def fail(match: tuple[str, str, int], exc: Exception) -> None:
-        raise exc
-
-    (record,) = _play_window(
-        [(generator_id, discriminator_id, repeat)],
+    (record,) = run_tournament(
+        Schedule(((generator_id, discriminator_id, repeat),)),
         {generator_id: generator, discriminator_id: discriminator}, data,
-        RunSettings(tournament_seed, batch_size, threshold), fail)
+        RunSettings(tournament_seed, batch_size, threshold))
     return record
 
 
 def _draw_group(indices: Sequence[int],
                 window: Sequence[tuple[str, str, int]],
                 players: Mapping[str, object], data, size: int, stream,
-                fail: Callable[[tuple[str, str, int], Exception], None]
+                lost: dict[int, Exception]
                 ) -> tuple[list[int], np.ndarray | None]:
     """Draw the fake and the real batch of each match of one discriminator
     group; return the matches whose batches pass their checks, and those
     batches stacked, each match's fake batch and then its real batch.
 
-    The real batches come from one ``data.sample_many`` call if the data
-    source defines it, else from one ``sample`` call per match. Shapes
-    are checked batch by batch, finiteness with one mask over the stack.
-    Failures are reported in match order, each with the message of the
-    first batch-by-batch check the match fails: the fake batch's shape,
-    its finiteness, the real batch's shape, its finiteness, their dims.
+    Real batches come from one ``data.sample_many`` call if the data source
+    defines it, else from one ``sample`` call per match, and only for fake
+    batches of the right shape. A failed match goes into ``lost`` under its
+    first fault of: fake shape, real shape, dims, then the finiteness of
+    the fake and of the real batch, which is one mask over the stack.
     """
-    lost: dict[int, Exception] = {}
     fakes: dict[int, np.ndarray] = {}
     for i in indices:
-        gen_id = window[i][0]
         try:
-            fakes[i] = _shaped(players[gen_id].sample(size, stream(i, FAKE)),
-                               size, f"generator {gen_id!r}")
+            fakes[i] = _shaped(players[window[i][0]].sample(
+                size, stream(i, FAKE)), size, "fake-shape")
         except Exception as exc:
             lost[i] = exc
     sample_many = getattr(data, "sample_many", None)
@@ -494,75 +483,58 @@ def _draw_group(indices: Sequence[int],
         try:
             reals = list(sample_many(size, [stream(i, REAL) for i in fakes]))
             if len(reals) != len(fakes):
-                raise MatchError(f"data source returned {len(reals)} "
-                                 f"batches for {len(fakes)}")
+                raise MatchError("real-shape", f"{len(reals)} batches for "
+                                               f"{len(fakes)} matches")
         except Exception as exc:
-            reals = [exc] * len(fakes)
+            lost.update(dict.fromkeys(fakes, exc))
+            return [], None
     drawn, batches = [], []
     for k, (i, fake) in enumerate(fakes.items()):
-        who = f"generator {window[i][0]!r}"
         try:
-            real = (data.sample(size, stream(i, REAL)) if reals is None
-                    else reals[k])
-            if isinstance(real, Exception):
-                raise real
-            real = _shaped(real, size, "data source")
+            real = _shaped(data.sample(size, stream(i, REAL)) if reals is None
+                           else reals[k], size, "real-shape")
             if fake.shape[1] != real.shape[1]:
-                raise MatchError(f"{who} emits dim {fake.shape[1]}, data "
-                                 f"source dim {real.shape[1]}")
+                raise MatchError("dim-mismatch", f"fake dim {fake.shape[1]}, "
+                                                 f"real dim {real.shape[1]}")
         except Exception as exc:
             lost[i] = exc
-            try:  # the fake batch's finiteness is checked first
-                _check_batch(fake, size, who)
-            except MatchError as first:
-                lost[i] = first
             continue
         drawn.append(i)
         batches += (fake, real)
-    stacked = None
-    if drawn:
-        try:
-            stacked = np.stack(batches)
-        except ValueError as exc:  # a data source whose dim changes
-            lost.update(dict.fromkeys(drawn, exc))
-            drawn = []
-    if drawn:
-        finite = np.isfinite(stacked).all(axis=(1, 2))
-        ok = finite[0::2] & finite[1::2]
-        for k in np.flatnonzero(~ok):  # each fails a batch-by-batch check
-            i = drawn[k]
-            try:
-                _check_batch(stacked[2 * k], size,
-                             f"generator {window[i][0]!r}")
-                _check_batch(stacked[2 * k + 1], size, "data source")
-            except MatchError as exc:
-                lost[i] = exc
-        if not ok.all():
-            drawn = [i for i, good in zip(drawn, ok) if good]
-            stacked = stacked[np.repeat(ok, 2)]
-    for i in sorted(lost):
-        fail(window[i], lost[i])
-    return drawn, stacked
+    try:
+        stacked = np.stack(batches)
+    except ValueError:  # no batches, or a data source whose dim changes
+        lost.update(dict.fromkeys(drawn, MatchError(
+            "dim-mismatch", "the group's batches differ in dim")))
+        return [], None
+    finite = np.isfinite(stacked).all(axis=(1, 2))
+    ok = finite[0::2] & finite[1::2]
+    for k in np.flatnonzero(~ok):
+        side = "real" if finite[2 * k] else "fake"
+        lost[drawn[k]] = MatchError(f"{side}-nonfinite", f"the {side} batch "
+                                    "holds non-finite samples")
+    if ok.all():
+        return drawn, stacked
+    return ([i for i, good in zip(drawn, ok) if good],
+            stacked[np.repeat(ok, 2)])
 
 
 def _play_window(window: Sequence[tuple[str, str, int]],
-                 players: Mapping[str, object], data, settings: RunSettings,
-                 fail: Callable[[tuple[str, str, int], Exception], None]
-                 ) -> list[MatchRecord | None]:
-    """Play consecutive matches grouped by discriminator; the records come
-    back in window order, None where a match failed.
+                 players: Mapping[str, object], data, settings: RunSettings
+                 ) -> tuple[list[MatchRecord | None], dict[int, Exception]]:
+    """Play consecutive matches grouped by discriminator; return the
+    records in window order, None where a match failed, and what each
+    failed match raised, keyed by its index in the window.
 
     The seeds of the whole window are hashed into stream states in one
     array pass. A group first draws every match's fake and real batch
     (``_draw_group``). A discriminator with ``judge_many`` then scores all
-    of them in one call, each match's fake batch and then its real batch,
-    and one mask over the stacked scores finds the rows ``_check_scores``
-    would reject; it runs on those alone, to raise their message. Any
-    other discriminator gets one ``judge`` call per batch, match by match,
-    each checked, and is not asked for the real batch of a match whose
-    fake scores failed their check. Both read one ``JudgeStreams``, so a
-    judging stream is only built if it is read. Each side's wins are
-    counted over the whole group at once.
+    of them in one call; any other gets one ``judge`` call per batch,
+    match by match, the fake batch first, and no real batch of a match
+    whose fake scores failed. One mask over the group's scores finds those
+    out of range. Both read one ``JudgeStreams``, so a judging stream is
+    only built if it is read. Each side's wins are counted over the whole
+    group at once.
     """
     from . import seeding  # loads numpy.random, which only play needs
 
@@ -573,6 +545,7 @@ def _play_window(window: Sequence[tuple[str, str, int]],
         return seeding.stream(states[i, lane], seeds[i], lane)
 
     records: list[MatchRecord | None] = [None] * len(window)
+    lost: dict[int, Exception] = {}
     groups: dict[str, list[int]] = {}
     for i, (_, disc_id, _) in enumerate(window):
         groups.setdefault(disc_id, []).append(i)
@@ -581,65 +554,47 @@ def _play_window(window: Sequence[tuple[str, str, int]],
         try:
             discriminator = players[disc_id]
         except KeyError as exc:
-            for i in indices:
-                fail(window[i], exc)
+            lost.update(dict.fromkeys(indices, exc))
             continue
         drawn, batches = _draw_group(indices, window, players, data, size,
-                                     stream, fail)
+                                     stream, lost)
         if not drawn:
             continue
-        who = f"discriminator {disc_id!r}"
         rngs = JudgeStreams(seeding.LazyStream(states[i, JUDGE], seeds[i],
                                                JUDGE) for i in drawn)
-        scored, rows = [], []
         judge_many = getattr(discriminator, "judge_many", None)
         if judge_many is None:
-            for k, i in enumerate(drawn):
-                try:
-                    fake_scores = _check_scores(discriminator.judge(
-                        batches[2 * k], rngs[2 * k]), size, who)
-                    real_scores = _check_scores(discriminator.judge(
-                        batches[2 * k + 1], rngs[2 * k + 1]), size, who)
-                except Exception as exc:
-                    fail(window[i], exc)
-                    continue
-                scored.append(i)
-                rows += (fake_scores, real_scores)
-            if not scored:
-                continue
-            scores = np.stack(rows)
+            scores = np.empty((len(batches), size))
+            ok = np.ones(len(drawn), dtype=bool)
+            for j, batch in enumerate(batches):
+                if ok[j // 2]:  # no real request after failed fake scores
+                    try:
+                        scores[j], ok[j // 2] = _scored(discriminator.judge(
+                            batch, rngs[j]), (size,))
+                    except Exception as exc:
+                        lost[drawn[j // 2]] = exc
+                        ok[j // 2] = False
         else:
             try:
-                scores = np.asarray(judge_many(batches, rngs), dtype=float)
-                if scores.shape[:1] != (len(batches),):
-                    raise MatchError(f"{who} returned scores with shape "
-                                     f"{scores.shape} for {len(batches)} "
-                                     "batches")
+                scores, valid = _scored(judge_many(batches, rngs),
+                                        (len(batches), size))
             except Exception as exc:
-                for i in drawn:
-                    fail(window[i], exc)
+                lost.update(dict.fromkeys(drawn, exc))
                 continue
-            valid = _valid_rows(scores, size)
             ok = valid[0::2] & valid[1::2]
-            # The mask rejects the rows _check_scores rejects, so each of
-            # these matches fails, with its message.
-            for k in np.flatnonzero(~ok):
-                try:
-                    _check_scores(scores[2 * k], size, who)
-                    _check_scores(scores[2 * k + 1], size, who)
-                except Exception as exc:
-                    fail(window[drawn[k]], exc)
-            if not ok.any():
-                continue
-            scored = [i for i, good in zip(drawn, ok) if good]
-            scores = scores if ok.all() else scores[np.repeat(ok, 2)]
+        for k in np.flatnonzero(~ok):
+            lost.setdefault(drawn[k], MatchError(
+                "scores-range", "scores outside [0, 1] or non-finite"))
+        if not ok.all():
+            drawn = [i for i, good in zip(drawn, ok) if good]
+            scores = scores[np.repeat(ok, 2)]
         fake_wins = np.count_nonzero(scores[0::2] >= threshold, axis=1)
         real_wins = np.count_nonzero(scores[1::2] <= threshold, axis=1)
-        for i, fake, real in zip(scored, fake_wins.tolist(),
+        for i, fake, real in zip(drawn, fake_wins.tolist(),
                                  real_wins.tolist()):
             records[i] = MatchRecord(window[i][0], disc_id, size, fake, size,
                                      real, seeds[i], threshold)
-    return records
+    return records, lost
 
 
 def run_tournament(schedule: Schedule, players: Mapping[str, object], data,
@@ -654,24 +609,29 @@ def run_tournament(schedule: Schedule, players: Mapping[str, object], data,
     is played by ``_play_window``, grouped by discriminator, and once it
     is done its records are kept, in schedule order, and handed to
     ``sink`` in one call; they come back as a ``MatchTable`` in that
-    order. A record
-    depends only on its own match, never on the window it was played in.
-    With on_error="fatal" the first failure propagates and its window's
-    records are not sent, so the sink holds a schedule-order prefix; with
-    "skip" a failing match is logged and dropped.
+    order. A record depends only on its own match, never on the window it
+    was played in. A failure is a MatchError, and any other exception a
+    player or the data source raises is reported as a ``player-error``.
+    With on_error="fatal" the window's first failure in schedule order is
+    raised and none of the window's records is sent, so the sink holds a
+    schedule-order prefix; with "skip" each failure is logged and dropped.
     """
-    def fail(match: tuple[str, str, int], exc: Exception) -> None:
-        if settings.on_error == "fatal":
-            raise exc
-        logger.warning("skipping match %s vs %s (repeat %d): %s", *match,
-                       exc)
-
     records: list[MatchRecord] = []
     matches = schedule.matches
     for start in range(0, len(matches), WINDOW):
-        played = [record for record in _play_window(
-            matches[start:start + WINDOW], players, data, settings, fail)
-            if record is not None]
+        window = matches[start:start + WINDOW]
+        played, lost = _play_window(window, players, data, settings)
+        for i in sorted(lost):
+            error = lost[i]
+            if not isinstance(error, MatchError):
+                error = MatchError("player-error",
+                                   f"{type(error).__name__}: {error}")
+                error.__cause__ = lost[i]
+            if settings.on_error == "fatal":
+                raise error
+            logger.warning("skipping match %s vs %s (repeat %d): %s",
+                           *window[i], error)
+        played = [record for record in played if record is not None]
         records += played
         if sink is not None and played:
             sink(played)

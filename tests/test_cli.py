@@ -125,7 +125,7 @@ class TestRun:
         assert run_cli("run", "--config", path, "--out-dir", out) == 0
         err = capsys.readouterr().err
         assert err.count("'ext' could not be started") == 1
-        assert "its 4 matches are skipped: cannot spawn" in err
+        assert "its 4 matches are skipped: player-start: cannot spawn" in err
         assert "NoneType" not in err
         _, records, _ = store.read_log(str(out / "log.jsonl"))
         # 4 generators x 3 in-process discriminators; the 4 matches
@@ -134,7 +134,46 @@ class TestRun:
         assert "ext" not in {r.discriminator_id for r in records}
         assert run_cli("run", "--config", path, "--out-dir",
                        tmp_path / "strict", "--strict") == 1
-        assert "cannot spawn" in capsys.readouterr().err
+        assert "error: player-start: cannot spawn" in capsys.readouterr().err
+
+
+    def test_a_crashing_external_generator_costs_only_its_matches(
+            self, tmp_path):
+        # The external generator answers one request and exits. Its id
+        # sorts last, so its matches close the schedule, after a full
+        # first window of the in-process players' matches.
+        trajectory = tiny_config_payload()["players"][0]
+        path = write_yaml(tmp_path / "crash.cfg", tiny_config_payload(
+            schedule={"kind": "round_robin", "repeats": 33},
+            players=[trajectory, {
+                "kind": "external", "id": "z-ext", "role": "generator",
+                "command": [sys.executable, "-m", "arena.ref_player",
+                            "--role", "generator", "--dim", "3",
+                            "--crash-after", "1"]}]))
+        lenient, strict = tmp_path / "lenient", tmp_path / "strict"
+        result = fresh_python("-m", "arena.cli", "run", "--config", path,
+                              "--out-dir", lenient)
+        assert result.returncode == 0, result.stderr
+        skipped = [line for line in result.stderr.splitlines()
+                   if line.startswith("skipping match")]
+        assert len(skipped) == 4 * 33 - 1
+        assert all(line.startswith("skipping match z-ext vs tiny-d0")
+                   and "): player-error: ExternError: generate: player "
+                       "process exited" in line for line in skipped)
+        _, records, _ = store.read_log(lenient / "log.jsonl")
+        assert len(records) == 5 * 4 * 33 - len(skipped)
+        assert sum(r.generator_id == "z-ext" for r in records) == 1
+
+        result = fresh_python("-m", "arena.cli", "run", "--config", path,
+                              "--out-dir", strict, "--strict")
+        assert result.returncode == 1
+        assert result.stderr.splitlines()[-1].startswith(
+            "error: player-error: ExternError: generate: player process "
+            "exited")
+        lines = (strict / "log.jsonl").read_text().splitlines()
+        assert len(lines) == 1 + tn.WINDOW
+        assert lines == (lenient / "log.jsonl").read_text().splitlines()[
+            :len(lines)]
 
 
 class TestRate:
@@ -191,6 +230,28 @@ class TestRate:
         captured = capsys.readouterr()
         assert "warning:" in captured.err
         assert "tiny-g00" in captured.out
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_a_line_that_is_not_utf8_is_a_corrupt_line(self, log_path,
+                                                       capsys, strict):
+        lines = log_path.read_bytes().splitlines(keepends=True)
+        assert b'"generator_id":"tiny-g' in lines[3]
+        lines[3] = lines[3].replace(b'"generator_id":"tiny-g',
+                                    b'"generator_id":"tiny\xff', 1)
+        log_path.write_bytes(b"".join(lines))
+        reason = f"{log_path}:4: byte 0xff at character "
+        if strict:
+            assert run_cli("rate", log_path, "--strict") == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {reason}")
+            assert err.endswith(" is not UTF-8\n")
+            return
+        assert run_cli("rate", log_path) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"warning: {reason}")
+        assert "tiny-g00" in captured.out
+        _, records, problems = store.read_log(log_path, strict=False)
+        assert len(records) == 15 and len(problems) == 1
 
     def test_records_without_judged_samples_leave_missing_cells(
             self, tmp_path, capsys):
@@ -307,10 +368,10 @@ class TestExtend:
 
         class CrashingJudge:
             def judge(self, batch, rng=None):
-                raise tn.MatchError("judge crashed")
+                raise RuntimeError("judge crashed")
 
             def judge_many(self, batches, rngs):
-                raise tn.MatchError("judge crashed")
+                raise RuntimeError("judge crashed")
 
         real_build = cfgmod.build_players
 
@@ -323,7 +384,21 @@ class TestExtend:
         monkeypatch.setattr(cfgmod, "build_players", build)
         assert run_cli("extend", log, "--config", config, "--add",
                        fragment, "--strict") == 1
-        assert "judge crashed" in capsys.readouterr().err
+        assert ("error: player-error: RuntimeError: judge crashed"
+                in capsys.readouterr().err)
+        assert log.read_bytes() == before
+
+    def test_a_line_that_is_not_utf8_stops_it_naming_the_line(
+            self, population, capsys):
+        config, log, fragment = population
+        lines = log.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"tiny-", b"tiny\xff", 1)
+        log.write_bytes(b"".join(lines))
+        before = log.read_bytes()
+        assert run_cli("extend", log, "--config", config, "--add",
+                       fragment) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {log}:3: byte 0xff at character ")
         assert log.read_bytes() == before
 
     def test_hash_mismatch_refuses_without_force(self, population, tmp_path,

@@ -120,6 +120,16 @@ class HalfJudge:
         return np.full(len(batch), 0.25)
 
 
+class Replay:
+    """A generator or data source that always gives the same batch."""
+
+    def __init__(self, batch):
+        self.batch = batch
+
+    def sample(self, count, rng):
+        return self.batch
+
+
 class TestWireFormat:
     @given(st.sampled_from(MESSAGE_TYPES),
            st.dictionaries(st.sampled_from(["count", "seed", "name"]),
@@ -523,8 +533,12 @@ class TestProtocol2:
         # Decimal text carries no NaN payload bits.
         assert np.array_equal(v1_batch, expected, equal_nan=True)
         for batch in got:
-            with pytest.raises(tn.MatchError, match="non-finite"):
-                tn._check_batch(batch, COUNT, "generator 'ext'")
+            with pytest.raises(tn.MatchError) as info:
+                tn.play_match(Replay(batch), HalfJudge(),
+                              Replay(np.zeros((COUNT, 2))), generator_id="g",
+                              discriminator_id="d", tournament_seed=0,
+                              batch_size=COUNT)
+            assert info.value.code == "fake-nonfinite"
 
     def test_a_batch_of_another_dim_is_not_sent(self):
         with ExternalPlayer(ref_player("discriminator"),

@@ -258,6 +258,23 @@ class TestRecovery:
         assert list(records) == [make_record(0), make_record(1)]
         assert problems == []
 
+    def test_a_byte_that_is_not_utf8_costs_only_its_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_records(path, [make_record(0), make_record(1), make_record(2)])
+        data = path.read_bytes().split(b"\n")
+        data[2] = data[2].replace(b'"seed":', b'"s\xc3\x28ed":')
+        path.write_bytes(b"\n".join(data))
+        _, records, problems = read_log(path, strict=False)
+        assert list(records) == [make_record(0), make_record(2)]
+        column = data[2].index(b"\xc3") + 1
+        assert problems == [f"{path}:3: byte 0xc3 at character {column} is "
+                            "not UTF-8"]
+        with pytest.raises(LogError, match=":3: byte 0xc3 "):
+            read_log(path)
+        path.write_bytes(b"\xff" + path.read_bytes())
+        with pytest.raises(LogError, match=":1: byte 0xff at character 1 "):
+            read_log(path, strict=False)
+
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "log.jsonl"
         path.touch()

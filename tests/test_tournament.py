@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from arena import config as cfgmod
 from arena import seeding, store, toy
 from arena import tournament as tn
 from arena.config import (build_players, build_schedule, parse_config,
@@ -399,13 +400,16 @@ class TestPlayMatch:
             def sample(self, count, rng):
                 return bad_batch
 
-        with pytest.raises(MatchError, match=message):
+        code = "fake-shape" if message == "batch shape" else "fake-nonfinite"
+        with pytest.raises(MatchError, match=f"^{code}: .*{message}") as info:
             self.play(Bad(), StepDiscriminator(2))
+        assert info.value.code == code
 
     def test_dimension_mismatch_raises(self):
-        with pytest.raises(MatchError, match="dim"):
+        with pytest.raises(MatchError, match="^dim-mismatch: .*dim") as info:
             self.play(FixedGenerator(dim=3), StepDiscriminator(2),
                       data=FixedGenerator(dim=2))
+        assert info.value.code == "dim-mismatch"
 
     @pytest.mark.parametrize("scores, message", [
         (np.full(7, 0.5), "shape"),                   # short reply
@@ -419,8 +423,10 @@ class TestPlayMatch:
             def judge(self, batch, rng=None):
                 return scores
 
-        with pytest.raises(MatchError, match=message):
+        code = "scores-shape" if message == "shape" else "scores-range"
+        with pytest.raises(MatchError, match=f"^{code}: .*{message}") as info:
             self.play(FixedGenerator(), Bad())
+        assert info.value.code == code
 
 
 class TestRunTournament:
@@ -461,7 +467,8 @@ class TestRunTournament:
 
     def test_missing_player_is_fatal_or_skipped(self):
         schedule = explicit_schedule([("absent", "d1")])
-        with pytest.raises(KeyError):
+        with pytest.raises(MatchError, match="^player-error: KeyError: "
+                                             "'absent'$"):
             run_tournament(schedule, self.players(), FixedGenerator(),
                            RunSettings(seed=1, batch_size=4))
         records = list(run_tournament(
@@ -496,27 +503,24 @@ def reference_match(generator, discriminator, data, gen_id, disc_id,
                     settings, repeat=0):
     """One match played batch by batch, apart from grouped play: draw the
     fake and the real batch, judge each with one ``judge`` call on the
-    match's judging stream, check the scores and count the wins."""
+    match's judging stream and count the wins. Batches or scores that play
+    would reject fail an assertion."""
     seed = match_seed(settings.seed, gen_id, disc_id, repeat)
     size, threshold = settings.batch_size, settings.threshold
-    fake = tn._check_batch(
-        generator.sample(size, np.random.default_rng([seed, tn.FAKE])), size,
-        f"generator {gen_id!r}")
-    real = tn._check_batch(
-        data.sample(size, np.random.default_rng([seed, tn.REAL])), size,
-        "data source")
-    if fake.shape[1] != real.shape[1]:
-        raise MatchError(f"generator {gen_id!r} emits dim {fake.shape[1]}, "
-                         f"data source dim {real.shape[1]}")
+    fake, real = (np.asarray(player.sample(
+        size, np.random.default_rng([seed, lane])), dtype=float)
+        for player, lane in ((generator, tn.FAKE), (data, tn.REAL)))
+    assert fake.ndim == 2 and fake.shape == real.shape == (size,
+                                                           fake.shape[1])
+    assert np.isfinite(fake).all() and np.isfinite(real).all()
     judge_rng = np.random.default_rng([seed, tn.JUDGE])
-    who = f"discriminator {disc_id!r}"
-    fake_scores = tn._check_scores(discriminator.judge(fake, judge_rng),
-                                   size, who)
-    real_scores = tn._check_scores(discriminator.judge(real, judge_rng),
-                                   size, who)
-    return MatchRecord(gen_id, disc_id, len(fake_scores),
-                       int(np.count_nonzero(fake_scores >= threshold)),
-                       len(real_scores),
+    fake_scores, real_scores = (np.asarray(discriminator.judge(
+        batch, judge_rng), dtype=float) for batch in (fake, real))
+    for scores in (fake_scores, real_scores):
+        assert scores.shape == (size,)
+        assert ((scores >= 0.0) & (scores <= 1.0)).all()
+    return MatchRecord(gen_id, disc_id, size,
+                       int(np.count_nonzero(fake_scores >= threshold)), size,
                        int(np.count_nonzero(real_scores <= threshold)),
                        seed, threshold)
 
@@ -599,12 +603,11 @@ class TestGroupedPlay:
                                             ("nan", "match")])
     def test_a_failing_judge_many_loses_only_its_window(self, mode, lost,
                                                         caplog, monkeypatch):
-        # Past the raise, the reason is _check_scores's message.
-        reason = {"raise": "panel crashed",
-                  "rows": "returned scores with shape (",
-                  "width": "returned scores with shape (7,), expected (8,)",
-                  "range": "returned scores outside [0, 1]",
-                  "nan": "returned non-finite scores"}[mode]
+        reason = {"raise": "player-error: RuntimeError: panel crashed",
+                  "rows": "scores-shape: scores of shape (",
+                  "width": "scores-shape: scores of shape (",
+                  "range": "scores-range: ",
+                  "nan": "scores-range: "}[mode]
         config, built, schedule = mixed_population()
         schedule = explicit_schedule(m for m in schedule.matches
                                      if m[0] != "bad")
@@ -631,8 +634,7 @@ class TestGroupedPlay:
         assert len(skipped) == len(victims)
         for (g, d, r), message in zip(victims, skipped):
             assert message.startswith(f"skipping match {g} vs {d} (repeat "
-                                      f"{r}): ")
-            assert reason in message
+                                      f"{r}): {reason}")
 
     def test_fatal_failure_leaves_a_schedule_order_prefix(self,
                                                           monkeypatch):
@@ -871,3 +873,109 @@ class TestJudgeOnlyBranch:
     def test_a_constant_group_seeds_no_judging_stream(self, monkeypatch):
         assert_no_judging_stream_is_seeded(
             monkeypatch, lambda d: d == "const")
+
+
+class Scripted:
+    """A generator, data source or discriminator whose batches and scores
+    are functions of the sample count; ``judge_many`` is set only for a
+    panel, and scores every batch with ``judge``."""
+
+    def __init__(self, batch=None, scores=None, panel=False):
+        self.batch = batch or (lambda count: np.zeros((count, 2)))
+        self.scores = scores or (lambda count: np.full(count, 0.25))
+        if panel:
+            self.judge_many = lambda batches, rngs: np.stack(
+                [self.judge(b, r) for b, r in zip(batches, rngs)])
+
+    def sample(self, count, rng):
+        return self.batch(count)
+
+    def judge(self, batch, rng=None):
+        return self.scores(len(batch))
+
+
+def crash(count):
+    raise RuntimeError("deliberately broken")
+
+
+# Faults of the one match "g" vs "d", each with the code it must fail under:
+# every code of FAULTS, then pairs of faults, which pin the precedence.
+# "start" is an external generator command that cannot be started.
+FAULT_TABLE = [
+    ({"fake": lambda n: np.zeros((n - 1, 2))}, "fake-shape"),
+    ({"fake": lambda n: np.full((n, 2), np.nan)}, "fake-nonfinite"),
+    ({"real": lambda n: np.zeros(n)}, "real-shape"),
+    ({"real": lambda n: np.full((n, 2), -np.inf)}, "real-nonfinite"),
+    ({"fake": lambda n: np.zeros((n, 3))}, "dim-mismatch"),
+    ({"scores": lambda n: np.full(n + 1, 0.25)}, "scores-shape"),
+    ({"scores": lambda n: np.full(n, np.nan)}, "scores-range"),
+    ({"start": ["/nonexistent/player"]}, "player-start"),
+    ({"fake": crash}, "player-error"),
+    ({"real": crash}, "player-error"),
+    ({"scores": crash}, "player-error"),
+    # Shapes before finiteness, and the fake batch before the real one.
+    ({"fake": lambda n: np.full((n, 2), np.nan),
+      "real": lambda n: np.zeros((n, 3, 1))}, "real-shape"),
+    ({"fake": lambda n: np.zeros((n, 3)),
+      "real": lambda n: np.full((n, 2), np.nan)}, "dim-mismatch"),
+    ({"fake": lambda n: np.full((n, 2), np.nan),
+      "real": lambda n: np.full((n, 2), np.nan)}, "fake-nonfinite"),
+    ({"fake": lambda n: np.zeros((n + 1, 2)), "real": crash}, "fake-shape"),
+]
+
+
+class TestFaults:
+    def test_the_table_lists_every_code(self):
+        assert {code for _, code in FAULT_TABLE} == set(tn.FAULTS)
+
+    def test_fatal_mode_raises_the_first_failure_in_schedule_order(self):
+        # The d1 group is played first, but its failure is scheduled last.
+        players = {"g": Scripted(), "crash": Scripted(crash),
+                   "short": Scripted(lambda n: np.zeros((n - 1, 2))),
+                   "d1": Scripted(), "d2": Scripted()}
+        schedule = explicit_schedule([("g", "d1"), ("short", "d2"),
+                                      ("crash", "d1")])
+        with pytest.raises(MatchError) as info:
+            run_tournament(schedule, players, Scripted(),
+                           RunSettings(seed=1, batch_size=4))
+        assert info.value.code == "fake-shape"
+
+    @pytest.mark.parametrize("panel", [False, True],
+                             ids=["judge", "judge_many"])
+    @pytest.mark.parametrize("fault, code", FAULT_TABLE,
+                             ids=[f"{'+'.join(f)}:{c}"
+                                  for f, c in FAULT_TABLE])
+    def test_a_fault_fails_its_match_under_its_code(self, fault, code, panel,
+                                                    caplog, capsys):
+        # Played through cli._play, which starts the external players and
+        # then plays the schedule through run_tournament.
+        from arena import cli
+
+        config = parse_config(tiny_config_payload(batch_size=4))
+        schedule = explicit_schedule([("g", "d")])
+
+        def play(strict: bool):
+            built = cfgmod.BuiltPlayers(
+                task=None, data=Scripted(fault.get("real")),
+                players={"g": Scripted(fault.get("fake")),
+                         "d": Scripted(scores=fault.get("scores"),
+                                       panel=panel)},
+                specs=[])
+            if "start" in fault:
+                built.external.append({"id": "g", "role": "generator",
+                                       "command": fault["start"]})
+            return list(cli._play(config, built, schedule, strict))
+
+        with pytest.raises(MatchError) as info:
+            play(strict=True)
+        assert info.value.code == code
+        assert str(info.value).startswith(f"{code}: ")
+        with caplog.at_level("WARNING"):
+            assert play(strict=False) == []
+        warnings = [*caplog.messages,
+                    *capsys.readouterr().err.splitlines()]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(
+            "warning: external player 'g' could not be started, its 1 "
+            f"matches are skipped: {code}: " if "start" in fault else
+            f"skipping match g vs d (repeat 0): {code}: ")
