@@ -70,42 +70,56 @@ def _rating_updates(args) -> dict:
 def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
           schedule: tn.Schedule, strict: bool,
           log_path: str | None = None) -> tn.MatchTable:
-    """Spawn the external players, play the schedule, and close the
-    sessions again whatever happens.
+    """Spawn the external players the schedule names, play the schedule,
+    and close the sessions again whatever happens.
 
     With ``log_path`` a new log is started there, under the config's
     header, and each window's records are written to it as soon as the
     window is played.
-    Without ``strict`` a player that cannot be started costs only its own
-    matches: it is reported once, with the number of its matches, and
-    they are dropped from the schedule.
+    This is where a failure is either raised or skipped. With ``strict``
+    it is raised, and none of its window's records is written. Without,
+    it is reported on stderr and costs only its own match; a player that
+    cannot be started is reported once, with the number of its matches,
+    and they are dropped from the schedule.
     """
-    sink = None
+    def fail(error: tn.MatchError, context: str) -> None:
+        if strict:
+            raise error
+        _warn(f"{context}: {error}")
+
+    writer = None
     if log_path is not None:
-        sink = store.LogWriter(log_path, store.LogHeader(
+        writer = store.LogWriter(log_path, store.LogHeader(
             cfgmod.config_hash(config), config.seed))
+
+    def sink(records: list, failures: list) -> None:
+        for (gen_id, disc_id, repeat), error in failures:
+            fail(error, f"skipping match {gen_id} vs {disc_id} "
+                        f"(repeat {repeat})")
+        if writer is not None and records:
+            writer(records)
+
+    named = {pid for match in schedule.matches for pid in match[:2]}
     sessions = []
     try:
         for entry in built.external:
+            if entry["id"] not in named:
+                continue
             try:
                 session = ExternalPlayer(entry["command"], role=entry["role"])
             except ExternError as exc:
-                error = tn.MatchError("player-start", str(exc))
-                if strict:
-                    raise error from exc
                 kept = tuple(m for m in schedule.matches
                              if entry["id"] not in m[:2])
-                _warn(f"external player {entry['id']!r} could not be "
-                      f"started, its {len(schedule) - len(kept)} matches "
-                      f"are skipped: {error}")
+                fail(tn.MatchError("player-start", str(exc)),
+                     f"external player {entry['id']!r} could not be "
+                     f"started, its {len(schedule) - len(kept)} matches "
+                     "are skipped")
                 schedule = dataclasses.replace(schedule, matches=kept)
                 continue
             built.players[entry["id"]] = session
             sessions.append(session)
-        return tn.run_tournament(
-            schedule, built.players, built.data,
-            cfgmod.run_settings(config, "fatal" if strict else "skip"),
-            sink=sink)
+        return tn.run_tournament(schedule, built.players, built.data,
+                                 cfgmod.run_settings(config), sink)
     finally:
         # Every child is told to stop before any is waited for, so they
         # wind down together.
@@ -113,8 +127,8 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
             session.shutdown()
         for session in sessions:
             session.close()
-        if sink is not None:
-            sink.close()
+        if writer is not None:
+            writer.close()
 
 
 def _report(table: tn.MatchTable, rating: glicko.RatingConfig,

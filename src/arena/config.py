@@ -508,7 +508,6 @@ def build_schedule(config: TournamentConfig,
                                    for m in config.schedule["matches"]))
 
 
-def run_settings(config: TournamentConfig,
-                 on_error: str = "fatal") -> RunSettings:
+def run_settings(config: TournamentConfig) -> RunSettings:
     return RunSettings(seed=config.seed, batch_size=config.batch_size,
-                       threshold=config.threshold, on_error=on_error)
+                       threshold=config.threshold)

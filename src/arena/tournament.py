@@ -18,14 +18,10 @@ state; a judging stream is built only if the discriminator reads it.
 
 from __future__ import annotations
 
-import logging
-from collections import abc
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 # Version of the match engine, written into every log header. It changes
 # whenever a seeded match may be counted differently. Engine 2 scores the toy
@@ -241,16 +237,12 @@ class RunSettings:
     seed: int
     batch_size: int = 64
     threshold: float = 0.5
-    on_error: str = "fatal"  # or "skip": failed matches are dropped
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must be inside (0, 1)")
-        if self.on_error not in ("fatal", "skip"):
-            raise ValueError(f"on_error must be 'fatal' or 'skip', got "
-                             f"{self.on_error!r}")
 
 
 def _ids(players: Sequence) -> list[str]:
@@ -394,26 +386,6 @@ def match_seed(tournament_seed: int, generator_id: str, discriminator_id: str,
 FAKE, REAL, JUDGE = 0, 1, 2
 
 
-class JudgeStreams(abc.Sequence):
-    """The judging streams of one discriminator group: each match's stream
-    twice in a row, one per batch.
-
-    A stream is built when it is first used, so a discriminator that never
-    draws noise costs no Generator.
-    """
-
-    def __init__(self, streams: Iterable):
-        self._streams = list(streams)
-
-    def __len__(self) -> int:
-        return 2 * len(self._streams)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        return self._streams[range(len(self))[index] // 2]
-
-
 def _shaped(batch, count: int, code: str) -> np.ndarray:
     """The batch as floats, if it holds ``count`` samples; else MatchError
     ``code``."""
@@ -532,9 +504,10 @@ def _play_window(window: Sequence[tuple[str, str, int]],
     of them in one call; any other gets one ``judge`` call per batch,
     match by match, the fake batch first, and no real batch of a match
     whose fake scores failed. One mask over the group's scores finds those
-    out of range. Both read one ``JudgeStreams``, so a judging stream is
-    only built if it is read. Each side's wins are counted over the whole
-    group at once.
+    out of range. Both read one list that holds each match's judging
+    stream twice, one per batch, as a ``seeding.LazyStream``: it is only
+    built if it is read. Each side's wins are counted over the whole group
+    at once.
     """
     from . import seeding  # loads numpy.random, which only play needs
 
@@ -560,8 +533,9 @@ def _play_window(window: Sequence[tuple[str, str, int]],
                                      stream, lost)
         if not drawn:
             continue
-        rngs = JudgeStreams(seeding.LazyStream(states[i, JUDGE], seeds[i],
-                                               JUDGE) for i in drawn)
+        streams = [seeding.LazyStream(states[i, JUDGE], seeds[i], JUDGE)
+                   for i in drawn]
+        rngs = [rng for rng in streams for _ in range(2)]
         judge_many = getattr(discriminator, "judge_many", None)
         if judge_many is None:
             scores = np.empty((len(batches), size))
@@ -599,7 +573,7 @@ def _play_window(window: Sequence[tuple[str, str, int]],
 
 def run_tournament(schedule: Schedule, players: Mapping[str, object], data,
                    settings: RunSettings,
-                   sink: Callable[[list[MatchRecord]], None] | None = None
+                   sink: Callable[[list, list], None] | None = None
                    ) -> MatchTable:
     """Play every scheduled match, ``WINDOW`` consecutive matches at a time.
 
@@ -607,32 +581,32 @@ def run_tournament(schedule: Schedule, players: Mapping[str, object], data,
     discriminators, an optional judge_many(batches, rngs) that scores a
     stack of batches at once; ``data`` supplies real batches. Each window
     is played by ``_play_window``, grouped by discriminator, and once it
-    is done its records are kept, in schedule order, and handed to
-    ``sink`` in one call; they come back as a ``MatchTable`` in that
-    order. A record depends only on its own match, never on the window it
-    was played in. A failure is a MatchError, and any other exception a
-    player or the data source raises is reported as a ``player-error``.
-    With on_error="fatal" the window's first failure in schedule order is
-    raised and none of the window's records is sent, so the sink holds a
-    schedule-order prefix; with "skip" each failure is logged and dropped.
+    is done ``sink`` gets its records and its failures in one call, each
+    in schedule order; the records the sink took come back as a
+    ``MatchTable`` in that order. A record depends only on its own match,
+    never on the window it was played in. A failure is a (match,
+    MatchError) pair, and any other exception a player or the data source
+    raises is reported as a ``player-error``. A sink that raises stops
+    the run, so the windows it took make a schedule-order prefix. With no
+    sink, a window's first failure is raised.
     """
     records: list[MatchRecord] = []
     matches = schedule.matches
     for start in range(0, len(matches), WINDOW):
         window = matches[start:start + WINDOW]
         played, lost = _play_window(window, players, data, settings)
+        failures = []
         for i in sorted(lost):
             error = lost[i]
             if not isinstance(error, MatchError):
                 error = MatchError("player-error",
                                    f"{type(error).__name__}: {error}")
                 error.__cause__ = lost[i]
-            if settings.on_error == "fatal":
-                raise error
-            logger.warning("skipping match %s vs %s (repeat %d): %s",
-                           *window[i], error)
+            failures.append((window[i], error))
         played = [record for record in played if record is not None]
+        if sink is not None:
+            sink(played, failures)
+        elif failures:
+            raise failures[0][1]
         records += played
-        if sink is not None and played:
-            sink(played)
     return MatchTable.from_records(records)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import sys
 import tracemalloc
 from pathlib import Path
@@ -36,6 +37,17 @@ def log_path(tmp_path, config_path):
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+# An external generator that answers one request and exits, and a player
+# whose command cannot be started.
+CRASHING_GENERATOR = {
+    "kind": "external", "id": "z-ext", "role": "generator",
+    "command": [sys.executable, "-m", "arena.ref_player", "--role",
+                "generator", "--dim", "3", "--crash-after", "1"]}
+BROKEN_DISCRIMINATOR = {"kind": "external", "id": "ext-broken",
+                        "role": "discriminator",
+                        "command": ["/nonexistent/player"]}
 
 
 class TestRun:
@@ -145,19 +157,15 @@ class TestRun:
         trajectory = tiny_config_payload()["players"][0]
         path = write_yaml(tmp_path / "crash.cfg", tiny_config_payload(
             schedule={"kind": "round_robin", "repeats": 33},
-            players=[trajectory, {
-                "kind": "external", "id": "z-ext", "role": "generator",
-                "command": [sys.executable, "-m", "arena.ref_player",
-                            "--role", "generator", "--dim", "3",
-                            "--crash-after", "1"]}]))
+            players=[trajectory, CRASHING_GENERATOR]))
         lenient, strict = tmp_path / "lenient", tmp_path / "strict"
         result = fresh_python("-m", "arena.cli", "run", "--config", path,
                               "--out-dir", lenient)
         assert result.returncode == 0, result.stderr
         skipped = [line for line in result.stderr.splitlines()
-                   if line.startswith("skipping match")]
+                   if "skipping match" in line]
         assert len(skipped) == 4 * 33 - 1
-        assert all(line.startswith("skipping match z-ext vs tiny-d0")
+        assert all(line.startswith("warning: skipping match z-ext vs tiny-d0")
                    and "): player-error: ExternError: generate: player "
                        "process exited" in line for line in skipped)
         _, records, _ = store.read_log(lenient / "log.jsonl")
@@ -174,6 +182,42 @@ class TestRun:
         assert len(lines) == 1 + tn.WINDOW
         assert lines == (lenient / "log.jsonl").read_text().splitlines()[
             :len(lines)]
+
+    def test_skipped_matches_are_warnings_even_where_logging_is_set_up(
+            self, tmp_path, capsys, monkeypatch):
+        # A host that configures logging (here every record goes to a
+        # NullHandler) must still see each skipped match on stderr.
+        monkeypatch.setattr(logging.root, "handlers",
+                            [logging.NullHandler()])
+        trajectory = tiny_config_payload()["players"][0]
+        path = write_yaml(tmp_path / "crash.cfg", tiny_config_payload(
+            schedule={"kind": "round_robin", "repeats": 2},
+            players=[trajectory, CRASHING_GENERATOR]))
+        assert run_cli("run", "--config", path, "--out-dir",
+                       tmp_path / "out") == 0
+        skipped = [line for line in capsys.readouterr().err.splitlines()
+                   if "skipping match" in line]
+        assert [line.partition(": player-error: ")[0] for line in skipped] \
+            == [f"warning: skipping match z-ext vs tiny-d{d:02d} (repeat "
+                f"{r})" for d in range(4) for r in range(2)][1:]
+        assert all(line.partition(": player-error: ")[2].startswith(
+            "ExternError: generate: player process exited")
+            for line in skipped)
+
+    @pytest.mark.parametrize("strict", [False, True],
+                             ids=["lenient", "strict"])
+    def test_an_external_player_with_no_match_is_not_started(
+            self, tmp_path, capsys, strict):
+        players = [*tiny_config_payload()["players"], BROKEN_DISCRIMINATOR]
+        path = write_yaml(tmp_path / "unused.cfg", tiny_config_payload(
+            players=players, schedule={"kind": "explicit", "matches": [
+                ["tiny-g00", "tiny-d00"], ["tiny-g01", "tiny-d01"]]}))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", path, "--out-dir", out,
+                       *["--strict"] * strict) == 0
+        assert "ext-broken" not in capsys.readouterr().err
+        _, records, _ = store.read_log(out / "log.jsonl")
+        assert len(records) == 2
 
 
 class TestRate:
@@ -387,6 +431,26 @@ class TestExtend:
         assert ("error: player-error: RuntimeError: judge crashed"
                 in capsys.readouterr().err)
         assert log.read_bytes() == before
+
+    def test_an_external_player_with_no_new_match_is_not_started(
+            self, tmp_path, capsys):
+        # The new discriminator plays the old generators only, so the old
+        # external discriminator has no match to play.
+        players = [*tiny_config_payload()["players"], BROKEN_DISCRIMINATOR]
+        config = write_yaml(tmp_path / "unused.cfg", tiny_config_payload(
+            players=players, schedule={"kind": "explicit", "matches": [
+                ["tiny-g00", "tiny-d00"], ["tiny-g01", "tiny-d01"]]}))
+        assert run_cli("run", "--config", config, "--out-dir",
+                       tmp_path / "out") == 0
+        fragment = write_yaml(tmp_path / "fragment.cfg", {"players": [
+            {"kind": "constant", "id": "half", "value": 0.5}]})
+        log = tmp_path / "out" / "log.jsonl"
+        capsys.readouterr()
+        assert run_cli("extend", log, "--config", config, "--add", fragment,
+                       "--strict") == 0
+        captured = capsys.readouterr()
+        assert "ext-broken" not in captured.err
+        assert "appended 4 records" in captured.out
 
     def test_a_line_that_is_not_utf8_stops_it_naming_the_line(
             self, population, capsys):
@@ -719,13 +783,13 @@ class TestColdStart:
     """Each process loads only what its command uses: the YAML reader only
     where a config is read, the bundled experiments only under simulate,
     and never jsonschema or its dependencies, since configs are checked
-    in-repo."""
+    in-repo, nor logging, since every warning is printed to stderr."""
 
     PROBE = ("import json, sys\n"
              "from arena import cli\n"
              "code = cli.main(sys.argv[1:])\n"
              "loaded = sorted(m for m in ('arena.experiments', 'jsonschema',"
-             " 'yaml')"
+             " 'logging', 'yaml')"
              " if m in sys.modules)\n"
              "stack = sorted(m for m in ('attrs', 'referencing', 'rpds')"
              " if m in sys.modules)\n"

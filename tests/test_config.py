@@ -541,9 +541,9 @@ class TestBuildSchedule:
 
     def test_run_settings_mirror_the_config(self):
         config = parse_config(tiny_config_payload())
-        settings = run_settings(config, on_error="skip")
-        assert (settings.seed, settings.batch_size, settings.threshold,
-                settings.on_error) == (5, 8, 0.5, "skip")
+        settings = run_settings(config)
+        assert (settings.seed, settings.batch_size,
+                settings.threshold) == (5, 8, 0.5)
 
 
 class TestFiles:

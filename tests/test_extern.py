@@ -651,26 +651,26 @@ class TestLifecycle:
             records = run_tournament(
                 schedule, {"ext": crasher, "local": LocalData(),
                            "d": HalfJudge()},
-                LocalData(), RunSettings(seed=3, batch_size=4,
-                                         on_error="skip"))
+                LocalData(), RunSettings(seed=3, batch_size=4),
+                sink=lambda records, failures: None)
         finally:
             crasher.close()
         assert [r.generator_id for r in records] == ["ext", "local"]
 
-    def test_matches_after_a_timeout_are_lost_not_scored_late(self, caplog):
+    def test_matches_after_a_timeout_are_lost_not_scored_late(self):
         slow = ExternalPlayer(slow_first_judge(), role="discriminator",
                               request_timeout=0.3)
         schedule = explicit_schedule(
             [("g", "ext", r) for r in range(6)] + [("g", "local")])
+        failures = []
         try:
-            with caplog.at_level("WARNING"):
-                records = run_tournament(
-                    schedule, {"g": LocalData(), "ext": slow,
-                               "local": HalfJudge()},
-                    LocalData(), RunSettings(seed=3, batch_size=4,
-                                             on_error="skip"))
+            records = run_tournament(
+                schedule, {"g": LocalData(), "ext": slow,
+                           "local": HalfJudge()},
+                LocalData(), RunSettings(seed=3, batch_size=4),
+                sink=lambda records, lost: failures.extend(lost))
         finally:
             slow.close()
         assert [r.discriminator_id for r in records] == ["local"]
-        assert sum("skipping match g vs ext" in m
-                   for m in caplog.messages) == 6
+        assert [match for match, _ in failures] == [
+            ("g", "ext", r) for r in range(6)]

@@ -27,6 +27,20 @@ def spec(pid: str, role: str, iteration: int | None = None) -> PlayerSpec:
     return PlayerSpec(pid, role, "custom", iteration)
 
 
+def sink_into(keep=lambda records: None, failures: list | None = None):
+    """A ``run_tournament`` sink that hands each window's records to
+    ``keep``. It adds the window's (match, MatchError) failures to
+    ``failures``; without that list it raises the first one instead,
+    before it keeps any record, as ``arena run --strict`` does."""
+    def sink(records, lost):
+        if failures is None and lost:
+            raise lost[0][1]
+        keep(records)
+        if failures is not None:
+            failures.extend(lost)
+    return sink
+
+
 class FixedGenerator:
     """Emits the same constant batch regardless of the RNG."""
 
@@ -314,7 +328,6 @@ class TestRunSettings:
         ({"batch_size": 0}, "batch_size"),          # empty batches
         ({"threshold": 0.0}, "threshold"),          # boundary excluded
         ({"threshold": 1.0}, "threshold"),
-        ({"on_error": "explode"}, "on_error"),      # unknown policy
     ])
     def test_validation(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -446,7 +459,7 @@ class TestRunTournament:
         seen = []
         records = list(run_tournament(
             schedule, self.players(), FixedGenerator(),
-            RunSettings(seed=1, batch_size=4), sink=seen.extend))
+            RunSettings(seed=1, batch_size=4), sink=sink_into(seen.extend)))
         assert seen == records
 
     def test_fatal_mode_propagates_failures(self):
@@ -455,15 +468,15 @@ class TestRunTournament:
             run_tournament(schedule, self.players(), FixedGenerator(),
                            RunSettings(seed=1, batch_size=4))
 
-    def test_skip_mode_drops_only_the_failing_matches(self, caplog):
+    def test_skip_mode_drops_only_the_failing_matches(self):
         schedule = round_robin(["g1", "bad", "g2"], ["d1"])
-        with caplog.at_level("WARNING"):
-            records = run_tournament(
-                schedule, self.players(), FixedGenerator(),
-                RunSettings(seed=1, batch_size=4, on_error="skip"))
+        failures = []
+        records = run_tournament(
+            schedule, self.players(), FixedGenerator(),
+            RunSettings(seed=1, batch_size=4),
+            sink=sink_into(failures=failures))
         assert sorted(r.generator_id for r in records) == ["g1", "g2"]
-        assert any("skipping match bad vs d1" in m for m in
-                   caplog.messages)
+        assert [match for match, _ in failures] == [("bad", "d1", 0)]
 
     def test_missing_player_is_fatal_or_skipped(self):
         schedule = explicit_schedule([("absent", "d1")])
@@ -473,7 +486,7 @@ class TestRunTournament:
                            RunSettings(seed=1, batch_size=4))
         records = list(run_tournament(
             schedule, self.players(), FixedGenerator(),
-            RunSettings(seed=1, batch_size=4, on_error="skip")))
+            RunSettings(seed=1, batch_size=4), sink=sink_into(failures=[])))
         assert records == []
 
 
@@ -578,23 +591,23 @@ class TestGroupedPlay:
         monkeypatch.setattr(tn, "WINDOW", window)
         seen = []
         records = list(run_tournament(schedule, built.players, built.data,
-                                      settings, sink=seen.extend))
+                                      settings, sink=sink_into(seen.extend)))
         assert records == expected
         assert seen == expected
 
-    def test_a_raising_generator_loses_only_its_own_matches(self, caplog,
+    def test_a_raising_generator_loses_only_its_own_matches(self,
                                                              monkeypatch):
         config, built, schedule = mixed_population()
-        settings = run_settings(config, "skip")
+        settings = run_settings(config)
         bad = {m for m in schedule.matches if m[0] == "bad"}
         monkeypatch.setattr(tn, "WINDOW", 40)
-        with caplog.at_level("WARNING"):
-            records = list(run_tournament(schedule, built.players, built.data,
-                                          settings))
+        failures = []
+        records = list(run_tournament(schedule, built.players, built.data,
+                                      settings, sink_into(failures=failures)))
         assert records == replayed(schedule, built.players, built.data,
                                    settings, skip=bad)
-        assert sum("skipping match bad vs" in m
-                   for m in caplog.messages) == len(bad) == 14
+        assert {match for match, _ in failures} == bad
+        assert len(failures) == len(bad) == 14
 
     @pytest.mark.parametrize("mode, lost", [("raise", "window"),
                                             ("rows", "window"),
@@ -602,7 +615,7 @@ class TestGroupedPlay:
                                             ("range", "match"),
                                             ("nan", "match")])
     def test_a_failing_judge_many_loses_only_its_window(self, mode, lost,
-                                                        caplog, monkeypatch):
+                                                        monkeypatch):
         reason = {"raise": "player-error: RuntimeError: panel crashed",
                   "rows": "scores-shape: scores of shape (",
                   "width": "scores-shape: scores of shape (",
@@ -611,7 +624,7 @@ class TestGroupedPlay:
         config, built, schedule = mixed_population()
         schedule = explicit_schedule(m for m in schedule.matches
                                      if m[0] != "bad")
-        settings = run_settings(config, "skip")
+        settings = run_settings(config)
         reference = dict(built.players)
         built.players["oracle-d01"] = FlakyPanel(
             built.players["oracle-d01"], failing_call=2, mode=mode)
@@ -624,17 +637,15 @@ class TestGroupedPlay:
                    if m[1] == "oracle-d01" and i // window == starts[1]]
         if lost == "match":
             victims = victims[-1:]
-        with caplog.at_level("WARNING"):
-            records = list(run_tournament(schedule, built.players, built.data,
-                                          settings))
+        failures = []
+        records = list(run_tournament(schedule, built.players, built.data,
+                                      settings, sink_into(failures=failures)))
         assert len(victims) >= (1 if lost == "match" else 2)
         assert records == replayed(schedule, reference, built.data, settings,
                                    skip=set(victims))
-        skipped = [m for m in caplog.messages if "skipping match" in m]
-        assert len(skipped) == len(victims)
-        for (g, d, r), message in zip(victims, skipped):
-            assert message.startswith(f"skipping match {g} vs {d} (repeat "
-                                      f"{r}): {reason}")
+        assert [match for match, _ in failures] == victims
+        for _, error in failures:
+            assert str(error).startswith(reason)
 
     def test_fatal_failure_leaves_a_schedule_order_prefix(self,
                                                           monkeypatch):
@@ -647,7 +658,7 @@ class TestGroupedPlay:
         seen = []
         with pytest.raises(RuntimeError, match="deliberately broken"):
             run_tournament(schedule, built.players, built.data, settings,
-                           sink=seen.extend)
+                           sink=sink_into(seen.extend))
         done = schedule.matches[:first_bad // window * window]
         assert seen == replayed(explicit_schedule(done), built.players,
                                 built.data, settings)
@@ -668,7 +679,7 @@ class TestGroupedPlay:
         with store.LogWriter(path, header) as sink:
             with pytest.raises(RuntimeError, match="deliberately broken"):
                 run_tournament(explicit_schedule(matches), built.players,
-                               built.data, settings, sink=sink)
+                               built.data, settings, sink=sink_into(sink))
         first = replayed(explicit_schedule(good[:window]), built.players,
                          built.data, settings)
         assert path.read_text().splitlines(keepends=True) == [
@@ -792,7 +803,6 @@ class TestJudgeStreams:
         assert records == replayed(schedule, built.players, built.data,
                                    settings)
         ((rngs, states),) = panel.calls
-        assert isinstance(rngs, tn.JudgeStreams)
         assert len(rngs) == 2 * len(matches)
         for k, (gen_id, disc_id, repeat) in enumerate(matches):
             fresh = np.random.default_rng(
@@ -827,14 +837,15 @@ class RecordingJudge:
 
 
 class TestJudgeOnlyBranch:
-    settings = RunSettings(seed=5, batch_size=4, on_error="skip")
+    settings = RunSettings(seed=5, batch_size=4)
     schedule = round_robin(["g1", "g2", "g3"], ["d"])
 
-    def play(self, judge):
+    def play(self, judge, failures=None):
         players = {"g1": FixedGenerator(1.0), "g2": FixedGenerator(2.0),
                    "g3": FixedGenerator(3.0), "d": judge}
+        sink = sink_into(failures=[] if failures is None else failures)
         return list(run_tournament(self.schedule, players, FixedGenerator(0.0),
-                                   self.settings))
+                                   self.settings, sink))
 
     def test_judge_calls_go_fake_then_real_match_by_match(self):
         judge = RecordingJudge()
@@ -845,15 +856,13 @@ class TestJudgeOnlyBranch:
         assert records == replayed(self.schedule, reference,
                                    FixedGenerator(0.0), self.settings)
 
-    def test_a_failed_fake_batch_costs_its_match_and_no_real_request(
-            self, caplog):
+    def test_a_failed_fake_batch_costs_its_match_and_no_real_request(self):
         judge = RecordingJudge(bad={2.0})
-        with caplog.at_level("WARNING"):
-            records = self.play(judge)
+        failures = []
+        records = self.play(judge, failures)
         assert [value for value, _, _ in judge.calls] == [1, 0, 2, 3, 0]
         assert [r.generator_id for r in records] == ["g1", "g3"]
-        assert sum("skipping match" in m for m in caplog.messages) == 1
-        assert "skipping match g2 vs d" in caplog.text
+        assert [match for match, _ in failures] == [("g2", "d", 0)]
 
     def test_each_match_judges_both_batches_on_its_own_stream(self):
         judge = RecordingJudge()
@@ -946,7 +955,7 @@ class TestFaults:
                              ids=[f"{'+'.join(f)}:{c}"
                                   for f, c in FAULT_TABLE])
     def test_a_fault_fails_its_match_under_its_code(self, fault, code, panel,
-                                                    caplog, capsys):
+                                                    capsys):
         # Played through cli._play, which starts the external players and
         # then plays the schedule through run_tournament.
         from arena import cli
@@ -970,12 +979,10 @@ class TestFaults:
             play(strict=True)
         assert info.value.code == code
         assert str(info.value).startswith(f"{code}: ")
-        with caplog.at_level("WARNING"):
-            assert play(strict=False) == []
-        warnings = [*caplog.messages,
-                    *capsys.readouterr().err.splitlines()]
+        assert play(strict=False) == []
+        warnings = capsys.readouterr().err.splitlines()
         assert len(warnings) == 1
         assert warnings[0].startswith(
             "warning: external player 'g' could not be started, its 1 "
             f"matches are skipped: {code}: " if "start" in fault else
-            f"skipping match g vs d (repeat 0): {code}: ")
+            f"warning: skipping match g vs d (repeat 0): {code}: ")
