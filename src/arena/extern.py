@@ -233,9 +233,7 @@ class ExternalPlayer:
             raise RequestTimeout(
                 f"{context}: no reply within {timeout:g} s") from None
         if line is None:
-            self._dead = "player process exited"
-            raise ExternError(f"{context}: player process exited "
-                              f"(code {self._proc.poll()})")
+            raise ExternError(f"{context}: {self._exited()}")
         try:
             text = line.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -249,6 +247,21 @@ class ExternalPlayer:
                 f"{context}: player error: {message.get('message', '')}")
         return message
 
+    def _exited(self) -> str:
+        """Mark the session dead once the child's stdout has ended or its
+        stdin broke, and say why: the child is reaped first, and killed if
+        it is still running ``CLOSE_TIMEOUT`` s later, so every match that
+        meets the dead session fails with the same exit code."""
+        import subprocess  # loaded when the session was opened
+
+        try:
+            code = self._proc.wait(timeout=CLOSE_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            code = self._proc.wait()
+        self._dead = f"player process exited (code {code})"
+        return self._dead
+
     def _request(self, payload: dict, context: str) -> dict:
         with self._lock:
             if self._dead is not None:
@@ -257,9 +270,7 @@ class ExternalPlayer:
                 self._proc.stdin.write(_wire(payload))
                 self._proc.stdin.flush()
             except (OSError, ValueError):
-                self._dead = "player process exited"
-                raise ExternError(f"{context}: player process exited "
-                                  "(stdin closed)") from None
+                raise ExternError(f"{context}: {self._exited()}") from None
             try:
                 return self._next_message(self.request_timeout, context)
             except RequestTimeout:

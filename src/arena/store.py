@@ -91,7 +91,8 @@ def _record_lines(records, texts: dict) -> str:
     """Each record's line, newline included, all joined: the bytes of
     ``_dump`` of each record's fields. ``texts`` caches the JSON text of
     each id (keyed by the id) and threshold (keyed by type and value, as
-    1 == 1.0 == True dump differently; a zero by its text, as -0.0 == 0.0)."""
+    1 == 1.0 == True dump differently; a zero or a NaN by its text, as
+    -0.0 == 0.0 and NaN != NaN)."""
     def text(key, value) -> str:
         try:
             return texts[key]
@@ -99,12 +100,14 @@ def _record_lines(records, texts: dict) -> str:
             texts[key] = found = _dump(value)
             return found
 
+    def threshold(value) -> str:
+        return text((type(value), value if value == value and value
+                     else repr(value)), value)
+
     return "".join([_RECORD_TEMPLATE % (
         text(r.discriminator_id, r.discriminator_id), r.fake_wins,
         text(r.generator_id, r.generator_id), r.n_fake, r.n_real,
-        r.real_wins, r.seed,
-        text((type(r.threshold), r.threshold or repr(r.threshold)),
-             r.threshold))
+        r.real_wins, r.seed, threshold(r.threshold))
         for r in records])
 
 

@@ -32,8 +32,9 @@ ENGINE = 2
 # Matches played per window of ``run_tournament``. A window's batches are
 # drawn and judged one discriminator group at a time; the window bounds the
 # seeds, stream states and records held at once, and each window is one
-# log write.
-WINDOW = 512
+# log write. A wider window gives each group more matches to share its
+# fixed costs; 2048 was barely faster and held 0.7 MiB more at peak.
+WINDOW = 1024
 
 ROLE_GENERATOR = "generator"
 ROLE_DISCRIMINATOR = "discriminator"

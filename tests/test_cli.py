@@ -152,11 +152,12 @@ class TestRun:
     def test_a_crashing_external_generator_costs_only_its_matches(
             self, tmp_path):
         # The external generator answers one request and exits. Its id
-        # sorts last, so its matches close the schedule, after a full
-        # first window of the in-process players' matches.
+        # sorts last, so its matches close the schedule, after more than a
+        # full window of the in-process players' matches.
+        repeats = tn.WINDOW // 16 + 1
         trajectory = tiny_config_payload()["players"][0]
         path = write_yaml(tmp_path / "crash.cfg", tiny_config_payload(
-            schedule={"kind": "round_robin", "repeats": 33},
+            schedule={"kind": "round_robin", "repeats": repeats},
             players=[trajectory, CRASHING_GENERATOR]))
         lenient, strict = tmp_path / "lenient", tmp_path / "strict"
         result = fresh_python("-m", "arena.cli", "run", "--config", path,
@@ -164,24 +165,30 @@ class TestRun:
         assert result.returncode == 0, result.stderr
         skipped = [line for line in result.stderr.splitlines()
                    if "skipping match" in line]
-        assert len(skipped) == 4 * 33 - 1
+        assert len(skipped) == 4 * repeats - 1
+        # Every match that meets the dead child fails with the same text.
         assert all(line.startswith("warning: skipping match z-ext vs tiny-d0")
-                   and "): player-error: ExternError: generate: player "
-                       "process exited" in line for line in skipped)
+                   and line.endswith("): player-error: ExternError: generate: "
+                                     "player process exited (code 1)")
+                   for line in skipped)
         _, records, _ = store.read_log(lenient / "log.jsonl")
-        assert len(records) == 5 * 4 * 33 - len(skipped)
+        assert len(records) == 5 * 4 * repeats - len(skipped)
         assert sum(r.generator_id == "z-ext" for r in records) == 1
 
         result = fresh_python("-m", "arena.cli", "run", "--config", path,
                               "--out-dir", strict, "--strict")
         assert result.returncode == 1
-        assert result.stderr.splitlines()[-1].startswith(
+        assert result.stderr.splitlines()[-1] == (
             "error: player-error: ExternError: generate: player process "
-            "exited")
+            "exited (code 1)")
+        # The strict log holds the schedule-order prefix of the whole
+        # windows before the first failure: z-ext's second match.
+        first_failure = 4 * 4 * repeats + 1
+        done = first_failure // tn.WINDOW * tn.WINDOW
+        assert done > 0
         lines = (strict / "log.jsonl").read_text().splitlines()
-        assert len(lines) == 1 + tn.WINDOW
         assert lines == (lenient / "log.jsonl").read_text().splitlines()[
-            :len(lines)]
+            :1 + done]
 
     def test_skipped_matches_are_warnings_even_where_logging_is_set_up(
             self, tmp_path, capsys, monkeypatch):

@@ -396,6 +396,23 @@ class TestRecordTemplate:
                 assert fh.read() == (header_line(HEADER) + "\n"
                                      + 2 * expected).encode()
 
+    def test_nan_thresholds_share_one_cached_text(self, tmp_path):
+        # Each record holds its own NaN object, and NaN != NaN: keyed by
+        # value, every one of them would add a cache entry never hit again.
+        records = [MatchRecord("g", "d", 4, 1, 4, 2, i, float("nan"))
+                   for i in range(1000)]
+        path = tmp_path / "log.jsonl"
+        with LogWriter(path, HEADER) as sink:
+            sink(records)
+            assert len(sink._texts) == 3  # "g", "d" and NaN
+        expected = "".join(
+            json.dumps({name: getattr(r, name) for name in RECORD_FIELDS},
+                       sort_keys=True, separators=(",", ":")) + "\n"
+            for r in records)
+        assert '"threshold":NaN' in expected
+        assert path.read_bytes() == (header_line(HEADER) + "\n"
+                                     + expected).encode()
+
 
 log_lines = st.lists(st.one_of(
     wide_records.map(record_line), rewritten_lines(), corrupt_lines(),

@@ -6,7 +6,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from arena import config as cfgmod
 from arena import seeding, store, toy
@@ -83,6 +83,9 @@ def oracle_stable_seed(*parts) -> int:
 class TestStableSeed:
     @given(st.lists(st.one_of(st.integers(), st.text(TEXT_ALPHABET)),
                     max_size=5))
+    @example([2 ** 32, "\u00e9", "d", 3])
+    @example([2 ** 64 - 1, "g\x1fx", "\U0001f600", 2 ** 40])
+    @example([7, "g", "x\x1fd", 1])
     def test_matches_independent_construction(self, parts):
         assert stable_seed(*parts) == oracle_stable_seed(*parts)
 
@@ -572,8 +575,9 @@ class FlakyPanel:
 
 
 class TestGroupedPlay:
+    # 182 matches a repeat: six repeats cross the first full-size window.
     @pytest.mark.parametrize("window, repeats", [(1, 1), (7, 1), (50, 1),
-                                                 (tn.WINDOW, 3)])
+                                                 (tn.WINDOW, 6)])
     def test_records_are_those_of_play_match_in_schedule_order(
             self, window, repeats, monkeypatch):
         config, built, schedule = mixed_population(repeats)
@@ -986,3 +990,86 @@ class TestFaults:
             "warning: external player 'g' could not be started, its 1 "
             f"matches are skipped: {code}: " if "start" in fault else
             f"warning: skipping match g vs d (repeat 0): {code}: ")
+
+
+class ListedReals:
+    """A data source whose ``sample_many`` returns a list of batches, or
+    that has no ``sample_many``."""
+
+    def __init__(self, model, many: bool):
+        self.model = model
+        if many:
+            self.sample_many = lambda count, rngs: list(
+                model.sample_many(count, rngs))
+
+    def sample(self, count, rng):
+        return self.model.sample(count, rng)
+
+
+class TestGroupDraw:
+    @pytest.mark.parametrize("reals", ["array", "list"])
+    @pytest.mark.parametrize("fault, code",
+                             [case for case in FAULT_TABLE
+                              if "start" not in case[0]],
+                             ids=[f"{'+'.join(f)}:{c}" for f, c in FAULT_TABLE
+                                  if "start" not in f])
+    def test_a_fault_fails_under_its_code_with_one_real_draw(self, fault,
+                                                              code, reals):
+        data = Scripted(fault.get("real"))
+        data.sample_many = lambda count, rngs: (np.stack if reals == "array"
+                                                else list)(
+            [data.sample(count, rng) for rng in rngs])
+        players = {"g": Scripted(fault.get("fake")),
+                   "d": Scripted(scores=fault.get("scores"), panel=True)}
+        with pytest.raises(MatchError) as info:
+            run_tournament(explicit_schedule([("g", "d")]), players, data,
+                           RunSettings(seed=1, batch_size=4))
+        assert info.value.code == code
+
+    @pytest.mark.parametrize("reals", ["one array", "list", "per match"])
+    def test_each_bad_fake_loses_only_its_match(self, reals):
+        task = toy.make_task(dim=2, seed=13)
+        gens = toy.trajectory(task, 4, seed=3)
+        players = {f"g{i}": gen for i, gen in enumerate(gens)}
+        players.update({"wide": FixedGenerator(dim=3),
+                        "nan": FixedGenerator(np.nan),
+                        "short": Scripted(lambda n: np.zeros((n - 1, 2))),
+                        "bad": BrokenPlayer(),
+                        "d": toy.OracleDiscriminator(
+                            task.model, [gens[1].density_model(task)])})
+        data = (task.model if reals == "one array"
+                else ListedReals(task.model, many=reals == "list"))
+        order = ["g0", "wide", "g1", "nan", "g2", "short", "g3", "bad"]
+        schedule = explicit_schedule((g, "d", r) for r in range(2)
+                                     for g in order)
+        settings = RunSettings(seed=5, batch_size=16)
+        failures = []
+        records = list(run_tournament(schedule, players, data, settings,
+                                      sink_into(failures=failures)))
+        bad = {"wide": "dim-mismatch", "nan": "fake-nonfinite",
+               "short": "fake-shape", "bad": "player-error"}
+        assert records == replayed(schedule, players, task.model, settings,
+                                   skip={m for m in schedule.matches
+                                         if m[0] in bad})
+        assert [(match, error.code) for match, error in failures] == [
+            (m, bad[m[0]]) for m in schedule.matches if m[0] in bad]
+
+    def test_a_data_source_whose_dim_changes_loses_the_group(self):
+        class Drifting:
+            calls = 0
+
+            def sample(self, count, rng):
+                self.calls += 1
+                return np.zeros((count, 2 + (self.calls > 1)))
+
+        players = {"g2": FixedGenerator(dim=2), "g3": FixedGenerator(dim=3),
+                   "d": StepDiscriminator(1)}
+        failures = []
+        records = run_tournament(
+            explicit_schedule([("g2", "d"), ("g3", "d")]), players,
+            Drifting(), RunSettings(seed=1, batch_size=4),
+            sink_into(failures=failures))
+        assert len(records) == 0
+        assert [(match, str(error)) for match, error in failures] == [
+            (m, "dim-mismatch: the group's batches differ in dim")
+            for m in (("g2", "d", 0), ("g3", "d", 0))]

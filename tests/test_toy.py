@@ -410,6 +410,30 @@ class TestWhitenedDensities:
             assert np.abs(disc.score(batch) - reference_score(
                 disc.data_model, disc.fake_models, batch)).max() <= SCORE_ATOL
 
+    @given(st.sampled_from(["oracle", "chekhov", "noise_oracle"]),
+           st.sampled_from([1, 3, 8]), st.integers(0, 19),
+           st.sampled_from([None, 1, 2, 14]), st.sampled_from([1, 2, 64]),
+           st.integers(0, 2**32 - 1))
+    @example(panel="chekhov", dim=1, index=19, m=None, n=1, seed=0)
+    @example(panel="chekhov", dim=1, index=19, m=14, n=1, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_bit_for_bit_the_per_model_broadcast(self, panel, dim, index, m,
+                                                 n, seed):
+        # log_densities goes through reused buffers; its bits must be those
+        # of the per-model broadcast.
+        task = toy.make_task(dim, seed=13)
+        disc = every_panel(task, index)[0][panel]
+        shape = (n, dim) if m is None else (m, n, dim)
+        batch = 3.0 * np.random.default_rng(seed).standard_normal(shape)
+        reference = []
+        for model in (disc.data_model, *disc.fake_models):
+            z = (batch - model.mean) @ model.whitening
+            offset = -0.5 * (model.log_det + dim * math.log(2.0 * math.pi))
+            reference.append(offset - 0.5 * np.einsum("...i,...i->...", z, z))
+        densities = disc.log_densities(batch)
+        assert densities.shape == (len(reference),) + shape[:-1]
+        assert densities.tobytes() == np.stack(reference).tobytes()
+
     def test_models_cache_their_whitening_and_log_determinant(self, task):
         for gen in toy.trajectory(task, 5, seed=3):
             model = gen.density_model(task)
