@@ -4,11 +4,14 @@
     python3 scripts/same_outputs.py BASE_SRC NEW_SRC INPUT...
 
 BASE_SRC and NEW_SRC are directories that hold an ``arena`` package (the
-``src`` directory of two checkouts). Each input is a config or a match log
-(a ``.jsonl`` file). A config is run once under each tree, as
+``src`` directory of two checkouts). Each input is a config, a match log
+(a ``.jsonl`` file) or the name of a bundled experiment (``distortion``,
+``multi``, ...). A config is run once under each tree, as
 ``python -m arena.cli run --config CONFIG --out-dir DIR``; a log is
 re-rated twice under each tree, as ``python -m arena.cli rate LOG
---out-dir DIR`` and again with ``--outcome-mode per-match``. Every command
+--out-dir DIR`` and again with ``--outcome-mode per-match``; an
+experiment is run once under each tree, as ``python -m arena.cli
+simulate NAME --out-dir DIR``. Every command
 runs with that tree on ``PYTHONPATH`` and one BLAS thread, into a fresh
 temporary directory. Every file a command writes, its stdout and stderr
 with the output directory masked, and its exit code are compared byte for
@@ -26,10 +29,14 @@ import tempfile
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
 MASK = b"<out-dir>"
+# The experiments ``arena simulate`` bundles (``arena.cli.EXPERIMENTS``).
+EXPERIMENTS = ("within", "banded", "chekhov", "distortion", "multi")
 
 
 def commands(path: str) -> list[list[str]]:
     """The arena commands run on one input, each without ``--out-dir``."""
+    if path in EXPERIMENTS:
+        return [["simulate", path]]
     if path.endswith(".jsonl"):
         return [["rate", path], ["rate", path, "--outcome-mode", "per-match"]]
     return [["run", "--config", path]]
@@ -79,6 +86,10 @@ def main(argv=None) -> int:
     for src in (args.base_src, args.new_src):
         if not os.path.isfile(os.path.join(src, "arena", "cli.py")):
             parser.error(f"{src} holds no arena package")
+    for path in args.inputs:
+        if path not in EXPERIMENTS and not os.path.isfile(path):
+            parser.error(f"{path} is neither a file nor one of "
+                         f"{', '.join(EXPERIMENTS)}")
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as work:
         compared, differing = compare(args.base_src, args.new_src,
                                       args.inputs, work)

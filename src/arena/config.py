@@ -463,8 +463,8 @@ def build_players(config: TournamentConfig,
                  PlayerSpec(entry["id"], "generator", "real_data", None,
                             entry.get("experiment")))
         elif kind == "transform":
-            player = toy.TransformPlayer(task.model, entry["transform"],
-                                         int(entry["severity"]), task.scale)
+            player = toy.TransformPlayer(task.model, int(entry["severity"]),
+                                         task.scale)
             _add(built, entry["id"], player,
                  PlayerSpec(entry["id"], "generator", "transform",
                             entry.get("iteration", int(entry["severity"])),

@@ -8,11 +8,9 @@ timeouts are enforced here on the host side, so a wedged child cannot
 stall the tournament forever.
 
 Sample arrays (a ``samples`` reply's and a ``judge`` request's ``data``)
-travel by the protocol the child declares: under protocol 2 as one base64
-string of row-major little-endian float64, so every double crosses bit
-for bit, and under protocol 1, which third-party players may still speak,
-as lists of decimal numbers. ``encode_samples`` and ``decode_samples`` are
-the one place either format is written or read. numpy and ``base64`` are
+travel as one base64 string of row-major little-endian float64, so every
+double crosses bit for bit. ``encode_samples`` and ``decode_samples`` are
+the one place that format is written or read. numpy and ``base64`` are
 imported only where a payload is encoded or decoded, and ``subprocess``,
 ``threading`` and ``queue`` only where a session is opened, so the
 reference player, which shares this module's wire format, starts without
@@ -28,8 +26,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 PROTOCOL_VERSION = 2
-# Protocols a child may declare in its hello.
-PROTOCOLS = (1, 2)
 HANDSHAKE_TIMEOUT = 30.0
 REQUEST_TIMEOUT = 60.0
 # Seconds a child may take to exit once it has been shut down; then it is
@@ -95,51 +91,36 @@ def _wire(message: dict) -> bytes:
     return (dump_message(message) + "\n").encode()
 
 
-def _numbers(value, what: str, rows: bool = False) -> np.ndarray:
-    """A reply's payload as floats: a list of numbers or, with ``rows``, a
-    list of equally long lists of numbers. Anything else (strings,
-    booleans, objects, ragged rows, integers beyond double range) is a
+def _numbers(value, what: str) -> np.ndarray:
+    """A reply's payload as floats, if it is a list of numbers. Anything
+    else (strings, booleans, objects, integers beyond double range) is a
     ProtocolError, not coerced."""
     import numpy as np
 
-    items = value if rows else [value]
     try:
         if (isinstance(value, list)
-                and all(isinstance(item, list) for item in items)
-                and len({len(item) for item in items}) <= 1
-                and all(type(x) in (int, float)
-                        for item in items for x in item)):
+                and all(type(x) in (int, float) for x in value)):
             return np.array(value, dtype=float)
     except OverflowError:
         pass
-    raise ProtocolError(f"{what} is not a list of "
-                        f"{'equally long rows of ' if rows else ''}numbers")
+    raise ProtocolError(f"{what} is not a list of numbers")
 
 
-def encode_samples(batch, protocol: int):
-    """A batch of samples as the ``data`` of a message: under protocol 2
-    one base64 string (standard alphabet, padded) of its row-major
-    little-endian float64s, under protocol 1 a list of rows of numbers."""
-    import numpy as np
-
-    batch = np.asarray(batch, dtype=float)
-    if protocol == 1:
-        return batch.tolist()
+def encode_samples(batch) -> str:
+    """A batch of samples as the ``data`` of a message: one base64 string
+    (standard alphabet, padded) of its row-major little-endian float64s."""
     import base64
 
-    return base64.b64encode(batch.astype("<f8", copy=False).tobytes()
+    import numpy as np
+
+    return base64.b64encode(np.asarray(batch, dtype="<f8").tobytes()
                             ).decode("ascii")
 
 
-def decode_samples(value, dim: int, protocol: int) -> np.ndarray:
+def decode_samples(value, dim: int) -> np.ndarray:
     """The ``data`` of a message as a 2-d float array, ``dim`` columns
-    wide under protocol 2, where the row count is the byte length over
-    8 * dim. A value that is not a string of valid base64 whole rows
-    (protocol 2), or not a list of equally long rows of numbers (protocol
-    1), is a ProtocolError."""
-    if protocol == 1:
-        data = _numbers(value, "samples data", rows=True)
-        return data.reshape(0, dim) if data.size == 0 else data
+    wide, where the row count is the byte length over 8 * dim. A value
+    that is not a string of valid base64 whole rows is a ProtocolError."""
     import base64
 
     import numpy as np
@@ -201,10 +182,10 @@ class ExternalPlayer:
             raise HandshakeFailed(f"first message was {hello.get('type')!r}, "
                                   "expected hello")
         protocol = hello.get("protocol")
-        if protocol not in PROTOCOLS:
+        if protocol != PROTOCOL_VERSION:
             self.close()
             raise HandshakeFailed(f"protocol {protocol!r} unsupported, "
-                                  f"want one of {PROTOCOLS}")
+                                  f"want {PROTOCOL_VERSION}")
         if hello.get("role") != role:
             self.close()
             raise RoleMismatch(f"child declared role {hello.get('role')!r}, "
@@ -214,7 +195,6 @@ class ExternalPlayer:
             self.close()
             raise HandshakeFailed(f"invalid sample dimension {dim!r}")
         self.dim = dim
-        self.protocol = int(protocol)
         self.name = str(hello.get("name", ""))
 
     def _pump(self) -> None:
@@ -288,7 +268,7 @@ class ExternalPlayer:
                                "seed": seed}, "generate")
         if reply["type"] != "samples":
             raise ProtocolError(f"generate answered with {reply['type']!r}")
-        data = decode_samples(reply.get("data", []), self.dim, self.protocol)
+        data = decode_samples(reply.get("data", []), self.dim)
         if data.ndim != 2 or data.shape[0] != count:
             raise BatchSizeMismatch(f"asked for {count} samples, got "
                                     f"shape {data.shape}")
@@ -305,13 +285,13 @@ class ExternalPlayer:
         import numpy as np
 
         batch = np.asarray(batch, dtype=float)
-        if self.protocol > 1 and batch.shape[1:] != (self.dim,):
+        if batch.shape[1:] != (self.dim,):
             # The child counts rows by its declared dim.
             raise ProtocolError(f"cannot judge a batch of shape "
                                 f"{batch.shape} with a player of dim "
                                 f"{self.dim}")
-        reply = self._request({"type": "judge", "data": encode_samples(
-            batch, self.protocol)}, "judge")
+        reply = self._request({"type": "judge",
+                               "data": encode_samples(batch)}, "judge")
         if reply["type"] != "scores":
             raise ProtocolError(f"judge answered with {reply['type']!r}")
         values = _numbers(reply.get("values", []), "scores values")

@@ -1,4 +1,4 @@
-"""Reference external player speaking protocol 2 of the JSON-lines protocol.
+"""Reference external player speaking the JSON-lines protocol.
 
 Run as ``python -m arena.ref_player --role generator --dim 4``. The
 generator answers each request with standard-normal vectors drawn from
@@ -34,8 +34,8 @@ def _generate(request: dict, dim: int, short: bool) -> dict:
     count = int(request.get("count", 0))
     if short and count > 0:
         count -= 1
-    return {"type": "samples", "data": encode_samples(
-        rng.standard_normal((count, dim)), PROTOCOL_VERSION)}
+    return {"type": "samples",
+            "data": encode_samples(rng.standard_normal((count, dim)))}
 
 
 def _judge(request: dict, dim: int, value: float, short: bool,

@@ -283,8 +283,6 @@ def format_summary_table(summary: TournamentSummary) -> str:
         lines.append(f"{row.id:<20} {row.role:<14} {it:>5} "
                      f"{row.rating:>9.2f} {row.deviation:>7.2f} "
                      f"{row.volatility:>8.5f} {wr:>8}")
-    for warning in summary.warnings:
-        lines.append(f"warning: {warning}")
     return "\n".join(lines)
 
 

@@ -437,11 +437,11 @@ def _draw_group(indices: Sequence[int],
     group; return the matches whose batches pass their checks, and those
     batches stacked, each match's fake batch and then its real batch.
 
-    Real batches come from one ``data.sample_many`` call if the data source
-    defines it, else from one ``sample`` call per match, and only for fake
-    batches of the right shape. A failed match goes into ``lost`` under its
-    first fault of: fake shape, real shape, dims, then the finiteness of
-    the fake and of the real batch, which is one mask over the stack.
+    Real batches come from one ``data.sample_many`` call, and only for
+    fake batches of the right shape. A failed match goes into ``lost``
+    under its first fault of: fake shape, real shape, dims, then the
+    finiteness of the fake and of the real batch, which is one mask over
+    the stack.
     """
     fakes: dict[int, np.ndarray] = {}
     for i in indices:
@@ -450,22 +450,20 @@ def _draw_group(indices: Sequence[int],
                 size, stream(i, FAKE)), size, "fake-shape")
         except Exception as exc:
             lost[i] = exc
-    sample_many = getattr(data, "sample_many", None)
-    reals = None
-    if sample_many is not None and fakes:
-        try:
-            reals = list(sample_many(size, [stream(i, REAL) for i in fakes]))
-            if len(reals) != len(fakes):
-                raise MatchError("real-shape", f"{len(reals)} batches for "
-                                               f"{len(fakes)} matches")
-        except Exception as exc:
-            lost.update(dict.fromkeys(fakes, exc))
-            return [], None
+    if not fakes:
+        return [], None
+    try:
+        reals = list(data.sample_many(size, [stream(i, REAL) for i in fakes]))
+        if len(reals) != len(fakes):
+            raise MatchError("real-shape", f"{len(reals)} batches for "
+                                           f"{len(fakes)} matches")
+    except Exception as exc:
+        lost.update(dict.fromkeys(fakes, exc))
+        return [], None
     drawn, batches = [], []
-    for k, (i, fake) in enumerate(fakes.items()):
+    for (i, fake), real in zip(fakes.items(), reals):
         try:
-            real = _shaped(data.sample(size, stream(i, REAL)) if reals is None
-                           else reals[k], size, "real-shape")
+            real = _shaped(real, size, "real-shape")
             if fake.shape[1] != real.shape[1]:
                 raise MatchError("dim-mismatch", f"fake dim {fake.shape[1]}, "
                                                  f"real dim {real.shape[1]}")
@@ -580,7 +578,8 @@ def run_tournament(schedule: Schedule, players: Mapping[str, object], data,
 
     ``players`` maps ids to objects with sample()/judge() methods and, for
     discriminators, an optional judge_many(batches, rngs) that scores a
-    stack of batches at once; ``data`` supplies real batches. Each window
+    stack of batches at once; ``data`` draws real batches with
+    sample_many(count, rngs), one batch per generator. Each window
     is played by ``_play_window``, grouped by discriminator, and once it
     is done ``sink`` gets its records and its failures in one call, each
     in schedule order; the records the sink took come back as a

@@ -26,7 +26,9 @@ import numpy as np
 # checkpoints with nearly singular implied covariance stay positive definite.
 JITTER = 1e-6
 
-TRANSFORMS = ("additive_noise", "scale_shift", "coordinate_mask", "impulse")
+# The values of a transform entry's required ``transform:`` key. The key
+# stays, with its one value, so that no config's hash changes.
+TRANSFORMS = ("additive_noise",)
 
 
 class GaussianModel:
@@ -328,50 +330,15 @@ def chekhov_discriminator(task: GaussianTask,
                                checkpoint=generators[index].checkpoint)
 
 
-def apply_distortion(batch: np.ndarray, transform: str, severity: float,
-                     scale: float, rng: np.random.Generator) -> np.ndarray:
-    """Apply one of the fixed sample-space distortions to a batch."""
-    if transform not in TRANSFORMS:
-        raise ValueError(f"unknown transform {transform!r}; expected one of "
-                         f"{TRANSFORMS}")
-    batch = np.asarray(batch, dtype=float)
-    n, dim = batch.shape
-    if transform == "additive_noise":
-        sigma = 0.25 * severity * scale
-        if sigma == 0.0:
-            return batch
-        return batch + sigma * rng.standard_normal(batch.shape)
-    if transform == "scale_shift":
-        return batch * (1.0 + 0.1 * severity)
-    if transform == "coordinate_mask":
-        n_mask = int(round(dim * severity / 10.0))
-        if n_mask == 0:
-            return batch
-        out = batch.copy()
-        picks = np.argsort(rng.random((n, dim)), axis=1)[:, :n_mask]
-        np.put_along_axis(out, picks, 0.0, axis=1)
-        return out
-    n_hit = int(round(dim * severity / 20.0))
-    if n_hit == 0:
-        return batch
-    out = batch.copy()
-    picks = np.argsort(rng.random((n, dim)), axis=1)[:, :n_hit]
-    signs = np.where(rng.random((n, n_hit)) < 0.5, -1.0, 1.0)
-    np.put_along_axis(out, picks, signs * 5.0 * scale, axis=1)
-    return out
-
-
 class TransformPlayer:
-    """Generator that distorts another generator's samples."""
+    """Generator that adds isotropic Gaussian noise to another generator's
+    samples: ``additive_noise``, the one distortion, whose standard
+    deviation is 0.25 * severity * scale."""
 
-    def __init__(self, base, transform: str, severity: int, scale: float):
-        if transform not in TRANSFORMS:
-            raise ValueError(f"unknown transform {transform!r}; expected one "
-                             f"of {TRANSFORMS}")
+    def __init__(self, base, severity: int, scale: float):
         if not 1 <= severity <= 9:
             raise ValueError(f"severity must be in 1..9, got {severity}")
         self.base = base
-        self.transform = transform
         self.severity = severity
         self.scale = scale
 
@@ -381,8 +348,8 @@ class TransformPlayer:
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         batch = self.base.sample(count, rng)
-        return apply_distortion(batch, self.transform, self.severity,
-                                self.scale, rng)
+        sigma = 0.25 * self.severity * self.scale
+        return batch + sigma * rng.standard_normal(batch.shape)
 
 
 def noise_oracle(task: GaussianTask, severity: int) -> OracleDiscriminator:

@@ -76,6 +76,14 @@ def reference_score(data_model, fake_models, batch) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, ex) / (1.0 + ex)
 
 
+class DrawsMany:
+    """``sample_many`` for a test player that can also stand in as the
+    data source: its ``sample``, once per generator."""
+
+    def sample_many(self, count, rngs):
+        return [self.sample(count, rng) for rng in rngs]
+
+
 def win_rate(record) -> float:
     """Fraction of a record's judged samples the generator won."""
     return (record.fake_wins + record.real_wins) / (record.n_fake

@@ -15,6 +15,7 @@ import pytest
 from arena import cli
 from arena import config as cfgmod
 from arena import store
+from arena import summarize as sm
 from arena import tournament as tn
 from arena.cli import build_parser, _load_with_overrides, main
 from arena.config import config_hash, load_config
@@ -102,7 +103,11 @@ class TestRun:
         assert run_cli("run", "--config", config_path, "--out-dir", out,
                        "--schedule", "band", "--band-width", 1) == 0
         captured = capsys.readouterr()
-        assert "win rates" in captured.err
+        # Once, on stderr: the table on stdout used to repeat it.
+        assert [line for line in captured.err.splitlines()
+                if line.startswith("warning:")] == [
+            f"warning: {sm.WIN_RATE_WARNING}"]
+        assert "warning:" not in captured.out
         _, records, _ = store.read_log(out / "log.jsonl")
         assert len(records) == 10  # diagonal plus adjacent pairs
 
@@ -714,6 +719,20 @@ class TestScheduleCommand:
         out = tmp_path / "out"
         assert run_cli("run", "--config", path, "--out-dir", out) == 2
         assert f"{error} is not of type 'integer'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("transform", ["scale_shift", "coordinate_mask",
+                                           "impulse"])
+    def test_a_removed_transform_exits_2_naming_the_key(self, tmp_path,
+                                                        capsys, transform):
+        path = write_yaml(tmp_path / "transform.cfg", tiny_config_payload(
+            players=[*tiny_config_payload()["players"],
+                     {"kind": "transform", "id": "t", "transform": transform,
+                      "severity": 3}]))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", path, "--out-dir", out) == 2
+        assert (f"at players/1/transform: '{transform}' is not one of "
+                "['additive_noise']" in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["damping", "default_rating"])

@@ -246,7 +246,7 @@ def _every_kind_payload() -> dict:
              "checkpoints": [0, 1], "generators": False,
              "discriminators": "chekhov", "chekhov_capacity": 2},
             {"kind": "real_data", "id": "data", "experiment": "b"},
-            {"kind": "transform", "id": "t", "transform": "impulse",
+            {"kind": "transform", "id": "t", "transform": "additive_noise",
              "severity": 3, "iteration": 1},
             {"kind": "noise_oracle", "id": "n", "severity": 2},
             {"kind": "constant", "id": "c", "value": 0.5},

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
+from arena import cli
 from arena import experiments as ex
 from arena import glicko
 from arena import summarize as sm
@@ -260,6 +262,32 @@ class TestScripts:
         assert result.stdout.splitlines() == [
             f"differs: run --config {config}: log.jsonl",
             "8 outputs compared, 1 differ"]
+
+    def test_same_outputs_runs_a_bundled_experiment(self, tmp_path):
+        # Heavier noise moves what the distortion experiment writes.
+        src = Path(ex.__file__).resolve().parents[1]
+        shutil.copytree(src / "arena", tmp_path / "arena",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        toy_py = tmp_path / "arena" / "toy.py"
+        toy_py.write_text(toy_py.read_text().replace(
+            "sigma = 0.25 * self.severity", "sigma = 0.3 * self.severity"))
+        result = fresh_python(SCRIPTS / "same_outputs.py", src, tmp_path,
+                              "distortion")
+        assert result.returncode == 1
+        assert ("differs: simulate distortion: distortion/distortion.jsonl"
+                in result.stdout.splitlines())
+        result = fresh_python(SCRIPTS / "same_outputs.py", src, src,
+                              "nonesuch")
+        assert result.returncode == 2
+        assert "nonesuch is neither a file nor one of within," in \
+            result.stderr
+
+    def test_same_outputs_knows_every_bundled_experiment(self):
+        spec = importlib.util.spec_from_file_location(
+            "same_outputs", SCRIPTS / "same_outputs.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.EXPERIMENTS == cli.EXPERIMENTS
 
     def test_rerate_memory_times_each_tree(self, tmp_path):
         src = Path(ex.__file__).resolve().parents[1]

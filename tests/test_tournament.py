@@ -19,8 +19,8 @@ from arena.tournament import (MatchError, MatchRecord, MatchTable,
                               round_robin, run_tournament, stable_seed,
                               validate_schedule)
 
-from conftest import (TEXT_ALPHABET, record_line, tiny_config_payload,
-                      win_rate)
+from conftest import (TEXT_ALPHABET, DrawsMany, record_line,
+                      tiny_config_payload, win_rate)
 
 
 def spec(pid: str, role: str, iteration: int | None = None) -> PlayerSpec:
@@ -41,7 +41,7 @@ def sink_into(keep=lambda records: None, failures: list | None = None):
     return sink
 
 
-class FixedGenerator:
+class FixedGenerator(DrawsMany):
     """Emits the same constant batch regardless of the RNG."""
 
     def __init__(self, value: float = 0.0, dim: int = 2):
@@ -888,7 +888,7 @@ class TestJudgeOnlyBranch:
             monkeypatch, lambda d: d == "const")
 
 
-class Scripted:
+class Scripted(DrawsMany):
     """A generator, data source or discriminator whose batches and scores
     are functions of the sample count; ``judge_many`` is set only for a
     panel, and scores every batch with ``judge``."""
@@ -993,17 +993,13 @@ class TestFaults:
 
 
 class ListedReals:
-    """A data source whose ``sample_many`` returns a list of batches, or
-    that has no ``sample_many``."""
+    """A data source whose ``sample_many`` returns a list of batches."""
 
-    def __init__(self, model, many: bool):
+    def __init__(self, model):
         self.model = model
-        if many:
-            self.sample_many = lambda count, rngs: list(
-                model.sample_many(count, rngs))
 
-    def sample(self, count, rng):
-        return self.model.sample(count, rng)
+    def sample_many(self, count, rngs):
+        return list(self.model.sample_many(count, rngs))
 
 
 class TestGroupDraw:
@@ -1026,7 +1022,7 @@ class TestGroupDraw:
                            RunSettings(seed=1, batch_size=4))
         assert info.value.code == code
 
-    @pytest.mark.parametrize("reals", ["one array", "list", "per match"])
+    @pytest.mark.parametrize("reals", ["one array", "list"])
     def test_each_bad_fake_loses_only_its_match(self, reals):
         task = toy.make_task(dim=2, seed=13)
         gens = toy.trajectory(task, 4, seed=3)
@@ -1037,8 +1033,7 @@ class TestGroupDraw:
                         "bad": BrokenPlayer(),
                         "d": toy.OracleDiscriminator(
                             task.model, [gens[1].density_model(task)])})
-        data = (task.model if reals == "one array"
-                else ListedReals(task.model, many=reals == "list"))
+        data = task.model if reals == "one array" else ListedReals(task.model)
         order = ["g0", "wide", "g1", "nan", "g2", "short", "g3", "bad"]
         schedule = explicit_schedule((g, "d", r) for r in range(2)
                                      for g in order)
@@ -1054,8 +1049,27 @@ class TestGroupDraw:
         assert [(match, error.code) for match, error in failures] == [
             (m, bad[m[0]]) for m in schedule.matches if m[0] in bad]
 
+    def test_a_data_source_without_sample_many_loses_its_matches(self):
+        # Real batches are drawn only by sample_many; there is no fallback
+        # to one sample call per match.
+        class PerMatch:
+            def sample(self, count, rng):
+                return np.zeros((count, 2))
+
+        players = {"g": FixedGenerator(), "d": StepDiscriminator(1)}
+        failures = []
+        records = run_tournament(
+            explicit_schedule([("g", "d"), ("g", "d", 1)]), players,
+            PerMatch(), RunSettings(seed=1, batch_size=4),
+            sink_into(failures=failures))
+        assert len(records) == 0
+        assert [(match, error.code) for match, error in failures] == [
+            (("g", "d", 0), "player-error"), (("g", "d", 1), "player-error")]
+        assert "'PerMatch' object has no attribute 'sample_many'" in str(
+            failures[0][1])
+
     def test_a_data_source_whose_dim_changes_loses_the_group(self):
-        class Drifting:
+        class Drifting(DrawsMany):
             calls = 0
 
             def sample(self, count, rng):

@@ -572,71 +572,23 @@ class TestChekhovDiscriminator:
         assert np.array_equal(a.score(batch), b.score(batch))
 
 
-class TestDistortions:
-    def batch(self, dim=10, n=40, seed=0):
-        return np.random.default_rng(seed).standard_normal((n, dim))
-
-    def test_unknown_transform_rejected(self):
-        with pytest.raises(ValueError, match="unknown transform"):
-            toy.apply_distortion(self.batch(), "blur", 1, 1.0,
-                                 np.random.default_rng(0))
-
-    def test_additive_noise_mirrors_the_rng(self):
-        batch = self.batch()
-        out = toy.apply_distortion(batch, "additive_noise", 4, 2.0,
-                                   np.random.default_rng(6))
-        sigma = 0.25 * 4 * 2.0
-        expected = batch + sigma * np.random.default_rng(6).standard_normal(
-            batch.shape)
-        assert np.array_equal(out, expected)
-
-    def test_scale_shift_is_exact(self):
-        batch = self.batch()
-        out = toy.apply_distortion(batch, "scale_shift", 3, 1.0,
-                                   np.random.default_rng(0))
-        assert np.array_equal(out, batch * 1.3)
-
-    def test_coordinate_mask_zeroes_the_right_count(self):
-        batch = self.batch(dim=10)
-        out = toy.apply_distortion(batch, "coordinate_mask", 3, 1.0,
-                                   np.random.default_rng(0))
-        assert np.all((out == 0.0).sum(axis=1) == 3)
-        changed = out != batch
-        assert np.all(out[changed] == 0.0)
-
-    def test_impulse_writes_saturated_spikes(self):
-        batch = self.batch(dim=10)
-        out = toy.apply_distortion(batch, "impulse", 6, 2.0,
-                                   np.random.default_rng(0))
-        spikes = np.abs(out) == 10.0  # 5 * scale
-        assert np.all(spikes.sum(axis=1) >= 3)
-
-    def test_low_severity_can_be_a_no_op(self):
-        batch = self.batch(dim=4)
-        out = toy.apply_distortion(batch, "coordinate_mask", 1, 1.0,
-                                   np.random.default_rng(0))
-        assert np.array_equal(out, batch)  # round(4 * 1 / 10) == 0
-
-
 class TestTransformPlayer:
     def test_sample_is_base_plus_distortion(self, task):
-        player = toy.TransformPlayer(task.model, "additive_noise", 2,
-                                     task.scale)
+        player = toy.TransformPlayer(task.model, 2, task.scale)
         got = player.sample(16, np.random.default_rng(3))
         mirror_rng = np.random.default_rng(3)
         base = task.model.sample(16, mirror_rng)
-        expected = toy.apply_distortion(base, "additive_noise", 2,
-                                        task.scale, mirror_rng)
+        sigma = 0.25 * 2 * task.scale
+        expected = base + sigma * mirror_rng.standard_normal(base.shape)
         assert np.array_equal(got, expected)
 
     def test_severity_bounds(self, task):
         for severity in (0, 10):
             with pytest.raises(ValueError, match="severity"):
-                toy.TransformPlayer(task.model, "additive_noise", severity,
-                                    1.0)
+                toy.TransformPlayer(task.model, severity, 1.0)
 
     def test_dim_follows_the_base(self, task):
-        player = toy.TransformPlayer(task.model, "impulse", 1, 1.0)
+        player = toy.TransformPlayer(task.model, 1, 1.0)
         assert player.dim == task.dim
 
 
@@ -650,8 +602,7 @@ class TestNoiseOracle:
 
     def test_separates_data_from_its_noised_copy(self, task):
         oracle = toy.noise_oracle(task, severity=3)
-        noisy = toy.TransformPlayer(task.model, "additive_noise", 3,
-                                    task.scale)
+        noisy = toy.TransformPlayer(task.model, 3, task.scale)
         data = task.model.sample(512, np.random.default_rng(1))
         fakes = noisy.sample(512, np.random.default_rng(2))
         assert oracle.score(data).mean() > 0.6
