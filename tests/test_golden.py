@@ -23,6 +23,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -37,7 +38,9 @@ ROOT = Path(__file__).resolve().parents[1]
 TABLE = Path(__file__).with_name("golden.json")
 
 # Each run: its name in the table, and its arguments without --out-dir.
-# ``{population}`` stands for the log of the population run.
+# ``{population}`` stands for the log of the population run, and ``{copy}``
+# for a copy of it in the run's own output directory, which the run may
+# change without moving what the later runs read.
 RUNS = {
     "run within_trajectory": ["run", "--config",
                               "configs/within_trajectory.cfg"],
@@ -46,6 +49,9 @@ RUNS = {
     "rate population per-sample": ["rate", "{population}"],
     "rate population per-match": ["rate", "{population}",
                                   "--outcome-mode", "per-match"],
+    "extend population add_pair": ["extend", "{copy}", "--config",
+                                   "configs/population.cfg", "--add",
+                                   "configs/add_pair.cfg"],
     "simulate distortion": ["simulate", "distortion"],
 }
 MASK = "<tmp>"
@@ -58,7 +64,11 @@ def produce(root: Path) -> dict[str, dict[str, bytes]]:
     population = root / "run population" / "log.jsonl"
     for name, argv in RUNS.items():
         out = root / name
-        argv = [arg.format(population=population) for arg in argv]
+        copy = out / "log.jsonl"
+        if "{copy}" in argv:
+            out.mkdir()
+            shutil.copyfile(population, copy)
+        argv = [arg.format(population=population, copy=copy) for arg in argv]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = cli.main([*argv, "--out-dir", str(out)])
