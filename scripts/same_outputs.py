@@ -4,23 +4,28 @@
     python3 scripts/same_outputs.py BASE_SRC NEW_SRC INPUT...
 
 BASE_SRC and NEW_SRC are directories that hold an ``arena`` package (the
-``src`` directory of two checkouts). Each input is a config, a match log
-(a ``.jsonl`` file) or the name of a bundled experiment (``distortion``,
+``src`` directory of two checkouts). Each input is a config, a config and
+a players fragment joined by ``+`` (``CONFIG+FRAGMENT``), a match log (a
+``.jsonl`` file) or the name of a bundled experiment (``distortion``,
 ``multi``, ...). A config is run once under each tree, as
-``python -m arena.cli run --config CONFIG --out-dir DIR``; a log is
-re-rated twice under each tree, as ``python -m arena.cli rate LOG
---out-dir DIR`` and again with ``--outcome-mode per-match``; an
-experiment is run once under each tree, as ``python -m arena.cli
-simulate NAME --out-dir DIR``. Every command
+``python -m arena.cli run --config CONFIG --out-dir DIR``; a
+``CONFIG+FRAGMENT`` is run so, and its log is then extended once, as
+``python -m arena.cli extend LOG --config CONFIG --add FRAGMENT
+--out-dir DIR``; a log is re-rated twice under each tree, as
+``python -m arena.cli rate LOG --out-dir DIR`` and again with
+``--outcome-mode per-match``; an experiment is run once under each tree,
+as ``python -m arena.cli simulate NAME --out-dir DIR``. Every command
 runs with that tree on ``PYTHONPATH`` and one BLAS thread, into a fresh
-temporary directory. Every file a command writes, its stdout and stderr
-with the output directory masked, and its exit code are compared byte for
-byte. The script lists what differs and exits 1 if anything does, else 0.
+temporary directory. Every file a command writes (for an extend, the
+extended log too), its stdout and stderr with the output directory
+masked, and its exit code are compared byte for byte. The script lists
+what differs and exits 1 if anything does, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import os
 import subprocess
 import sys
@@ -33,27 +38,45 @@ MASK = b"<out-dir>"
 EXPERIMENTS = ("within", "banded", "chekhov", "distortion", "multi")
 
 
-def commands(path: str) -> list[list[str]]:
-    """The arena commands run on one input, each without ``--out-dir``."""
+def commands(path: str) -> list[list[list[str]]]:
+    """The arena commands run on one input, each a list of steps run in
+    order, each step without ``--out-dir``. ``{log}`` in a step stands for
+    the log the first step wrote."""
     if path in EXPERIMENTS:
-        return [["simulate", path]]
+        return [[["simulate", path]]]
     if path.endswith(".jsonl"):
-        return [["rate", path], ["rate", path, "--outcome-mode", "per-match"]]
-    return [["run", "--config", path]]
+        return [[["rate", path]],
+                [["rate", path, "--outcome-mode", "per-match"]]]
+    config, _, fragment = path.partition("+")
+    steps = [["run", "--config", config]]
+    if fragment:
+        steps.append(["extend", "{log}", "--config", config, "--add",
+                      fragment])
+    return [steps]
 
 
-def run(src: str, argv: list[str], out_dir: str) -> dict[str, bytes]:
-    """The outputs of one command: each written file by its path below
-    ``out_dir``, plus the masked stdout and stderr and the exit code."""
+def run(src: str, steps: list[list[str]], out_dir: str) -> dict[str, bytes]:
+    """The outputs of one command: each file its steps wrote, by its path
+    below ``out_dir``, as the last step left it, plus the masked stdout
+    and stderr and the exit code of each step. The first step writes into
+    ``out_dir``, and each later one into a directory below it named after
+    its command."""
     env = dict(os.environ, **THREAD_ENV)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-m", "arena.cli", *argv, "--out-dir", out_dir],
-        env=env, capture_output=True, check=False)
-    outputs = {"<stdout>": result.stdout.replace(out_dir.encode(), MASK),
-               "<stderr>": result.stderr.replace(out_dir.encode(), MASK),
-               "<exit code>": str(result.returncode).encode()}
+    outputs = {}
+    for k, argv in enumerate(steps):
+        step_dir, of = ((out_dir, "") if k == 0 else
+                        (os.path.join(out_dir, argv[0]), f" of {argv[0]}"))
+        logs = glob.glob(os.path.join(glob.escape(out_dir), "*.jsonl"))
+        argv = [logs[0] if arg == "{log}" and logs else arg for arg in argv]
+        result = subprocess.run(
+            [sys.executable, "-m", "arena.cli", *argv, "--out-dir",
+             step_dir], env=env, capture_output=True, check=False)
+        outputs.update({
+            f"<stdout{of}>": result.stdout.replace(out_dir.encode(), MASK),
+            f"<stderr{of}>": result.stderr.replace(out_dir.encode(), MASK),
+            f"<exit code{of}>": str(result.returncode).encode()})
     for base, _, names in os.walk(out_dir):
         for name in names:
             path = os.path.join(base, name)
@@ -66,14 +89,16 @@ def compare(base_src: str, new_src: str, inputs: list[str],
             work: str) -> tuple[int, list[str]]:
     """The number of outputs compared, and the ones that differ."""
     compared, differing = 0, []
-    argvs = [argv for path in inputs for argv in commands(path)]
-    for n, argv in enumerate(argvs):
-        base, new = (run(src, argv, os.path.join(work, f"{side}{n}"))
+    jobs = [steps for path in inputs for steps in commands(path)]
+    for n, steps in enumerate(jobs):
+        base, new = (run(src, steps, os.path.join(work, f"{side}{n}"))
                      for side, src in (("base", base_src), ("new", new_src)))
         for name in sorted(base.keys() | new.keys()):
             compared += 1
             if base.get(name) != new.get(name):
-                differing.append(f"{' '.join(argv)}: {name}")
+                differing.append(" then ".join(" ".join(argv)
+                                               for argv in steps)
+                                 + f": {name}")
     return compared, differing
 
 
@@ -87,7 +112,8 @@ def main(argv=None) -> int:
         if not os.path.isfile(os.path.join(src, "arena", "cli.py")):
             parser.error(f"{src} holds no arena package")
     for path in args.inputs:
-        if path not in EXPERIMENTS and not os.path.isfile(path):
+        if path not in EXPERIMENTS and not all(
+                map(os.path.isfile, path.split("+"))):
             parser.error(f"{path} is neither a file nor one of "
                          f"{', '.join(EXPERIMENTS)}")
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as work:

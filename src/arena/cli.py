@@ -67,15 +67,20 @@ def _rating_updates(args) -> dict:
             if getattr(args, flag, None) is not None}
 
 
+def _new_log(config: cfgmod.TournamentConfig, path: str) -> store.LogWriter:
+    """A writer that starts a log at ``path`` under the config's header."""
+    return store.LogWriter(path, store.LogHeader(cfgmod.config_hash(config),
+                                                 config.seed))
+
+
 def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
           schedule: tn.Schedule, strict: bool,
-          log_path: str | None = None) -> tn.MatchTable:
+          writer: store.LogWriter | None = None) -> tn.MatchTable:
     """Spawn the external players the schedule names, play the schedule,
-    and close the sessions again whatever happens.
+    and close the sessions and the ``writer`` again whatever happens.
 
-    With ``log_path`` a new log is started there, under the config's
-    header, and each window's records are written to it as soon as the
-    window is played.
+    Each window's records go to the ``writer``, if one is given, as soon
+    as the window is played.
     This is where a failure is either raised or skipped. With ``strict``
     it is raised, and none of its window's records is written. Without,
     it is reported on stderr and costs only its own match; a player that
@@ -86,11 +91,6 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
         if strict:
             raise error
         _warn(f"{context}: {error}")
-
-    writer = None
-    if log_path is not None:
-        writer = store.LogWriter(log_path, store.LogHeader(
-            cfgmod.config_hash(config), config.seed))
 
     def sink(records: list, failures: list) -> None:
         for (gen_id, disc_id, repeat), error in failures:
@@ -177,7 +177,8 @@ def cmd_run(args) -> int:
     os.makedirs(directory, exist_ok=True)
     log_path = os.path.join(directory,
                             config.outputs.get("log", "log.jsonl"))
-    records = _play(config, built, schedule, args.strict, log_path)
+    records = _play(config, built, schedule, args.strict,
+                    _new_log(config, log_path))
     _print_report(*_report(records, config.rating, built.specs, directory,
                            config.outputs, schedule))
     print(f"log: {log_path} ({len(records)} records)")
@@ -222,14 +223,10 @@ def cmd_extend(args) -> int:
              f"{args.config} hashes to {expected}"),
             ("engine", header.engine, tn.ENGINE,
              f"this arena plays engine {tn.ENGINE}")):
-        if logged == current:
-            continue
-        if not args.force:
+        if logged != current:
             print(f"error: {args.log} was produced under {what} {logged}, "
-                  f"but {hint}; pass --force to extend anyway",
-                  file=sys.stderr)
+                  f"but {hint}", file=sys.stderr)
             return 2
-        _warn(f"{what} mismatch; extending anyway (--force)")
 
     fragment = cfgmod.load_players_fragment(args.add)
     baseline_ids = {s.id for s in cfgmod.build_players(config).specs}
@@ -247,13 +244,15 @@ def cmd_extend(args) -> int:
         return 2
     matches = [(g, d, 0) for g in new_gens for d in old_discs]
     matches += [(g, d, 0) for g in old_gens for d in new_discs]
-    schedule = tn.explicit_schedule(matches)
+    # Only the matches the log lacks are played, so reruns append nothing.
+    stored = np.isin(np.array([tn.match_seed(config.seed, *match)
+                               for match in matches], np.uint64),
+                     records.seed)
+    schedule = tn.explicit_schedule(
+        match for match, done in zip(matches, stored) if not done)
 
-    new_records = _play(config, built, schedule, args.strict)
-    # Appended only once every new match has been played, so a --strict
-    # failure leaves the log untouched.
-    with store.LogWriter(args.log) as sink:
-        sink(new_records)
+    new_records = _play(config, built, schedule, args.strict,
+                        store.LogWriter(args.log))
     _print_report(*_report(records.concat(new_records), config.rating,
                            built.specs, args.out_dir, config.outputs))
     print(f"appended {len(new_records)} records to {args.log} "
@@ -334,9 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     extend.add_argument("--config", required=True)
     extend.add_argument("--add", required=True, metavar="FRAGMENT",
                         help="file with a players list to add")
-    extend.add_argument("--force", action="store_true",
-                        help="extend even if the config hash or the engine "
-                             "differs from the log header")
     _add_rating_flags(extend)
     extend.add_argument("--out-dir")
     extend.add_argument("--strict", action="store_true")

@@ -82,13 +82,12 @@ def run_config(raw: dict, out_dir: str | None = None,
     config = cfgmod.parse_config(raw)
     built = cfgmod.build_players(config)
     schedule = cfgmod.build_schedule(config, built.specs)
-    names, log_path = {}, None
+    names, writer = {}, None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         names = _file_names(stem)
-        log_path = os.path.join(out_dir, names["log"])
-    records = cli._play(config, built, schedule, strict=True,
-                        log_path=log_path)
+        writer = cli._new_log(config, os.path.join(out_dir, names["log"]))
+    records = cli._play(config, built, schedule, strict=True, writer=writer)
     outcome, summary = cli._report(records, config.rating, built.specs,
                                    out_dir, names, schedule)
     return RunBundle(config, built, schedule, records, outcome, summary)

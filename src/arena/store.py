@@ -180,8 +180,9 @@ def parse_record(line: str) -> MatchRecord:
 
 class LogWriter:
     """The one way to write a log: ``LogWriter(path, header)`` starts a new
-    log, ``LogWriter(path)`` appends to an existing one, first ending its
-    last line if that has no newline, so no record is glued onto it.
+    log, ``LogWriter(path)`` appends to an existing one. An append's first
+    batch ends the log's last line if that has no newline, so no record is
+    glued onto it, and an append that writes nothing leaves the log as is.
 
     ``writer(records)`` writes the lines of a batch of records, such as a
     finished window of play, with one write and one flush, so a killed
@@ -191,19 +192,20 @@ class LogWriter:
     def __init__(self, path, header: LogHeader | None = None):
         self._fh = open(path, "wb" if header is not None else "ab+")
         self._texts: dict = {}
+        self._lead = ""  # what the first batch writes before its lines
         if header is not None:
             self._write(header_line(header) + "\n")
         elif self._fh.seek(0, os.SEEK_END):
             self._fh.seek(-1, os.SEEK_END)
-            if self._fh.read(1) != b"\n":
-                self._fh.write(b"\n")
+            self._lead = "" if self._fh.read(1) == b"\n" else "\n"
 
     def _write(self, text: str) -> None:
         self._fh.write(text.encode())
         self._fh.flush()
 
     def __call__(self, records: Iterable[MatchRecord]) -> None:
-        self._write(_record_lines(records, self._texts))
+        self._write(self._lead + _record_lines(records, self._texts))
+        self._lead = ""
 
     def close(self) -> None:
         self._fh.close()

@@ -388,6 +388,47 @@ def population(tmp_path):
     return config, out / "log.jsonl", fragment
 
 
+class Crashing:
+    """A player whose every sample and judge raises, until ``on`` is
+    cleared; then it plays as ``player``."""
+
+    def __init__(self):
+        self.on = True
+        self.player = None
+
+    def _check(self):
+        if self.on:
+            raise RuntimeError("crashed")
+
+    def sample(self, *args):
+        self._check()
+        return self.player.sample(*args)
+
+    def judge(self, *args):
+        self._check()
+        return self.player.judge(*args)
+
+    def judge_many(self, *args):
+        self._check()
+        return self.player.judge_many(*args)
+
+
+def crash_in_extend(monkeypatch, pid: str, crashing: Crashing) -> Crashing:
+    """Make ``crashing`` stand in for player ``pid`` of every build that
+    holds the fragment's players."""
+    real_build = cfgmod.build_players
+
+    def build(*args, **kwargs):
+        built = real_build(*args, **kwargs)
+        if "tiny-d02" in built.players:
+            crashing.player = built.players[pid]
+            built.players[pid] = crashing
+        return built
+
+    monkeypatch.setattr(cfgmod, "build_players", build)
+    return crashing
+
+
 class TestExtend:
     def test_extend_plays_new_against_old_only(self, population, capsys):
         config, log, fragment = population
@@ -419,30 +460,71 @@ class TestExtend:
 
     def test_strict_failure_leaves_the_log_untouched(self, population,
                                                      monkeypatch, capsys):
+        # Every new match plays in one window, so the failure stops the
+        # extend before any record is written.
         config, log, fragment = population
         before = log.read_bytes()
-
-        class CrashingJudge:
-            def judge(self, batch, rng=None):
-                raise RuntimeError("judge crashed")
-
-            def judge_many(self, batches, rngs):
-                raise RuntimeError("judge crashed")
-
-        real_build = cfgmod.build_players
-
-        def build(*args, **kwargs):
-            built = real_build(*args, **kwargs)
-            if "tiny-d02" in built.players:
-                built.players["tiny-d02"] = CrashingJudge()
-            return built
-
-        monkeypatch.setattr(cfgmod, "build_players", build)
+        crash_in_extend(monkeypatch, "tiny-d02", Crashing())
         assert run_cli("extend", log, "--config", config, "--add",
                        fragment, "--strict") == 1
-        assert ("error: player-error: RuntimeError: judge crashed"
+        assert ("error: player-error: RuntimeError: crashed"
                 in capsys.readouterr().err)
         assert log.read_bytes() == before
+
+    def test_a_second_run_appends_nothing(self, population, capsys):
+        config, log, fragment = population
+        argv = ["extend", log, "--config", config, "--add", fragment]
+        assert run_cli(*argv) == 0
+        extended = log.read_bytes()
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        assert f"appended 0 records to {log}" in capsys.readouterr().out
+        assert log.read_bytes() == extended
+
+    def test_a_stopped_strict_extend_finishes_when_run_again(
+            self, population, monkeypatch, tmp_path, capsys):
+        # Six new matches in windows of two: (g02 d00, g02 d01),
+        # (g02 d03, g00 d02), (g01 d02, g03 d02). Old generator g03
+        # plays only in the third.
+        config, log, fragment = population
+        whole = tmp_path / "whole.jsonl"
+        whole.write_bytes(log.read_bytes())
+        before = len(log.read_bytes().splitlines())
+        monkeypatch.setattr(tn, "WINDOW", 2)
+        assert run_cli("extend", whole, "--config", config, "--add",
+                       fragment) == 0
+        crashing = crash_in_extend(monkeypatch, "tiny-g03", Crashing())
+        assert run_cli("extend", log, "--config", config, "--add",
+                       fragment, "--strict") == 1
+        assert len(log.read_bytes().splitlines()) == before + 4
+        assert log.read_bytes() == b"".join(
+            whole.read_bytes().splitlines(keepends=True)[:before + 4])
+        crashing.on = False
+        capsys.readouterr()
+        assert run_cli("extend", log, "--config", config, "--add",
+                       fragment, "--strict") == 0
+        assert "appended 2 records" in capsys.readouterr().out
+        assert log.read_bytes() == whole.read_bytes()
+
+    def test_a_rerun_plays_exactly_the_skipped_matches(
+            self, population, monkeypatch, capsys):
+        config, log, fragment = population
+        _, before, _ = store.read_log(log)
+        crashing = crash_in_extend(monkeypatch, "tiny-d02", Crashing())
+        assert run_cli("extend", log, "--config", config, "--add",
+                       fragment) == 0
+        assert capsys.readouterr().err.count("skipping match") == 3
+        _, first, _ = store.read_log(log)
+        crashing.on = False
+        assert run_cli("extend", log, "--config", config, "--add",
+                       fragment) == 0
+        assert "appended 3 records" in capsys.readouterr().out
+        _, second, _ = store.read_log(log)
+        rerun = list(second)[len(first):]
+        assert sorted((r.generator_id, r.discriminator_id) for r in rerun) \
+            == [(f"tiny-g0{i}", "tiny-d02") for i in (0, 1, 3)]
+        lines = log.read_bytes().splitlines()
+        assert len(lines) == len(set(lines)) == 1 + len(before) + 6
 
     def test_an_external_player_with_no_new_match_is_not_started(
             self, tmp_path, capsys):
@@ -477,22 +559,24 @@ class TestExtend:
         assert err.startswith(f"error: {log}:3: byte 0xff at character ")
         assert log.read_bytes() == before
 
-    def test_hash_mismatch_refuses_without_force(self, population, tmp_path,
-                                                 capsys):
+    def test_hash_mismatch_refuses_and_leaves_the_log(self, population,
+                                                      tmp_path, capsys):
         config, log, fragment = population
         drifted = write_yaml(tmp_path / "drifted.cfg",
                              {**load_config(config).raw, "seed": 99})
+        header, _, _ = store.read_log(log)
+        before = log.read_bytes()
         assert run_cli("extend", log, "--config", drifted, "--add",
                        fragment) == 2
-        assert "--force" in capsys.readouterr().err
-        assert run_cli("extend", log, "--config", drifted, "--add",
-                       fragment, "--force") == 0
-        assert "config hash mismatch" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"produced under config hash {header.config_hash}, but " \
+            f"{drifted} hashes to {config_hash(load_config(drifted))}" in err
+        assert log.read_bytes() == before
 
     @pytest.mark.parametrize("header", [
         {"engine": 1}, {}, {"engine": 3}])
-    def test_engine_mismatch_refuses_without_force(self, population, header,
-                                                   capsys):
+    def test_engine_mismatch_refuses_and_leaves_the_log(self, population,
+                                                        header, capsys):
         config, log, fragment = population
         first, body = log.read_text().split("\n", 1)
         payload = {k: v for k, v in json.loads(first).items()
@@ -504,12 +588,18 @@ class TestExtend:
                        fragment) == 2
         err = capsys.readouterr().err
         assert f"produced under engine {engine}, but this arena plays " \
-            f"engine {tn.ENGINE}; pass --force" in err
+            f"engine {tn.ENGINE}\n" in err
         assert log.read_bytes() == before
-        assert run_cli("extend", log, "--config", config, "--add",
-                       fragment, "--force") == 0
-        assert "engine mismatch; extending anyway" in capsys.readouterr().err
-        assert log.read_bytes().startswith(before)
+
+    def test_force_is_a_usage_error(self, population, capsys):
+        config, log, fragment = population
+        before = log.read_bytes()
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("extend", log, "--config", config, "--add", fragment,
+                    "--force")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --force" in capsys.readouterr().err
+        assert log.read_bytes() == before
 
     def test_fragment_without_new_players_is_an_error(self, population,
                                                       tmp_path, capsys):
@@ -576,13 +666,10 @@ class TestRerating:
             np.full(316, 0.5))
 
         class NoWrites:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
+            def __call__(self, records):
                 pass
 
-            def __call__(self, records):
+            def close(self):
                 pass
 
         monkeypatch.setattr(store, "read_log",

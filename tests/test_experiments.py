@@ -222,6 +222,34 @@ class TestScripts:
         assert result.stdout.splitlines()[-1] == \
             "8 outputs compared, 0 differ"
 
+    def test_same_outputs_runs_a_config_then_extends_its_log(self,
+                                                              tmp_path):
+        # A copy that writes every window twice: the log differs, and so
+        # does what extend rates from it; each is named under both steps.
+        src = Path(ex.__file__).resolve().parents[1]
+        shutil.copytree(src / "arena", tmp_path / "arena",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        cli_py = tmp_path / "arena" / "cli.py"
+        cli_py.write_text(cli_py.read_text().replace(
+            "if writer is not None and records:\n            writer(records)",
+            "if writer is not None and records:\n"
+            "            writer(records)\n            writer(records)"))
+        configs = SCRIPTS.parent / "configs"
+        pair = f"{configs / 'population.cfg'}+{configs / 'add_pair.cfg'}"
+        result = fresh_python(SCRIPTS / "same_outputs.py", src, src, pair)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout.splitlines()[-1] == \
+            "15 outputs compared, 0 differ"
+        result = fresh_python(SCRIPTS / "same_outputs.py", src, tmp_path,
+                              pair)
+        assert result.returncode == 1
+        steps = (f"run --config {configs / 'population.cfg'} then extend "
+                 "{log}")
+        differing = [line for line in result.stdout.splitlines()
+                     if line.startswith("differs: ")]
+        assert differing and all(line.startswith(f"differs: {steps}")
+                                 for line in differing), differing
+
     def test_same_outputs_rerates_a_log_in_both_outcome_modes(self,
                                                                tmp_path):
         src = Path(ex.__file__).resolve().parents[1]

@@ -204,6 +204,22 @@ class TestFileRoundTrip:
         _, records, _ = read_log(path, strict=True)
         assert list(records) == [make_record(0), make_record(1)]
 
+    def test_an_append_that_writes_nothing_leaves_the_log(self, tmp_path):
+        # Not even the newline a first batch would end the last line with.
+        path = tmp_path / "log.jsonl"
+        write_records(path, [make_record(0)])
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        before = path.read_bytes()
+        LogWriter(path).close()
+        assert path.read_bytes() == before
+        writer = LogWriter(path)
+        writer([make_record(1)])
+        writer([make_record(2)])
+        writer.close()
+        assert path.read_bytes() == before + b"".join(
+            b"\n" + record_line(make_record(i)).encode() for i in (1, 2)) \
+            + b"\n"
+
     def test_log_writer_streams_records(self, tmp_path):
         path = tmp_path / "log.jsonl"
         with LogWriter(path, HEADER) as sink:
