@@ -40,7 +40,9 @@ TABLE = Path(__file__).with_name("golden.json")
 # Each run: its name in the table, and its arguments without --out-dir.
 # ``{population}`` stands for the log of the population run, and ``{copy}``
 # for a copy of it in the run's own output directory, which the run may
-# change without moving what the later runs read.
+# change without moving what the later runs read. ``{v1}`` is such a copy
+# under the header line that arena-log/1 gave the population log, which
+# held no config: such a log must still rate as it did.
 RUNS = {
     "run within_trajectory": ["run", "--config",
                               "configs/within_trajectory.cfg"],
@@ -49,12 +51,15 @@ RUNS = {
     "rate population per-sample": ["rate", "{population}"],
     "rate population per-match": ["rate", "{population}",
                                   "--outcome-mode", "per-match"],
+    "rate population v1": ["rate", "{v1}"],
     "extend population add_pair": ["extend", "{copy}", "--config",
                                    "configs/population.cfg", "--add",
                                    "configs/add_pair.cfg"],
     "simulate distortion": ["simulate", "distortion"],
 }
 MASK = "<tmp>"
+V1_HEADER = (b'{"config_hash":"d0a263faf5ce3858","engine":2,'
+             b'"format":"arena-log/1","seed":1}')
 
 
 def produce(root: Path) -> dict[str, dict[str, bytes]]:
@@ -68,7 +73,12 @@ def produce(root: Path) -> dict[str, dict[str, bytes]]:
         if "{copy}" in argv:
             out.mkdir()
             shutil.copyfile(population, copy)
-        argv = [arg.format(population=population, copy=copy) for arg in argv]
+        if "{v1}" in argv:
+            out.mkdir()
+            copy.write_bytes(V1_HEADER + b"\n" + population.read_bytes()
+                             .split(b"\n", 1)[1])
+        argv = [arg.format(population=population, copy=copy, v1=copy)
+                for arg in argv]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = cli.main([*argv, "--out-dir", str(out)])
