@@ -6,12 +6,14 @@
 Each SRC is a directory that holds an ``arena`` package (the ``src``
 directory of a checkout). The script writes one N x N round-robin log
 (N generators against N discriminators, one record per pair, so N**2
-records) through the first tree's ``store.LogWriter``. Every judged sample
-is a generator win with probability sigmoid(skill(generator) -
-skill(discriminator)), skills drawn from a fixed seed, 64 fake and 64 real
-samples a match. It then runs ``python -m arena.cli rate LOG`` (no
-``--out-dir``) K times under each tree, with that tree on ``PYTHONPATH``
-and one BLAS thread, pinned to one core. Runs alternate between the
+records): an arena-log/1 header line, which it writes itself as the
+benchmark's rerate-200 log has one, then the records, through the first
+tree's ``store.LogWriter``. Every judged sample is a generator win with
+probability sigmoid(skill(generator) - skill(discriminator)), skills
+drawn from a fixed seed, 64 fake and 64 real samples a match. It then
+runs ``python -m arena.cli rate LOG`` (no ``--out-dir``) K times under
+each tree, with that tree on ``PYTHONPATH`` and one BLAS thread, pinned
+to one core. Runs alternate between the
 trees, and every other round runs them in reverse order. Each run's wall
 time (spawn to exit) and peak RSS (``ru_maxrss``) are printed, then each
 tree's medians. Exits 1 if a run fails or the trees print different
@@ -21,6 +23,7 @@ reports, else 0.
 from __future__ import annotations
 
 import argparse
+import json
 import multiprocessing
 import os
 import statistics
@@ -28,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import closing
 
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
@@ -36,8 +40,9 @@ BATCH = 64
 
 
 def write_log(path: str, players: int, src: str) -> None:
-    """The synthetic N x N log, one generator's records per write, through
-    the arena package in ``src``."""
+    """The synthetic N x N log: a header line that names no players, then
+    one generator's records per write, through the arena package in
+    ``src``."""
     sys.path.insert(0, os.path.abspath(src))
     import numpy as np
 
@@ -49,9 +54,11 @@ def write_log(path: str, players: int, src: str) -> None:
     discs = [f"syn-d{i:04d}" for i in range(players)]
     gen_skill = rng.standard_normal(players)
     disc_skill = rng.standard_normal(players)
-    header = store.LogHeader(config_hash=f"{players:016x}",
-                             seed=tournament_seed)
-    with store.LogWriter(path, header) as writer:
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"config_hash": f"{players:016x}",
+                             "format": "arena-log/1", "seed": tournament_seed},
+                            sort_keys=True, separators=(",", ":")) + "\n")
+    with closing(store.LogWriter(path)) as writer:
         for gen_id, skill in zip(gens, gen_skill.tolist()):
             p = 1.0 / (1.0 + np.exp(disc_skill - skill))
             fake_wins = rng.binomial(BATCH, p).tolist()

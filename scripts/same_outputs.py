@@ -10,16 +10,17 @@ a players fragment joined by ``+`` (``CONFIG+FRAGMENT``), a match log (a
 ``multi``, ...). A config is run once under each tree, as
 ``python -m arena.cli run --config CONFIG --out-dir DIR``; a
 ``CONFIG+FRAGMENT`` is run so, and its log is then extended once, as
-``python -m arena.cli extend LOG --config CONFIG --add FRAGMENT
---out-dir DIR``; a log is re-rated twice under each tree, as
-``python -m arena.cli rate LOG --out-dir DIR`` and again with
-``--outcome-mode per-match``; an experiment is run once under each tree,
-as ``python -m arena.cli simulate NAME --out-dir DIR``. Every command
+``python -m arena.cli extend LOG --add FRAGMENT --out-dir DIR``; a log is
+re-rated twice under each tree, as ``python -m arena.cli rate LOG
+--out-dir DIR`` and again with ``--outcome-mode per-match``; an
+experiment is run once under each tree, as ``python -m arena.cli simulate
+NAME --out-dir DIR``. Every command
 runs with that tree on ``PYTHONPATH`` and one BLAS thread, into a fresh
 temporary directory. Every file a command writes (for an extend, the
 extended log too), its stdout and stderr with the output directory
 masked, and its exit code are compared byte for byte. The script lists
-what differs and exits 1 if anything does, else 0.
+what differs, each with the number of its first line that differs, and
+exits 1 if anything does, else 0.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
@@ -50,8 +52,7 @@ def commands(path: str) -> list[list[list[str]]]:
     config, _, fragment = path.partition("+")
     steps = [["run", "--config", config]]
     if fragment:
-        steps.append(["extend", "{log}", "--config", config, "--add",
-                      fragment])
+        steps.append(["extend", "{log}", "--add", fragment])
     return [steps]
 
 
@@ -85,6 +86,13 @@ def run(src: str, steps: list[list[str]], out_dir: str) -> dict[str, bytes]:
     return outputs
 
 
+def first_differing_line(base: bytes | None, new: bytes | None) -> int:
+    """The number of the first line at which two outputs differ; a missing
+    output differs from its first line."""
+    pairs = zip_longest(*((data or b"").split(b"\n") for data in (base, new)))
+    return next(k for k, (a, b) in enumerate(pairs, 1) if a != b)
+
+
 def compare(base_src: str, new_src: str, inputs: list[str],
             work: str) -> tuple[int, list[str]]:
     """The number of outputs compared, and the ones that differ."""
@@ -96,9 +104,10 @@ def compare(base_src: str, new_src: str, inputs: list[str],
         for name in sorted(base.keys() | new.keys()):
             compared += 1
             if base.get(name) != new.get(name):
+                line = first_differing_line(base.get(name), new.get(name))
                 differing.append(" then ".join(" ".join(argv)
                                                for argv in steps)
-                                 + f": {name}")
+                                 + f": {name} (first differing line {line})")
     return compared, differing
 
 

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -31,8 +32,8 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _load_with_overrides(args) -> cfgmod.TournamentConfig:
-    base = cfgmod.load_config(args.config)
+def _with_overrides(base: cfgmod.TournamentConfig, args,
+                    where: str) -> cfgmod.TournamentConfig:
     raw = copy.deepcopy(base.raw)
     for key in ("seed", "batch_size", "threshold"):
         if getattr(args, key, None) is not None:
@@ -57,20 +58,32 @@ def _load_with_overrides(args) -> cfgmod.TournamentConfig:
         raw["rating"] = rating
     if raw == base.raw:
         return base
-    return cfgmod.parse_config(raw, where=str(args.config))
+    return cfgmod.parse_config(raw, where=where)
 
 
 def _rating_updates(args) -> dict:
-    flags = {"passes": "max_passes", "tau": "tau",
-             "outcome_mode": "outcome_mode"}
-    return {key: getattr(args, flag) for flag, key in flags.items()
-            if getattr(args, flag, None) is not None}
+    return {key: getattr(args, key) for key in ("max_passes", "tau",
+                                                "outcome_mode")
+            if getattr(args, key, None) is not None}
 
 
 def _new_log(config: cfgmod.TournamentConfig, path: str) -> store.LogWriter:
     """A writer that starts a log at ``path`` under the config's header."""
-    return store.LogWriter(path, store.LogHeader(cfgmod.config_hash(config),
-                                                 config.seed))
+    return store.LogWriter(path, store.LogHeader(
+        cfgmod.config_hash(config), config.seed, config=config.raw))
+
+
+def _logged(args, header: store.LogHeader) -> cfgmod.TournamentConfig:
+    """A v2 log's config, flags applied, with the header's players and then
+    each players line's. One that fails its checks makes the log corrupt."""
+    try:
+        players = cfgmod.parse_config(header.config, f"{args.log}:1").players
+        config = cfgmod.parse_config({**header.config, "players": [
+            *players, *chain(*header.players)]}, f"{args.log}")
+        cfgmod.player_specs(config.players)
+    except cfgmod.ConfigError as exc:
+        raise store.LogError(str(exc)) from exc
+    return _with_overrides(config, args, "command line")
 
 
 def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
@@ -156,7 +169,8 @@ def _plan(args) -> tuple[cfgmod.TournamentConfig, cfgmod.BuiltPlayers,
                          tn.Schedule, tn.ScheduleDiagnostics]:
     """Load the config with its flag overrides, build the players and the
     schedule, and print the schedule's warnings and errors."""
-    config = _load_with_overrides(args)
+    config = _with_overrides(cfgmod.load_config(args.config), args,
+                             str(args.config))
     built = cfgmod.build_players(config)
     schedule = cfgmod.build_schedule(config, built.specs)
     diagnostics = tn.validate_schedule(schedule,
@@ -185,65 +199,47 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _specs_from_records(table: tn.MatchTable, log) -> list[PlayerSpec]:
-    gens, discs = (np.bincount(codes, minlength=len(table.ids)) > 0
-                   for codes in (table.gen, table.disc))
-    both = np.flatnonzero(gens & discs)
-    if len(both):
-        raise store.LogError(f"{log}: player {table.ids[both[0]]!r} is "
-                             "both a generator and a discriminator")
-    # The ids are sorted, so ascending indices give sorted ids.
-    return ([PlayerSpec(table.ids[i], "generator")
-             for i in np.flatnonzero(gens).tolist()]
-            + [PlayerSpec(table.ids[i], "discriminator")
-               for i in np.flatnonzero(discs).tolist()])
-
-
 def cmd_rate(args) -> int:
-    rating = cfgmod.parse_rating(_rating_updates(args), "command line")
     header, records, problems = store.read_log(args.log, strict=args.strict)
+    # An arena-log/1 header holds no rating settings and names no players.
+    config = None if header.config is None else _logged(args, header)
+    rating = config.rating if config else cfgmod.parse_rating(
+        _rating_updates(args), "command line")
     for problem in problems:
         _warn(problem)
     if not records:
         _warn(f"{args.log}: no match records; every player would keep its "
               "default rating")
         return 0
-    _print_report(*_report(records, rating,
-                           _specs_from_records(records, args.log),
-                           args.out_dir, {}))
+    specs = (cfgmod.player_specs(config.players) if config
+             else store.record_specs(records, args.log))
+    _print_report(*_report(records, rating, specs, args.out_dir, {}))
     return 0
 
 
 def cmd_extend(args) -> int:
-    config = _load_with_overrides(args)
     header, records, _ = store.read_log(args.log, strict=True)
-    expected = cfgmod.config_hash(config)
-    for what, logged, current, hint in (
-            ("config hash", header.config_hash, expected,
-             f"{args.config} hashes to {expected}"),
-            ("engine", header.engine, tn.ENGINE,
-             f"this arena plays engine {tn.ENGINE}")):
-        if logged != current:
-            print(f"error: {args.log} was produced under {what} {logged}, "
-                  f"but {hint}", file=sys.stderr)
-            return 2
-
+    if header.engine != tn.ENGINE:
+        raise ValueError(f"{args.log} was produced under engine "
+                         f"{header.engine}, but this arena plays engine "
+                         f"{tn.ENGINE}")
+    if header.config is None:
+        raise ValueError(f"{args.log} is an {store.V1_FORMAT} log, which "
+                         f"names no players; extend needs {store.LOG_FORMAT}")
+    config = _logged(args, header)
     fragment = cfgmod.load_players_fragment(args.add)
-    baseline_ids = {s.id for s in cfgmod.build_players(config).specs}
-    built = cfgmod.build_players(config, extra=fragment)
-
-    def ids(role: str, new: bool) -> list[str]:
-        return sorted(s.id for s in built.specs
-                      if s.role == role and (s.id not in baseline_ids) == new)
-
-    new_gens, new_discs = ids("generator", True), ids("discriminator", True)
-    old_gens, old_discs = ids("generator", False), ids("discriminator", False)
-    if not new_gens and not new_discs:
-        print("error: --add fragment introduces no new players",
-              file=sys.stderr)
-        return 2
-    matches = [(g, d, 0) for g in new_gens for d in old_discs]
-    matches += [(g, d, 0) for g in old_gens for d in new_discs]
+    added = cfgmod.player_specs(fragment)
+    if not added:
+        raise cfgmod.ConfigError("--add fragment introduces no new players")
+    # The players line this extend writes holds the fragment's entries that
+    # no players line holds yet.
+    entries = [e for e in fragment if e not in chain(*header.players)]
+    population = dataclasses.replace(config,
+                                     players=(*config.players, *entries))
+    built = cfgmod.build_players(population)
+    matches = cfgmod.extend_matches(header.config["players"],
+                                    [*header.players, entries],
+                                    config.schedule["repeats"])
     # Only the matches the log lacks are played, so reruns append nothing.
     stored = np.isin(np.array([tn.match_seed(config.seed, *match)
                                for match in matches], np.uint64),
@@ -251,12 +247,13 @@ def cmd_extend(args) -> int:
     schedule = tn.explicit_schedule(
         match for match, done in zip(matches, stored) if not done)
 
-    new_records = _play(config, built, schedule, args.strict,
-                        store.LogWriter(args.log))
+    new_records = _play(population, built, schedule, args.strict,
+                        store.LogWriter(args.log, players=entries))
     _print_report(*_report(records.concat(new_records), config.rating,
                            built.specs, args.out_dir, config.outputs))
+    names = sorted(added, key=lambda s: (s.role != "generator", s.id))
     print(f"appended {len(new_records)} records to {args.log} "
-          f"(new players: {', '.join(new_gens + new_discs)})")
+          f"(new players: {', '.join(s.id for s in names)})")
     return 0
 
 
@@ -288,7 +285,7 @@ def cmd_schedule(args) -> int:
 
 
 def _add_rating_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--passes", type=int, metavar="N",
+    parser.add_argument("--passes", type=int, metavar="N", dest="max_passes",
                         help="cap on rating passes over the match set")
     parser.add_argument("--tau", type=float,
                         help="volatility responsiveness")
@@ -330,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     extend = sub.add_parser(
         "extend", help="play new players against a stored population")
     extend.add_argument("log")
-    extend.add_argument("--config", required=True)
     extend.add_argument("--add", required=True, metavar="FRAGMENT",
                         help="file with a players list to add")
     _add_rating_flags(extend)

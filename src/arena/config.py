@@ -392,104 +392,96 @@ class BuiltPlayers:
     external: list[dict] = field(default_factory=list)
 
 
-def _trajectory_players(entry: dict, task: toy.GaussianTask,
-                        built: BuiltPlayers) -> None:
-    experiment = entry["experiment"]
+# How each kind of entry but a trajectory builds its one player; external
+# ones are spawned only at play, so rate and extend never start one.
+_BUILDERS = {
+    "real_data": lambda entry, task: task.model,
+    "transform": lambda entry, task: toy.TransformPlayer(
+        task.model, int(entry["severity"]), task.scale),
+    "noise_oracle": lambda entry, task: toy.noise_oracle(
+        task, int(entry["severity"])),
+    "constant": lambda entry, task: toy.ConstantDiscriminator(
+        float(entry["value"])),
+    "external": lambda entry, task: None,
+}
+
+
+def player_specs(entries: Sequence[dict]) -> list[PlayerSpec]:
+    """The players that validated config entries define, in build order: a
+    trajectory's generators and then its discriminators, by checkpoint. It
+    builds no player, so a log that holds its entries rates without one."""
+    specs = []
+    for entry in entries:
+        experiment = entry.get("experiment")
+        if entry["kind"] != "toy_trajectory":
+            role = entry.get("role") or ("generator" if entry["kind"] in (
+                "real_data", "transform") else "discriminator")
+            specs.append(PlayerSpec(entry["id"], role, entry.get(
+                "iteration", entry.get("severity")), experiment))
+            continue
+        n = entry.get("n_checkpoints", 20)
+        checkpoints = entry.get("checkpoints", range(n))
+        if bad := [k for k in checkpoints if k >= n]:
+            raise ConfigError(f"checkpoints {bad} out of range for "
+                              f"n_checkpoints={n}")
+        roles = [role for role, present in (
+            ("generator", entry.get("generators", True)),
+            ("discriminator", entry.get("discriminators", "none") != "none"))
+            if present]
+        specs += [PlayerSpec(f"{experiment}-{role[0]}{k:02d}", role, k,
+                             experiment)
+                  for role in roles for k in checkpoints]
+    seen = set()
+    for spec in specs:
+        if spec.id in seen:
+            raise ConfigError(f"duplicate player id {spec.id!r}")
+        seen.add(spec.id)
+    return specs
+
+
+def _trajectory_players(entry: dict, task: toy.GaussianTask) -> dict:
     n = int(entry.get("n_checkpoints", 20))
-    checkpoints = entry.get("checkpoints")
-    if checkpoints is None:
-        checkpoints = list(range(n))
-    bad = [k for k in checkpoints if k >= n]
-    if bad:
-        raise ConfigError(f"checkpoints {bad} out of range for "
-                          f"n_checkpoints={n}")
     mastery = float(entry.get("mastery_fraction", 1.0))
     traj_seed = int(entry.get("trajectory_seed", task.seed))
     panel_seed = int(entry.get("panel_seed", traj_seed))
     capacity = int(entry.get("chekhov_capacity", 10))
     gens = toy.trajectory(task, n, mastery_fraction=mastery, seed=traj_seed)
     m_idx = toy.mastery_index(n, mastery)
+    panel = entry.get("discriminators")
 
-    if entry.get("generators", True):
-        for k in checkpoints:
-            pid = f"{experiment}-g{k:02d}"
-            _add(built, pid, gens[k],
-                 PlayerSpec(pid, "generator", "toy_checkpoint", k,
-                            experiment))
-    panel = entry.get("discriminators", "none")
-    if panel == "none":
-        return
-    for k in checkpoints:
-        pid = f"{experiment}-d{k:02d}"
-        if panel == "oracle":
-            disc = toy.OracleDiscriminator(
+    players = {}
+    for spec in player_specs([entry]):
+        k = spec.iteration
+        if spec.role == "generator":
+            players[spec.id] = gens[k]
+        elif panel == "oracle":
+            players[spec.id] = toy.OracleDiscriminator(
                 task.model, [gens[k].density_model(task)], checkpoint=k)
         elif panel == "forgetting":
-            disc = toy.ForgettingDiscriminator(
+            players[spec.id] = toy.ForgettingDiscriminator(
                 task.model, [gens[k].density_model(task)],
                 mastered=k >= m_idx, checkpoint=k)
         else:
-            disc = toy.chekhov_discriminator(
+            players[spec.id] = toy.chekhov_discriminator(
                 task, gens, k, capacity=capacity,
                 seed=stable_seed(panel_seed, "chk") % 2**31)
-        _add(built, pid, disc,
-             PlayerSpec(pid, "discriminator", "toy_checkpoint", k,
-                        experiment))
+    return players
 
 
-def _add(built: BuiltPlayers, pid: str, player, spec: PlayerSpec) -> None:
-    if pid in built.players:
-        raise ConfigError(f"duplicate player id {pid!r}")
-    built.players[pid] = player
-    built.specs.append(spec)
-
-
-def build_players(config: TournamentConfig,
-                  extra: Sequence[dict] = ()) -> BuiltPlayers:
-    """Construct every configured player for the config's task.
-
-    ``extra`` holds additional player entries (the extend path); they are
-    built identically and appended after the config's own players.
-    """
+def build_players(config: TournamentConfig) -> BuiltPlayers:
+    """Construct every configured player for the config's task."""
     task = toy.make_task(int(config.task["dim"]),
                          seed=int(config.task["seed"]))
-    built = BuiltPlayers(task=task, data=task.model, players={}, specs=[])
-    for entry in list(config.players) + list(extra):
-        kind = entry["kind"]
-        if kind == "toy_trajectory":
-            _trajectory_players(entry, task, built)
-        elif kind == "real_data":
-            _add(built, entry["id"], task.model,
-                 PlayerSpec(entry["id"], "generator", "real_data", None,
-                            entry.get("experiment")))
-        elif kind == "transform":
-            player = toy.TransformPlayer(task.model, int(entry["severity"]),
-                                         task.scale)
-            _add(built, entry["id"], player,
-                 PlayerSpec(entry["id"], "generator", "transform",
-                            entry.get("iteration", int(entry["severity"])),
-                            entry.get("experiment")))
-        elif kind == "noise_oracle":
-            _add(built, entry["id"],
-                 toy.noise_oracle(task, int(entry["severity"])),
-                 PlayerSpec(entry["id"], "discriminator", "custom",
-                            entry.get("iteration", int(entry["severity"])),
-                            entry.get("experiment")))
-        elif kind == "constant":
-            _add(built, entry["id"],
-                 toy.ConstantDiscriminator(float(entry["value"])),
-                 PlayerSpec(entry["id"], "discriminator", "custom", None,
-                            entry.get("experiment")))
-        elif kind == "external":
-            # Construction is deferred: spawning happens at run time so that
-            # rate/extend on stored logs never launches processes.
-            built.external.append(dict(entry))
-            _add(built, entry["id"], None,
-                 PlayerSpec(entry["id"], entry["role"], "external",
-                            entry.get("iteration"),
-                            entry.get("experiment")))
+    built = BuiltPlayers(task=task, data=task.model, players={},
+                         specs=player_specs(config.players),
+                         external=[dict(entry) for entry in config.players
+                                   if entry["kind"] == "external"])
+    for entry in config.players:
+        if entry["kind"] == "toy_trajectory":
+            built.players.update(_trajectory_players(entry, task))
         else:
-            raise ConfigError(f"unknown player kind {kind!r}")
+            built.players[entry["id"]] = _BUILDERS[entry["kind"]](entry,
+                                                                  task)
     return built
 
 
@@ -506,6 +498,22 @@ def build_schedule(config: TournamentConfig,
                     repeats=repeats)
     return explicit_schedule(tuple(tuple(m)
                                    for m in config.schedule["matches"]))
+
+
+def extend_matches(entries: Sequence[dict], lines: Sequence[Sequence[dict]],
+                   repeats: int) -> list[tuple[str, str, int]]:
+    """The matches of a tournament of ``entries`` extended by each players
+    line of ``lines`` in turn: each line's players against the players
+    before them, new generators first, by id, each pair ``repeats`` times."""
+    by_id = operator.attrgetter("id")
+    old, matches = sorted(player_specs(entries), key=by_id), []
+    for new in (sorted(player_specs(line), key=by_id) for line in lines):
+        for gens, discs in ((new, old), (old, new)):
+            matches += [(g.id, d.id, r) for g in gens if g.role == "generator"
+                        for d in discs if d.role == "discriminator"
+                        for r in range(repeats)]
+        old = sorted(old + new, key=by_id)
+    return matches
 
 
 def run_settings(config: TournamentConfig) -> RunSettings:

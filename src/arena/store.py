@@ -4,13 +4,15 @@ A log is one header line followed by one line per match record. Lines are
 serialized with sorted keys and compact separators so that write -> read ->
 write round-trips byte-identically, and any line parses on its own, which
 keeps partially written logs recoverable. The header carries the config
-hash, the tournament seed and the version of the match engine that played
-the records; a header with no engine key was written by engine 1.
+hash, the tournament seed, the version of the match engine that played the
+records (none: engine 1) and, from arena-log/2 on, the config. Each extend
+that adds players writes a players line, ``{"entries": [...], "type":
+"players"}``, before its records, so a v2 log names its whole population.
 
 ``read_log`` returns the records as a columnar ``MatchTable``. It reads the
 body in bounded chunks and parses a chunk whose every line has the writer's
-own layout in one vectorized pass over its bytes (``logscan``); any other
-chunk goes line by line through ``parse_record``, so both paths accept,
+own record layout in one vectorized pass over its bytes (``logscan``); any
+other chunk goes line by line through ``parse_line``, so both paths accept,
 reject and number exactly the same lines. Each column is allocated once,
 for as many records as the file could hold, and every chunk is written into
 its slice, so the read holds one copy of the table; pages past the last
@@ -22,14 +24,15 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
-from .tournament import ENGINE, MatchRecord, MatchTable
+from .tournament import ENGINE, MatchRecord, MatchTable, PlayerSpec
 
-LOG_FORMAT = "arena-log/1"
+LOG_FORMAT = "arena-log/2"
+V1_FORMAT = "arena-log/1"  # no config in the header; still read
 
 # Each header and record field with the JSON types it may have: json.loads
 # gives exactly str, int, float or bool, and a bool is no count or seed.
@@ -62,12 +65,14 @@ class LogError(ValueError):
 @dataclass(frozen=True)
 class LogHeader:
     """A log's first line. ``engine`` is the match engine that played the
-    records (``tournament.ENGINE``)."""
+    records (``tournament.ENGINE``), ``config`` the config, None in an
+    arena-log/1 header; ``read_log`` adds each players line's entries."""
 
     config_hash: str
     seed: int
     engine: int = ENGINE
-    format: str = LOG_FORMAT
+    config: dict | None = None
+    players: tuple[list, ...] = ()
 
 
 def _dump(payload: dict) -> str:
@@ -75,8 +80,10 @@ def _dump(payload: dict) -> str:
 
 
 def header_line(header: LogHeader) -> str:
-    return _dump({"format": header.format, "config_hash": header.config_hash,
-                  "engine": header.engine, "seed": header.seed})
+    v2 = {} if header.config is None else {"config": header.config}
+    return _dump({"format": LOG_FORMAT if v2 else V1_FORMAT,
+                  "config_hash": header.config_hash, "engine": header.engine,
+                  "seed": header.seed, **v2})
 
 
 # A record line with its fields in sorted key order, as _dump lays it out.
@@ -144,21 +151,28 @@ def parse_header(line: str) -> LogHeader:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise LogError(f"unparseable log header: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != LOG_FORMAT:
-        raise LogError(f"not a {LOG_FORMAT} log header: {line.strip()!r}")
+    if not isinstance(payload, dict) or payload.get("format") not in (
+            V1_FORMAT, LOG_FORMAT):
+        raise LogError(f"not an {V1_FORMAT} or {LOG_FORMAT} log header: "
+                       f"{line.strip()!r}")
+    v2 = {"config": (dict,)} if payload["format"] == LOG_FORMAT else {}
     # A header written before engines were versioned has no engine key: its
     # records were played by engine 1.
     return LogHeader(**_checked_fields({"engine": 1, **payload},
-                                       _HEADER_TYPES, "log header"))
+                                       {**_HEADER_TYPES, **v2}, "log header"))
 
 
-def parse_record(line: str) -> MatchRecord:
+def parse_line(line: str) -> MatchRecord | list:
+    """A body line: a match record, or the entries of a players line."""
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise LogError(f"unparseable record: {exc}") from exc
     if not isinstance(payload, dict):
         raise LogError(f"record line is not an object: {line.strip()!r}")
+    if payload.get("type") == "players":
+        return _checked_fields(payload, {"entries": (list,)},
+                               "players line")["entries"]
     values = _checked_fields(payload, _FIELD_TYPES, "record")
     try:
         values["threshold"] = float(values["threshold"])
@@ -182,14 +196,16 @@ class LogWriter:
     """The one way to write a log: ``LogWriter(path, header)`` starts a new
     log, ``LogWriter(path)`` appends to an existing one. An append's first
     batch ends the log's last line if that has no newline, so no record is
-    glued onto it, and an append that writes nothing leaves the log as is.
+    glued onto it, and the players line of the entries in ``players``, if
+    any. An append that writes nothing leaves the log as is.
 
     ``writer(records)`` writes the lines of a batch of records, such as a
     finished window of play, with one write and one flush, so a killed
     run keeps every batch it handed over.
     """
 
-    def __init__(self, path, header: LogHeader | None = None):
+    def __init__(self, path, header: LogHeader | None = None,
+                 players: list | None = None):
         self._fh = open(path, "wb" if header is not None else "ab+")
         self._texts: dict = {}
         self._lead = ""  # what the first batch writes before its lines
@@ -198,6 +214,9 @@ class LogWriter:
         elif self._fh.seek(0, os.SEEK_END):
             self._fh.seek(-1, os.SEEK_END)
             self._lead = "" if self._fh.read(1) == b"\n" else "\n"
+        if players:
+            self._lead += _dump({"entries": players,
+                                 "type": "players"}) + "\n"
 
     def _write(self, text: str) -> None:
         self._fh.write(text.encode())
@@ -210,14 +229,8 @@ class LogWriter:
     def close(self) -> None:
         self._fh.close()
 
-    def __enter__(self) -> "LogWriter":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-# Characters in the shortest line parse_record accepts: every field once,
+# Characters in the shortest record parse_line accepts: every field once,
 # with empty ids and one-digit numbers. A record's line takes at least that
 # many bytes of the file, and one more for its newline unless it is last.
 _SHORTEST_RECORD = len(_dump({**dict.fromkeys(_RECORD_FIELDS, 0),
@@ -228,7 +241,8 @@ def read_log(path, strict: bool = True
              ) -> tuple[LogHeader, MatchTable, list[str]]:
     """Read a log; returns (header, records, problems).
 
-    The records come as a ``MatchTable`` in log order. In strict mode the
+    The records come as a ``MatchTable`` in log order, and the entries of
+    the players lines as the header's ``players``. In strict mode the
     first corrupt line raises LogError (with its line number); otherwise
     corrupt lines are collected into ``problems`` and skipped. A line that
     holds a byte that is not UTF-8 is corrupt. Blank lines are ignored.
@@ -239,6 +253,7 @@ def read_log(path, strict: bool = True
     while it is read, the columns grow with it.
     """
     problems: list[str] = []
+    players: list[list] = []
     codes: dict[str, int] = {}
     raw_codes: dict[bytes, int] = {}
     with open(path, errors="surrogateescape") as fh:
@@ -267,7 +282,9 @@ def read_log(path, strict: bool = True
                     if not line.strip():
                         continue
                     try:
-                        records.append(parse_record(_utf8(line)))
+                        parsed = parse_line(_utf8(line))
+                        (players if type(parsed) is list
+                         else records).append(parsed)
                     except LogError as exc:
                         message = f"{path}:{number + offset}: {exc}"
                         if strict:
@@ -287,5 +304,20 @@ def read_log(path, strict: bool = True
                 column[count:end] = part
             count = end
             number += text.count("\n")
-    return header, MatchTable.from_columns(
+    return replace(header, players=tuple(players)), MatchTable.from_columns(
         list(codes), *(column[:count] for column in columns)), problems
+
+
+def record_specs(table: MatchTable, log) -> list[PlayerSpec]:
+    """Each id of an arena-log/1 log, which names no players, in its role."""
+    gens, discs = (np.bincount(codes, minlength=len(table.ids)) > 0
+                   for codes in (table.gen, table.disc))
+    both = np.flatnonzero(gens & discs)
+    if len(both):
+        raise LogError(f"{log}: player {table.ids[both[0]]!r} is "
+                       "both a generator and a discriminator")
+    # The ids are sorted, so ascending indices give sorted ids.
+    return ([PlayerSpec(table.ids[i], "generator")
+             for i in np.flatnonzero(gens).tolist()]
+            + [PlayerSpec(table.ids[i], "discriminator")
+               for i in np.flatnonzero(discs).tolist()])

@@ -40,9 +40,6 @@ ROLE_GENERATOR = "generator"
 ROLE_DISCRIMINATOR = "discriminator"
 ROLES = (ROLE_GENERATOR, ROLE_DISCRIMINATOR)
 
-PLAYER_KINDS = ("toy_checkpoint", "real_data", "transform", "external",
-                "custom")
-
 
 # Why a match can fail; a MatchError's message is "<code>: <detail>". Play
 # reads each code off the shapes and masks it checks, but for player-start
@@ -66,15 +63,12 @@ class PlayerSpec:
 
     id: str
     role: str
-    kind: str = "custom"
     iteration: int | None = None
     experiment: str | None = None
 
     def __post_init__(self):
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}")
-        if self.kind not in PLAYER_KINDS:
-            raise ValueError(f"unknown player kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -293,15 +287,8 @@ def band(generators: Sequence[PlayerSpec],
 
 def explicit_schedule(matches: Iterable[Sequence]) -> Schedule:
     """Schedule from explicit (generator_id, discriminator_id[, repeat])."""
-    rows = []
-    for entry in matches:
-        if len(entry) == 2:
-            g, d = entry
-            r = 0
-        else:
-            g, d, r = entry
-        rows.append((str(g), str(d), int(r)))
-    return Schedule(matches=tuple(rows), kind="explicit")
+    return Schedule(matches=tuple((str(g), str(d), int(r[0]) if r else 0)
+                                  for g, d, *r in matches), kind="explicit")
 
 
 def validate_schedule(schedule: Schedule,

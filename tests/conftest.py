@@ -194,10 +194,12 @@ def write_yaml(path, payload) -> str:
     return str(path)
 
 
-def fresh_python(*argv, **kwargs) -> subprocess.CompletedProcess:
-    """Run ``python *argv`` in a new interpreter that imports this arena."""
+def fresh_python(*argv, env: dict | None = None,
+                 **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python *argv`` in a new interpreter that imports this arena,
+    with ``env`` added to its environment."""
     src = str(Path(arena.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *map(str, argv)], env=env,
                           capture_output=True, text=True, **kwargs)

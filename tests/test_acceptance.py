@@ -255,8 +255,7 @@ def test_criterion_8_incremental_extension(tmp_path, capsys):
     capsys.readouterr()
 
     start = time.perf_counter()
-    code = main(["extend", str(log), "--config", str(config),
-                 "--add", str(fragment)])
+    code = main(["extend", str(log), "--add", str(fragment)])
     elapsed = time.perf_counter() - start
     stdout = capsys.readouterr().out
 

@@ -3,25 +3,30 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
 import sys
 import tracemalloc
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from arena import cli
 from arena import config as cfgmod
 from arena import store
 from arena import summarize as sm
 from arena import tournament as tn
-from arena.cli import build_parser, _load_with_overrides, main
+from arena.cli import build_parser, _with_overrides, main
 from arena.config import config_hash, load_config
 
 from conftest import (fresh_python, round_robin_table, tiny_config_payload,
                       write_yaml)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -312,7 +317,8 @@ class TestRate:
     def test_records_without_judged_samples_leave_missing_cells(
             self, tmp_path, capsys):
         path = tmp_path / "log.jsonl"
-        with store.LogWriter(path, store.LogHeader("feed", 1)) as sink:
+        with closing(store.LogWriter(path,
+                                     store.LogHeader("feed", 1))) as sink:
             sink([tn.MatchRecord("g1", "d1", 8, 5, 8, 3, seed=1)])
             sink([tn.MatchRecord("g1", "d2", 0, 0, 0, 0, seed=2)])
             sink([tn.MatchRecord("g2", "d1", 0, 0, 0, 0, seed=3)])
@@ -352,7 +358,8 @@ class TestRate:
     def test_an_id_in_both_roles_is_a_corrupt_log(self, tmp_path, capsys,
                                                   records, both, strict):
         path = tmp_path / "log.jsonl"
-        with store.LogWriter(path, store.LogHeader("feed", 1)) as sink:
+        with closing(store.LogWriter(path,
+                                     store.LogHeader("feed", 1))) as sink:
             for seed, (gen_id, disc_id) in enumerate(records):
                 sink([tn.MatchRecord(gen_id, disc_id, 8, 5, 8, 3, seed=seed)])
         argv = ["rate", path, "--out-dir", tmp_path / "rated"]
@@ -434,7 +441,7 @@ class TestExtend:
         config, log, fragment = population
         _, before, _ = store.read_log(log)
         old_bytes = log.read_bytes()
-        assert run_cli("extend", log, "--config", config, "--add",
+        assert run_cli("extend", log, "--add",
                        fragment) == 0
         stdout = capsys.readouterr().out
         assert "appended 6 records" in stdout
@@ -452,7 +459,7 @@ class TestExtend:
         config, log, fragment = population
         log.write_bytes(log.read_bytes().rstrip(b"\n"))
         _, before, _ = store.read_log(log, strict=True)
-        assert run_cli("extend", log, "--config", config, "--add",
+        assert run_cli("extend", log, "--add",
                        fragment) == 0
         _, after, _ = store.read_log(log, strict=True)
         assert list(after)[:len(before)] == list(before)
@@ -465,7 +472,7 @@ class TestExtend:
         config, log, fragment = population
         before = log.read_bytes()
         crash_in_extend(monkeypatch, "tiny-d02", Crashing())
-        assert run_cli("extend", log, "--config", config, "--add",
+        assert run_cli("extend", log, "--add",
                        fragment, "--strict") == 1
         assert ("error: player-error: RuntimeError: crashed"
                 in capsys.readouterr().err)
@@ -473,7 +480,7 @@ class TestExtend:
 
     def test_a_second_run_appends_nothing(self, population, capsys):
         config, log, fragment = population
-        argv = ["extend", log, "--config", config, "--add", fragment]
+        argv = ["extend", log, "--add", fragment]
         assert run_cli(*argv) == 0
         extended = log.read_bytes()
         capsys.readouterr()
@@ -485,23 +492,24 @@ class TestExtend:
             self, population, monkeypatch, tmp_path, capsys):
         # Six new matches in windows of two: (g02 d00, g02 d01),
         # (g02 d03, g00 d02), (g01 d02, g03 d02). Old generator g03
-        # plays only in the third.
+        # plays only in the third. The first window's write starts with
+        # the fragment's players line.
         config, log, fragment = population
         whole = tmp_path / "whole.jsonl"
         whole.write_bytes(log.read_bytes())
         before = len(log.read_bytes().splitlines())
         monkeypatch.setattr(tn, "WINDOW", 2)
-        assert run_cli("extend", whole, "--config", config, "--add",
+        assert run_cli("extend", whole, "--add",
                        fragment) == 0
         crashing = crash_in_extend(monkeypatch, "tiny-g03", Crashing())
-        assert run_cli("extend", log, "--config", config, "--add",
+        assert run_cli("extend", log, "--add",
                        fragment, "--strict") == 1
-        assert len(log.read_bytes().splitlines()) == before + 4
+        assert len(log.read_bytes().splitlines()) == before + 5
         assert log.read_bytes() == b"".join(
-            whole.read_bytes().splitlines(keepends=True)[:before + 4])
+            whole.read_bytes().splitlines(keepends=True)[:before + 5])
         crashing.on = False
         capsys.readouterr()
-        assert run_cli("extend", log, "--config", config, "--add",
+        assert run_cli("extend", log, "--add",
                        fragment, "--strict") == 0
         assert "appended 2 records" in capsys.readouterr().out
         assert log.read_bytes() == whole.read_bytes()
@@ -511,20 +519,21 @@ class TestExtend:
         config, log, fragment = population
         _, before, _ = store.read_log(log)
         crashing = crash_in_extend(monkeypatch, "tiny-d02", Crashing())
-        assert run_cli("extend", log, "--config", config, "--add",
+        assert run_cli("extend", log, "--add",
                        fragment) == 0
         assert capsys.readouterr().err.count("skipping match") == 3
         _, first, _ = store.read_log(log)
         crashing.on = False
-        assert run_cli("extend", log, "--config", config, "--add",
+        assert run_cli("extend", log, "--add",
                        fragment) == 0
         assert "appended 3 records" in capsys.readouterr().out
         _, second, _ = store.read_log(log)
         rerun = list(second)[len(first):]
         assert sorted((r.generator_id, r.discriminator_id) for r in rerun) \
             == [(f"tiny-g0{i}", "tiny-d02") for i in (0, 1, 3)]
+        # The header, one players line and every record once.
         lines = log.read_bytes().splitlines()
-        assert len(lines) == len(set(lines)) == 1 + len(before) + 6
+        assert len(lines) == len(set(lines)) == 2 + len(before) + 6
 
     def test_an_external_player_with_no_new_match_is_not_started(
             self, tmp_path, capsys):
@@ -540,7 +549,7 @@ class TestExtend:
             {"kind": "constant", "id": "half", "value": 0.5}]})
         log = tmp_path / "out" / "log.jsonl"
         capsys.readouterr()
-        assert run_cli("extend", log, "--config", config, "--add", fragment,
+        assert run_cli("extend", log, "--add", fragment,
                        "--strict") == 0
         captured = capsys.readouterr()
         assert "ext-broken" not in captured.err
@@ -553,24 +562,51 @@ class TestExtend:
         lines[2] = lines[2].replace(b"tiny-", b"tiny\xff", 1)
         log.write_bytes(b"".join(lines))
         before = log.read_bytes()
-        assert run_cli("extend", log, "--config", config, "--add",
+        assert run_cli("extend", log, "--add",
                        fragment) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {log}:3: byte 0xff at character ")
         assert log.read_bytes() == before
 
-    def test_hash_mismatch_refuses_and_leaves_the_log(self, population,
-                                                      tmp_path, capsys):
+    def test_config_is_a_usage_error(self, population, capsys):
+        # The log's header holds the config, so extend takes none.
         config, log, fragment = population
-        drifted = write_yaml(tmp_path / "drifted.cfg",
-                             {**load_config(config).raw, "seed": 99})
-        header, _, _ = store.read_log(log)
         before = log.read_bytes()
-        assert run_cli("extend", log, "--config", drifted, "--add",
-                       fragment) == 2
-        err = capsys.readouterr().err
-        assert f"produced under config hash {header.config_hash}, but " \
-            f"{drifted} hashes to {config_hash(load_config(drifted))}" in err
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("extend", log, "--config", config, "--add", fragment)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert log.read_bytes() == before
+
+    def test_a_v1_log_is_refused_naming_its_format(self, population,
+                                                   capsys):
+        config, log, fragment = population
+        header, _, _ = store.read_log(log)
+        body = log.read_bytes().split(b"\n", 1)[1]
+        log.write_bytes(store.header_line(
+            dataclasses.replace(header, config=None)).encode() + b"\n" + body)
+        before = log.read_bytes()
+        assert b'"format":"arena-log/1"' in before.split(b"\n")[0]
+        assert run_cli("extend", log, "--add", fragment) == 2
+        assert capsys.readouterr().err == (
+            f"error: {log} is an arena-log/1 log, which names no players; "
+            "extend needs arena-log/2\n")
+        assert log.read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["rate", "extend"])
+    def test_a_header_config_that_fails_its_checks_is_a_corrupt_log(
+            self, population, command, capsys):
+        config, log, fragment = population
+        first, body = log.read_text().split("\n", 1)
+        payload = json.loads(first)
+        payload["config"]["batch_size"] = 0
+        log.write_text(json.dumps(payload) + "\n" + body)
+        before = log.read_bytes()
+        argv = [command, log] + (["--add", fragment] if command == "extend"
+                                 else [])
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {log}:1: at batch_size: 0 is less than the minimum")
         assert log.read_bytes() == before
 
     @pytest.mark.parametrize("header", [
@@ -584,7 +620,7 @@ class TestExtend:
         log.write_text(json.dumps({**payload, **header}) + "\n" + body)
         engine = header.get("engine", 1)
         before = log.read_bytes()
-        assert run_cli("extend", log, "--config", config, "--add",
+        assert run_cli("extend", log, "--add",
                        fragment) == 2
         err = capsys.readouterr().err
         assert f"produced under engine {engine}, but this arena plays " \
@@ -595,7 +631,7 @@ class TestExtend:
         config, log, fragment = population
         before = log.read_bytes()
         with pytest.raises(SystemExit) as exit_info:
-            run_cli("extend", log, "--config", config, "--add", fragment,
+            run_cli("extend", log, "--add", fragment,
                     "--force")
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --force" in capsys.readouterr().err
@@ -607,7 +643,7 @@ class TestExtend:
         entry = dict(load_config(config).raw["players"][0])
         entry.update(generators=False, discriminators="none")
         empty = write_yaml(tmp_path / "empty.cfg", {"players": [entry]})
-        assert run_cli("extend", log, "--config", config, "--add",
+        assert run_cli("extend", log, "--add",
                        empty) == 2
         assert "no new players" in capsys.readouterr().err
 
@@ -616,9 +652,59 @@ class TestExtend:
         config, log, _ = population
         entry = dict(load_config(config).raw["players"][0])  # same ids
         duplicate = write_yaml(tmp_path / "dup.cfg", {"players": [entry]})
-        assert run_cli("extend", log, "--config", config, "--add",
+        assert run_cli("extend", log, "--add",
                        duplicate) == 2
         assert "duplicate player id" in capsys.readouterr().err
+
+
+    def test_chained_extends_meet(self, tmp_path, capsys):
+        # Checkpoint 21, then 23: each plays the 20 x 20 population and
+        # every player added before it, so g23 meets d21 and g21 meets d23.
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", CONFIGS / "population.cfg",
+                       "--out-dir", out) == 0
+        log = out / "log.jsonl"
+        fragments = {k: write_yaml(tmp_path / f"add_{k}.cfg", {"players": [
+            dict(yaml.safe_load((CONFIGS / "add_pair.cfg").read_text())
+                 ["players"][0], checkpoints=[k])]}) for k in (21, 23)}
+        for k, appended in ((21, 40), (23, 42)):
+            capsys.readouterr()
+            assert run_cli("extend", log, "--add", fragments[k]) == 0
+            assert f"appended {appended} records" in capsys.readouterr().out
+        header, records, _ = store.read_log(log)
+        pairs = {(r.generator_id, r.discriminator_id) for r in records}
+        assert len(records) == len(pairs) == 482
+        assert {("traj-g23", "traj-d21"), ("traj-g21", "traj-d23")} <= pairs
+        assert [[entry["checkpoints"] for entry in line]
+                for line in header.players] == [[[21]], [[23]]]
+        extended = log.read_bytes()
+        for k in (21, 23):
+            capsys.readouterr()
+            assert run_cli("extend", log, "--add", fragments[k]) == 0
+            assert "appended 0 records" in capsys.readouterr().out
+            assert log.read_bytes() == extended
+
+    def test_each_new_pair_plays_every_repeat(self, tmp_path, capsys):
+        # Under repeats: 2 a stored pair has two records, and so must each
+        # new pair, or it would weigh half as much in the rating.
+        payload = tiny_config_payload(schedule={"kind": "round_robin",
+                                                "repeats": 2})
+        payload["players"][0]["checkpoints"] = [0, 1, 3]
+        config = write_yaml(tmp_path / "population.cfg", payload)
+        assert run_cli("run", "--config", config, "--out-dir",
+                       tmp_path / "out") == 0
+        fragment = write_yaml(tmp_path / "fragment.cfg", {"players": [
+            dict(payload["players"][0], checkpoints=[2])]})
+        log = tmp_path / "out" / "log.jsonl"
+        _, before, _ = store.read_log(log)
+        capsys.readouterr()
+        assert run_cli("extend", log, "--add", fragment) == 0
+        assert "appended 12 records" in capsys.readouterr().out
+        _, after, _ = store.read_log(log)
+        new = list(after)[len(before):]
+        assert sorted(r.seed for r in new) == sorted(
+            tn.match_seed(5, r.generator_id, r.discriminator_id, repeat)
+            for r in new[::2] for repeat in (0, 1))
 
 
 def rated_columns(summary_csv) -> list[tuple[str, ...]]:
@@ -631,14 +717,12 @@ def rated_columns(summary_csv) -> list[tuple[str, ...]]:
 
 class TestRerating:
     def test_rate_reproduces_run_and_extend(self, population, tmp_path):
-        # The log carries no config, so the spec columns (iteration,
-        # experiment) of a re-rated summary are still empty.
         config, log, fragment = population
         out = log.parent
         assert run_cli("rate", log, "--out-dir", tmp_path / "rated") == 0
-        assert rated_columns(tmp_path / "rated" / "summary.csv") == \
-            rated_columns(out / "summary.csv")
-        assert run_cli("extend", log, "--config", config, "--add", fragment,
+        assert (tmp_path / "rated" / "summary.csv").read_bytes() == \
+            (out / "summary.csv").read_bytes()
+        assert run_cli("extend", log, "--add", fragment,
                        "--out-dir", tmp_path / "extended") == 0
         assert run_cli("rate", log, "--out-dir",
                        tmp_path / "rated-extended") == 0
@@ -646,6 +730,41 @@ class TestRerating:
         assert extended == rated_columns(
             tmp_path / "rated-extended" / "summary.csv")
         assert len(extended) == len(rated_columns(out / "summary.csv")) + 2
+
+    def test_rate_takes_the_rating_settings_from_the_header(self, tmp_path,
+                                                           capsys):
+        # A per-match run re-rated per sample moved within-d00 from
+        # 1476.74 (deviation 80.53) to 1475.35 (7.08).
+        payload = yaml.safe_load(
+            (CONFIGS / "within_trajectory.cfg").read_text())
+        config = write_yaml(tmp_path / "run.cfg", {
+            **payload, "rating": {"outcome_mode": "per-match"}})
+        assert run_cli("run", "--config", config, "--out-dir",
+                       tmp_path / "out") == 0
+        table = capsys.readouterr().out.rsplit("\nlog: ", 1)[0] + "\n"
+        row = next(line for line in table.splitlines()
+                   if line.startswith("within-d00 "))
+        assert row.split()[:5] == ["within-d00", "discriminator", "0",
+                                   "1476.74", "80.53"]
+        assert run_cli("rate", tmp_path / "out" / "log.jsonl") == 0
+        assert capsys.readouterr().out == table
+        # A flag still overrides the header's setting.
+        assert run_cli("rate", tmp_path / "out" / "log.jsonl",
+                       "--outcome-mode", "per-sample") == 0
+        assert capsys.readouterr().out != table
+
+    def test_rate_writes_the_run_artifacts(self, tmp_path):
+        # Iteration and experiment come from the header's entries, so the
+        # curves and the heatmap's checkpoint order are the run's too.
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", CONFIGS / "population.cfg",
+                       "--out-dir", out) == 0
+        rated = tmp_path / "rated"
+        assert run_cli("rate", out / "log.jsonl", "--out-dir", rated) == 0
+        names = ["summary.csv", "heatmap.csv", "heatmap.svg", "curves.svg"]
+        assert sorted(p.name for p in rated.iterdir()) == sorted(names)
+        for name in names:
+            assert (rated / name).read_bytes() == (out / name).read_bytes()
 
     def test_extend_reports_a_large_table_in_bounded_memory(
             self, population, monkeypatch, capsys):
@@ -675,14 +794,15 @@ class TestRerating:
         monkeypatch.setattr(store, "read_log",
                             lambda path, strict=True: (header, stored, []))
         monkeypatch.setattr(cli, "_play", lambda *args: new)
-        monkeypatch.setattr(store, "LogWriter", lambda path: NoWrites())
+        monkeypatch.setattr(store, "LogWriter",
+                            lambda path, players: NoWrites())
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            assert run_cli("extend", log, "--config", config, "--add",
+            assert run_cli("extend", log, "--add",
                            fragment) == 0
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
@@ -704,7 +824,7 @@ class TestRatingFlags:
         before = log.read_bytes()
         argv = [command, log, flag, value]
         if command == "extend":
-            argv += ["--config", config, "--add", fragment]
+            argv += ["--add", fragment]
         assert run_cli(*argv) == 2
         captured = capsys.readouterr()
         assert key in captured.err
@@ -870,7 +990,7 @@ class TestFlagPlumbing:
         args = build_parser().parse_args(
             ["run", "--config", str(config_path), "--passes", "5", "--tau",
              "0.9", "--outcome-mode", "per-match"])
-        config = _load_with_overrides(args)
+        config = _with_overrides(load_config(config_path), args, "run")
         assert config.rating.max_passes == 5
         assert config.rating.tau == 0.9
         assert config.rating.outcome_mode == "per-match"
@@ -879,7 +999,7 @@ class TestFlagPlumbing:
         args = build_parser().parse_args(
             ["run", "--config", str(config_path), "--schedule", "band",
              "--band-width", "2"])
-        config = _load_with_overrides(args)
+        config = _with_overrides(load_config(config_path), args, "run")
         assert config.schedule["kind"] == "band"
         assert config.schedule["band_width"] == 2
 
@@ -923,14 +1043,14 @@ class TestColdStart:
         config, log, fragment = population
         for argv in (["run", "--config", config, "--out-dir", tmp_path / "r"],
                      ["schedule", "--config", config],
-                     ["extend", log, "--config", config, "--add", fragment]):
+                     ["extend", log, "--add", fragment]):
             assert self.probe(*argv) == [0, ["yaml"], []], argv
 
     def test_an_invalid_rating_flag_still_exits_2(self, log_path):
         result = fresh_python("-m", "arena.cli", "rate", log_path, "--tau",
                               "-1")
         assert result.returncode == 2
-        assert "at tau:" in result.stderr and result.stdout == ""
+        assert "at rating/tau:" in result.stderr and result.stdout == ""
 
     def test_simulate_runs_the_cli_module_once(self, tmp_path):
         # Run as __main__, cli.py must also be the arena.cli that
@@ -1042,3 +1162,71 @@ def test_benchmark_tracer_still_wraps_every_layer(tmp_path):
     assert {"store.read", "glicko.rate", "summarize.summarize"} <= spans
     for name in ("log.jsonl", "summary.csv", "rated/summary.csv"):
         assert (under / name).read_bytes() == (plain / name).read_bytes()
+
+
+@pytest.mark.parametrize("config", [
+    *(f"configs/{path.name}" for path in sorted(CONFIGS.glob("*.cfg"))
+      if path.name != "add_pair.cfg"),
+    *(f"simulate {name}" for name in cli.EXPERIMENTS)])
+def test_the_header_config_hashes_to_the_header_hash(config, tmp_path):
+    # The one header site writes the config it played; parsed again, that
+    # config must hash as the header says. Each bundled experiment's
+    # tournaments are written by the same site, run_config's.
+    if config.startswith("configs/"):
+        payloads = [cfgmod.load_config(CONFIGS.parent / config).raw]
+    else:
+        from arena import experiments as ex
+        seed = ex.DEFAULT_SEED
+        payloads = {
+            "within": [ex.within_config(seed)],
+            "banded": [ex.within_config(seed), ex.within_config(
+                seed, schedule={"kind": "band",
+                                "band_width": ex.BAND_WIDTH})],
+            "chekhov": [ex.chekhov_config(seed, panel)
+                        for panel in ("forgetting", "chekhov")],
+            "distortion": [ex.distortion_config(seed)],
+            "multi": [ex.multi_config(seed)],
+        }[config.split()[1]]
+    for payload in payloads:
+        cli._new_log(cfgmod.parse_config(payload), tmp_path / "log").close()
+        header, _, _ = store.read_log(tmp_path / "log")
+        assert header.config == json.loads(json.dumps(payload))
+        assert header.config_hash == cfgmod.config_hash(
+            cfgmod.parse_config(header.config))
+
+
+# The hash of the whitening matrices a config's task and generators build:
+# the bits that a BLAS kernel can move.
+KERNEL_PROBE = """
+import hashlib, sys
+from arena import config as cfgmod
+built = cfgmod.build_players(cfgmod.load_config(sys.argv[1]))
+digest = hashlib.sha256(built.task.model.whitening.tobytes())
+for spec in built.specs:
+    if spec.role == "generator":
+        model = built.players[spec.id].density_model(built.task)
+        digest.update(model.whitening.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_logs_are_byte_identical_across_blas_kernels(tmp_path,
+                                                     monkeypatch):
+    # Counts threshold the scores, so kernels that differ in the last bits
+    # of the players still write the same log.
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    config = write_yaml(tmp_path / "run.cfg", tiny_config_payload())
+    kernels = {"default": {}, "Prescott": {"OPENBLAS_CORETYPE": "Prescott"}}
+    probes = {name: fresh_python("-c", KERNEL_PROBE, config, env=env,
+                                 check=True).stdout
+              for name, env in kernels.items()}
+    if probes["default"] == probes["Prescott"]:
+        pytest.skip("this machine's default BLAS kernel gives the same "
+                    "whitening bits as Prescott, so there is no second "
+                    "kernel to compare")
+    logs = {}
+    for name, env in kernels.items():
+        fresh_python("-m", "arena.cli", "run", "--config", config,
+                     "--out-dir", tmp_path / name, env=env, check=True)
+        logs[name] = (tmp_path / name / "log.jsonl").read_bytes()
+    assert logs["default"] == logs["Prescott"]

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from arena import config as cfgmod, toy
 from arena.config import (ConfigError, build_players, build_schedule,
                           config_hash, load_config, load_players_fragment,
-                          parse_config, run_settings)
+                          parse_config, player_specs, run_settings)
 from arena.glicko import RatingConfig
 from arena.tournament import stable_seed
 
@@ -392,8 +392,7 @@ class TestBuildPlayers:
         assert gen_ids == ["tiny-g00", "tiny-g01", "tiny-g02", "tiny-g03"]
         assert disc_ids == ["tiny-d00", "tiny-d01", "tiny-d02", "tiny-d03"]
         spec = next(s for s in built.specs if s.id == "tiny-g02")
-        assert (spec.kind, spec.iteration, spec.experiment) == \
-            ("toy_checkpoint", 2, "tiny")
+        assert (spec.iteration, spec.experiment) == (2, "tiny")
 
     def test_generators_flag_suppresses_generators(self):
         payload = tiny_config_payload()
@@ -491,12 +490,38 @@ class TestBuildPlayers:
                                    "role": "generator",
                                    "command": ["true"]}]
 
-    def test_extra_entries_build_after_the_config(self):
-        config = parse_config(tiny_config_payload())
-        built = build_players(config, extra=[{"kind": "real_data",
-                                              "id": "late"}])
-        assert "late" in built.players
-        assert built.specs[-1].id == "late"
+    def test_player_specs_are_the_built_specs_without_a_build(self):
+        payload = tiny_config_payload()
+        payload["players"][0]["checkpoints"] = [1, 3]
+        payload["players"] += [
+            {"kind": "real_data", "id": "bench", "experiment": "ref"},
+            {"kind": "transform", "id": "noisy", "transform":
+             "additive_noise", "severity": 2, "iteration": 7},
+            {"kind": "noise_oracle", "id": "noise-judge", "severity": 2},
+            {"kind": "constant", "id": "flat", "value": 0.0},
+            {"kind": "external", "id": "ext", "role": "discriminator",
+             "command": ["true"], "iteration": 4},
+        ]
+        config = parse_config(payload)
+        specs = player_specs(config.players)
+        assert specs == build_players(config).specs
+        assert [(s.id, s.role, s.iteration, s.experiment) for s in specs] \
+            == [("tiny-g01", "generator", 1, "tiny"),
+                ("tiny-g03", "generator", 3, "tiny"),
+                ("tiny-d01", "discriminator", 1, "tiny"),
+                ("tiny-d03", "discriminator", 3, "tiny"),
+                ("bench", "generator", None, "ref"),
+                ("noisy", "generator", 7, None),
+                ("noise-judge", "discriminator", 2, None),
+                ("flat", "discriminator", None, None),
+                ("ext", "discriminator", 4, None)]
+
+    def test_player_specs_check_ids_and_checkpoints(self):
+        entry = tiny_config_payload()["players"][0]
+        with pytest.raises(ConfigError, match="duplicate player id"):
+            player_specs([entry, {**entry, "generators": False}])
+        with pytest.raises(ConfigError, match=r"checkpoints \[4\]"):
+            player_specs([{**entry, "checkpoints": [4]}])
 
 
 class TestBuildSchedule:

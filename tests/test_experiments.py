@@ -249,6 +249,9 @@ class TestScripts:
                      if line.startswith("differs: ")]
         assert differing and all(line.startswith(f"differs: {steps}")
                                  for line in differing), differing
+        # The run's 400 records follow the header, then their copies.
+        assert f"differs: {steps} --add {configs / 'add_pair.cfg'}: " \
+            "log.jsonl (first differing line 402)" in differing
 
     def test_same_outputs_rerates_a_log_in_both_outcome_modes(self,
                                                                tmp_path):
@@ -288,7 +291,8 @@ class TestScripts:
                               config)
         assert result.returncode == 1
         assert result.stdout.splitlines() == [
-            f"differs: run --config {config}: log.jsonl",
+            f"differs: run --config {config}: log.jsonl (first differing "
+            "line 1)",
             "8 outputs compared, 1 differ"]
 
     def test_same_outputs_runs_a_bundled_experiment(self, tmp_path):
@@ -302,8 +306,8 @@ class TestScripts:
         result = fresh_python(SCRIPTS / "same_outputs.py", src, tmp_path,
                               "distortion")
         assert result.returncode == 1
-        assert ("differs: simulate distortion: distortion/distortion.jsonl"
-                in result.stdout.splitlines())
+        assert ("differs: simulate distortion: distortion/distortion.jsonl "
+                "(first differing line 2)" in result.stdout.splitlines())
         result = fresh_python(SCRIPTS / "same_outputs.py", src, src,
                               "nonesuch")
         assert result.returncode == 2

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from arena import cli, extern
+from arena import cli, extern, store
 from arena import tournament as tn
 from arena.cli import main
 from arena.extern import (MESSAGE_TYPES, BatchSizeMismatch, ExternError,
@@ -387,8 +387,10 @@ class TestMalformedReplies:
         assert "Traceback" not in err
         assert main(["run", "--config", config, "--out-dir",
                      str(tmp_path / "lenient")]) == 0
+        # The header's config names ext, and no record does.
         log = (tmp_path / "lenient" / "log.jsonl").read_text()
-        assert '"ext"' not in log and log.count("\n") == 1 + 2 * 2
+        assert '"ext"' not in log.split("\n", 1)[1]
+        assert log.count("\n") == 1 + 2 * 2
 
 
 def relay_child(path) -> list[str]:
@@ -485,7 +487,8 @@ class TestProtocol2:
         assert ("warning: external player 'ext-v1' could not be started, its "
                 "4 matches are skipped: player-start: protocol 1 "
                 "unsupported, want 2") in capsys.readouterr().err
-        assert b'"ext-v1"' not in (out / "log.jsonl").read_bytes()
+        _, records, _ = store.read_log(out / "log.jsonl")
+        assert "ext-v1" not in records.ids
         assert main(["run", "--config", path, "--out-dir",
                      str(tmp_path / "strict"), "--strict"]) == 1
         assert capsys.readouterr().err.endswith(

@@ -52,8 +52,7 @@ RUNS = {
     "rate population per-match": ["rate", "{population}",
                                   "--outcome-mode", "per-match"],
     "rate population v1": ["rate", "{v1}"],
-    "extend population add_pair": ["extend", "{copy}", "--config",
-                                   "configs/population.cfg", "--add",
+    "extend population add_pair": ["extend", "{copy}", "--add",
                                    "configs/add_pair.cfg"],
     "simulate distortion": ["simulate", "distortion"],
 }

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import tempfile
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from arena import logscan, store
 from arena.store import (LOG_FORMAT, LogError, LogHeader, LogWriter,
-                         header_line, parse_header, parse_record, read_log)
+                         header_line, parse_header, parse_line, read_log)
 from arena.tournament import ENGINE, MatchRecord, MatchTable
 
 from conftest import TEXT_ALPHABET, fresh_python, record_line
@@ -30,7 +31,7 @@ ids = st.text(alphabet="".join(map(chr, range(33, 127))),
 def write_records(path, records, header: LogHeader | None = HEADER) -> None:
     """Write records through LogWriter: a new log when a header is given,
     an append otherwise."""
-    with LogWriter(path, header) as sink:
+    with closing(LogWriter(path, header)) as sink:
         sink(records)
 
 
@@ -64,6 +65,16 @@ class TestLineFormats:
             header = LogHeader("feed", 7, engine=engine)
             assert parse_header(header_line(header)) == header
 
+    def test_a_v2_header_round_trips_its_config(self):
+        config = {"seed": 7, "players": [{"kind": "constant", "id": "c",
+                                          "value": 0.5}]}
+        header = LogHeader("feed", 7, config=config)
+        line = header_line(header)
+        assert line.startswith('{"config":{"players":[{"id":"c",')
+        assert line.endswith('"config_hash":"feed","engine":2,'
+                             '"format":"arena-log/2","seed":7}')
+        assert parse_header(line) == header
+
     def test_header_without_an_engine_is_engine_1(self):
         header = parse_header('{"config_hash":"0123456789abcdef",'
                               '"format":"arena-log/1","seed":7}')
@@ -71,12 +82,12 @@ class TestLineFormats:
 
     def test_record_line_round_trips(self):
         rec = make_record(3)
-        assert parse_record(record_line(rec)) == rec
+        assert parse_line(record_line(rec)) == rec
 
     @given(record_strategy)
     @settings(max_examples=50)
     def test_any_record_round_trips(self, rec):
-        assert parse_record(record_line(rec)) == rec
+        assert parse_line(record_line(rec)) == rec
 
     def test_header_rejects_other_formats(self):
         line = json.dumps({"format": "other/1", "config_hash": "x",
@@ -86,7 +97,7 @@ class TestLineFormats:
 
     @pytest.mark.parametrize("line, message", [
         ("not json", "unparseable"),
-        ("[1,2]", "not a arena-log/1 log header"),
+        ("[1,2]", "not an arena-log/1 or arena-log/2 log header"),
         ('{"format":"arena-log/1","seed":3}', "missing field"),
         ('{"config_hash":"x","format":"arena-log/1","seed":"abc"}',
          "field seed has a bad value: 'abc' is not int"),
@@ -102,6 +113,10 @@ class TestLineFormats:
          "field engine has a bad value: 2.0 is not int"),
         ('{"config_hash":"x","engine":"2","format":"arena-log/1","seed":1}',
          "field engine has a bad value: '2' is not int"),
+        ('{"config_hash":"x","format":"arena-log/2","seed":1}',
+         "missing field 'config'"),
+        ('{"config":[1],"config_hash":"x","format":"arena-log/2","seed":1}',
+         r"field config has a bad value: \[1\] is not dict"),
     ])
     def test_header_parse_errors(self, line, message):
         with pytest.raises(LogError, match=message):
@@ -114,7 +129,15 @@ class TestLineFormats:
     ])
     def test_record_parse_errors(self, line, message):
         with pytest.raises(LogError, match=message):
-            parse_record(line)
+            parse_line(line)
+
+    def test_a_players_line_gives_its_entries(self):
+        entries = [{"id": "c", "kind": "constant", "value": 0.5}]
+        assert parse_line('{"entries":[{"id":"c","kind":"constant",'
+                          '"value":0.5}],"type":"players"}') == entries
+        with pytest.raises(LogError, match="players line field entries "
+                                           "has a bad value"):
+            parse_line('{"entries":{},"type":"players"}')
 
 
     @pytest.mark.parametrize("field, value, message", [
@@ -149,7 +172,7 @@ class TestLineFormats:
         payload[field] = value
         line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         with pytest.raises(LogError, match=message):
-            parse_record(line)
+            parse_line(line)
         path = tmp_path / "log.jsonl"
         write_records(path, [make_record(1)])
         with open(path, "a") as fh:
@@ -163,7 +186,7 @@ class TestLineFormats:
     def test_largest_seed_and_counts_are_in_range(self):
         rec = MatchRecord("g", "d", n_fake=2 ** 63 - 1, fake_wins=2 ** 63 - 1,
                           n_real=0, real_wins=0, seed=2 ** 64 - 1)
-        assert parse_record(record_line(rec)) == rec
+        assert parse_line(record_line(rec)) == rec
 
 
 class TestFileRoundTrip:
@@ -220,9 +243,46 @@ class TestFileRoundTrip:
             b"\n" + record_line(make_record(i)).encode() for i in (1, 2)) \
             + b"\n"
 
+    def test_an_append_writes_its_players_line_with_its_first_batch(
+            self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_records(path, [make_record(0)])
+        before = path.read_bytes()
+        first, second = ([{"id": name, "kind": "constant", "value": 0.5}]
+                         for name in ("c", "e"))
+        LogWriter(path, players=first).close()
+        assert path.read_bytes() == before
+        for players, k in ((first, 1), (second, 2), ([], 3)):
+            writer = LogWriter(path, players=players)
+            writer([make_record(k)])
+            writer([make_record(k + 10)])
+            writer.close()
+        lines = path.read_text().splitlines()
+        assert lines[2] == ('{"entries":[{"id":"c","kind":"constant",'
+                            '"value":0.5}],"type":"players"}')
+        assert [line.startswith('{"entries":') for line in lines] == [
+            False, False, True, False, False, True, False, False, False,
+            False]
+        header, records, _ = read_log(path)
+        assert header.players == (first, second)
+        assert list(records) == [make_record(k)
+                                 for k in (0, 1, 11, 2, 12, 3, 13)]
+
+    def test_a_corrupt_players_line_is_a_corrupt_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_records(path, [make_record(0)])
+        with open(path, "a") as fh:
+            fh.write('{"entries":"c","type":"players"}\n')
+        with pytest.raises(LogError, match=":3: players line field "
+                                           "entries"):
+            read_log(path)
+        header, records, problems = read_log(path, strict=False)
+        assert header.players == () and len(records) == 1
+        assert len(problems) == 1
+
     def test_log_writer_streams_records(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        with LogWriter(path, HEADER) as sink:
+        with closing(LogWriter(path, HEADER)) as sink:
             sink([make_record(0)])
             sink([make_record(1)])
         lines = [header_line(HEADER), record_line(make_record(0)),
@@ -310,7 +370,7 @@ class TestRecovery:
 
 
 def reference_read_log(path, strict: bool = True):
-    """The per-line reader: every line through parse_record."""
+    """The per-line reader: every line through parse_line."""
     problems, records = [], []
     with open(path) as fh:
         header = parse_header(fh.readline())
@@ -318,7 +378,7 @@ def reference_read_log(path, strict: bool = True):
             if not line.strip():
                 continue
             try:
-                records.append(parse_record(line))
+                records.append(parse_line(line))
             except LogError as exc:
                 message = f"{path}:{number}: {exc}"
                 if strict:
@@ -405,7 +465,7 @@ class TestRecordTemplate:
         assert "".join(record_line(r) + "\n" for r in records) == expected
         with tempfile.TemporaryDirectory() as work:
             path = os.path.join(work, "log.jsonl")
-            with LogWriter(path, HEADER) as sink:
+            with closing(LogWriter(path, HEADER)) as sink:
                 sink(records)
                 sink(records)  # every id and threshold text now cached
             with open(path, "rb") as fh:
@@ -418,7 +478,7 @@ class TestRecordTemplate:
         records = [MatchRecord("g", "d", 4, 1, 4, 2, i, float("nan"))
                    for i in range(1000)]
         path = tmp_path / "log.jsonl"
-        with LogWriter(path, HEADER) as sink:
+        with closing(LogWriter(path, HEADER)) as sink:
             sink(records)
             assert len(sink._texts) == 3  # "g", "d" and NaN
         expected = "".join(
@@ -600,7 +660,7 @@ class TestBulkReader:
         # chunk may fall back to the line-by-line path.
         with tempfile.TemporaryDirectory() as work:
             path = os.path.join(work, "log.jsonl")
-            with LogWriter(path, HEADER) as sink:
+            with closing(LogWriter(path, HEADER)) as sink:
                 sink(records[:split])
                 sink(records[split:])
             with open(path) as fh:
@@ -615,7 +675,7 @@ class TestBulkReader:
         # Read back as the line-by-line path reads them: the writer keeps no
         # NaN payload.
         assert table_bytes(table) == table_bytes(
-            MatchTable.from_records(map(parse_record, lines)))
+            MatchTable.from_records(map(parse_line, lines)))
 
     def test_columns_equal_those_of_the_records(self, tmp_path):
         records = [make_record(i) for i in range(4)]
@@ -638,7 +698,7 @@ class TestBulkReader:
     def test_bulk_columns_read_edge_values_as_the_line_reader(self, line):
         columns = logscan.canonical_chunk(line + "\n", {}, {})
         assert columns is not None
-        expected = MatchTable.from_records([parse_record(line)])
+        expected = MatchTable.from_records([parse_line(line)])
         for name, column in zip(("n_fake", "fake_wins", "n_real",
                                  "real_wins", "seed", "threshold"),
                                 columns[2:]):
@@ -674,7 +734,7 @@ def concatenating_read_log(path, strict: bool = True):
                     if not line.strip():
                         continue
                     try:
-                        records.append(parse_record(line))
+                        records.append(parse_line(line))
                     except LogError as exc:
                         message = f"{path}:{number + offset}: {exc}"
                         if strict:
@@ -745,12 +805,12 @@ class TestInPlaceColumns:
         shortest = MatchRecord("", "", 0, 0, 0, 0, 0, 0)
         assert store._SHORTEST_RECORD == len(record_line(shortest))
         for field in RECORD_FIELDS:
-            # Every field is needed, so no line parse_record takes is
+            # Every field is needed, so no line parse_line takes is
             # shorter.
             payload = json.loads(record_line(shortest))
             del payload[field]
             with pytest.raises(LogError, match="missing field"):
-                parse_record(json.dumps(payload, separators=(",", ":")))
+                parse_line(json.dumps(payload, separators=(",", ":")))
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the peak RSS from /proc")

@@ -272,12 +272,12 @@ class TestCorrelations:
 
 class TestSkillCurve:
     def specs(self):
-        return [PlayerSpec("a-g0", "generator", "toy_checkpoint", 0, "a"),
-                PlayerSpec("a-g1", "generator", "toy_checkpoint", 1, "a"),
-                PlayerSpec("b-g0", "generator", "toy_checkpoint", 0, "b"),
-                PlayerSpec("a-d0", "discriminator", "toy_checkpoint", 0,
+        return [PlayerSpec("a-g0", "generator", 0, "a"),
+                PlayerSpec("a-g1", "generator", 1, "a"),
+                PlayerSpec("b-g0", "generator", 0, "b"),
+                PlayerSpec("a-d0", "discriminator", 0,
                            "a"),
-                PlayerSpec("free", "generator", "custom", None, None)]
+                PlayerSpec("free", "generator", None, None)]
 
     def test_groups_by_experiment_and_sorts_by_iteration(self):
         ratings = {"a-g1": Rating(1600.0, 50.0), "a-g0": Rating(1400.0,
@@ -301,9 +301,9 @@ class TestSkillCurve:
 
 class TestSummarize:
     def build(self):
-        specs = [PlayerSpec("g1", "generator", "toy_checkpoint", 0, "run"),
-                 PlayerSpec("g2", "generator", "toy_checkpoint", 1, "run"),
-                 PlayerSpec("d1", "discriminator", "toy_checkpoint", 0,
+        specs = [PlayerSpec("g1", "generator", 0, "run"),
+                 PlayerSpec("g2", "generator", 1, "run"),
+                 PlayerSpec("d1", "discriminator", 0,
                             "run")]
         records = MatchTable.from_records([record("g1", "d1", 4),
                                            record("g2", "d1", 12)])
@@ -322,8 +322,8 @@ class TestSummarize:
         assert by_id["g2"].iteration == 1
 
     def test_an_id_without_a_spec_takes_its_role_from_the_table(self):
-        specs = [PlayerSpec("g0", "generator", "toy_checkpoint", 0, "run"),
-                 PlayerSpec("d0", "discriminator", "toy_checkpoint", 0,
+        specs = [PlayerSpec("g0", "generator", 0, "run"),
+                 PlayerSpec("d0", "discriminator", 0,
                             "run")]
         records = MatchTable.from_records([record("g0", "d0", 4),
                                            record("g0", "d1", 12),

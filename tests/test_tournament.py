@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from conftest import (TEXT_ALPHABET, DrawsMany, record_line,
 
 
 def spec(pid: str, role: str, iteration: int | None = None) -> PlayerSpec:
-    return PlayerSpec(pid, role, "custom", iteration)
+    return PlayerSpec(pid, role, iteration)
 
 
 def sink_into(keep=lambda records: None, failures: list | None = None):
@@ -115,10 +116,6 @@ class TestPlayerSpec:
     def test_role_is_validated(self):
         with pytest.raises(ValueError, match="unknown role"):
             PlayerSpec("p", "referee")
-
-    def test_kind_is_validated(self):
-        with pytest.raises(ValueError, match="unknown player kind"):
-            PlayerSpec("p", "generator", kind="neural")
 
     def test_win_rate_arithmetic(self):
         rec = MatchRecord("g", "d", n_fake=64, fake_wins=40, n_real=64,
@@ -680,7 +677,7 @@ class TestGroupedPlay:
         matches = good[:window + 4] + [bad] + good[window + 4:3 * window]
         header = store.LogHeader("feed", 1)
         path = tmp_path / "log.jsonl"
-        with store.LogWriter(path, header) as sink:
+        with closing(store.LogWriter(path, header)) as sink:
             with pytest.raises(RuntimeError, match="deliberately broken"):
                 run_tournament(explicit_schedule(matches), built.players,
                                built.data, settings, sink=sink_into(sink))
