@@ -146,12 +146,12 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
 
 def _report(table: tn.MatchTable, rating: glicko.RatingConfig,
             specs: list[PlayerSpec], directory: str | None, names: dict,
-            schedule: tn.Schedule | None = None
+            schedule_kind: str | None = None
             ) -> tuple[glicko.RatingOutcome, sm.TournamentSummary]:
     """Rate the match set and summarize it, and write the artifacts into
     ``directory`` if one is given."""
     outcome = glicko.rate_tournament(table, rating)
-    summary = sm.summarize(table, outcome.ratings, specs, schedule)
+    summary = sm.summarize(table, outcome.ratings, specs, schedule_kind)
     if directory:
         sm.write_artifacts(directory, summary, names)
     return outcome, summary
@@ -194,7 +194,7 @@ def cmd_run(args) -> int:
     records = _play(config, built, schedule, args.strict,
                     _new_log(config, log_path))
     _print_report(*_report(records, config.rating, built.specs, directory,
-                           config.outputs, schedule))
+                           config.outputs, schedule.kind))
     print(f"log: {log_path} ({len(records)} records)")
     return 0
 
@@ -211,9 +211,13 @@ def cmd_rate(args) -> int:
         _warn(f"{args.log}: no match records; every player would keep its "
               "default rating")
         return 0
-    specs = (cfgmod.player_specs(config.players) if config
-             else store.record_specs(records, args.log))
-    _print_report(*_report(records, rating, specs, args.out_dir, {}))
+    if config is None:
+        specs, kind = store.record_specs(records, args.log), None
+    else:
+        # The schedule the header names; an extended log keeps its header's.
+        specs = cfgmod.player_specs(config.players)
+        kind = config.schedule["kind"]
+    _print_report(*_report(records, rating, specs, args.out_dir, {}, kind))
     return 0
 
 
@@ -250,7 +254,8 @@ def cmd_extend(args) -> int:
     new_records = _play(population, built, schedule, args.strict,
                         store.LogWriter(args.log, players=entries))
     _print_report(*_report(records.concat(new_records), config.rating,
-                           built.specs, args.out_dir, config.outputs))
+                           built.specs, args.out_dir, config.outputs,
+                           config.schedule["kind"]))
     names = sorted(added, key=lambda s: (s.role != "generator", s.id))
     print(f"appended {len(new_records)} records to {args.log} "
           f"(new players: {', '.join(s.id for s in names)})")

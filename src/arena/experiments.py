@@ -89,7 +89,7 @@ def run_config(raw: dict, out_dir: str | None = None,
         writer = cli._new_log(config, os.path.join(out_dir, names["log"]))
     records = cli._play(config, built, schedule, strict=True, writer=writer)
     outcome, summary = cli._report(records, config.rating, built.specs,
-                                   out_dir, names, schedule)
+                                   out_dir, names, schedule.kind)
     return RunBundle(config, built, schedule, records, outcome, summary)
 
 

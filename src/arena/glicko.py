@@ -8,14 +8,20 @@ with two extensions used by the tournament engine:
 * a whole match set is treated as one rating period and updates are iterated
   to a fixed point, since tournament matches have no temporal order.
 
-The tournament fixed point reads the judged rows of the match set's
-``MatchTable`` directly, one row per record, and runs each pass as one
-vectorized sweep over them per side: expected scores for every generator
-side at once and then every discriminator side, each side's per-player sums
-with ``np.bincount``, the two sides added. ``update_player`` is the scalar
-reference: it sums a list of ``GameResult`` objects with ``math.fsum``.
-Both paths close the period through the same per-player Glicko2 step, so
-the update rule is written once.
+The tournament fixed point keeps every player's rating, deviation and
+volatility in float64 arrays across its passes and reads the judged rows
+of the match set's ``MatchTable`` directly, one row per record. Each pass
+is one vectorized sweep over the rows per side (expected scores for every
+generator side at once and then every discriminator side, each side's
+per-player sums with ``np.bincount``, the two sides added), then one array
+step that closes every player's period at once. That step is all ``+ - *
+/``, ``sqrt``, ``min`` and ``max``, which round the same in numpy as on
+Python floats, except the volatility solve: it calls ``exp`` and ``log``,
+and numpy's differ from ``math``'s in the last bit (``exp`` on about 5% of
+random arguments), so the solve runs once per informed player on floats.
+``update_player`` is the scalar reference: it sums a list of ``GameResult``
+objects with ``math.fsum`` and closes the period through the same array
+step on one-element arrays, so the update rule is written once.
 
 Idle players are returned unchanged: there is no deviation inflation
 between rating periods because a static tournament has no notion of
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -119,16 +126,16 @@ class RatingOutcome:
     shifts: tuple[float, ...] = ()
 
 
-def to_internal(rating: Rating) -> tuple[float, float]:
-    """Convert public (rating, deviation) to internal (mu, phi)."""
-    return ((rating.rating - _DEFAULT_RATING) / GLICKO2_SCALE,
-            rating.deviation / GLICKO2_SCALE)
+def to_internal(rating, deviation):
+    """Convert public (rating, deviation) to internal (mu, phi), for floats
+    or element by element for arrays."""
+    return ((rating - _DEFAULT_RATING) / GLICKO2_SCALE,
+            deviation / GLICKO2_SCALE)
 
 
-def from_internal(mu: float, phi: float, volatility: float) -> Rating:
-    """Convert internal (mu, phi) back to a public-scale Rating."""
-    return Rating(mu * GLICKO2_SCALE + _DEFAULT_RATING,
-                  phi * GLICKO2_SCALE, volatility)
+def from_internal(mu, phi):
+    """Convert internal (mu, phi) back to public (rating, deviation)."""
+    return mu * GLICKO2_SCALE + _DEFAULT_RATING, phi * GLICKO2_SCALE
 
 
 def g(phi: float) -> float:
@@ -158,22 +165,23 @@ def update_volatility(sigma: float, delta: float, phi: float, v: float,
     a = math.log(sigma * sigma)
     phi2 = phi * phi
     delta2 = delta * delta
+    # The parts of f that do not depend on x, each rounded as f would.
+    gap = delta2 - phi2 - v
+    spread = phi2 + v
+    tau2 = tau * tau
 
     def f(x: float) -> float:
         ex = math.exp(x)
         if ex > 1e150:
             # Same expression with numerator and denominator divided by
             # ex^2, which avoids overflow when the bracket is enormous.
-            ratio = (((delta2 - phi2 - v) / ex - 1.0)
-                     / (2.0 * (1.0 + (phi2 + v) / ex) ** 2))
+            ratio = (gap / ex - 1.0) / (2.0 * (1.0 + spread / ex) ** 2)
         else:
-            num = ex * (delta2 - phi2 - v - ex)
-            den = 2.0 * (phi2 + v + ex) ** 2
-            ratio = num / den
-        return ratio - (x - a) / (tau * tau)
+            ratio = ex * (gap - ex) / (2.0 * (spread + ex) ** 2)
+        return ratio - (x - a) / tau2
 
-    if delta2 > phi2 + v:
-        lo, hi = a, math.log(delta2 - phi2 - v)
+    if delta2 > spread:
+        lo, hi = a, math.log(gap)
     else:
         k = 1
         while f(a - k * tau) < 0.0:
@@ -204,32 +212,42 @@ def update_volatility(sigma: float, delta: float, phi: float, v: float,
     return math.exp(lo / 2.0)
 
 
-def _close_period(rating: Rating, v_inv: float, delta_sum: float,
-                  cfg: RatingConfig) -> Rating:
-    """The Glicko2 step from one period's sums, anchored at ``rating``.
+def _close_period(prior: np.ndarray, v_inv: np.ndarray,
+                  delta_sum: np.ndarray, cfg: RatingConfig
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The Glicko2 step from one period's sums, for every player at once.
 
-    ``v_inv`` is the summed information (w * g^2 * E(1-E)) and ``delta_sum``
-    the summed improvement (w * g * (s - E)). Returns ``rating`` itself when
-    the games carry no usable information.
+    ``prior`` holds the rows rating, deviation and volatility, one column a
+    player; ``v_inv`` is each player's summed information (w * g^2 *
+    E(1-E)) and ``delta_sum`` the summed improvement (w * g * (s - E)).
+    Returns which players the games inform, and those players' new
+    (rating, deviation, volatility) columns. Only the volatility solve runs
+    player by player, on floats: it alone calls ``exp`` and ``log``, whose
+    numpy versions differ from ``math``'s in the last bit. Every other
+    operation here rounds the same on arrays as on floats, so the step
+    keeps every bit of the scalar expressions it replaces.
     """
-    if v_inv <= _MIN_INFORMATION:
-        # Every expected score is saturated; the games carry no usable
-        # information about this player.
-        return rating
-    mu, phi = to_internal(rating)
+    # A row where every expected score is saturated carries no usable
+    # information about its player. Written as a negation, a NaN row is
+    # informed, as ``v_inv <= _MIN_INFORMATION`` is false for it.
+    informed = ~(v_inv <= _MIN_INFORMATION)
+    rating, deviation, volatility = prior[:, informed]
+    v_inv, delta_sum = v_inv[informed], delta_sum[informed]
+    mu, phi = to_internal(rating, deviation)
     v = 1.0 / v_inv
     delta = v * delta_sum
-    sigma_new = update_volatility(rating.volatility, delta, phi, v,
-                                  cfg.tau, cfg.convergence_eps)
-    phi_star = math.sqrt(phi * phi + sigma_new * sigma_new)
+    sigma_new = np.array(list(map(
+        update_volatility, volatility.tolist(), delta.tolist(), phi.tolist(),
+        v.tolist(), repeat(cfg.tau), repeat(cfg.convergence_eps))))
+    phi_star = np.sqrt(phi * phi + sigma_new * sigma_new)
     # Uncertainty never grows past the uninformed prior (or the player's own
     # starting deviation if that was larger); this keeps degenerate one-sided
     # match sets from blowing up the deviation through volatility feedback.
-    phi_cap = max(phi, cfg.default_deviation / GLICKO2_SCALE)
-    phi_star = min(phi_star, phi_cap)
-    phi_new = 1.0 / math.sqrt(1.0 / (phi_star * phi_star) + v_inv)
+    phi_cap = np.maximum(phi, cfg.default_deviation / GLICKO2_SCALE)
+    phi_star = np.minimum(phi_star, phi_cap)
+    phi_new = 1.0 / np.sqrt(1.0 / (phi_star * phi_star) + v_inv)
     mu_new = mu + phi_new * phi_new * delta_sum
-    return from_internal(mu_new, phi_new, sigma_new)
+    return informed, np.array([*from_internal(mu_new, phi_new), sigma_new])
 
 
 def _apply_period(rating: Rating, mu_eval: float,
@@ -240,6 +258,7 @@ def _apply_period(rating: Rating, mu_eval: float,
     (mu_eval == prior mu). The tournament fixed point instead evaluates them
     at the player's current estimate, which makes the converged ratings solve
     the penalized-likelihood equation the one-step update linearizes.
+    Returns ``rating`` itself when the games carry no usable information.
     """
     # Each term is weight * (unit-game term) and the sums are correctly
     # rounded, so a game of integer weight n adds exactly what n repeated
@@ -248,13 +267,19 @@ def _apply_period(rating: Rating, mu_eval: float,
     info_terms = []
     delta_terms = []
     for game in games:
-        mu_j, phi_j = to_internal(game.opponent)
+        mu_j, phi_j = to_internal(game.opponent.rating,
+                                  game.opponent.deviation)
         g_j = g(phi_j)
         e_j = expected_score(mu_eval, mu_j, phi_j)
         info_terms.append(game.weight * (g_j * g_j * e_j * (1.0 - e_j)))
         delta_terms.append(game.weight * (g_j * (game.score - e_j)))
-    return _close_period(rating, math.fsum(info_terms),
-                         math.fsum(delta_terms), cfg)
+    # The same step as the tournament's, on a population of one.
+    (informed,), fresh = _close_period(
+        np.array([[rating.rating], [rating.deviation], [rating.volatility]],
+                 dtype=float),
+        np.array([math.fsum(info_terms)]), np.array([math.fsum(delta_terms)]),
+        cfg)
+    return Rating(*fresh[:, 0].tolist()) if informed else rating
 
 
 def update_player(rating: Rating, games: Sequence[GameResult],
@@ -263,27 +288,27 @@ def update_player(rating: Rating, games: Sequence[GameResult],
     returned unchanged."""
     if not games:
         return rating
-    return _apply_period(rating, to_internal(rating)[0], games,
-                         config or RatingConfig())
+    mu, _ = to_internal(rating.rating, rating.deviation)
+    return _apply_period(rating, mu, games, config or RatingConfig())
 
 
-def _period_sums(ratings: Sequence[Rating], gen: np.ndarray,
-                 disc: np.ndarray, score: np.ndarray, weight: np.ndarray
-                 ) -> tuple[list[float], list[float]]:
+def _period_sums(ratings: np.ndarray, gen: np.ndarray, disc: np.ndarray,
+                 score: np.ndarray, weight: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Every player's (v_inv, delta_sum) against a snapshot of ratings.
 
-    One row per judged record: the generator ``gen`` scored ``score``
-    against the discriminator ``disc``, the discriminator ``1 - score``,
-    both at ``weight``. These are the terms of ``_apply_period`` with E
-    evaluated at each player's snapshot estimate, computed for one side of
-    every row at once and summed per player; the sums of the two sides are
-    then added, so each player's terms from one role add in record order.
+    ``ratings`` holds the rows rating and deviation (and any after them),
+    one column a player. One row per judged record: the generator ``gen``
+    scored ``score`` against the discriminator ``disc``, the discriminator
+    ``1 - score``, both at ``weight``. These are the terms of
+    ``_apply_period`` with E evaluated at each player's snapshot estimate,
+    computed for one side of every row at once and summed per player; the
+    sums of the two sides are then added, so each player's terms from one
+    role add in record order.
     """
-    rating = np.array([r.rating for r in ratings])
-    mu = (rating - _DEFAULT_RATING) / GLICKO2_SCALE
-    phi = np.array([r.deviation for r in ratings]) / GLICKO2_SCALE
+    mu, phi = to_internal(ratings[0], ratings[1])
     g_player = 1.0 / np.sqrt(1.0 + 3.0 * phi * phi / (math.pi * math.pi))
-    n = len(ratings)
+    n = len(mu)
     v_inv, delta_sum = np.zeros(n), np.zeros(n)
     # Four row-length buffers and a mask, reused by both sides. Each
     # operation below is one step of
@@ -318,7 +343,7 @@ def _period_sums(ratings: Sequence[Rating], gen: np.ndarray,
         x *= g_opp
         x *= weight
         delta_sum += np.bincount(player, x, minlength=n)
-    return v_inv.tolist(), delta_sum.tolist()
+    return v_inv, delta_sum
 
 
 def rate_tournament(table: MatchTable, config: RatingConfig | None = None
@@ -347,33 +372,33 @@ def rate_tournament(table: MatchTable, config: RatingConfig | None = None
     if not len(table):
         warnings.append("empty record set; all players rated at defaults")
 
+    # Every player's rating, deviation and volatility, one column a player.
     start = cfg.default()
-    ratings = [start] * len(table.ids)
+    prior = np.array([[start.rating], [start.deviation], [start.volatility]],
+                     dtype=float).repeat(len(table.ids), axis=1)
+    ratings = prior
     shifts: list[float] = []
     converged = not len(table)
     while len(shifts) < cfg.max_passes and not converged:
         v_inv, delta_sum = _period_sums(ratings, *games)
-        updated = []
-        for current, info, delta in zip(ratings, v_inv, delta_sum):
-            fresh = _close_period(start, info, delta, cfg)
-            if fresh is start:
-                # Degenerate pass (no games, or all expected scores
-                # saturated): hold the current estimate instead of snapping
-                # back to the prior.
-                updated.append(current)
-                continue
-            blended = (current.rating
-                       + cfg.damping * (fresh.rating - current.rating))
-            updated.append(Rating(blended, fresh.deviation, fresh.volatility))
-        shifts.append(max((abs(new.rating - old.rating)
-                           for new, old in zip(updated, ratings)),
+        informed, fresh = _close_period(prior, v_inv, delta_sum, cfg)
+        # A player the games do not inform (no games, or every expected
+        # score saturated) holds its current estimate instead of snapping
+        # back to the prior; the others move a damped step toward theirs.
+        current = ratings[0, informed]
+        fresh[0] = current + cfg.damping * (fresh[0] - current)
+        updated = ratings.copy()
+        updated[:, informed] = fresh
+        # max() over floats, as a NaN shift counts only in first place.
+        shifts.append(max(np.abs(updated[0] - ratings[0]).tolist(),
                           default=0.0))
         ratings = updated
         converged = shifts[-1] < cfg.pass_tolerance
     if not converged:
         warnings.append(f"ratings did not converge within {cfg.max_passes} "
                         "passes")
-    return RatingOutcome(ratings=dict(zip(table.ids, ratings)),
+    return RatingOutcome(ratings={pid: Rating(*player) for pid, player
+                                  in zip(table.ids, zip(*ratings.tolist()))},
                          passes=len(shifts),
                          converged=converged, warnings=tuple(warnings),
                          shifts=tuple(shifts))

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .glicko import Rating
-from .tournament import MatchTable, PlayerSpec, Schedule
+from .tournament import MatchTable, PlayerSpec
 
 WIN_RATE_WARNING = ("win rates from a non-round-robin schedule are not "
                     "comparable between players")
@@ -241,9 +241,11 @@ def _axis(specs: Sequence[PlayerSpec], role: str) -> list[str]:
 
 def summarize(table: MatchTable, ratings: Mapping[str, Rating],
               players: Sequence[PlayerSpec],
-              schedule: Schedule | None = None) -> TournamentSummary:
+              schedule_kind: str | None = None) -> TournamentSummary:
     """Assemble every summary artifact for one tournament. A rated id
-    without a ``PlayerSpec`` is a discriminator if it judged a match."""
+    without a ``PlayerSpec`` is a discriminator if it judged a match.
+    ``schedule_kind`` names the kind of schedule the matches were played
+    under, if it is known."""
     pairs = _pair_rates(table)
     rates = _generator_rates(pairs)
     by_id = {spec.id: spec for spec in players}
@@ -267,7 +269,7 @@ def summarize(table: MatchTable, ratings: Mapping[str, Rating],
                  _axis(players, "discriminator"))
     curves = skill_curve(ratings, players)
     warnings = ()
-    if schedule is not None and schedule.kind != "round_robin":
+    if schedule_kind not in (None, "round_robin"):
         warnings = (WIN_RATE_WARNING,)
     return TournamentSummary(tuple(rows), rates, hm, curves, warnings)
 

@@ -731,6 +731,45 @@ class TestRerating:
             tmp_path / "rated-extended" / "summary.csv")
         assert len(extended) == len(rated_columns(out / "summary.csv")) + 2
 
+    def test_rate_and_extend_warn_as_the_run_did(self, population,
+                                                 capsys):
+        # A band run warns that its win rates are not comparable; the
+        # re-rated log, the extend of it and the extended log must too,
+        # once and on stderr. The header names the schedule's kind.
+        config, log, fragment = population
+        band = log.parent.parent / "band"
+        assert run_cli("run", "--config", config, "--out-dir", band,
+                       "--schedule", "band", "--band-width", 1) == 0
+        for argv in (["rate", band / "log.jsonl"],
+                     ["extend", band / "log.jsonl", "--add", fragment],
+                     ["rate", band / "log.jsonl"]):
+            capsys.readouterr()
+            assert run_cli(*argv) == 0
+            captured = capsys.readouterr()
+            assert [line for line in captured.err.splitlines()
+                    if line.startswith("warning:")] == [
+                f"warning: {sm.WIN_RATE_WARNING}"], argv
+            assert "warning:" not in captured.out
+
+    def test_round_robin_and_v1_logs_rate_without_the_warning(
+            self, population, capsys):
+        # An arena-log/1 header does not say how its matches were
+        # scheduled, so a v1 log stays silent as it always was.
+        config, log, fragment = population
+        band = log.parent.parent / "band"
+        assert run_cli("run", "--config", config, "--out-dir", band,
+                       "--schedule", "band", "--band-width", 1) == 0
+        v1 = band / "log.jsonl"
+        header, _, _ = store.read_log(v1)
+        v1.write_bytes(store.header_line(dataclasses.replace(
+            header, config=None)).encode() + b"\n"
+            + v1.read_bytes().split(b"\n", 1)[1])
+        capsys.readouterr()
+        for argv in (["rate", log], ["extend", log, "--add", fragment],
+                     ["rate", log], ["rate", v1]):
+            assert run_cli(*argv) == 0
+            assert "warning:" not in capsys.readouterr().err, argv
+
     def test_rate_takes_the_rating_settings_from_the_header(self, tmp_path,
                                                            capsys):
         # A per-match run re-rated per sample moved within-d00 from

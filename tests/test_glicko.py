@@ -66,8 +66,8 @@ def reference_rate(records, cfg: RatingConfig
         for pid, current in snapshot.items():
             period = [GameResult(snapshot[opp], s, weight)
                       for opp, s, weight in games[pid]]
-            fresh = _apply_period(start, to_internal(current)[0], period,
-                                  cfg)
+            mu_eval, _ = to_internal(current.rating, current.deviation)
+            fresh = _apply_period(start, mu_eval, period, cfg)
             if fresh is start:
                 ratings[pid] = current
                 continue
@@ -101,30 +101,30 @@ def reference_game_table(records, mode: str):
 
 def reference_period_sums(ratings, player, opponent, score, weight):
     """A pass's (v_inv, delta_sum) as one np.bincount over the interleaved
-    game table, in which each player's games stay in record order."""
-    mu = (np.array([r.rating for r in ratings]) - 1500.0) / GLICKO2_SCALE
-    phi = np.array([r.deviation for r in ratings]) / GLICKO2_SCALE
+    game table, in which each player's games stay in record order.
+    ``ratings`` holds the rows rating and deviation, one column a player."""
+    mu = (ratings[0] - 1500.0) / GLICKO2_SCALE
+    phi = ratings[1] / GLICKO2_SCALE
     g_opp = (1.0 / np.sqrt(1.0 + 3.0 * phi * phi / (math.pi * math.pi))
              )[opponent]
     x = g_opp * (mu[player] - mu[opponent])
     ex = np.exp(-np.abs(x))
     e = np.where(x >= 0.0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-    n = len(ratings)
+    n = len(mu)
     return (np.bincount(player, weight * (g_opp * g_opp * e * (1.0 - e)),
-                        minlength=n).tolist(),
+                        minlength=n),
             np.bincount(player, weight * (g_opp * (score - e)),
-                        minlength=n).tolist())
+                        minlength=n))
 
 
 def out_of_place_period_sums(ratings, gen, disc, score, weight):
     """``_period_sums`` written with a fresh array for every operation: the
     same expressions in the same order, so the sums must agree bit for
     bit with the engine's buffered version."""
-    rating = np.array([r.rating for r in ratings])
-    mu = (rating - 1500.0) / GLICKO2_SCALE
-    phi = np.array([r.deviation for r in ratings]) / GLICKO2_SCALE
+    mu = (ratings[0] - 1500.0) / GLICKO2_SCALE
+    phi = ratings[1] / GLICKO2_SCALE
     g_player = 1.0 / np.sqrt(1.0 + 3.0 * phi * phi / (math.pi * math.pi))
-    n = len(ratings)
+    n = len(mu)
     v_inv, delta_sum = np.zeros(n), np.zeros(n)
     for player, opponent, s in ((gen, disc, score),
                                 (disc, gen, 1.0 - score)):
@@ -136,7 +136,7 @@ def out_of_place_period_sums(ratings, gen, disc, score, weight):
                              minlength=n)
         delta_sum += np.bincount(player, weight * (g_opp * (s - e)),
                                  minlength=n)
-    return v_inv.tolist(), delta_sum.tolist()
+    return v_inv, delta_sum
 
 
 # Snapshots that range from near-even games to expected scores saturated
@@ -212,7 +212,7 @@ class TestWorkedExample:
         (Rating(1700.0, 300.0), 0.7242, 0.303),  # much stronger, uncertain
     ])
     def test_published_g_and_e(self, opponent, g_expected, e_expected):
-        mu_j, phi_j = to_internal(opponent)
+        mu_j, phi_j = to_internal(opponent.rating, opponent.deviation)
         assert abs(g(phi_j) - g_expected) < 5e-4
         assert abs(expected_score(0.0, mu_j, phi_j) - e_expected) < 5e-4
 
@@ -234,16 +234,16 @@ class TestWorkedExample:
 
 class TestScaleConversion:
     def test_anchor_maps_to_origin(self):
-        mu, phi = to_internal(Rating(1500.0, 350.0))
+        mu, phi = to_internal(1500.0, 350.0)
         assert mu == 0.0
         assert phi == 350.0 / GLICKO2_SCALE
 
     @given(st.floats(500.0, 2500.0), st.floats(10.0, 500.0))
     def test_round_trip(self, rating, deviation):
-        mu, phi = to_internal(Rating(rating, deviation))
-        back = from_internal(mu, phi, 0.06)
-        assert math.isclose(back.rating, rating, rel_tol=1e-12, abs_tol=1e-9)
-        assert math.isclose(back.deviation, deviation, rel_tol=1e-12)
+        back_rating, back_deviation = from_internal(
+            *to_internal(rating, deviation))
+        assert math.isclose(back_rating, rating, rel_tol=1e-12, abs_tol=1e-9)
+        assert math.isclose(back_deviation, deviation, rel_tol=1e-12)
 
     def test_g_decreases_with_uncertainty(self):
         assert g(0.0) == 1.0
@@ -409,10 +409,11 @@ class TestRateTournament:
             RatingConfig(outcome_mode=mode))
         g0 = g(350.0 / GLICKO2_SCALE)
         assert list(outcome.ratings) == ["d", "e", "g"]
-        assert v_inv == [weight * (g0 * g0 * 0.25), 0.0,
-                         weight * (g0 * g0 * 0.25)]
-        assert delta_sum == [weight * (g0 * (1.0 - 24 / 32 - 0.5)), 0.0,
-                             weight * (g0 * (24 / 32 - 0.5))]
+        assert v_inv.tolist() == [weight * (g0 * g0 * 0.25), 0.0,
+                                  weight * (g0 * g0 * 0.25)]
+        assert delta_sum.tolist() == [
+            weight * (g0 * (1.0 - 24 / 32 - 0.5)), 0.0,
+            weight * (g0 * (24 / 32 - 0.5))]
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
                               st.integers(0, 40).flatmap(
@@ -440,7 +441,7 @@ class TestRateTournament:
                                      weight[0::2])):
             assert got.dtype == want.dtype
             assert got.tolist() == want.tolist()
-        ratings = [Rating(r, d) for r, d in snapshot[:len(ids)]]
+        ratings = np.array(snapshot[:len(ids)]).T
         for got, want in zip(_period_sums(ratings, *games),
                              reference_period_sums(ratings, player, opponent,
                                                    score, weight)):
@@ -462,7 +463,7 @@ class TestRateTournament:
     def test_period_sums_equal_the_out_of_place_expressions(self, drawn,
                                                             mode):
         snapshot, rows = drawn
-        ratings = [Rating(r, d) for r, d in snapshot]
+        ratings = np.array(snapshot).T
         gen, disc = (np.array([row[k] for row in rows], dtype=np.intp)
                      for k in (0, 1))
         score = np.array([row[2] for row in rows], dtype=float)

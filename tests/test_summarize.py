@@ -22,7 +22,7 @@ from arena.summarize import (WIN_RATE_WARNING, CurvePoint, Heatmap,
                              pair_win_rates, pearson, skill_curve, spearman,
                              summarize, write_curve_svg, write_heatmap_csv,
                              write_heatmap_svg, write_summary_csv)
-from arena.tournament import MatchRecord, MatchTable, PlayerSpec, round_robin
+from arena.tournament import MatchRecord, MatchTable, PlayerSpec
 
 from conftest import (column_means, reference_heatmap_values,
                       reference_pair_win_rates, reference_tournament_win_rate,
@@ -338,14 +338,12 @@ class TestSummarize:
 
     def test_non_round_robin_schedules_warn(self):
         specs, records, ratings = self.build()
-        quiet = summarize(records, ratings, specs,
-                          round_robin(["g1", "g2"], ["d1"]))
+        assert summarize(records, ratings, specs).warnings == ()
+        quiet = summarize(records, ratings, specs, "round_robin")
         assert quiet.warnings == ()
-        from arena.tournament import explicit_schedule
-
-        loud = summarize(records, ratings, specs,
-                         explicit_schedule([("g1", "d1")]))
-        assert loud.warnings == (WIN_RATE_WARNING,)
+        for kind in ("band", "explicit"):
+            loud = summarize(records, ratings, specs, kind)
+            assert loud.warnings == (WIN_RATE_WARNING,)
 
     def test_summary_retains_an_array_heatmap(self):
         # The heatmap is one float array, 8 bytes a cell; as nested tuples
@@ -369,10 +367,7 @@ class TestSummarize:
 
     def test_table_is_printable_and_complete(self):
         specs, records, ratings = self.build()
-        from arena.tournament import explicit_schedule
-
-        summary = summarize(records, ratings, specs,
-                            explicit_schedule([("g1", "d1")]))
+        summary = summarize(records, ratings, specs, "explicit")
         assert summary.warnings == (WIN_RATE_WARNING,)
         table = format_summary_table(summary)
         assert "id" in table and "win_rate" in table
