@@ -222,10 +222,7 @@ def _close_period(prior: np.ndarray, v_inv: np.ndarray,
     E(1-E)) and ``delta_sum`` the summed improvement (w * g * (s - E)).
     Returns which players the games inform, and those players' new
     (rating, deviation, volatility) columns. Only the volatility solve runs
-    player by player, on floats: it alone calls ``exp`` and ``log``, whose
-    numpy versions differ from ``math``'s in the last bit. Every other
-    operation here rounds the same on arrays as on floats, so the step
-    keeps every bit of the scalar expressions it replaces.
+    player by player, on floats (see the module docstring for why).
     """
     # A row where every expected score is saturated carries no usable
     # information about its player. Written as a negation, a NaN row is
@@ -389,7 +386,7 @@ def rate_tournament(table: MatchTable, config: RatingConfig | None = None
         fresh[0] = current + cfg.damping * (fresh[0] - current)
         updated = ratings.copy()
         updated[:, informed] = fresh
-        # max() over floats, as a NaN shift counts only in first place.
+        # Python's max(): a NaN shift counts only when it comes first.
         shifts.append(max(np.abs(updated[0] - ratings[0]).tolist(),
                           default=0.0))
         ratings = updated
