@@ -17,9 +17,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arena import glicko
-from arena.glicko import (_MIN_INFORMATION, GLICKO2_SCALE, GameResult,
-                          Rating, RatingConfig, RatingOutcome, _apply_period,
-                          _period_sums, expected_score, from_internal, g,
+from arena.glicko import (_MIN_INFORMATION, GLICKO2_SCALE, ConvergenceError,
+                          GameResult, Rating, RatingConfig, RatingOutcome,
+                          _apply_period, _close_period, _period_sums, expected_score, from_internal, g,
                           rate_tournament, to_internal, update_player,
                           update_volatility)
 from arena.tournament import MatchRecord, MatchTable
@@ -137,6 +137,26 @@ def out_of_place_period_sums(ratings, gen, disc, score, weight):
         delta_sum += np.bincount(player, weight * (g_opp * (s - e)),
                                  minlength=n)
     return v_inv, delta_sum
+
+
+def scalar_close_period(rating: Rating, v_inv: float, delta_sum: float,
+                        cfg: RatingConfig) -> tuple[float, ...] | None:
+    """The Glicko2 step for one player on Python floats, each expression of
+    ``_close_period`` in the same order; None where the games do not
+    inform the player. The array step must agree with it bit for bit."""
+    if v_inv <= _MIN_INFORMATION:
+        return None
+    mu, phi = to_internal(rating.rating, rating.deviation)
+    v = 1.0 / v_inv
+    delta = v * delta_sum
+    sigma_new = update_volatility(rating.volatility, delta, phi, v, cfg.tau,
+                                  cfg.convergence_eps)
+    phi_star = math.sqrt(phi * phi + sigma_new * sigma_new)
+    phi_cap = max(phi, cfg.default_deviation / GLICKO2_SCALE)
+    phi_star = min(phi_star, phi_cap)
+    phi_new = 1.0 / math.sqrt(1.0 / (phi_star * phi_star) + v_inv)
+    mu_new = mu + phi_new * phi_new * delta_sum
+    return (*from_internal(mu_new, phi_new), sigma_new)
 
 
 # Snapshots that range from near-even games to expected scores saturated
@@ -475,6 +495,37 @@ class TestRateTournament:
             assert np.array_equal(g_sums, w_sums)
             # array_equal takes -0.0 for 0.0; the bit patterns must match too.
             assert np.array(g_sums).tobytes() == np.array(w_sums).tobytes()
+
+    @given(st.lists(st.tuples(
+               st.one_of(st.floats(1000.0, 2000.0), st.floats(-1e6, 1e6)),
+               st.floats(1e-3, 1e7), st.floats(1e-4, 2.0),
+               st.one_of(st.floats(0.0, 1e6), st.sampled_from(
+                   [_MIN_INFORMATION, math.nextafter(_MIN_INFORMATION, 1.0),
+                    math.nan])),
+               st.floats(-1e6, 1e6)), min_size=1, max_size=12),
+           st.sampled_from([0.01, 0.5, 3.0]), st.sampled_from([30.0, 350.0]))
+    # Here v * delta_sum and delta_sum / v_inv differ in the last bit, and
+    # the volatility solve carries that bit into sigma.
+    @example([(1500.0, 350.0, 0.5, 0.005, -2.09)], 0.5, 350.0)
+    @settings(deadline=None)
+    def test_close_period_keeps_every_bit_of_the_scalar_step(
+            self, players, tau, default_deviation):
+        cfg = RatingConfig(tau=tau, default_deviation=default_deviation)
+        prior, v_inv, delta_sum = (np.array(column) for column in (
+            [p[:3] for p in players], [p[3] for p in players],
+            [p[4] for p in players]))
+        try:
+            want = [scalar_close_period(Rating(*p[:3]), *p[3:], cfg)
+                    for p in players]
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                _close_period(prior.T, v_inv, delta_sum, cfg)
+            return
+        informed, fresh = _close_period(prior.T, v_inv, delta_sum, cfg)
+        assert informed.tolist() == [w is not None for w in want]
+        # float.hex tells -0.0 from 0.0 and reads every NaN as "nan".
+        assert [[x.hex() for x in column] for column in fresh.T.tolist()] \
+            == [[x.hex() for x in w] for w in want if w is not None]
 
     def test_shifts_trace_every_pass(self):
         records = [record("g1", "d1", 14, 12), record("g1", "d2", 3, 1),
