@@ -692,6 +692,25 @@ class TestBulkReader:
             assert column.dtype == getattr(expected, name).dtype
             assert column.tolist() == getattr(expected, name).tolist()
 
+    def test_a_log_reads_the_same_at_the_old_and_the_new_chunk_size(
+            self, tmp_path):
+        # A writer log over more than three chunks of the size read_log
+        # takes, whose ids and thresholds recur across chunk boundaries,
+        # reads to the same table at 1 << 17, the earlier size, and as the
+        # per-line reader reads it.
+        path = tmp_path / "log.jsonl"
+        write_records(path, [MatchRecord(
+            f"g{i % 97}", f"d{i // 97}", 64, i % 65, 64, 64 - i % 65,
+            seed=i * 2654435761, threshold=i % 7 / 8) for i in range(12000)])
+        assert path.stat().st_size > 3 * store._CHUNK_CHARS
+        tables = []
+        for chunk in (1 << 17, store._CHUNK_CHARS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(store, "_CHUNK_CHARS", chunk)
+                tables.append(table_bytes(read_log(path)[1]))
+        assert tables[0] == tables[1] == table_bytes(
+            MatchTable.from_records(reference_read_log(path)[1]))
+
     @pytest.mark.parametrize("line", [
         with_value("seed", 2 ** 64 - 1), LONG_COUNTS,
         *(with_value("threshold", text) for text in EDGE_THRESHOLDS)])

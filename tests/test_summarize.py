@@ -50,6 +50,26 @@ def per_cell_heatmap_csv(path, hm: Heatmap) -> None:
             writer.writerow([disc_id, *cells])
 
 
+def per_cell_heatmap_svg(path, hm: Heatmap, cell: int) -> None:
+    """The heatmap SVG drawn one cell at a time: a win rate clamped to
+    [0, 1] maps to grey level round(255 * rate), a NaN to a red cell."""
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" '
+             f'width="{cell * len(hm.generator_ids)}" '
+             f'height="{cell * len(hm.discriminator_ids)}">']
+    for i, row in enumerate(hm.values.tolist()):
+        for j, value in enumerate(row):
+            if value != value:
+                fill = "#d04040"
+            else:
+                level = round(max(0.0, min(1.0, value)) * 255.0)
+                fill = f"#{level:02x}{level:02x}{level:02x}"
+            lines.append(f'<rect x="{j * cell}" y="{i * cell}" '
+                         f'width="{cell}" height="{cell}" fill="{fill}"/>')
+    lines.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 # Cell values with repeats, both zeros, NaN, subnormals, values that round
 # to -0.000000, and the win rates of small matches.
 cell_values = st.one_of(
@@ -57,6 +77,14 @@ cell_values = st.one_of(
                      0.5, 1.0, 0.0000005, 0.0000015]),
     st.integers(0, 16).map(lambda k: k / 16),
     st.floats(allow_nan=True, allow_infinity=True))
+# Win rates for the SVG: both zeros, NaN, both infinities, values off
+# [0, 1], every k/255 and every tie half-way between two grey levels.
+svg_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf, 5e-324,
+                     -1e-9, 1 + 1e-9]),
+    st.integers(0, 255).map(lambda k: k / 255),
+    st.integers(0, 254).map(lambda k: (k + 0.5) / 255),
+    st.floats(-2.0, 2.0))
 # Ids that csv.writer must quote.
 csv_ids = st.text(alphabet='ab,"\n\r ', min_size=1, max_size=4)
 
@@ -424,6 +452,29 @@ class TestArtifactFiles:
         per_cell_heatmap_csv(directory / "want.csv", hm)
         assert ((directory / "got.csv").read_bytes()
                 == (directory / "want.csv").read_bytes())
+
+    @given(st.integers(0, 6).flatmap(lambda cols: st.tuples(
+               st.lists(csv_ids, min_size=cols, max_size=cols),
+               st.lists(st.tuples(csv_ids, st.lists(
+                   svg_values, min_size=cols, max_size=cols)),
+                   max_size=6))),
+           st.integers(1, 20))
+    @example((["g,1", 'g"2'], [("d\n1", [math.nan, -0.0]),
+                               ("d 2", [math.inf, 0.5 / 255])]), 14)
+    @example(([], [("d<1", []), ("", [])]), 14)
+    @example((["g&1"], []), 3)
+    @settings(max_examples=200, deadline=None)
+    def test_heatmap_svg_equals_the_per_cell_writer(self, tmp_path_factory,
+                                                    drawn, cell):
+        generator_ids, rows = drawn
+        values = np.array([row for _, row in rows], dtype=float).reshape(
+            len(rows), len(generator_ids))
+        hm = Heatmap(tuple(generator_ids), tuple(d for d, _ in rows), values)
+        directory = tmp_path_factory.mktemp("heatmap")
+        write_heatmap_svg(directory / "got.svg", hm, cell=cell)
+        per_cell_heatmap_svg(directory / "want.svg", hm, cell)
+        assert ((directory / "got.svg").read_bytes()
+                == (directory / "want.svg").read_bytes())
 
     def test_heatmap_svg_is_well_formed(self, tmp_path):
         records = [record("g1", "d1", 8), record("g2", "d2", 4)]
