@@ -86,6 +86,13 @@ def _logged(args, header: store.LogHeader) -> cfgmod.TournamentConfig:
     return _with_overrides(config, args, "command line")
 
 
+def _schedule_kind(config: cfgmod.TournamentConfig, players) -> str:
+    """The kind of schedule a v2 log's records were played under. An
+    extend plays only new-vs-old matches, an explicit schedule, so a log
+    with ``players`` lines is no longer the schedule its header names."""
+    return "explicit" if players else config.schedule["kind"]
+
+
 def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
           schedule: tn.Schedule, strict: bool,
           writer: store.LogWriter | None = None) -> tn.MatchTable:
@@ -214,9 +221,8 @@ def cmd_rate(args) -> int:
     if config is None:
         specs, kind = store.record_specs(records, args.log), None
     else:
-        # The schedule the header names; an extended log keeps its header's.
         specs = cfgmod.player_specs(config.players)
-        kind = config.schedule["kind"]
+        kind = _schedule_kind(config, header.players)
     _print_report(*_report(records, rating, specs, args.out_dir, {}, kind))
     return 0
 
@@ -255,7 +261,8 @@ def cmd_extend(args) -> int:
                         store.LogWriter(args.log, players=entries))
     _print_report(*_report(records.concat(new_records), config.rating,
                            built.specs, args.out_dir, config.outputs,
-                           config.schedule["kind"]))
+                           _schedule_kind(config,
+                                          header.players or entries)))
     names = sorted(added, key=lambda s: (s.role != "generator", s.id))
     print(f"appended {len(new_records)} records to {args.log} "
           f"(new players: {', '.join(s.id for s in names)})")

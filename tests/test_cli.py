@@ -454,6 +454,21 @@ class TestExtend:
         assert all("tiny-g02" in pair or "tiny-d02" in pair
                    for pair in pairs)
 
+    def test_an_extended_log_warns_that_its_win_rates_are_not_comparable(
+            self, population, capsys):
+        # The run was a round robin, but extend plays no new-vs-new pair
+        # (tiny-g02 vs tiny-d02), so the extend and a later rate of the
+        # extended log warn, once and on stderr.
+        config, log, fragment = population
+        for argv in (["extend", log, "--add", fragment], ["rate", log]):
+            capsys.readouterr()
+            assert run_cli(*argv) == 0
+            captured = capsys.readouterr()
+            assert [line for line in captured.err.splitlines()
+                    if line.startswith("warning:")] == [
+                f"warning: {sm.WIN_RATE_WARNING}"], argv
+            assert "warning:" not in captured.out
+
     def test_extends_a_log_whose_last_line_has_no_newline(self, population,
                                                            capsys):
         config, log, fragment = population
@@ -754,7 +769,8 @@ class TestRerating:
     def test_round_robin_and_v1_logs_rate_without_the_warning(
             self, population, capsys):
         # An arena-log/1 header does not say how its matches were
-        # scheduled, so a v1 log stays silent as it always was.
+        # scheduled, so a v1 log stays silent as it always was. An
+        # extended round robin warns; TestExtend checks that.
         config, log, fragment = population
         band = log.parent.parent / "band"
         assert run_cli("run", "--config", config, "--out-dir", band,
@@ -765,8 +781,7 @@ class TestRerating:
             header, config=None)).encode() + b"\n"
             + v1.read_bytes().split(b"\n", 1)[1])
         capsys.readouterr()
-        for argv in (["rate", log], ["extend", log, "--add", fragment],
-                     ["rate", log], ["rate", v1]):
+        for argv in (["rate", log], ["rate", v1]):
             assert run_cli(*argv) == 0
             assert "warning:" not in capsys.readouterr().err, argv
 
