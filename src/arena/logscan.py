@@ -25,12 +25,18 @@ _NUMBERS, _DIGITS = [3, 1, 4, 5, 6], [18] * 4 + [20]  # counts, then seed
 _SHIFTS = np.arange(64, -1, -8, dtype=np.uint64)  # by 64 - 8 * bytes kept
 
 
+def _shifts(kept) -> np.ndarray:
+    """``_SHIFTS`` at each count of bytes kept, clamped to [0, 8] by two
+    ufuncs: np.clip's Python wrapper costs more on a chunk's short arrays."""
+    return _SHIFTS[np.minimum(np.maximum(kept, 0), 8)]
+
+
 def _decimals(words, last, lengths) -> np.ndarray | None:
     """The numbers whose 1 to 20 digits end before ``last``, or None unless
     all are digits and below 2**64, by Lemire's SWAR parse of 8 digits."""
     for j in range(-(-int(lengths.max()) // 8)):
         # Word j from the end: its digits as bytes 0..9, any before them 0.
-        shift = _SHIFTS[np.clip(lengths - 8 * j, 0, 8)]
+        shift = _shifts(lengths - 8 * j)
         word = (words[last - 8 * j - 8] ^ 0x3030303030303030) >> shift << shift
         if ((word + 0x7676767676767676 | word) & 0x8080808080808080).any():
             return None
@@ -55,7 +61,7 @@ def _distinct(data, words, first, last) -> tuple[np.ndarray, list]:
                          in zip(first.tolist(), last.tolist())]), list(index)
     j = np.arange(width)
     keys = (words[np.minimum(first[:, None] + 8 * j, last[:, None])]
-            << _SHIFTS[np.clip(lengths[:, None] - 8 * j, 0, 8)])
+            << _shifts(lengths[:, None] - 8 * j))
     # One word sorts fastest as an integer, more as one opaque value.
     _, span, inverse = np.unique(
         (keys if width == 1 else keys.view(f"V{8 * width}")).ravel(),

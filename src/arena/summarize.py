@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -309,7 +310,8 @@ def write_summary_csv(path, summary: TournamentSummary) -> None:
 
 
 def write_heatmap_csv(path, hm: Heatmap) -> None:
-    """Matrix CSV with a header row/column of player ids."""
+    """Matrix CSV with a header row/column of player ids, written one row
+    at a time."""
     import csv
 
     # Each distinct value is formatted once. Keying on the bit pattern
@@ -325,14 +327,25 @@ def write_heatmap_csv(path, hm: Heatmap) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["discriminator\\generator", *hm.generator_ids])
-        writer.writerows([disc_id, *row]
-                         for disc_id, row in zip(hm.discriminator_ids, cells))
+        if not hm.generator_ids:  # a lone empty id is written ""
+            writer.writerows([disc_id] for disc_id in hm.discriminator_ids)
+            return
+        # The csv module writes each id and the comma after it, quoted as
+        # in a whole row (each row is one write, kept without its line
+        # end); a cell's text never needs quoting, so the cells are joined.
+        leads: list[str] = []
+        csv.writer(SimpleNamespace(write=leads.append)).writerows(
+            (disc_id, "") for disc_id in hm.discriminator_ids)
+        for lead, row in zip(leads, cells):
+            fh.write(lead[:-2] + ",".join(row) + "\r\n")
 
 
-# Fill of each grey level, and of a pair that never played.
+# Fill of each grey level, and of a pair that never played, each with the
+# end of its cell's element.
 _MISSING = "#d04040"
-_FILLS = (*(f"#{level:02x}{level:02x}{level:02x}" for level in range(256)),
-          _MISSING)
+_FILLS = np.array([f'{fill}"/>\n' for fill in (
+    *(f"#{level:02x}{level:02x}{level:02x}" for level in range(256)),
+    _MISSING)], dtype=object)
 
 
 def write_heatmap_svg(path, hm: Heatmap, cell: int = 14) -> None:
@@ -340,19 +353,24 @@ def write_heatmap_svg(path, hm: Heatmap, cell: int = 14) -> None:
 
     The file is written one row of cells at a time.
     """
-    xs = [f'<rect x="{j * cell}' for j in range(len(hm.generator_ids))]
+    values = np.asarray(hm.values, dtype=float)
+    # Clamped before the scaling, so no value overflows; np.rint rounds
+    # half to even, as round() does.
+    levels = np.rint(np.minimum(np.maximum(values, 0.0), 1.0) * 255.0)
+    levels[np.isnan(values)] = len(_FILLS) - 1
+    fills = _FILLS[levels.astype(np.intp)]
+    # A row is three parts a cell: its x, the row's y and size, its fill.
+    parts = [f'<rect x="{j * cell}'
+             for j in range(len(hm.generator_ids)) for _ in range(3)]
     with open(path, "w") as fh:
         fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
                  f'width="{cell * len(hm.generator_ids)}" '
                  f'height="{cell * len(hm.discriminator_ids)}">\n')
-        for i, row in enumerate(hm.values):
-            # Only x and the fill change along a row.
-            middle = f'" y="{i * cell}" width="{cell}" height="{cell}" fill="'
-            # np.rint rounds half to even, as round() does.
-            levels = np.clip(np.rint(row * 255.0), 0, 255)
-            levels[np.isnan(row)] = len(_FILLS) - 1
-            fh.write("".join([f'{x}{middle}{_FILLS[level]}"/>\n' for x, level
-                              in zip(xs, levels.astype(np.intp).tolist())]))
+        for i, row in enumerate(fills):
+            parts[1::3] = [f'" y="{i * cell}" width="{cell}" '
+                           f'height="{cell}" fill="'] * len(row)
+            parts[2::3] = row.tolist()
+            fh.write("".join(parts))
         fh.write("</svg>\n")
 
 
