@@ -353,15 +353,15 @@ def write_heatmap_svg(path, hm: Heatmap, cell: int = 14) -> None:
 
     The file is written one row of cells at a time.
     """
-    values = np.asarray(hm.values, dtype=float)
     # Clamped before the scaling, so no value overflows; np.rint rounds
     # half to even, as round() does.
-    levels = np.rint(np.minimum(np.maximum(values, 0.0), 1.0) * 255.0)
-    levels[np.isnan(values)] = len(_FILLS) - 1
+    levels = np.rint(np.minimum(np.maximum(hm.values, 0.0), 1.0) * 255.0)
+    levels[np.isnan(hm.values)] = len(_FILLS) - 1
     fills = _FILLS[levels.astype(np.intp)]
     # A row is three parts a cell: its x, the row's y and size, its fill.
-    parts = [f'<rect x="{j * cell}'
-             for j in range(len(hm.generator_ids)) for _ in range(3)]
+    parts = [""] * (3 * len(hm.generator_ids))
+    parts[0::3] = [f'<rect x="{j * cell}'
+                   for j in range(len(hm.generator_ids))]
     with open(path, "w") as fh:
         fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
                  f'width="{cell * len(hm.generator_ids)}" '
