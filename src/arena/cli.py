@@ -32,6 +32,28 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _say(text: str) -> None:
+    """Print one line of output. A reader that has gone, as in ``arena rate
+    LOG | head -1``, ends the output but not the command: this line and
+    every later one are dropped."""
+    try:
+        print(text)
+    except BrokenPipeError:
+        _end_output()
+
+
+def _end_output() -> None:
+    """Point stdout at the null device once its reader has gone, so that
+    later lines, and the flush at exit, write nowhere instead of failing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file: each later line fails and is dropped alike
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def _with_overrides(base: cfgmod.TournamentConfig, args,
                     where: str) -> cfgmod.TournamentConfig:
     raw = copy.deepcopy(base.raw)
@@ -167,7 +189,7 @@ def _report(table: tn.MatchTable, rating: glicko.RatingConfig,
 def _print_report(outcome: glicko.RatingOutcome,
                   summary: sm.TournamentSummary) -> None:
     """Print the summary table, then every warning."""
-    print(sm.format_summary_table(summary))
+    _say(sm.format_summary_table(summary))
     for message in (*summary.warnings, *outcome.warnings):
         _warn(message)
 
@@ -202,7 +224,7 @@ def cmd_run(args) -> int:
                     _new_log(config, log_path))
     _print_report(*_report(records, config.rating, built.specs, directory,
                            config.outputs, schedule.kind))
-    print(f"log: {log_path} ({len(records)} records)")
+    _say(f"log: {log_path} ({len(records)} records)")
     return 0
 
 
@@ -264,8 +286,8 @@ def cmd_extend(args) -> int:
                            _schedule_kind(config,
                                           header.players or entries)))
     names = sorted(added, key=lambda s: (s.role != "generator", s.id))
-    print(f"appended {len(new_records)} records to {args.log} "
-          f"(new players: {', '.join(s.id for s in names)})")
+    _say(f"appended {len(new_records)} records to {args.log} "
+         f"(new players: {', '.join(s.id for s in names)})")
     return 0
 
 
@@ -273,7 +295,7 @@ def cmd_simulate(args) -> int:
     from . import experiments
 
     verdict = experiments.simulate(args.experiment, args.seed, args.out_dir)
-    print(json.dumps(verdict, indent=2, sort_keys=True))
+    _say(json.dumps(verdict, indent=2, sort_keys=True))
     return 0 if all(verdict["checks"].values()) else 1
 
 
@@ -282,17 +304,17 @@ def cmd_schedule(args) -> int:
     gens = {s.id for s in built.specs if s.role == "generator"}
     discs = {s.id for s in built.specs if s.role == "discriminator"}
     full = len(gens) * len(discs)
-    print(f"kind: {schedule.kind}")
+    _say(f"kind: {schedule.kind}")
     if schedule.band_width is not None:
-        print(f"band_width: {schedule.band_width}")
-    print(f"players: {len(gens)} generators, {len(discs)} discriminators")
-    print(f"matches: {len(schedule.matches)}"
-          + (f" ({len(schedule.matches) / full:.0%} of full round robin)"
-             if full else ""))
-    print(f"components: {diagnostics.components}")
+        _say(f"band_width: {schedule.band_width}")
+    _say(f"players: {len(gens)} generators, {len(discs)} discriminators")
+    _say(f"matches: {len(schedule.matches)}"
+         + (f" ({len(schedule.matches) / full:.0%} of full round robin)"
+            if full else ""))
+    _say(f"components: {diagnostics.components}")
     if args.list:
         for gen_id, disc_id, repeat in schedule.matches:
-            print(f"  {gen_id} vs {disc_id} repeat {repeat}")
+            _say(f"  {gen_id} vs {disc_id} repeat {repeat}")
     return 0 if diagnostics.ok else 2
 
 
@@ -368,7 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _end_output()
+        return code
     except (store.LogError, RuntimeError) as exc:
         # Runtime failures. LogError subclasses ValueError, so it must be
         # caught before the usage errors, ConfigError among them.

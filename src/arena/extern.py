@@ -5,25 +5,29 @@ it opens with a ``hello`` declaring its role, sample dimension and
 protocol, then answers ``generate`` or ``judge`` requests until it
 receives ``shutdown``. One request is in flight at a time and all
 timeouts are enforced here on the host side, so a wedged child cannot
-stall the tournament forever.
+stall the tournament forever: one deadline covers writing a request
+into the child's non-blocking stdin and reading its reply, and the host
+waits on either pipe with ``select.poll`` (POSIX pipes), never on a
+blocking read or write. Replies are read straight from the child's
+stdout into a session buffer that keeps a partial line until its end
+arrives; there is no reader thread. ``close`` reaps the child with a
+timed wait and kills it if it is still running then.
 
 Sample arrays (a ``samples`` reply's and a ``judge`` request's ``data``)
 travel as one base64 string of row-major little-endian float64, so every
 double crosses bit for bit. ``encode_samples`` and ``decode_samples`` are
 the one place that format is written or read. numpy and ``base64`` are
 imported only where a payload is encoded or decoded, and ``subprocess``,
-``threading`` and ``queue`` only where a session is opened, so the
+``select`` and ``threading`` only where a session is opened, so the
 reference player, which shares this module's wire format, starts without
-any of them.
+any of them (nor ``typing``).
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
+import os
+import time
 
 PROTOCOL_VERSION = 2
 HANDSHAKE_TIMEOUT = 30.0
@@ -31,6 +35,8 @@ REQUEST_TIMEOUT = 60.0
 # Seconds a child may take to exit once it has been shut down; then it is
 # killed.
 CLOSE_TIMEOUT = 5.0
+# Most bytes taken from a child's stdout in one read: a pipe's capacity.
+_READ_BYTES = 1 << 16
 
 MESSAGE_TYPES = ("hello", "generate", "samples", "judge", "scores",
                  "error", "shutdown")
@@ -148,7 +154,7 @@ class ExternalPlayer:
     def __init__(self, command, *, role: str, env=None,
                  handshake_timeout: float = HANDSHAKE_TIMEOUT,
                  request_timeout: float = REQUEST_TIMEOUT):
-        import queue
+        import select
         import subprocess
         import threading
 
@@ -164,13 +170,21 @@ class ExternalPlayer:
                 stdout=subprocess.PIPE, env=env)
         except OSError as exc:
             raise HandshakeFailed(f"cannot spawn {command!r}: {exc}") from None
-        self._lines: queue.Queue[bytes | None] = queue.Queue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
+        # Requests are written without blocking, so a child that stops
+        # reading meets the request deadline instead of stalling the host.
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        self._readable = select.poll()
+        self._readable.register(self._proc.stdout, select.POLLIN)
+        self._writable = select.poll()
+        self._writable.register(self._proc.stdin, select.POLLOUT)
+        # Output read but not yet taken: the start of the next line.
+        self._pending = bytearray()
+        self._ended = False
 
         try:
-            hello = self._next_message(handshake_timeout, "handshake")
-        except RequestTimeout:
+            hello = self._next_message(time.monotonic() + handshake_timeout,
+                                       "handshake")
+        except TimeoutError:
             self.close()
             raise HandshakeFailed(
                 f"no hello within {handshake_timeout:g} s") from None
@@ -197,21 +211,56 @@ class ExternalPlayer:
         self.dim = dim
         self.name = str(hello.get("name", ""))
 
-    def _pump(self) -> None:
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)
+    @staticmethod
+    def _ready(poller, deadline: float) -> bool:
+        """Whether the pipe ``poller`` watches is ready before
+        ``deadline``."""
+        return bool(poller.poll(max(deadline - time.monotonic(), 0.0) * 1e3))
 
-    def _next_message(self, timeout: float, context: str) -> dict:
-        import queue  # loaded when the session was opened
+    def _send(self, data: bytes, deadline: float) -> bool:
+        """Write ``data`` to the child's stdin; False if the pipe did not
+        take all of it before ``deadline``."""
+        fd = self._proc.stdin.fileno()  # ValueError once stdin is closed
+        view = memoryview(data)
+        while True:
+            try:
+                view = view[os.write(fd, view):]
+            except BlockingIOError:
+                pass
+            if not view:
+                return True
+            if not self._ready(self._writable, deadline):
+                return False
 
-        if self._dead is not None:
-            raise ExternError(f"{context}: {self._dead}")
-        try:
-            line = self._lines.get(timeout=timeout)
-        except queue.Empty:
-            raise RequestTimeout(
-                f"{context}: no reply within {timeout:g} s") from None
+    def _line(self, deadline: float) -> bytes | None:
+        """The child's next output line, newline included: at the end of
+        its output, whatever is left without one, and then None. Raises
+        TimeoutError if no whole line is in before ``deadline``."""
+        pending = self._pending
+        start = 0
+        while True:
+            end = pending.find(b"\n", start) + 1
+            if end:
+                line = bytes(pending[:end])
+                del pending[:end]
+                return line
+            if self._ended:
+                line = bytes(pending)
+                pending.clear()
+                return line or None
+            start = len(pending)
+            if not self._ready(self._readable, deadline):
+                raise TimeoutError
+            chunk = os.read(self._proc.stdout.fileno(), _READ_BYTES)
+            if chunk:
+                pending += chunk
+            else:
+                self._ended = True
+
+    def _next_message(self, deadline: float, context: str) -> dict:
+        """The child's next message; TimeoutError if it is not in before
+        ``deadline``."""
+        line = self._line(deadline)
         if line is None:
             raise ExternError(f"{context}: {self._exited()}")
         try:
@@ -227,36 +276,44 @@ class ExternalPlayer:
                 f"{context}: player error: {message.get('message', '')}")
         return message
 
-    def _exited(self) -> str:
-        """Mark the session dead once the child's stdout has ended or its
-        stdin broke, and say why: the child is reaped first, and killed if
-        it is still running ``CLOSE_TIMEOUT`` s later, so every match that
-        meets the dead session fails with the same exit code."""
+    def _reap(self) -> int:
+        """Wait for the child to exit, killing it if it is still running
+        ``CLOSE_TIMEOUT`` s later; its exit code."""
         import subprocess  # loaded when the session was opened
 
         try:
-            code = self._proc.wait(timeout=CLOSE_TIMEOUT)
+            return self._proc.wait(timeout=CLOSE_TIMEOUT)
         except subprocess.TimeoutExpired:
             self._proc.kill()
-            code = self._proc.wait()
-        self._dead = f"player process exited (code {code})"
+            return self._proc.wait()
+
+    def _exited(self) -> str:
+        """Mark the session dead once the child's stdout has ended or its
+        stdin broke, and say why: the child is reaped first, so every match
+        that meets the dead session fails with the same exit code."""
+        self._dead = f"player process exited (code {self._reap()})"
         return self._dead
 
     def _request(self, payload: dict, context: str) -> dict:
+        wire = _wire(payload)
         with self._lock:
             if self._dead is not None:
                 raise ExternError(f"{context}: {self._dead}")
+            # One deadline covers writing the request and reading the reply.
+            deadline = time.monotonic() + self.request_timeout
             try:
-                self._proc.stdin.write(_wire(payload))
-                self._proc.stdin.flush()
+                sent = self._send(wire, deadline)
             except (OSError, ValueError):
                 raise ExternError(f"{context}: {self._exited()}") from None
             try:
-                return self._next_message(self.request_timeout, context)
-            except RequestTimeout:
+                if not sent:
+                    raise TimeoutError
+                return self._next_message(deadline, context)
+            except TimeoutError:
                 # A late reply would be read as the next request's answer.
                 self._dead = "an earlier request timed out"
-                raise
+                raise RequestTimeout(f"{context}: no reply within "
+                                     f"{self.request_timeout:g} s") from None
 
     def sample(self, count: int, rng: np.random.Generator | None = None
                ) -> np.ndarray:
@@ -313,9 +370,10 @@ class ExternalPlayer:
             return
         if proc.poll() is None:
             try:
-                proc.stdin.write(_wire({"type": "shutdown"}))
-                proc.stdin.flush()
-            except (OSError, ValueError):
+                # A line this short goes into a pipe whole or not at all, so
+                # a child that reads no more only misses it.
+                os.write(proc.stdin.fileno(), _wire({"type": "shutdown"}))
+            except OSError:
                 pass
         try:
             proc.stdin.close()
@@ -323,25 +381,12 @@ class ExternalPlayer:
             pass
 
     def close(self) -> None:
-        """Shut the child down and reap it with a blocking wait, killing it
-        if it is still running ``CLOSE_TIMEOUT`` s later; safe to call
-        repeatedly."""
-        import threading
-
+        """Shut the child down and reap it, killing it if it is still
+        running ``CLOSE_TIMEOUT`` s later; safe to call repeatedly."""
         self.shutdown()
-        proc = self._proc
-        if proc.poll() is None:
-            killer = threading.Timer(CLOSE_TIMEOUT, proc.kill)
-            killer.start()
-            try:
-                proc.wait()
-            finally:
-                killer.cancel()
-                killer.join()
+        self._reap()
         self._dead = self._dead or "session closed"
-        self._reader.join(timeout=CLOSE_TIMEOUT)
-        if not self._reader.is_alive():
-            proc.stdout.close()
+        self._proc.stdout.close()
 
     def __enter__(self) -> "ExternalPlayer":
         return self

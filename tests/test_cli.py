@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import logging
+import os
+import subprocess
 import sys
 import tracemalloc
 from contextlib import closing
@@ -260,6 +263,40 @@ class TestRate:
         out = tmp_path / "rated"
         assert run_cli("rate", log_path, "--out-dir", out) == 0
         assert (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("command", ["rate", "run"])
+    def test_a_reader_that_has_gone_ends_the_output_not_the_command(
+            self, command, log_path, config_path, tmp_path, monkeypatch,
+            capsys):
+        # As in ``arena rate LOG | head -1`` once head has exited: every
+        # write to stdout fails. The lines are dropped, the command still
+        # writes its files and exits with its usual code, with no traceback.
+        class Gone(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Gone())
+        out = tmp_path / "again"
+        source = ["rate", log_path] if command == "rate" else [
+            "run", "--config", config_path]
+        assert run_cli(*source, "--out-dir", out) == 0
+        assert (out / "summary.csv").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_a_closed_stdout_pipe_exits_0_without_a_traceback(self,
+                                                              log_path):
+        # The reader end of the pipe is closed before the command starts, so
+        # the flush of its buffered table at exit meets a broken pipe.
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "arena.cli", "rate", str(log_path)],
+                stdout=writer, stderr=subprocess.PIPE, text=True, env=dict(
+                    os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+        finally:
+            os.close(writer)
+        assert (result.returncode, result.stderr) == (0, "")
 
     def test_header_only_log_warns_and_succeeds(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
@@ -1130,14 +1167,17 @@ class TestColdStart:
                                "jsonschema", "yaml"}
 
     def test_reference_player_starts_without_subprocess(self):
-        # extern loads subprocess, threading and queue only where a session
-        # is opened, which a child never does. (The interpreter's own start
-        # may load threading, so the probe asks what the import added.)
+        # extern loads subprocess, select and threading only where a session
+        # is opened, which a child never does, and typing nowhere; it reads
+        # replies without a reader thread or a queue. (The interpreter's own
+        # start may load threading, and a site-packages .pth file typing, so
+        # the probe runs without site and asks what the import added.)
         result = fresh_python(
-            "-c", "import sys\nbefore = set(sys.modules)\n"
+            "-S", "-c", "import sys\nbefore = set(sys.modules)\n"
             "import arena.ref_player\n"
             "print('subprocess' in sys.modules, sorted(\n"
-            "    {'threading', 'queue'} & (set(sys.modules) - before)))\n",
+            "    {'threading', 'queue', 'select', 'typing'}\n"
+            "    & (set(sys.modules) - before)))\n",
             check=True)
         assert result.stdout.splitlines()[-1] == "False []"
 

@@ -28,8 +28,8 @@ from arena.extern import (MESSAGE_TYPES, BatchSizeMismatch, ExternError,
                           dump_message, parse_message)
 from arena.tournament import RunSettings, explicit_schedule, run_tournament
 
-from conftest import (TEXT_ALPHABET, DrawsMany, tiny_config_payload,
-                      write_yaml)
+from conftest import (TEXT_ALPHABET, DrawsMany, fresh_python,
+                      tiny_config_payload, write_yaml)
 
 
 def ref_player(role: str, *extra: str) -> list[str]:
@@ -329,6 +329,87 @@ class TestRequests:
                                    match="an earlier request timed out"):
                     player.judge(np.zeros((2, 3)))
 
+    def test_a_reply_split_across_writes_is_read_as_one_message(self):
+        child = inline_child("""
+            reply = json.dumps({"type": "samples", "data": base64.b64encode(
+                bytes(8 * 2 * 3)).decode()}) + "\\n"
+            for line in sys.stdin:
+                sys.stdout.write(reply[:20])
+                sys.stdout.flush()
+                time.sleep(0.2)
+                sys.stdout.write(reply[20:])
+                sys.stdout.flush()
+        """, hello=True)
+        with ExternalPlayer(child, role="generator") as player:
+            for _ in range(2):
+                assert np.array_equal(player.sample(3), np.zeros((3, 2)))
+
+    def test_a_last_line_without_a_newline_is_parsed_at_end_of_output(self):
+        # The cut line is parsed as a message, as a line that ends with a
+        # newline is, and fails as undecodable; the next request finds the
+        # output ended.
+        child = inline_child("""
+            sys.stdin.readline()
+            sys.stdout.write('{"type": "samples", "data": "AAAA')
+        """, hello=True)
+        with ExternalPlayer(child, role="generator") as player:
+            with pytest.raises(ProtocolError, match="^undecodable message"):
+                player.sample(2)
+            with pytest.raises(ExternError,
+                               match=r"generate: player process exited "
+                                     r"\(code 0\)"):
+                player.sample(2)
+
+    def test_an_unrequested_line_is_read_as_the_next_reply(self):
+        # The first request is answered twice; the extra line is the second
+        # request's reply, and every later reply comes one request late.
+        child = inline_child("""
+            def reply(value):
+                emit({"type": "samples", "data": base64.b64encode(
+                    struct.pack("<2d", value, value)).decode()})
+            import struct
+            for n, line in enumerate(sys.stdin):
+                if n == 0:
+                    reply(0.0)
+                reply(n + 1.0)
+        """, hello=True)
+        with ExternalPlayer(child, role="generator") as player:
+            assert [player.sample(1)[0, 0] for _ in range(3)] == [0, 1, 2]
+
+    def test_a_child_that_stops_reading_times_the_request_out(self):
+        # A judge request too large for the pipe, to a child that reads
+        # nothing after its hello, times out like a missing reply. Run in a
+        # fresh interpreter, so that a hang fails the test instead of
+        # stalling the suite; the child leaves once its host has gone.
+        child = inline_child("""
+            import os
+            host = os.getppid()
+            while os.getppid() == host:
+                time.sleep(0.05)
+        """, hello=True, role="discriminator", dim=8)
+        probe = textwrap.dedent("""
+            import json, sys, time
+            import numpy as np
+            from arena import extern
+            extern.CLOSE_TIMEOUT = 0.5
+            player = extern.ExternalPlayer(json.loads(sys.argv[1]),
+                                           role="discriminator",
+                                           request_timeout=1.0)
+            start = time.monotonic()
+            try:
+                player.judge(np.zeros((10000, 8)))
+            except extern.ExternError as exc:
+                print(type(exc).__name__, exc)
+            print(round(time.monotonic() - start))
+            player.close()
+            print(player._proc.returncode)
+        """)
+        result = fresh_python("-c", probe, json.dumps(child), timeout=20,
+                              check=True)
+        assert result.stdout.splitlines() == [
+            "RequestTimeout judge: no reply within 1 s", "1",
+            str(-signal.SIGKILL)]
+
     def test_wrong_request_kind_answered_with_an_error(self):
         # Drive the reference player manually to check its own guard rail.
         proc = subprocess.Popen(ref_player("generator"),
@@ -593,6 +674,38 @@ class TestLifecycle:
         assert [kind for kind, _ in events[:2]] == ["shutdown", "shutdown"]
         assert [kind for kind, _ in events if kind == "close"] == \
             ["close", "close"]
+
+    @pytest.mark.parametrize("role, request_", [
+        ("generator", {"type": "generate", "count": 5000, "seed": 7}),
+        ("discriminator", {"type": "judge", "data": packed(np.zeros((5, 3)))}),
+    ])
+    @pytest.mark.parametrize("ending", ["shutdown", "end of input"])
+    def test_the_reference_player_exits_0_after_its_last_reply(
+            self, role, request_, ending):
+        # It leaves without the interpreter's teardown, and the reply sent
+        # just before, here larger than a pipe holds, arrives whole.
+        lines = [dump_message(request_)]
+        if ending == "shutdown":
+            lines.append(dump_message({"type": "shutdown"}))
+        proc = subprocess.run(ref_player(role), capture_output=True,
+                              input="\n".join(lines) + "\n", text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        hello, reply = map(parse_message, proc.stdout.splitlines())
+        assert hello["type"] == "hello"
+        if role == "generator":
+            assert (len(base64.b64decode(reply["data"]))
+                    == 8 * 3 * request_["count"])
+        else:
+            assert reply["values"] == [0.5] * 5
+
+    def test_closing_a_reference_session_returns_at_once(self):
+        player = ExternalPlayer(ref_player("generator"), role="generator")
+        player.sample(2)  # numpy is loaded
+        start = time.perf_counter()
+        player.close()
+        assert time.perf_counter() - start < 1.0
+        assert player._proc.returncode == 0
 
     def test_crash_mid_session_fails_fast_afterwards(self):
         player = ExternalPlayer(ref_player("generator", "--crash-after",
