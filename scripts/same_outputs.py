@@ -8,8 +8,10 @@ BASE_SRC and NEW_SRC are directories that hold an ``arena`` package (the
 a players fragment joined by ``+`` (``CONFIG+FRAGMENT``), a match log (a
 ``.jsonl`` file) or the name of a bundled experiment (``distortion``,
 ``multi``, ...). A config is run once under each tree, as
-``python -m arena.cli run --config CONFIG --out-dir DIR``; a
-``CONFIG+FRAGMENT`` is run so, and its log is then extended once, as
+``python -m arena.cli run --config CONFIG --out-dir DIR``, and its
+schedule is shown once, as ``python -m arena.cli schedule --config
+CONFIG``, which writes no file; a ``CONFIG+FRAGMENT`` is so run and
+shown, and its log is then extended once, as
 ``python -m arena.cli extend LOG --add FRAGMENT --out-dir DIR``; a log is
 re-rated twice under each tree, as ``python -m arena.cli rate LOG
 --out-dir DIR`` and again with ``--outcome-mode per-match``; an
@@ -42,8 +44,9 @@ EXPERIMENTS = ("within", "banded", "chekhov", "distortion", "multi")
 
 def commands(path: str) -> list[list[list[str]]]:
     """The arena commands run on one input, each a list of steps run in
-    order, each step without ``--out-dir``. ``{log}`` in a step stands for
-    the log the first step wrote."""
+    order, each step without ``--out-dir``, which every command but
+    ``schedule`` takes. ``{log}`` in a step stands for the log the first
+    step wrote."""
     if path in EXPERIMENTS:
         return [[["simulate", path]]]
     if path.endswith(".jsonl"):
@@ -53,7 +56,7 @@ def commands(path: str) -> list[list[list[str]]]:
     steps = [["run", "--config", config]]
     if fragment:
         steps.append(["extend", "{log}", "--add", fragment])
-    return [steps]
+    return [steps, [["schedule", "--config", config]]]
 
 
 def run(src: str, steps: list[list[str]], out_dir: str) -> dict[str, bytes]:
@@ -71,9 +74,10 @@ def run(src: str, steps: list[list[str]], out_dir: str) -> dict[str, bytes]:
                         (os.path.join(out_dir, argv[0]), f" of {argv[0]}"))
         logs = glob.glob(os.path.join(glob.escape(out_dir), "*.jsonl"))
         argv = [logs[0] if arg == "{log}" and logs else arg for arg in argv]
-        result = subprocess.run(
-            [sys.executable, "-m", "arena.cli", *argv, "--out-dir",
-             step_dir], env=env, capture_output=True, check=False)
+        if argv[0] != "schedule":
+            argv = [*argv, "--out-dir", step_dir]
+        result = subprocess.run([sys.executable, "-m", "arena.cli", *argv],
+                                env=env, capture_output=True, check=False)
         outputs.update({
             f"<stdout{of}>": result.stdout.replace(out_dir.encode(), MASK),
             f"<stderr{of}>": result.stderr.replace(out_dir.encode(), MASK),

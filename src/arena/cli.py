@@ -20,7 +20,6 @@ from . import config as cfgmod
 from . import glicko, store
 from . import summarize as sm
 from . import tournament as tn
-from .extern import ExternalPlayer, ExternError
 from .tournament import PlayerSpec
 
 # The bundled experiments ``simulate`` runs (experiments.py plays them).
@@ -115,6 +114,14 @@ def _schedule_kind(config: cfgmod.TournamentConfig, players) -> str:
     return "explicit" if players else config.schedule["kind"]
 
 
+def ExternalPlayer(command, *, role: str):
+    """A session with an external player: ``extern`` loads at the first
+    one, so only a schedule that names an external player loads it."""
+    from .extern import ExternalPlayer as session
+
+    return session(command, role=role)
+
+
 def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
           schedule: tn.Schedule, strict: bool,
           writer: store.LogWriter | None = None) -> tn.MatchTable:
@@ -147,6 +154,8 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
         for entry in built.external:
             if entry["id"] not in named:
                 continue
+            from .extern import ExternError
+
             try:
                 session = ExternalPlayer(entry["command"], role=entry["role"])
             except ExternError as exc:
@@ -390,12 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        try:
-            sys.stdout.flush()
-        except BrokenPipeError:
-            _end_output()
-        return code
+        return args.func(args)
     except (store.LogError, RuntimeError) as exc:
         # Runtime failures. LogError subclasses ValueError, so it must be
         # caught before the usage errors, ConfigError among them.
@@ -415,9 +419,24 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry_point() -> None:
+    """The ``arena`` console script and ``python -m arena.cli``: run
+    ``main``, flush stdout and stderr, and leave with ``os._exit``,
+    skipping the interpreter's teardown. By then ``_play`` has closed the
+    log and reaped every external player, and every other file is written
+    in a ``with`` block. An exception out of ``main`` exits as usual."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            pass  # the reader has gone, as in ``_say``: the rest is dropped
+    os._exit(code)
+
+
 if __name__ == "__main__":
     # Run as ``python -m arena.cli``: register this module under its package
     # name, so that ``experiments`` imports it instead of running cli.py a
     # second time.
     sys.modules.setdefault("arena.cli", sys.modules[__name__])
-    sys.exit(main())
+    entry_point()

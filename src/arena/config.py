@@ -14,16 +14,24 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from . import toy
 from .glicko import RatingConfig
 from .tournament import (PlayerSpec, RunSettings, Schedule, band,
                          explicit_schedule, round_robin, stable_seed)
 
+if TYPE_CHECKING:
+    from . import toy
+
 
 class ConfigError(ValueError):
     """The configuration is malformed or internally inconsistent."""
+
+
+# The values of a transform entry's required ``transform:`` key. The key
+# stays, with its one value, so that no config's hash changes. It is named
+# here, not in ``toy``, which only the commands that build players load.
+TRANSFORMS = ("additive_noise",)
 
 
 _TOY_TRAJECTORY_SCHEMA = {
@@ -65,7 +73,7 @@ _TRANSFORM_SCHEMA = {
     "properties": {
         "kind": {"const": "transform"},
         "id": {"type": "string", "minLength": 1},
-        "transform": {"enum": list(toy.TRANSFORMS)},
+        "transform": {"enum": list(TRANSFORMS)},
         "severity": {"type": "integer", "minimum": 1, "maximum": 9},
         "experiment": {"type": "string"},
         "iteration": {"type": "integer"},
@@ -392,18 +400,22 @@ class BuiltPlayers:
     external: list[dict] = field(default_factory=list)
 
 
-# How each kind of entry but a trajectory builds its one player; external
-# ones are spawned only at play, so rate and extend never start one.
-_BUILDERS = {
-    "real_data": lambda entry, task: task.model,
-    "transform": lambda entry, task: toy.TransformPlayer(
-        task.model, int(entry["severity"]), task.scale),
-    "noise_oracle": lambda entry, task: toy.noise_oracle(
-        task, int(entry["severity"])),
-    "constant": lambda entry, task: toy.ConstantDiscriminator(
-        float(entry["value"])),
-    "external": lambda entry, task: None,
-}
+def _entry_player(entry: dict, task: toy.GaussianTask):
+    """The one player of an entry of any kind but a trajectory. An external
+    one is spawned only at play, so rate and extend never start one."""
+    from . import toy
+
+    kind = entry["kind"]
+    if kind == "real_data":
+        return task.model
+    if kind == "transform":
+        return toy.TransformPlayer(task.model, int(entry["severity"]),
+                                   task.scale)
+    if kind == "noise_oracle":
+        return toy.noise_oracle(task, int(entry["severity"]))
+    if kind == "constant":
+        return toy.ConstantDiscriminator(float(entry["value"]))
+    return None
 
 
 def player_specs(entries: Sequence[dict]) -> list[PlayerSpec]:
@@ -440,6 +452,8 @@ def player_specs(entries: Sequence[dict]) -> list[PlayerSpec]:
 
 
 def _trajectory_players(entry: dict, task: toy.GaussianTask) -> dict:
+    from . import toy
+
     n = int(entry.get("n_checkpoints", 20))
     mastery = float(entry.get("mastery_fraction", 1.0))
     traj_seed = int(entry.get("trajectory_seed", task.seed))
@@ -470,6 +484,8 @@ def _trajectory_players(entry: dict, task: toy.GaussianTask) -> dict:
 
 def build_players(config: TournamentConfig) -> BuiltPlayers:
     """Construct every configured player for the config's task."""
+    from . import toy  # rate builds no player, so it never loads toy
+
     task = toy.make_task(int(config.task["dim"]),
                          seed=int(config.task["seed"]))
     built = BuiltPlayers(task=task, data=task.model, players={},
@@ -480,8 +496,7 @@ def build_players(config: TournamentConfig) -> BuiltPlayers:
         if entry["kind"] == "toy_trajectory":
             built.players.update(_trajectory_players(entry, task))
         else:
-            built.players[entry["id"]] = _BUILDERS[entry["kind"]](entry,
-                                                                  task)
+            built.players[entry["id"]] = _entry_player(entry, task)
     return built
 
 

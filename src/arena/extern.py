@@ -10,8 +10,9 @@ into the child's non-blocking stdin and reading its reply, and the host
 waits on either pipe with ``select.poll`` (POSIX pipes), never on a
 blocking read or write. Replies are read straight from the child's
 stdout into a session buffer that keeps a partial line until its end
-arrives; there is no reader thread. ``close`` reaps the child with a
-timed wait and kills it if it is still running then.
+arrives; there is no reader thread. ``close`` waits on the same poller
+for the child's output to end, reaps it, and kills it if it is still
+running once ``CLOSE_TIMEOUT`` has passed.
 
 Sample arrays (a ``samples`` reply's and a ``judge`` request's ``data``)
 travel as one base64 string of row-major little-endian float64, so every
@@ -278,14 +279,26 @@ class ExternalPlayer:
 
     def _reap(self) -> int:
         """Wait for the child to exit, killing it if it is still running
-        ``CLOSE_TIMEOUT`` s later; its exit code."""
-        import subprocess  # loaded when the session was opened
-
-        try:
-            return self._proc.wait(timeout=CLOSE_TIMEOUT)
-        except subprocess.TimeoutExpired:
-            self._proc.kill()
-            return self._proc.wait()
+        ``CLOSE_TIMEOUT`` s later; its exit code. The end of its output,
+        which comes as it exits, is awaited on the session's poller, 10 ms
+        at a time, so that a child whose stdout outlives it (held by a
+        process it started) is reaped too; what it still writes is
+        dropped. Its exit can be reaped a moment after its output ends,
+        so the checks for it then start 50 us apart and double, where
+        ``Popen.wait`` first sleeps 1 ms."""
+        proc = self._proc
+        deadline = time.monotonic() + CLOSE_TIMEOUT
+        delay = 5e-5
+        while proc.poll() is None and (now := time.monotonic()) < deadline:
+            if self._ended:
+                time.sleep(min(delay, deadline - now))
+                delay *= 2
+            elif self._ready(self._readable, min(now + 0.01, deadline)):
+                self._ended = not os.read(proc.stdout.fileno(), _READ_BYTES)
+        if proc.returncode is None:
+            proc.kill()
+            proc.wait()
+        return proc.returncode
 
     def _exited(self) -> str:
         """Mark the session dead once the child's stdout has ended or its

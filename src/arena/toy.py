@@ -26,10 +26,6 @@ import numpy as np
 # checkpoints with nearly singular implied covariance stay positive definite.
 JITTER = 1e-6
 
-# The values of a transform entry's required ``transform:`` key. The key
-# stays, with its one value, so that no config's hash changes.
-TRANSFORMS = ("additive_noise",)
-
 
 class GaussianModel:
     """A multivariate normal with a cached upper-triangular factor.

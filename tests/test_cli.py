@@ -1106,8 +1106,10 @@ def test_importing_the_cli_loads_no_scipy():
 class TestColdStart:
     """Each process loads only what its command uses: the YAML reader only
     where a config is read, the bundled experiments only under simulate,
-    and never jsonschema or its dependencies, since configs are checked
-    in-repo, nor logging, since every warning is printed to stderr."""
+    the toy domain only where players are built, the external-player
+    session only where one is spawned, and never jsonschema or its
+    dependencies, since configs are checked in-repo, nor logging, since
+    every warning is printed to stderr."""
 
     PROBE = ("import json, sys\n"
              "from arena import cli\n"
@@ -1136,6 +1138,35 @@ class TestColdStart:
                      ["schedule", "--config", config],
                      ["extend", log, "--add", fragment]):
             assert self.probe(*argv) == [0, ["yaml"], []], argv
+
+    # What only playing needs: the toy domain's players, the external
+    # sessions, and the random streams and child processes they use.
+    PLAY_PROBE = ("import json, sys\n"
+                  "from arena import cli\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "print(json.dumps([code, sorted(m for m in ('arena.extern',"
+                  " 'arena.toy', 'numpy.random', 'subprocess')"
+                  " if m in sys.modules)]))\n")
+
+    def loaded(self, *argv):
+        result = fresh_python("-c", self.PLAY_PROBE, *argv, check=True)
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_rate_loads_nothing_that_only_play_needs(self, log_path):
+        assert self.loaded("rate", log_path) == [0, []]
+
+    def test_only_a_run_with_external_players_loads_extern(self, population,
+                                                           tmp_path):
+        config, _, _ = population
+        demo = CONFIGS / "external_demo.cfg"
+        assert self.loaded("schedule", "--config", demo) == \
+            [0, ["arena.toy", "numpy.random"]]
+        assert self.loaded("run", "--config", config, "--out-dir",
+                           tmp_path / "toy") == \
+            [0, ["arena.toy", "numpy.random"]]
+        code, loaded = self.loaded("run", "--config", demo, "--out-dir",
+                                   tmp_path / "demo")
+        assert (code, "arena.extern" in loaded) == (0, True)
 
     def test_an_invalid_rating_flag_still_exits_2(self, log_path):
         result = fresh_python("-m", "arena.cli", "rate", log_path, "--tau",

@@ -220,7 +220,25 @@ class TestScripts:
         result = fresh_python(SCRIPTS / "same_outputs.py", src, src, config)
         assert result.returncode == 0, result.stdout + result.stderr
         assert result.stdout.splitlines()[-1] == \
-            "8 outputs compared, 0 differ"
+            "11 outputs compared, 0 differ"
+
+    def test_same_outputs_shows_each_config_schedule(self, tmp_path):
+        # The set-up command of a benchmark run: its stdout, stderr and
+        # exit code are compared, and it is given no --out-dir.
+        src = Path(ex.__file__).resolve().parents[1]
+        shutil.copytree(src / "arena", tmp_path / "arena",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        cli_py = tmp_path / "arena" / "cli.py"
+        cli_py.write_text(cli_py.read_text().replace(
+            '_say(f"components: {', '_say(f"parts: {'))
+        config = SCRIPTS.parent / "configs" / "within_trajectory.cfg"
+        result = fresh_python(SCRIPTS / "same_outputs.py", src, tmp_path,
+                              config)
+        assert result.returncode == 1
+        assert result.stdout.splitlines() == [
+            f"differs: schedule --config {config}: <stdout> (first "
+            "differing line 4)",
+            "11 outputs compared, 1 differ"]
 
     def test_same_outputs_runs_a_config_then_extends_its_log(self,
                                                               tmp_path):
@@ -239,7 +257,7 @@ class TestScripts:
         result = fresh_python(SCRIPTS / "same_outputs.py", src, src, pair)
         assert result.returncode == 0, result.stdout + result.stderr
         assert result.stdout.splitlines()[-1] == \
-            "15 outputs compared, 0 differ"
+            "18 outputs compared, 0 differ"
         result = fresh_python(SCRIPTS / "same_outputs.py", src, tmp_path,
                               pair)
         assert result.returncode == 1
@@ -293,7 +311,7 @@ class TestScripts:
         assert result.stdout.splitlines() == [
             f"differs: run --config {config}: log.jsonl (first differing "
             "line 1)",
-            "8 outputs compared, 1 differ"]
+            "11 outputs compared, 1 differ"]
 
     def test_same_outputs_runs_a_bundled_experiment(self, tmp_path):
         # Heavier noise moves what the distortion experiment writes.

@@ -640,6 +640,47 @@ class TestLifecycle:
         assert player._proc.returncode == -signal.SIGKILL
         player.close()  # idempotent once reaped
 
+    def test_a_child_that_closes_stdout_but_keeps_running_is_killed(
+            self, monkeypatch):
+        # Its output ends at once, but that is not its exit: close waits
+        # for the exit until CLOSE_TIMEOUT has passed, and kills it then.
+        child = inline_child("""
+            import os, signal
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            os.close(1)
+            time.sleep(60)
+        """, hello=True)
+        player = ExternalPlayer(child, role="generator")
+        monkeypatch.setattr(extern, "CLOSE_TIMEOUT", 0.3)
+        start = time.perf_counter()
+        player.close()
+        assert 0.3 <= time.perf_counter() - start < 5.0
+        assert player._ended
+        assert player._proc.returncode == -signal.SIGKILL
+
+    def test_a_child_whose_output_outlives_it_is_reaped_at_its_exit(self):
+        # A process it started holds its stdout open for 3 s more, so the
+        # output does not end when the child exits on shutdown.
+        child = inline_child("""
+            import subprocess
+            subprocess.Popen([sys.executable, "-c",
+                              "import time; time.sleep(3)"])
+            for line in sys.stdin:
+                break
+        """, hello=True)
+        player = ExternalPlayer(child, role="generator")
+        start = time.perf_counter()
+        player.close()
+        assert time.perf_counter() - start < 1.5
+        assert player._proc.returncode == 0
+
+    @pytest.mark.parametrize("role", ["generator", "discriminator"])
+    def test_a_reference_child_is_reaped_once_its_output_ends(self, role):
+        player = ExternalPlayer(ref_player(role), role=role)
+        player.close()
+        assert player._ended
+        assert player._proc.returncode == 0
+
     def test_shutdown_asks_without_waiting_and_close_reaps(self):
         player = ExternalPlayer(ref_player("generator"), role="generator")
         player.shutdown()

@@ -34,6 +34,8 @@ import arena
 from arena import cli
 from arena import tournament as tn
 
+from conftest import fresh_python
+
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = Path(__file__).with_name("golden.json")
 
@@ -155,6 +157,35 @@ def test_outputs_match_the_table(name, produced, table):
              if hashlib.sha256(data).hexdigest() != pinned[path]["sha256"]]
     assert not moved, "\n".join(
         [*moved, f"numpy {np.__version__}, {blas()}"])
+
+
+def test_fresh_processes_write_the_pinned_outputs(table, tmp_path):
+    # ``produce`` calls cli.main in this process, so it never ends through
+    # the exit that ``python -m arena.cli`` takes. Here the external demo
+    # runs, and its log is re-rated, each in a process of its own. A v2 log
+    # re-rates to the run's own table and artifacts.
+    out, rated = tmp_path / "run external_demo", tmp_path / "rated"
+    run, rate = (fresh_python("-m", "arena.cli", *argv, "--out-dir", where,
+                              cwd=ROOT)
+                 for argv, where in (
+                     (RUNS["run external_demo"], out),
+                     (["rate", out / "log.jsonl"], rated)))
+    pinned = table["run external_demo"]
+    assert (run.returncode, rate.returncode) == (0, 0), \
+        run.stderr + rate.stderr
+    stdout = run.stdout.replace(str(tmp_path), MASK).encode()
+    assert hashlib.sha256(stdout).hexdigest() == pinned["<stdout>"]["sha256"]
+    *table_lines, log_line = run.stdout.splitlines(keepends=True)
+    assert rate.stdout == "".join(table_lines)
+    assert log_line.startswith("log: ")
+    for directory, skipped in ((out, {"<stdout>"}),
+                               (rated, {"<stdout>", "log.jsonl"})):
+        written = {path.relative_to(directory).as_posix(): path.read_bytes()
+                   for path in directory.rglob("*") if path.is_file()}
+        assert sorted(written) == sorted(pinned.keys() - skipped)
+        for path, data in written.items():
+            assert hashlib.sha256(data).hexdigest() == \
+                pinned[path]["sha256"], f"{directory.name}/{path}"
 
 
 if __name__ == "__main__":

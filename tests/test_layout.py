@@ -6,6 +6,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # Top-level names of src/arena that nothing in src/ or scripts/ uses yet,
@@ -61,3 +63,19 @@ def unused_names(root: Path) -> list[str]:
 
 def test_src_holds_no_code_that_only_tests_use():
     assert unused_names(ROOT) == list(ALLOWED)
+
+
+def test_the_console_script_ends_as_python_m_arena_cli_does():
+    # Both must leave through the one exit that flushes the output and
+    # skips the interpreter's teardown, not through main alone.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["arena"]
+    tree = ast.parse((ROOT / "src" / "arena" / "cli.py").read_text())
+    block = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    called = [node.value.func.id for node in block.body
+              if isinstance(node, ast.Expr)
+              and isinstance(node.value, ast.Call)
+              and isinstance(node.value.func, ast.Name)]
+    assert called and script == f"arena.cli:{called[-1]}"
