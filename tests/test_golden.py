@@ -44,16 +44,21 @@ TABLE = Path(__file__).with_name("golden.json")
 # for a copy of it in the run's own output directory, which the run may
 # change without moving what the later runs read. ``{v1}`` is such a copy
 # under the header line that arena-log/1 gave the population log, which
-# held no config: such a log must still rate as it did.
+# held no config: such a log must still rate as it did. ``{band}`` stands
+# for the log of the banded within_trajectory run.
 RUNS = {
     "run within_trajectory": ["run", "--config",
                               "configs/within_trajectory.cfg"],
+    "run within_trajectory band": ["run", "--config",
+                                   "configs/within_trajectory.cfg",
+                                   "--schedule", "band", "--band-width", "2"],
     "run population": ["run", "--config", "configs/population.cfg"],
     "run external_demo": ["run", "--config", "configs/external_demo.cfg"],
     "rate population per-sample": ["rate", "{population}"],
     "rate population per-match": ["rate", "{population}",
                                   "--outcome-mode", "per-match"],
     "rate population v1": ["rate", "{v1}"],
+    "rate within_trajectory band": ["rate", "{band}"],
     "extend population add_pair": ["extend", "{copy}", "--add",
                                    "configs/add_pair.cfg"],
     "simulate distortion": ["simulate", "distortion"],
@@ -68,6 +73,7 @@ def produce(root: Path) -> dict[str, dict[str, bytes]]:
     below its output directory, and its stdout with ``root`` masked."""
     produced = {}
     population = root / "run population" / "log.jsonl"
+    band = root / "run within_trajectory band" / "log.jsonl"
     for name, argv in RUNS.items():
         out = root / name
         copy = out / "log.jsonl"
@@ -78,8 +84,8 @@ def produce(root: Path) -> dict[str, dict[str, bytes]]:
             out.mkdir()
             copy.write_bytes(V1_HEADER + b"\n" + population.read_bytes()
                              .split(b"\n", 1)[1])
-        argv = [arg.format(population=population, copy=copy, v1=copy)
-                for arg in argv]
+        argv = [arg.format(population=population, copy=copy, v1=copy,
+                           band=band) for arg in argv]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = cli.main([*argv, "--out-dir", str(out)])
