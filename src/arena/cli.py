@@ -107,13 +107,6 @@ def _logged(args, header: store.LogHeader) -> cfgmod.TournamentConfig:
     return _with_overrides(config, args, "command line")
 
 
-def _schedule_kind(config: cfgmod.TournamentConfig, players) -> str:
-    """The kind of schedule a v2 log's records were played under. An
-    extend plays only new-vs-old matches, an explicit schedule, so a log
-    with ``players`` lines is no longer the schedule its header names."""
-    return "explicit" if players else config.schedule["kind"]
-
-
 def ExternalPlayer(command, *, role: str):
     """A session with an external player: ``extern`` loads at the first
     one, so only a schedule that names an external player loads it."""
@@ -148,7 +141,7 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
         if writer is not None and records:
             writer(records)
 
-    named = {pid for match in schedule.matches for pid in match[:2]}
+    named = {pid for match in schedule for pid in match[:2]}
     sessions = []
     try:
         for entry in built.external:
@@ -159,13 +152,13 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
             try:
                 session = ExternalPlayer(entry["command"], role=entry["role"])
             except ExternError as exc:
-                kept = tuple(m for m in schedule.matches
+                kept = tuple(m for m in schedule
                              if entry["id"] not in m[:2])
                 fail(tn.MatchError("player-start", str(exc)),
                      f"external player {entry['id']!r} could not be "
                      f"started, its {len(schedule) - len(kept)} matches "
                      "are skipped")
-                schedule = dataclasses.replace(schedule, matches=kept)
+                schedule = kept
                 continue
             built.players[entry["id"]] = session
             sessions.append(session)
@@ -183,13 +176,12 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
 
 
 def _report(table: tn.MatchTable, rating: glicko.RatingConfig,
-            specs: list[PlayerSpec], directory: str | None, names: dict,
-            schedule_kind: str | None = None
+            specs: list[PlayerSpec], directory: str | None, names: dict
             ) -> tuple[glicko.RatingOutcome, sm.TournamentSummary]:
     """Rate the match set and summarize it, and write the artifacts into
     ``directory`` if one is given."""
     outcome = glicko.rate_tournament(table, rating)
-    summary = sm.summarize(table, outcome.ratings, specs, schedule_kind)
+    summary = sm.summarize(table, outcome.ratings, specs)
     if directory:
         sm.write_artifacts(directory, summary, names)
     return outcome, summary
@@ -232,7 +224,7 @@ def cmd_run(args) -> int:
     records = _play(config, built, schedule, args.strict,
                     _new_log(config, log_path))
     _print_report(*_report(records, config.rating, built.specs, directory,
-                           config.outputs, schedule.kind))
+                           config.outputs))
     _say(f"log: {log_path} ({len(records)} records)")
     return 0
 
@@ -249,12 +241,9 @@ def cmd_rate(args) -> int:
         _warn(f"{args.log}: no match records; every player would keep its "
               "default rating")
         return 0
-    if config is None:
-        specs, kind = store.record_specs(records, args.log), None
-    else:
-        specs = cfgmod.player_specs(config.players)
-        kind = _schedule_kind(config, header.players)
-    _print_report(*_report(records, rating, specs, args.out_dir, {}, kind))
+    specs = (store.record_specs(records, args.log) if config is None
+             else cfgmod.player_specs(config.players))
+    _print_report(*_report(records, rating, specs, args.out_dir, {}))
     return 0
 
 
@@ -280,7 +269,8 @@ def cmd_extend(args) -> int:
     built = cfgmod.build_players(population)
     matches = cfgmod.extend_matches(header.config["players"],
                                     [*header.players, entries],
-                                    config.schedule["repeats"])
+                                    config.schedule["repeats"],
+                                    config.schedule.get("band_width"))
     # Only the matches the log lacks are played, so reruns append nothing.
     stored = np.isin(np.array([tn.match_seed(config.seed, *match)
                                for match in matches], np.uint64),
@@ -291,9 +281,7 @@ def cmd_extend(args) -> int:
     new_records = _play(population, built, schedule, args.strict,
                         store.LogWriter(args.log, players=entries))
     _print_report(*_report(records.concat(new_records), config.rating,
-                           built.specs, args.out_dir, config.outputs,
-                           _schedule_kind(config,
-                                          header.players or entries)))
+                           built.specs, args.out_dir, config.outputs))
     names = sorted(added, key=lambda s: (s.role != "generator", s.id))
     _say(f"appended {len(new_records)} records to {args.log} "
          f"(new players: {', '.join(s.id for s in names)})")
@@ -309,20 +297,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    _, built, schedule, diagnostics = _plan(args)
+    config, built, schedule, diagnostics = _plan(args)
     gens = {s.id for s in built.specs if s.role == "generator"}
     discs = {s.id for s in built.specs if s.role == "discriminator"}
     full = len(gens) * len(discs)
-    _say(f"kind: {schedule.kind}")
-    if schedule.band_width is not None:
-        _say(f"band_width: {schedule.band_width}")
+    _say(f"kind: {config.schedule['kind']}")
+    if "band_width" in config.schedule:
+        _say(f"band_width: {config.schedule['band_width']}")
     _say(f"players: {len(gens)} generators, {len(discs)} discriminators")
-    _say(f"matches: {len(schedule.matches)}"
-         + (f" ({len(schedule.matches) / full:.0%} of full round robin)"
+    _say(f"matches: {len(schedule)}"
+         + (f" ({len(schedule) / full:.0%} of full round robin)"
             if full else ""))
     _say(f"components: {diagnostics.components}")
     if args.list:
-        for gen_id, disc_id, repeat in schedule.matches:
+        for gen_id, disc_id, repeat in schedule:
             _say(f"  {gen_id} vs {disc_id} repeat {repeat}")
     return 0 if diagnostics.ok else 2
 

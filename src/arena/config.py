@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .glicko import RatingConfig
-from .tournament import (PlayerSpec, RunSettings, Schedule, band,
+from .tournament import (PlayerSpec, RunSettings, Schedule, _pairs, band,
                          explicit_schedule, round_robin, stable_seed)
 
 if TYPE_CHECKING:
@@ -516,18 +516,19 @@ def build_schedule(config: TournamentConfig,
 
 
 def extend_matches(entries: Sequence[dict], lines: Sequence[Sequence[dict]],
-                   repeats: int) -> list[tuple[str, str, int]]:
+                   repeats: int, band_width: int | None = None
+                   ) -> list[tuple[str, str, int]]:
     """The matches of a tournament of ``entries`` extended by each players
     line of ``lines`` in turn: each line's players against the players
-    before them, new generators first, by id, each pair ``repeats`` times."""
-    by_id = operator.attrgetter("id")
-    old, matches = sorted(player_specs(entries), key=by_id), []
-    for new in (sorted(player_specs(line), key=by_id) for line in lines):
+    before them, new generators first, paired as a round robin or, with a
+    ``band_width``, as a band is."""
+    old, matches = player_specs(entries), []
+    for new in map(player_specs, lines):
         for gens, discs in ((new, old), (old, new)):
-            matches += [(g.id, d.id, r) for g in gens if g.role == "generator"
-                        for d in discs if d.role == "discriminator"
-                        for r in range(repeats)]
-        old = sorted(old + new, key=by_id)
+            matches += _pairs([s for s in gens if s.role == "generator"],
+                              [s for s in discs if s.role == "discriminator"],
+                              repeats, band_width)
+        old += new
     return matches
 
 

@@ -89,7 +89,7 @@ def run_config(raw: dict, out_dir: str | None = None,
         writer = cli._new_log(config, os.path.join(out_dir, names["log"]))
     records = cli._play(config, built, schedule, strict=True, writer=writer)
     outcome, summary = cli._report(records, config.rating, built.specs,
-                                   out_dir, names, schedule.kind)
+                                   out_dir, names)
     return RunBundle(config, built, schedule, records, outcome, summary)
 
 
@@ -147,7 +147,7 @@ def run_banded(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> Study:
     banded = run_config(within_config(
         seed, schedule={"kind": "band", "band_width": BAND_WIDTH}), out_dir,
         "banded")
-    fraction = len(banded.schedule.matches) / len(full.schedule.matches)
+    fraction = len(banded.schedule) / len(full.schedule)
 
     gen_ids = sorted(s.id for s in full.built.specs if s.role == "generator")
     reference = [full.outcome.ratings[g].rating for g in gen_ids]
@@ -158,7 +158,7 @@ def run_banded(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> Study:
     verdict = {
         "experiment": "banded",
         "seed": seed,
-        "band_width": banded.schedule.band_width,
+        "band_width": banded.config.schedule["band_width"],
         "match_fraction": fraction,
         "spearman_full_vs_banded_rating": rho_rating,
         "spearman_full_vs_banded_win_rate": rho_wr,

@@ -26,8 +26,11 @@ import numpy as np
 from .glicko import Rating
 from .tournament import MatchTable, PlayerSpec
 
-WIN_RATE_WARNING = ("win rates from a non-round-robin schedule are not "
-                    "comparable between players")
+# Win rates compare across generators only if each faced the same
+# discriminators, so a population pair without a judged match warns.
+WIN_RATE_WARNING = ("win rates are not comparable between players: "
+                    "{missing} of {pairs} generator-discriminator pairs "
+                    "have no judged match")
 
 
 class _PairRates(NamedTuple):
@@ -241,12 +244,11 @@ def _axis(specs: Sequence[PlayerSpec], role: str) -> list[str]:
 
 
 def summarize(table: MatchTable, ratings: Mapping[str, Rating],
-              players: Sequence[PlayerSpec],
-              schedule_kind: str | None = None) -> TournamentSummary:
+              players: Sequence[PlayerSpec]) -> TournamentSummary:
     """Assemble every summary artifact for one tournament. A rated id
-    without a ``PlayerSpec`` is a discriminator if it judged a match.
-    ``schedule_kind`` names the kind of schedule the matches were played
-    under, if it is known."""
+    without a ``PlayerSpec`` is a discriminator if it judged a match. The
+    summary warns if a heatmap cell is undefined: some generator and
+    discriminator of ``players`` have no judged match."""
     pairs = _pair_rates(table)
     rates = _generator_rates(pairs)
     by_id = {spec.id: spec for spec in players}
@@ -269,9 +271,11 @@ def summarize(table: MatchTable, ratings: Mapping[str, Rating],
     hm = _layout(pairs, _axis(players, "generator"),
                  _axis(players, "discriminator"))
     curves = skill_curve(ratings, players)
+    missing = np.count_nonzero(np.isnan(hm.values))
     warnings = ()
-    if schedule_kind not in (None, "round_robin"):
-        warnings = (WIN_RATE_WARNING,)
+    if missing:
+        warnings = (WIN_RATE_WARNING.format(missing=missing,
+                                            pairs=hm.values.size),)
     return TournamentSummary(tuple(rows), rates, hm, curves, warnings)
 
 

@@ -200,16 +200,9 @@ class MatchTable:
             yield MatchRecord(ids[g], ids[d], *rest)
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """An ordered list of (generator_id, discriminator_id, repeat) matches."""
-
-    matches: tuple[tuple[str, str, int], ...]
-    kind: str = "explicit"
-    band_width: int | None = None
-
-    def __len__(self) -> int:
-        return len(self.matches)
+# A schedule is its matches: (generator_id, discriminator_id, repeat)
+# triples in the order they are played.
+Schedule = tuple[tuple[str, str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -240,8 +233,28 @@ class RunSettings:
             raise ValueError("threshold must be inside (0, 1)")
 
 
-def _ids(players: Sequence) -> list[str]:
-    return [p.id if isinstance(p, PlayerSpec) else str(p) for p in players]
+def _id(player) -> str:
+    return player.id if isinstance(player, PlayerSpec) else str(player)
+
+
+def _pairs(generators: Sequence, discriminators: Sequence, repeats: int,
+           width: int | None = None) -> Schedule:
+    """The one pairing rule: every generator against every discriminator,
+    both sorted by id, each pair ``repeats`` times with the repeat
+    innermost. With a band ``width``, only the pairs whose iterations lie
+    at most ``width`` apart, and every player needs an iteration."""
+    if width is not None:
+        for spec in (*generators, *discriminators):
+            if spec.iteration is None:
+                raise ValueError(f"player {spec.id!r} has no iteration; "
+                                 "banded schedules need one for every "
+                                 "player")
+    gens, discs = (sorted(players, key=_id)
+                   for players in (generators, discriminators))
+    return tuple((_id(gen), _id(disc), r) for gen in gens for disc in discs
+                 if width is None
+                 or abs(gen.iteration - disc.iteration) <= width
+                 for r in range(repeats))
 
 
 def round_robin(generators: Sequence, discriminators: Sequence,
@@ -251,16 +264,11 @@ def round_robin(generators: Sequence, discriminators: Sequence,
     Matches are ordered lexicographically by (generator, discriminator) and
     then by repeat index, so the schedule is deterministic.
     """
-    gen_ids, disc_ids = _ids(generators), _ids(discriminators)
-    if not gen_ids or not disc_ids:
+    if not generators or not discriminators:
         raise ValueError("round_robin needs at least one player per role")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    matches = tuple((g, d, r)
-                    for g in sorted(gen_ids)
-                    for d in sorted(disc_ids)
-                    for r in range(repeats))
-    return Schedule(matches=matches, kind="round_robin")
+    return _pairs(generators, discriminators, repeats)
 
 
 def band(generators: Sequence[PlayerSpec],
@@ -271,24 +279,16 @@ def band(generators: Sequence[PlayerSpec],
         raise ValueError("band width must be >= 0")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    for spec in list(generators) + list(discriminators):
-        if spec.iteration is None:
-            raise ValueError(f"player {spec.id!r} has no iteration; banded "
-                             "schedules need one for every player")
-    pairs = []
-    for gen in sorted(generators, key=lambda s: s.id):
-        for disc in sorted(discriminators, key=lambda s: s.id):
-            if abs(gen.iteration - disc.iteration) <= width:
-                pairs.extend((gen.id, disc.id, r) for r in range(repeats))
-    if not pairs:
+    matches = _pairs(generators, discriminators, repeats, width)
+    if not matches:
         raise ValueError("band schedule is empty; widen the band")
-    return Schedule(matches=tuple(pairs), kind="band", band_width=width)
+    return matches
 
 
 def explicit_schedule(matches: Iterable[Sequence]) -> Schedule:
     """Schedule from explicit (generator_id, discriminator_id[, repeat])."""
-    return Schedule(matches=tuple((str(g), str(d), int(r[0]) if r else 0)
-                                  for g, d, *r in matches), kind="explicit")
+    return tuple((str(g), str(d), int(r[0]) if r else 0)
+                 for g, d, *r in matches)
 
 
 def validate_schedule(schedule: Schedule,
@@ -310,7 +310,7 @@ def validate_schedule(schedule: Schedule,
         return x
 
     seen: set[tuple[str, str, int]] = set()
-    for match in schedule.matches:
+    for match in schedule:
         gen_id, disc_id, repeat = match
         if match in seen:
             errors[f"match {gen_id!r} vs {disc_id!r} repeat {repeat} is "
@@ -409,7 +409,7 @@ def play_match(generator, discriminator, data, *, generator_id: str,
     if generator_id == discriminator_id:
         raise ValueError(f"player {generator_id!r} cannot play itself")
     (record,) = run_tournament(
-        Schedule(((generator_id, discriminator_id, repeat),)),
+        ((generator_id, discriminator_id, repeat),),
         {generator_id: generator, discriminator_id: discriminator}, data,
         RunSettings(tournament_seed, batch_size, threshold))
     return record
@@ -578,9 +578,8 @@ def run_tournament(schedule: Schedule, players: Mapping[str, object], data,
     sink, a window's first failure is raised.
     """
     records: list[MatchRecord] = []
-    matches = schedule.matches
-    for start in range(0, len(matches), WINDOW):
-        window = matches[start:start + WINDOW]
+    for start in range(0, len(schedule), WINDOW):
+        window = schedule[start:start + WINDOW]
         played, lost = _play_window(window, players, data, settings)
         failures = []
         for i in sorted(lost):

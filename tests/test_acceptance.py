@@ -143,8 +143,7 @@ def test_criterion_4_banded_schedule_rank_agreement(banded_study):
     for seed in ex.STUDY_SEEDS:
         full = banded_study["full"][seed]
         banded = banded_study["banded"][seed]
-        fractions.append(len(banded.schedule.matches)
-                         / len(full.schedule.matches))
+        fractions.append(len(banded.schedule) / len(full.schedule))
         gen_ids = sorted(s.id for s in full.built.specs
                          if s.role == "generator")
         reference = [full.outcome.ratings[g].rating for g in gen_ids]

@@ -48,6 +48,15 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def warnings_in(err: str) -> list[str]:
+    return [line for line in err.splitlines() if line.startswith("warning:")]
+
+
+def win_rate_warning(missing: int, pairs: int) -> str:
+    return "warning: " + sm.WIN_RATE_WARNING.format(missing=missing,
+                                                    pairs=pairs)
+
+
 # An external generator that answers one request and exits, and a player
 # whose command cannot be started.
 CRASHING_GENERATOR = {
@@ -111,13 +120,24 @@ class TestRun:
         assert run_cli("run", "--config", config_path, "--out-dir", out,
                        "--schedule", "band", "--band-width", 1) == 0
         captured = capsys.readouterr()
-        # Once, on stderr: the table on stdout used to repeat it.
-        assert [line for line in captured.err.splitlines()
-                if line.startswith("warning:")] == [
-            f"warning: {sm.WIN_RATE_WARNING}"]
+        # Once, on stderr: the table on stdout used to repeat it. The
+        # 6 pairs two or more checkpoints apart never play.
+        assert warnings_in(captured.err) == [win_rate_warning(6, 16)]
         assert "warning:" not in captured.out
         _, records, _ = store.read_log(out / "log.jsonl")
         assert len(records) == 10  # diagonal plus adjacent pairs
+
+    def test_an_explicit_schedule_of_every_pair_does_not_warn(
+            self, tmp_path, capsys):
+        # Whether win rates compare is read off the matches played, not
+        # off the schedule's kind.
+        path = write_yaml(tmp_path / "every.cfg", tiny_config_payload(
+            schedule={"kind": "explicit", "matches": [
+                [f"tiny-g0{g}", f"tiny-d0{d}"]
+                for g in range(4) for d in range(4)]}))
+        assert run_cli("run", "--config", path, "--out-dir",
+                       tmp_path / "out") == 0
+        assert warnings_in(capsys.readouterr().err) == []
 
     def test_missing_config_is_a_usage_error(self, tmp_path, capsys):
         assert run_cli("run", "--config", tmp_path / "absent.cfg") == 2
@@ -152,6 +172,8 @@ class TestRun:
         assert err.count("'ext' could not be started") == 1
         assert "its 4 matches are skipped: player-start: cannot spawn" in err
         assert "NoneType" not in err
+        # A round robin that lost a player's matches compares no win rates.
+        assert err.endswith(win_rate_warning(4, 16) + "\n")
         _, records, _ = store.read_log(str(out / "log.jsonl"))
         # 4 generators x 3 in-process discriminators; the 4 matches
         # against ext are skipped.
@@ -501,10 +523,57 @@ class TestExtend:
             capsys.readouterr()
             assert run_cli(*argv) == 0
             captured = capsys.readouterr()
-            assert [line for line in captured.err.splitlines()
-                    if line.startswith("warning:")] == [
-                f"warning: {sm.WIN_RATE_WARNING}"], argv
+            assert warnings_in(captured.err) == [win_rate_warning(1, 16)], \
+                argv
             assert "warning:" not in captured.out
+
+    def test_adding_only_a_generator_keeps_a_round_robin_comparable(
+            self, population, tmp_path, capsys):
+        # The new generator meets every stored discriminator, so every
+        # pair of the extended population has played.
+        config, log, _ = population
+        entry = yaml.safe_load(Path(config).read_text())["players"][0]
+        fragment = write_yaml(tmp_path / "generator.cfg", {"players": [
+            {**entry, "checkpoints": [2], "discriminators": "none"}]})
+        for argv in (["extend", log, "--add", fragment], ["rate", log]):
+            capsys.readouterr()
+            assert run_cli(*argv) == 0
+            assert warnings_in(capsys.readouterr().err) == [], argv
+
+    def test_a_band_header_extend_plays_only_in_band_pairs(self, tmp_path,
+                                                            capsys):
+        # It used to play all 40 new-vs-old pairs, traj-g00 vs traj-d21
+        # among them, whatever the band.
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", CONFIGS / "population.cfg",
+                       "--out-dir", out, "--schedule", "band",
+                       "--band-width", 1) == 0
+        log = out / "log.jsonl"
+        _, before, _ = store.read_log(log)
+        assert run_cli("extend", log, "--add", CONFIGS / "add_pair.cfg",
+                       "--out-dir", tmp_path / "extended") == 0
+        assert "appended 4 records" in capsys.readouterr().out
+        _, after, _ = store.read_log(log)
+        assert [(r.generator_id, r.discriminator_id)
+                for r in list(after)[len(before):]] == [
+            ("traj-g21", "traj-d20"), ("traj-g21", "traj-d22"),
+            ("traj-g20", "traj-d21"), ("traj-g22", "traj-d21")]
+
+    def test_a_band_header_extend_needs_an_iteration_for_each_new_player(
+            self, population, tmp_path, capsys):
+        config, log, _ = population
+        band = tmp_path / "band"
+        assert run_cli("run", "--config", config, "--out-dir", band,
+                       "--schedule", "band", "--band-width", 1) == 0
+        log = band / "log.jsonl"
+        before = log.read_bytes()
+        fragment = write_yaml(tmp_path / "constant.cfg", {"players": [
+            {"kind": "constant", "id": "half", "value": 0.5}]})
+        capsys.readouterr()
+        assert run_cli("extend", log, "--add", fragment) == 2
+        assert "error: player 'half' has no iteration" in \
+            capsys.readouterr().err
+        assert log.read_bytes() == before
 
     def test_extends_a_log_whose_last_line_has_no_newline(self, population,
                                                            capsys):
@@ -759,6 +828,16 @@ class TestExtend:
             for r in new[::2] for repeat in (0, 1))
 
 
+def v1_copy(log: Path, path: Path, drop: int = 0) -> Path:
+    """A copy of a v2 log under an arena-log/1 header, which holds no
+    config, without its first ``drop`` records."""
+    header, _, _ = store.read_log(log)
+    records = log.read_bytes().split(b"\n", 1)[1].split(b"\n")[drop:]
+    path.write_bytes(store.header_line(dataclasses.replace(
+        header, config=None)).encode() + b"\n" + b"\n".join(records))
+    return path
+
+
 def rated_columns(summary_csv) -> list[tuple[str, ...]]:
     """The id, rating, deviation, volatility and win_rate of every row."""
     with open(summary_csv, newline="") as fh:
@@ -787,40 +866,46 @@ class TestRerating:
                                                  capsys):
         # A band run warns that its win rates are not comparable; the
         # re-rated log, the extend of it and the extended log must too,
-        # once and on stderr. The header names the schedule's kind.
+        # once and on stderr. Of checkpoints 0, 1 and 3, four pairs are
+        # out of band; checkpoint 2 adds seven pairs, three of them out
+        # of band (g02 vs d00 and d02, g00 vs d02).
         config, log, fragment = population
         band = log.parent.parent / "band"
         assert run_cli("run", "--config", config, "--out-dir", band,
                        "--schedule", "band", "--band-width", 1) == 0
-        for argv in (["rate", band / "log.jsonl"],
-                     ["extend", band / "log.jsonl", "--add", fragment],
-                     ["rate", band / "log.jsonl"]):
+        for argv, missing, pairs in (
+                (["rate", band / "log.jsonl"], 4, 9),
+                (["extend", band / "log.jsonl", "--add", fragment], 7, 16),
+                (["rate", band / "log.jsonl"], 7, 16)):
             capsys.readouterr()
             assert run_cli(*argv) == 0
             captured = capsys.readouterr()
-            assert [line for line in captured.err.splitlines()
-                    if line.startswith("warning:")] == [
-                f"warning: {sm.WIN_RATE_WARNING}"], argv
+            assert warnings_in(captured.err) == [
+                win_rate_warning(missing, pairs)], argv
             assert "warning:" not in captured.out
 
     def test_round_robin_and_v1_logs_rate_without_the_warning(
-            self, population, capsys):
-        # An arena-log/1 header does not say how its matches were
-        # scheduled, so a v1 log stays silent as it always was. An
-        # extended round robin warns; TestExtend checks that.
+            self, population, tmp_path, capsys):
+        # A round robin and its arena-log/1 copy, whose population is the
+        # ids of its records, have played every pair. An extended round
+        # robin warns; TestExtend checks that.
         config, log, fragment = population
-        band = log.parent.parent / "band"
-        assert run_cli("run", "--config", config, "--out-dir", band,
-                       "--schedule", "band", "--band-width", 1) == 0
-        v1 = band / "log.jsonl"
-        header, _, _ = store.read_log(v1)
-        v1.write_bytes(store.header_line(dataclasses.replace(
-            header, config=None)).encode() + b"\n"
-            + v1.read_bytes().split(b"\n", 1)[1])
+        v1 = v1_copy(log, tmp_path / "v1.jsonl")
         capsys.readouterr()
         for argv in (["rate", log], ["rate", v1]):
             assert run_cli(*argv) == 0
             assert "warning:" not in capsys.readouterr().err, argv
+
+    def test_a_v1_log_missing_a_pair_warns(self, population, tmp_path,
+                                           capsys):
+        # Every id still has records, so the population is whole; it used
+        # to stay silent, as an arena-log/1 header names no schedule.
+        config, log, fragment = population
+        v1 = v1_copy(log, tmp_path / "v1.jsonl", drop=1)
+        capsys.readouterr()
+        assert run_cli("rate", v1) == 0
+        assert warnings_in(capsys.readouterr().err) == [
+            win_rate_warning(1, 9)]
 
     def test_rate_takes_the_rating_settings_from_the_header(self, tmp_path,
                                                            capsys):

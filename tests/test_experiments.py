@@ -103,7 +103,7 @@ class TestRunBundle:
     def test_records_follow_the_schedule(self, bundle):
         assert [(r.generator_id, r.discriminator_id)
                 for r in bundle.records] == \
-            [(gid, did) for gid, did, _ in bundle.schedule.matches]
+            [(gid, did) for gid, did, _ in bundle.schedule]
 
     def test_ratings_cover_every_player(self, bundle):
         assert bundle.outcome.converged

@@ -365,13 +365,18 @@ class TestSummarize:
         assert rows["g1"].win_rate == tournament_win_rate(records)["g1"]
 
     def test_non_round_robin_schedules_warn(self):
+        # Every pair of g1, g2 and d1 has played. A discriminator that
+        # judged nothing, or a pair whose one record has no judged sample,
+        # leaves heatmap cells undefined, and each such pair counts.
         specs, records, ratings = self.build()
         assert summarize(records, ratings, specs).warnings == ()
-        quiet = summarize(records, ratings, specs, "round_robin")
-        assert quiet.warnings == ()
-        for kind in ("band", "explicit"):
-            loud = summarize(records, ratings, specs, kind)
-            assert loud.warnings == (WIN_RATE_WARNING,)
+        idle = [*specs, PlayerSpec("d2", "discriminator", 1, "run")]
+        assert summarize(records, ratings, idle).warnings == (
+            WIN_RATE_WARNING.format(missing=2, pairs=4),)
+        unjudged = records.concat(MatchTable.from_records(
+            [MatchRecord("g1", "d2", 0, 0, 0, 0, 7)]))
+        assert summarize(unjudged, ratings, idle).warnings == (
+            WIN_RATE_WARNING.format(missing=2, pairs=4),)
 
     def test_summary_retains_an_array_heatmap(self):
         # The heatmap is one float array, 8 bytes a cell; as nested tuples
@@ -395,8 +400,10 @@ class TestSummarize:
 
     def test_table_is_printable_and_complete(self):
         specs, records, ratings = self.build()
-        summary = summarize(records, ratings, specs, "explicit")
-        assert summary.warnings == (WIN_RATE_WARNING,)
+        specs.append(PlayerSpec("d2", "discriminator", 1, "run"))
+        summary = summarize(records, ratings, specs)
+        assert summary.warnings == (
+            WIN_RATE_WARNING.format(missing=2, pairs=4),)
         table = format_summary_table(summary)
         assert "id" in table and "win_rate" in table
         assert "g2" in table and "1550.00" in table

@@ -217,14 +217,13 @@ class TestMatchTable:
 class TestSchedules:
     def test_round_robin_counts_and_order(self):
         schedule = round_robin(["g2", "g1"], ["d1"], repeats=2)
-        assert schedule.kind == "round_robin"
-        assert schedule.matches == (("g1", "d1", 0), ("g1", "d1", 1),
-                                    ("g2", "d1", 0), ("g2", "d1", 1))
+        assert schedule == (("g1", "d1", 0), ("g1", "d1", 1),
+                            ("g2", "d1", 0), ("g2", "d1", 1))
 
     def test_round_robin_accepts_specs(self):
         schedule = round_robin([spec("g", "generator")],
                                [spec("d", "discriminator")])
-        assert schedule.matches == (("g", "d", 0),)
+        assert schedule == (("g", "d", 0),)
 
     @pytest.mark.parametrize("gens, discs, repeats", [
         ([], ["d"], 1),       # no generators
@@ -240,12 +239,10 @@ class TestSchedules:
         gens = [spec(f"g{k}", "generator", k) for k in range(4)]
         discs = [spec(f"d{k}", "discriminator", k) for k in range(4)]
         schedule = band(gens, discs, width=1)
-        pairs = {(g, d) for g, d, _ in schedule.matches}
+        pairs = {(g, d) for g, d, _ in schedule}
         assert ("g0", "d0") in pairs and ("g0", "d1") in pairs
         assert ("g0", "d2") not in pairs
-        assert schedule.kind == "band"
-        assert schedule.band_width == 1
-        assert len(schedule.matches) == 4 + 2 * 3  # diagonal plus neighbours
+        assert len(schedule) == 4 + 2 * 3  # diagonal plus neighbours
 
     def test_band_requires_iterations(self):
         gens = [spec("g", "generator", None)]
@@ -266,8 +263,7 @@ class TestSchedules:
 
     def test_explicit_schedule_defaults_repeat_to_zero(self):
         schedule = explicit_schedule([("g1", "d1"), ("g2", "d1", 3)])
-        assert schedule.matches == (("g1", "d1", 0), ("g2", "d1", 3))
-        assert schedule.kind == "explicit"
+        assert schedule == (("g1", "d1", 0), ("g2", "d1", 3))
 
 
 class TestValidateSchedule:
@@ -387,7 +383,7 @@ class TestPlayMatch:
 
     def test_is_the_record_run_tournament_logs(self):
         config, built, schedule = mixed_population()
-        schedule = explicit_schedule(m for m in schedule.matches
+        schedule = explicit_schedule(m for m in schedule
                                      if m[0] != "bad")
         settings = run_settings(config)
         assert [play_match(built.players[g], built.players[d], built.data,
@@ -395,7 +391,7 @@ class TestPlayMatch:
                            tournament_seed=settings.seed, repeat=r,
                            batch_size=settings.batch_size,
                            threshold=settings.threshold)
-                for g, d, r in schedule.matches] == list(run_tournament(
+                for g, d, r in schedule] == list(run_tournament(
                     schedule, built.players, built.data, settings))
 
     def test_identical_calls_are_bit_identical(self):
@@ -542,7 +538,7 @@ def replayed(schedule, players, data, settings, skip=()):
     """Every match through ``reference_match``, in schedule order, except
     those whose (generator, discriminator, repeat) is in ``skip``."""
     return [reference_match(players[g], players[d], data, g, d, settings, r)
-            for g, d, r in schedule.matches if (g, d, r) not in skip]
+            for g, d, r in schedule if (g, d, r) not in skip]
 
 
 class FlakyPanel:
@@ -578,7 +574,7 @@ class TestGroupedPlay:
     def test_records_are_those_of_play_match_in_schedule_order(
             self, window, repeats, monkeypatch):
         config, built, schedule = mixed_population(repeats)
-        schedule = explicit_schedule(m for m in schedule.matches
+        schedule = explicit_schedule(m for m in schedule
                                      if m[0] != "bad")
         assert len(schedule) > window
         settings = run_settings(config)
@@ -588,7 +584,7 @@ class TestGroupedPlay:
                            tournament_seed=settings.seed, repeat=r,
                            batch_size=settings.batch_size,
                            threshold=settings.threshold)
-                for g, d, r in schedule.matches] == expected
+                for g, d, r in schedule] == expected
         monkeypatch.setattr(tn, "WINDOW", window)
         seen = []
         records = list(run_tournament(schedule, built.players, built.data,
@@ -600,7 +596,7 @@ class TestGroupedPlay:
                                                              monkeypatch):
         config, built, schedule = mixed_population()
         settings = run_settings(config)
-        bad = {m for m in schedule.matches if m[0] == "bad"}
+        bad = {m for m in schedule if m[0] == "bad"}
         monkeypatch.setattr(tn, "WINDOW", 40)
         failures = []
         records = list(run_tournament(schedule, built.players, built.data,
@@ -623,7 +619,7 @@ class TestGroupedPlay:
                   "range": "scores-range: ",
                   "nan": "scores-range: "}[mode]
         config, built, schedule = mixed_population()
-        schedule = explicit_schedule(m for m in schedule.matches
+        schedule = explicit_schedule(m for m in schedule
                                      if m[0] != "bad")
         settings = run_settings(config)
         reference = dict(built.players)
@@ -632,9 +628,9 @@ class TestGroupedPlay:
         window = 20
         monkeypatch.setattr(tn, "WINDOW", window)
         # The flaky panel's matches in the second window that has any.
-        starts = sorted({i // window for i, m in enumerate(schedule.matches)
+        starts = sorted({i // window for i, m in enumerate(schedule)
                          if m[1] == "oracle-d01"})
-        victims = [m for i, m in enumerate(schedule.matches)
+        victims = [m for i, m in enumerate(schedule)
                    if m[1] == "oracle-d01" and i // window == starts[1]]
         if lost == "match":
             victims = victims[-1:]
@@ -652,7 +648,7 @@ class TestGroupedPlay:
                                                           monkeypatch):
         config, built, schedule = mixed_population()
         settings = run_settings(config)
-        first_bad = next(i for i, m in enumerate(schedule.matches)
+        first_bad = next(i for i, m in enumerate(schedule)
                          if m[0] == "bad")
         window = 9
         monkeypatch.setattr(tn, "WINDOW", window)
@@ -660,7 +656,7 @@ class TestGroupedPlay:
         with pytest.raises(RuntimeError, match="deliberately broken"):
             run_tournament(schedule, built.players, built.data, settings,
                            sink=sink_into(seen.extend))
-        done = schedule.matches[:first_bad // window * window]
+        done = schedule[:first_bad // window * window]
         assert seen == replayed(explicit_schedule(done), built.players,
                                 built.data, settings)
 
@@ -670,8 +666,8 @@ class TestGroupedPlay:
         # killed or failed run keeps every finished window, whole.
         config, built, schedule = mixed_population()
         settings = run_settings(config)
-        good = [m for m in schedule.matches if m[0] != "bad"]
-        bad = next(m for m in schedule.matches if m[0] == "bad")
+        good = [m for m in schedule if m[0] != "bad"]
+        bad = next(m for m in schedule if m[0] == "bad")
         window = 9
         monkeypatch.setattr(tn, "WINDOW", window)
         matches = good[:window + 4] + [bad] + good[window + 4:3 * window]
@@ -733,7 +729,7 @@ class TestGroupedPlay:
         schedule = round_robin([f"g{i:02d}" for i in range(76)], ["chk"])
         settings = RunSettings(seed=3, batch_size=64)
         config, built, mixed = mixed_population()
-        mixed = explicit_schedule(m for m in mixed.matches if m[0] != "bad")
+        mixed = explicit_schedule(m for m in mixed if m[0] != "bad")
         expected = (replayed(schedule, players, task.model, settings),
                     replayed(mixed, built.players, built.data,
                              run_settings(config)))
@@ -755,7 +751,7 @@ def assert_no_judging_stream_is_seeded(monkeypatch, keep):
     ``keep`` selects: each seeds only its fake and its real stream, and
     the records are the reference's."""
     config, built, schedule = mixed_population()
-    kept = explicit_schedule(m for m in schedule.matches
+    kept = explicit_schedule(m for m in schedule
                              if keep(m[1]) and m[0] != "bad")
     settings = run_settings(config)
     expected = replayed(kept, built.players, built.data, settings)
@@ -795,7 +791,7 @@ class TestJudgeStreams:
         panel = RecordingStreams(built.players["forgetting-d03"])
         assert panel.disc.mastered
         built.players["forgetting-d03"] = panel
-        matches = [m for m in schedule.matches if m[1] == "forgetting-d03"
+        matches = [m for m in schedule if m[1] == "forgetting-d03"
                    and m[0] != "bad"]
         schedule = explicit_schedule(matches)
         settings = run_settings(config)
@@ -868,7 +864,7 @@ class TestJudgeOnlyBranch:
     def test_each_match_judges_both_batches_on_its_own_stream(self):
         judge = RecordingJudge()
         self.play(judge)
-        for k, (gen_id, disc_id, repeat) in enumerate(self.schedule.matches):
+        for k, (gen_id, disc_id, repeat) in enumerate(self.schedule):
             (_, fake_rng, fake_state), (_, real_rng, real_state) = \
                 judge.calls[2 * k:2 * k + 2]
             fresh = np.random.default_rng(
@@ -1041,10 +1037,10 @@ class TestGroupDraw:
         bad = {"wide": "dim-mismatch", "nan": "fake-nonfinite",
                "short": "fake-shape", "bad": "player-error"}
         assert records == replayed(schedule, players, task.model, settings,
-                                   skip={m for m in schedule.matches
+                                   skip={m for m in schedule
                                          if m[0] in bad})
         assert [(match, error.code) for match, error in failures] == [
-            (m, bad[m[0]]) for m in schedule.matches if m[0] in bad]
+            (m, bad[m[0]]) for m in schedule if m[0] in bad]
 
     def test_a_data_source_without_sample_many_loses_its_matches(self):
         # Real batches are drawn only by sample_many; there is no fallback
