@@ -243,6 +243,8 @@ def _pairs(generators: Sequence, discriminators: Sequence, repeats: int,
     both sorted by id, each pair ``repeats`` times with the repeat
     innermost. With a band ``width``, only the pairs whose iterations lie
     at most ``width`` apart, and every player needs an iteration."""
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     if width is not None:
         for spec in (*generators, *discriminators):
             if spec.iteration is None:
@@ -266,8 +268,6 @@ def round_robin(generators: Sequence, discriminators: Sequence,
     """
     if not generators or not discriminators:
         raise ValueError("round_robin needs at least one player per role")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
     return _pairs(generators, discriminators, repeats)
 
 
@@ -277,8 +277,6 @@ def band(generators: Sequence[PlayerSpec],
     """Round robin restricted to |iteration(G) - iteration(D)| <= width."""
     if width < 0:
         raise ValueError("band width must be >= 0")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
     matches = _pairs(generators, discriminators, repeats, width)
     if not matches:
         raise ValueError("band schedule is empty; widen the band")

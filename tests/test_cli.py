@@ -561,7 +561,7 @@ class TestExtend:
 
     def test_a_band_header_extend_needs_an_iteration_for_each_new_player(
             self, population, tmp_path, capsys):
-        config, log, _ = population
+        config, _, _ = population
         band = tmp_path / "band"
         assert run_cli("run", "--config", config, "--out-dir", band,
                        "--schedule", "band", "--band-width", 1) == 0
@@ -867,8 +867,9 @@ class TestRerating:
         # A band run warns that its win rates are not comparable; the
         # re-rated log, the extend of it and the extended log must too,
         # once and on stderr. Of checkpoints 0, 1 and 3, four pairs are
-        # out of band; checkpoint 2 adds seven pairs, three of them out
-        # of band (g02 vs d00 and d02, g00 vs d02).
+        # out of band. Checkpoint 2 adds seven pairs, and three of them do
+        # not play: g02 vs d00 and g00 vs d02 are out of band, and g02 vs
+        # d02 pairs two new players.
         config, log, fragment = population
         band = log.parent.parent / "band"
         assert run_cli("run", "--config", config, "--out-dir", band,
