@@ -8,9 +8,10 @@ directory of a checkout). The script writes one N x N round-robin log
 (N generators against N discriminators, one record per pair, so N**2
 records): an arena-log/1 header line, which it writes itself as the
 benchmark's rerate-200 log has one, then the records, through the first
-tree's ``store.LogWriter``. Every judged sample is a generator win with
-probability sigmoid(skill(generator) - skill(discriminator)), skills
-drawn from a fixed seed, 64 fake and 64 real samples a match. It then
+tree's ``store.LogWriter``, one ``MatchTable`` a generator. Every judged
+sample is a generator win with probability sigmoid(skill(generator) -
+skill(discriminator)), skills drawn from a fixed seed, 64 fake and 64
+real samples a match. It then
 runs ``python -m arena.cli rate LOG`` (no ``--out-dir``) K times under
 each tree, with that tree on ``PYTHONPATH`` and one BLAS thread, pinned
 to one core. Runs alternate between the
@@ -63,10 +64,11 @@ def write_log(path: str, players: int, src: str) -> None:
             p = 1.0 / (1.0 + np.exp(disc_skill - skill))
             fake_wins = rng.binomial(BATCH, p).tolist()
             real_wins = rng.binomial(BATCH, p).tolist()
-            writer([tournament.MatchRecord(
-                gen_id, disc_id, BATCH, fake, BATCH, real,
-                tournament.match_seed(tournament_seed, gen_id, disc_id, 0))
-                for disc_id, fake, real in zip(discs, fake_wins, real_wins)])
+            writer(tournament.MatchTable.from_records([
+                tournament.MatchRecord(
+                    gen_id, disc_id, BATCH, fake, BATCH, real,
+                    tournament.match_seed(tournament_seed, gen_id, disc_id, 0))
+                for disc_id, fake, real in zip(discs, fake_wins, real_wins)]))
 
 
 def rate(src: str, log: str, out_path: str) -> tuple[float, float, int]:

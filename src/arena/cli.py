@@ -121,8 +121,8 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
     """Spawn the external players the schedule names, play the schedule,
     and close the sessions and the ``writer`` again whatever happens.
 
-    Each window's records go to the ``writer``, if one is given, as soon
-    as the window is played.
+    Each window's played rows go to the ``writer``, if one is given, as a
+    ``MatchTable`` as soon as the window is played.
     This is where a failure is either raised or skipped. With ``strict``
     it is raised, and none of its window's records is written. Without,
     it is reported on stderr and costs only its own match; a player that
@@ -134,7 +134,7 @@ def _play(config: cfgmod.TournamentConfig, built: cfgmod.BuiltPlayers,
             raise error
         _warn(f"{context}: {error}")
 
-    def sink(records: list, failures: list) -> None:
+    def sink(records: tn.MatchTable, failures: list) -> None:
         for (gen_id, disc_id, repeat), error in failures:
             fail(error, f"skipping match {gen_id} vs {disc_id} "
                         f"(repeat {repeat})")

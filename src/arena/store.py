@@ -26,11 +26,11 @@ import io
 import json
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
-from .tournament import ENGINE, MatchRecord, MatchTable, PlayerSpec
+from .tournament import (COLUMN_TYPES, ENGINE, MatchRecord, MatchTable,
+                         PlayerSpec)
 
 LOG_FORMAT = "arena-log/2"
 V1_FORMAT = "arena-log/1"  # no config in the header; still read
@@ -61,10 +61,6 @@ _SEED_LIMIT = 2 ** 64
 # 157.0, 157.7 and 156.1-162.9 MiB. 1 << 18 is the largest size that keeps
 # both peaks within 1 MiB of 1 << 17's.
 _CHUNK_CHARS = 1 << 18
-
-# Dtype of each record column, in _RECORD_FIELDS order.
-_COLUMN_TYPES = (np.intp, np.intp, np.int64, np.int64, np.int64, np.int64,
-                 np.uint64, float)
 
 
 class LogError(ValueError):
@@ -103,28 +99,32 @@ _RECORD_TEMPLATE = ('{"discriminator_id":%s,"fake_wins":%s,'
                     '"real_wins":%s,"seed":%s,"threshold":%s}\n')
 
 
-def _record_lines(records, texts: dict) -> str:
-    """Each record's line, newline included, all joined: the bytes of
-    ``_dump`` of each record's fields. ``texts`` caches the JSON text of
-    each id (keyed by the id) and threshold (keyed by type and value, as
-    1 == 1.0 == True dump differently; a zero or a NaN by its text, as
-    -0.0 == 0.0 and NaN != NaN)."""
-    def text(key, value) -> str:
-        try:
-            return texts[key]
-        except KeyError:
-            texts[key] = found = _dump(value)
-            return found
+def _table_lines(table: MatchTable, texts: dict) -> str:
+    """Each row's line, newline included, all joined: the bytes of
+    ``_dump`` of the fields of the row's ``MatchRecord``. ``texts`` caches
+    the JSON text of each id, keyed by the id, and of each threshold,
+    keyed by its float's bits (-0.0 == 0.0 and NaN != NaN, but each dumps
+    as its own text)."""
+    def cached(keys, values) -> list[str]:
+        found = []
+        for key, value in zip(keys, values):
+            if key not in texts:
+                texts[key] = _dump(value)
+            found.append(texts[key])
+        return found
 
-    def threshold(value) -> str:
-        return text((type(value), value if value == value and value
-                     else repr(value)), value)
-
+    ids = cached(table.ids, table.ids)
+    bits = table.threshold.view(np.uint64).tolist()
+    thresholds = dict(zip(bits, table.threshold.tolist()))
+    cached(thresholds, thresholds.values())
     return "".join([_RECORD_TEMPLATE % (
-        text(r.discriminator_id, r.discriminator_id), r.fake_wins,
-        text(r.generator_id, r.generator_id), r.n_fake, r.n_real,
-        r.real_wins, r.seed, threshold(r.threshold))
-        for r in records])
+        ids[disc], fake_wins, ids[gen], n_fake, n_real, real_wins, seed,
+        texts[threshold])
+        for gen, disc, n_fake, fake_wins, n_real, real_wins, seed, threshold
+        in zip(table.gen.tolist(), table.disc.tolist(),
+               table.n_fake.tolist(), table.fake_wins.tolist(),
+               table.n_real.tolist(), table.real_wins.tolist(),
+               table.seed.tolist(), bits)])
 
 
 def _checked_fields(payload: dict, types: dict, what: str) -> dict:
@@ -208,9 +208,9 @@ class LogWriter:
     glued onto it, and the players line of the entries in ``players``, if
     any. An append that writes nothing leaves the log as is.
 
-    ``writer(records)`` writes the lines of a batch of records, such as a
-    finished window of play, with one write and one flush, so a killed
-    run keeps every batch it handed over.
+    ``writer(table)`` writes the lines of the rows of a ``MatchTable``,
+    such as a finished window of play, with one write and one flush, so a
+    killed run keeps every batch it handed over.
     """
 
     def __init__(self, path, header: LogHeader | None = None,
@@ -231,8 +231,8 @@ class LogWriter:
         self._fh.write(text.encode())
         self._fh.flush()
 
-    def __call__(self, records: Iterable[MatchRecord]) -> None:
-        self._write(self._lead + _record_lines(records, self._texts))
+    def __call__(self, table: MatchTable) -> None:
+        self._write(self._lead + _table_lines(table, self._texts))
         self._lead = ""
 
     def close(self) -> None:
@@ -275,7 +275,7 @@ def read_log(path, strict: bool = True
             raise LogError(f"{path}:1: {exc}") from exc
         capacity = ((os.fstat(fh.fileno()).st_size + 1)
                     // (_SHORTEST_RECORD + 1))
-        columns = [np.empty(capacity, dtype) for dtype in _COLUMN_TYPES]
+        columns = [np.empty(capacity, dtype) for dtype in COLUMN_TYPES]
         count = 0
         number = 2
         while text := fh.read(_CHUNK_CHARS):

@@ -31,9 +31,10 @@ ENGINE = 2
 
 # Matches played per window of ``run_tournament``. A window's batches are
 # drawn and judged one discriminator group at a time; the window bounds the
-# seeds, stream states and records held at once, and each window is one
-# log write. A wider window gives each group more matches to share its
-# fixed costs; 2048 was barely faster and held 0.7 MiB more at peak.
+# seeds, stream states and batches held at once (the outcomes go straight
+# into the schedule's columns), and each window is one log write. A wider
+# window gives each group more matches to share its fixed costs; 2048 was
+# barely faster and held 0.7 MiB more at peak.
 WINDOW = 1024
 
 ROLE_GENERATOR = "generator"
@@ -85,15 +86,21 @@ class MatchRecord:
     threshold: float = 0.5
 
 
+# Dtype of each MatchTable column after ``ids``, in field order.
+COLUMN_TYPES = (np.intp, np.intp, np.int64, np.int64, np.int64, np.int64,
+                np.uint64, float)
+
+
 @dataclass(frozen=True, eq=False)
 class MatchTable:
     """A match set as columns, one row per record in record order.
 
     ``ids`` holds every player id once, sorted, and ``gen``/``disc`` index
     into it. The counts are int64, ``seed`` is uint64 (blake2b-64 seeds
-    reach 2**64 - 1) and ``threshold`` is float. ``len()`` counts the
-    records and iterating yields them as ``MatchRecord``s, in order. This
-    is the one type for a set of matches, from play to report.
+    reach 2**64 - 1) and ``threshold`` is float (``COLUMN_TYPES``), 64
+    bytes a record. ``len()`` counts the records and iterating yields them
+    as ``MatchRecord``s, in order. This is the one type for a set of
+    matches, from play to report.
     """
 
     ids: tuple[str, ...]
@@ -476,11 +483,14 @@ def _draw_group(indices: Sequence[int],
 
 
 def _play_window(window: Sequence[tuple[str, str, int]],
-                 players: Mapping[str, object], data, settings: RunSettings
-                 ) -> tuple[list[MatchRecord | None], dict[int, Exception]]:
-    """Play consecutive matches grouped by discriminator; return the
-    records in window order, None where a match failed, and what each
-    failed match raised, keyed by its index in the window.
+                 players: Mapping[str, object], data, settings: RunSettings,
+                 rows: MatchTable, codes: Mapping[str, int]
+                 ) -> tuple[MatchTable, dict[int, Exception]]:
+    """Play consecutive matches grouped by discriminator into ``rows``, a
+    table with one row for each match of the window over ids that
+    ``codes`` index; return the played matches' rows, moved to the front
+    in window order, and what each failed match raised, keyed by its index
+    in the window.
 
     The seeds of the whole window are hashed into stream states in one
     array pass. A group first draws every match's fake and real batch
@@ -491,7 +501,7 @@ def _play_window(window: Sequence[tuple[str, str, int]],
     out of range. Both read one list that holds each match's judging
     stream twice, one per batch, as a ``seeding.LazyStream``: it is only
     built if it is read. Each side's wins are counted over the whole group
-    at once.
+    at once, straight into the rows' columns.
     """
     from . import seeding  # loads numpy.random, which only play needs
 
@@ -501,12 +511,17 @@ def _play_window(window: Sequence[tuple[str, str, int]],
     def stream(i: int, lane: int):
         return seeding.stream(states[i, lane], seeds[i], lane)
 
-    records: list[MatchRecord | None] = [None] * len(window)
+    size, threshold = settings.batch_size, settings.threshold
+    rows.gen[:] = [codes[gen_id] for gen_id, _, _ in window]
+    rows.disc[:] = [codes[disc_id] for _, disc_id, _ in window]
+    rows.n_fake[:] = rows.n_real[:] = size
+    rows.seed[:] = seeds
+    rows.threshold[:] = threshold
+    played = np.zeros(len(window), dtype=bool)
     lost: dict[int, Exception] = {}
     groups: dict[str, list[int]] = {}
     for i, (_, disc_id, _) in enumerate(window):
         groups.setdefault(disc_id, []).append(i)
-    size, threshold = settings.batch_size, settings.threshold
     for disc_id, indices in groups.items():
         try:
             discriminator = players[disc_id]
@@ -546,39 +561,51 @@ def _play_window(window: Sequence[tuple[str, str, int]],
         if not ok.all():
             drawn = [i for i, good in zip(drawn, ok) if good]
             scores = scores[np.repeat(ok, 2)]
-        fake_wins = np.count_nonzero(scores[0::2] >= threshold, axis=1)
-        real_wins = np.count_nonzero(scores[1::2] <= threshold, axis=1)
-        for i, fake, real in zip(drawn, fake_wins.tolist(),
-                                 real_wins.tolist()):
-            records[i] = MatchRecord(window[i][0], disc_id, size, fake, size,
-                                     real, seeds[i], threshold)
-    return records, lost
+        rows.fake_wins[drawn] = np.count_nonzero(scores[0::2] >= threshold,
+                                                 axis=1)
+        rows.real_wins[drawn] = np.count_nonzero(scores[1::2] <= threshold,
+                                                 axis=1)
+        played[drawn] = True
+    kept = np.flatnonzero(played)
+    if len(kept) < len(window):
+        for column in fields(rows)[1:]:
+            values = getattr(rows, column.name)
+            values[:len(kept)] = values[kept]
+    return rows.take(slice(len(kept))), lost
 
 
 def run_tournament(schedule: Schedule, players: Mapping[str, object], data,
                    settings: RunSettings,
-                   sink: Callable[[list, list], None] | None = None
+                   sink: Callable[[MatchTable, list], None] | None = None
                    ) -> MatchTable:
     """Play every scheduled match, ``WINDOW`` consecutive matches at a time.
 
     ``players`` maps ids to objects with sample()/judge() methods and, for
     discriminators, an optional judge_many(batches, rngs) that scores a
     stack of batches at once; ``data`` draws real batches with
-    sample_many(count, rngs), one batch per generator. Each window
-    is played by ``_play_window``, grouped by discriminator, and once it
-    is done ``sink`` gets its records and its failures in one call, each
-    in schedule order; the records the sink took come back as a
-    ``MatchTable`` in that order. A record depends only on its own match,
-    never on the window it was played in. A failure is a (match,
-    MatchError) pair, and any other exception a player or the data source
-    raises is reported as a ``player-error``. A sink that raises stops
-    the run, so the windows it took make a schedule-order prefix. With no
-    sink, a window's first failure is raised.
+    sample_many(count, rngs), one batch per generator. The schedule's
+    columns are allocated once, one row a match; each window is played
+    into its slice by ``_play_window``, grouped by discriminator, and once
+    it is done ``sink`` gets its played rows as a ``MatchTable`` and its
+    failures, each in schedule order. The rows the sink took come back as
+    one ``MatchTable`` in that order, whose ids are the players of those
+    rows. A row depends only on its own match, never on the window it
+    was played in. A failure is a (match, MatchError) pair, and any other
+    exception a player or the data source raises is reported as a
+    ``player-error``. A sink that raises stops the run, so the windows it
+    took make a schedule-order prefix. With no sink, a window's first
+    failure is raised.
     """
-    records: list[MatchRecord] = []
+    ids = tuple(sorted({pid for match in schedule for pid in match[:2]}))
+    codes = {pid: i for i, pid in enumerate(ids)}
+    columns = [np.empty(len(schedule), dtype) for dtype in COLUMN_TYPES]
+    count = 0  # rows played so far, never more than the matches so far
     for start in range(0, len(schedule), WINDOW):
         window = schedule[start:start + WINDOW]
-        played, lost = _play_window(window, players, data, settings)
+        played, lost = _play_window(window, players, data, settings,
+                                    MatchTable(ids, *(
+                                        column[count:count + len(window)]
+                                        for column in columns)), codes)
         failures = []
         for i in sorted(lost):
             error = lost[i]
@@ -587,10 +614,16 @@ def run_tournament(schedule: Schedule, players: Mapping[str, object], data,
                                    f"{type(error).__name__}: {error}")
                 error.__cause__ = lost[i]
             failures.append((window[i], error))
-        played = [record for record in played if record is not None]
         if sink is not None:
             sink(played, failures)
         elif failures:
             raise failures[0][1]
-        records += played
-    return MatchTable.from_records(records)
+        count += len(played)
+    columns = [column[:count] for column in columns]
+    used = np.zeros(len(ids), dtype=bool)
+    used[columns[0]] = used[columns[1]] = True
+    if not used.all():  # some players lost every match
+        recode = np.cumsum(used) - 1
+        columns[:2] = (recode[column] for column in columns[:2])
+        ids = tuple(pid for pid, kept in zip(ids, used.tolist()) if kept)
+    return MatchTable(ids, *columns)

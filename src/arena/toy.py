@@ -221,28 +221,36 @@ class OracleDiscriminator:
         One model at a time, through two buffers the size of ``batch``:
         a (1 + K, ..., n, d) temporary of a chekhov panel's stack would
         pass the allocator's mmap threshold and be mapped and zero-filled
-        afresh on every call.
+        afresh on every call. Each model centres the stack as rows of
+        n * d values, against its mean tiled n times, so that numpy's
+        inner loop runs over whole batches rather than over d values; the
+        differences are the same as those of broadcasting the mean.
         """
-        x = np.asarray(batch, dtype=float)
+        x = np.ascontiguousarray(batch, dtype=float)
         if not np.isfinite(x).all():
             raise ValueError("non-finite samples to score")
         models = len(self._means)
-        centered, z = np.empty(x.shape), np.empty(x.shape)
+        flat = x.reshape(math.prod(x.shape[:-2]), x.shape[-2] * x.shape[-1])
+        means = np.tile(self._means, x.shape[-2])
+        centered, z = np.empty(flat.shape), np.empty(x.shape)
         squares = np.empty((models,) + x.shape[:-1])
         for k in range(models):
-            np.subtract(x, self._means[k], out=centered)
-            np.matmul(centered, self._whitening[k], out=z)
+            np.subtract(flat, means[k], out=centered)
+            np.matmul(centered.reshape(x.shape), self._whitening[k], out=z)
             np.einsum("...i,...i->...", z, z, out=squares[k])
-        return (self._offsets.reshape((models,) + (1,) * (x.ndim - 1))
-                - 0.5 * squares)
+        # offset - 0.5 * square, as -0.5 * square + offset in place.
+        squares *= -0.5
+        squares += self._offsets.reshape((models,) + (1,) * (x.ndim - 1))
+        return squares
 
     def score(self, batch: np.ndarray) -> np.ndarray:
         densities = self.log_densities(np.atleast_2d(batch))
         ld_data, stacked = densities[0], densities[1:]
-        # Max-shifted log-mean-exp; with one reference it is that
-        # reference's density exactly (top + log 1 - log 1).
+        # Max-shifted log-mean-exp, in place; with one reference it is
+        # that reference's density exactly (top + log 1 - log 1).
         top = stacked.max(axis=0)
-        terms = np.exp(stacked - top)
+        stacked -= top
+        terms = np.exp(stacked, out=stacked)
         if terms.shape[-1] == 1:
             # One sample per batch: numpy sums a (K, 1) stack pairwise as one
             # run, but a (K, m, 1) stack row by row. Summing each batch's K
@@ -251,12 +259,19 @@ class OracleDiscriminator:
             total = np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(-1)
         else:
             total = terms.sum(axis=0)
-        ld_fake = top + np.log(total) - math.log(len(stacked))
+        ld_fake = np.log(total, out=total)
+        ld_fake += top
+        ld_fake -= math.log(len(stacked))
         # Saturating logistic: exp() only ever sees non-positive arguments,
         # and equal densities give exactly 0.5.
-        x = ld_data - ld_fake
-        ex = np.exp(-np.abs(x))
-        return np.where(x >= 0.0, 1.0, ex) / (1.0 + ex)
+        x = np.subtract(ld_data, ld_fake, out=ld_data)
+        ex = np.abs(x)
+        np.negative(ex, out=ex)
+        np.exp(ex, out=ex)
+        scores = np.where(x >= 0.0, 1.0, ex)
+        ex += 1.0
+        scores /= ex
+        return scores
 
     def judge(self, batch: np.ndarray,
               rng: np.random.Generator | None = None) -> np.ndarray:

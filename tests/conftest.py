@@ -112,8 +112,8 @@ def reference_pair_win_rates(records) -> dict[tuple[str, str], float]:
 
 def record_line(record: MatchRecord) -> str:
     """The record's log line, without its newline, as ``store.LogWriter``
-    writes it."""
-    return store._record_lines([record], {})[:-1]
+    writes it from a table that holds the record."""
+    return store._table_lines(MatchTable.from_records([record]), {})[:-1]
 
 
 def tournament_win_rate(table: MatchTable) -> dict[str, float]:

@@ -378,9 +378,10 @@ class TestRate:
         path = tmp_path / "log.jsonl"
         with closing(store.LogWriter(path,
                                      store.LogHeader("feed", 1))) as sink:
-            sink([tn.MatchRecord("g1", "d1", 8, 5, 8, 3, seed=1)])
-            sink([tn.MatchRecord("g1", "d2", 0, 0, 0, 0, seed=2)])
-            sink([tn.MatchRecord("g2", "d1", 0, 0, 0, 0, seed=3)])
+            for record in (tn.MatchRecord("g1", "d1", 8, 5, 8, 3, seed=1),
+                           tn.MatchRecord("g1", "d2", 0, 0, 0, 0, seed=2),
+                           tn.MatchRecord("g2", "d1", 0, 0, 0, 0, seed=3)):
+                sink(tn.MatchTable.from_records([record]))
         out = tmp_path / "rated"
         assert run_cli("rate", path, "--out-dir", out) == 0
         assert "Traceback" not in capsys.readouterr().err
@@ -420,7 +421,8 @@ class TestRate:
         with closing(store.LogWriter(path,
                                      store.LogHeader("feed", 1))) as sink:
             for seed, (gen_id, disc_id) in enumerate(records):
-                sink([tn.MatchRecord(gen_id, disc_id, 8, 5, 8, 3, seed=seed)])
+                sink(tn.MatchTable.from_records(
+                    [tn.MatchRecord(gen_id, disc_id, 8, 5, 8, 3, seed=seed)]))
         argv = ["rate", path, "--out-dir", tmp_path / "rated"]
         assert run_cli(*argv, *(["--strict"] if strict else [])) == 1
         assert capsys.readouterr().err == (

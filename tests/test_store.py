@@ -29,10 +29,17 @@ ids = st.text(alphabet="".join(map(chr, range(33, 127))),
 
 
 def write_records(path, records, header: LogHeader | None = HEADER) -> None:
-    """Write records through LogWriter: a new log when a header is given,
-    an append otherwise."""
+    """Write records through LogWriter, as one table: a new log when a
+    header is given, an append otherwise."""
     with closing(LogWriter(path, header)) as sink:
-        sink(records)
+        sink(MatchTable.from_records(records))
+
+
+def dumped(record: MatchRecord) -> str:
+    """``json.dumps`` of the record's fields, as the writer lays them out,
+    without a newline."""
+    return json.dumps({name: getattr(record, name) for name in RECORD_FIELDS},
+                      sort_keys=True, separators=(",", ":"))
 
 
 def make_record(i: int = 0) -> MatchRecord:
@@ -196,7 +203,8 @@ class TestFileRoundTrip:
         write_records(first, records)
         header, read, problems = read_log(first)
         assert (header, list(read), problems) == (HEADER, records, [])
-        write_records(second, read, header)
+        with closing(LogWriter(second, header)) as sink:
+            sink(read)  # the table read_log gives, as it is
         assert first.read_bytes() == second.read_bytes()
 
     @given(records=st.lists(record_strategy, max_size=8))
@@ -236,8 +244,8 @@ class TestFileRoundTrip:
         LogWriter(path).close()
         assert path.read_bytes() == before
         writer = LogWriter(path)
-        writer([make_record(1)])
-        writer([make_record(2)])
+        writer(MatchTable.from_records([make_record(1)]))
+        writer(MatchTable.from_records([make_record(2)]))
         writer.close()
         assert path.read_bytes() == before + b"".join(
             b"\n" + record_line(make_record(i)).encode() for i in (1, 2)) \
@@ -254,8 +262,8 @@ class TestFileRoundTrip:
         assert path.read_bytes() == before
         for players, k in ((first, 1), (second, 2), ([], 3)):
             writer = LogWriter(path, players=players)
-            writer([make_record(k)])
-            writer([make_record(k + 10)])
+            writer(MatchTable.from_records([make_record(k)]))
+            writer(MatchTable.from_records([make_record(k + 10)]))
             writer.close()
         lines = path.read_text().splitlines()
         assert lines[2] == ('{"entries":[{"id":"c","kind":"constant",'
@@ -283,8 +291,8 @@ class TestFileRoundTrip:
     def test_log_writer_streams_records(self, tmp_path):
         path = tmp_path / "log.jsonl"
         with closing(LogWriter(path, HEADER)) as sink:
-            sink([make_record(0)])
-            sink([make_record(1)])
+            sink(MatchTable.from_records([make_record(0)]))
+            sink(MatchTable.from_records([make_record(1)]))
         lines = [header_line(HEADER), record_line(make_record(0)),
                  record_line(make_record(1))]
         assert path.read_text() == "".join(line + "\n" for line in lines)
@@ -295,7 +303,7 @@ class TestFileRoundTrip:
         sink = LogWriter(path, HEADER)
         try:
             for i in range(3):
-                sink([make_record(i)])
+                sink(MatchTable.from_records([make_record(i)]))
                 _, records, _ = read_log(path)
                 assert list(records) == [make_record(k)
                                          for k in range(i + 1)]
@@ -457,34 +465,31 @@ class TestRecordTemplate:
     def test_lines_are_those_of_json_dumps(self, records):
         # Quotes, backslashes, control characters, non-ASCII and non-BMP
         # ids; counts and seeds up to their limits; NaN, infinite, integer
-        # and boolean thresholds (1, 1.0 and True dump differently).
-        expected = "".join(
-            json.dumps({name: getattr(r, name) for name in RECORD_FIELDS},
-                       sort_keys=True, separators=(",", ":")) + "\n"
-            for r in records)
+        # and boolean thresholds. A table's threshold column is float, so
+        # 1, 1.0 and True all write as 1.0.
+        expected = "".join(dumped(dataclasses.replace(
+            r, threshold=float(r.threshold))) + "\n" for r in records)
         assert "".join(record_line(r) + "\n" for r in records) == expected
+        table = MatchTable.from_records(records)
         with tempfile.TemporaryDirectory() as work:
             path = os.path.join(work, "log.jsonl")
             with closing(LogWriter(path, HEADER)) as sink:
-                sink(records)
-                sink(records)  # every id and threshold text now cached
+                sink(table)
+                sink(table)  # every id and threshold text now cached
             with open(path, "rb") as fh:
                 assert fh.read() == (header_line(HEADER) + "\n"
                                      + 2 * expected).encode()
 
     def test_nan_thresholds_share_one_cached_text(self, tmp_path):
-        # Each record holds its own NaN object, and NaN != NaN: keyed by
-        # value, every one of them would add a cache entry never hit again.
+        # NaN != NaN: keyed by value, every NaN row would add a cache entry
+        # never hit again.
         records = [MatchRecord("g", "d", 4, 1, 4, 2, i, float("nan"))
                    for i in range(1000)]
         path = tmp_path / "log.jsonl"
         with closing(LogWriter(path, HEADER)) as sink:
-            sink(records)
+            sink(MatchTable.from_records(records))
             assert len(sink._texts) == 3  # "g", "d" and NaN
-        expected = "".join(
-            json.dumps({name: getattr(r, name) for name in RECORD_FIELDS},
-                       sort_keys=True, separators=(",", ":")) + "\n"
-            for r in records)
+        expected = "".join(dumped(r) + "\n" for r in records)
         assert '"threshold":NaN' in expected
         assert path.read_bytes() == (header_line(HEADER) + "\n"
                                      + expected).encode()
@@ -661,8 +666,8 @@ class TestBulkReader:
         with tempfile.TemporaryDirectory() as work:
             path = os.path.join(work, "log.jsonl")
             with closing(LogWriter(path, HEADER)) as sink:
-                sink(records[:split])
-                sink(records[split:])
+                sink(MatchTable.from_records(records[:split]))
+                sink(MatchTable.from_records(records[split:]))
             with open(path) as fh:
                 lines = fh.readlines()[1:]
         codes: dict[str, int] = {}
@@ -821,12 +826,14 @@ class TestInPlaceColumns:
         assert problems == expected[2]
 
     def test_columns_are_sized_by_the_shortest_record_line(self):
+        # The writer writes a threshold as a float, but parse_line also
+        # takes an integer one.
         shortest = MatchRecord("", "", 0, 0, 0, 0, 0, 0)
-        assert store._SHORTEST_RECORD == len(record_line(shortest))
+        assert store._SHORTEST_RECORD == len(dumped(shortest))
         for field in RECORD_FIELDS:
             # Every field is needed, so no line parse_line takes is
             # shorter.
-            payload = json.loads(record_line(shortest))
+            payload = json.loads(dumped(shortest))
             del payload[field]
             with pytest.raises(LogError, match="missing field"):
                 parse_line(json.dumps(payload, separators=(",", ":")))

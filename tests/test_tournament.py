@@ -746,6 +746,72 @@ class TestGroupedPlay:
                                     run_settings(config)))) == expected
 
 
+
+class TestColumnarPlay:
+    """Play counts wins straight into the schedule's columns: no record
+    object per match, one table per window for the sink."""
+
+    def play(self, schedule, built, settings, window=40):
+        """Run the schedule with no ``MatchRecord`` constructor and no
+        ``MatchTable.from_records`` allowed to run; return the table, the
+        tables the sink got and its failures."""
+        tables, failures = [], []
+
+        def sink(table, lost):
+            tables.append(table)
+            failures.extend(lost)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a record object built during play")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tn, "WINDOW", window)
+            patch.setattr(MatchRecord, "__init__", forbidden)
+            patch.setattr(MatchTable, "from_records", forbidden)
+            table = run_tournament(schedule, built.players, built.data,
+                                   settings, sink)
+        return table, tables, failures
+
+    def test_play_builds_no_match_record(self):
+        config, built, schedule = mixed_population()
+        settings = run_settings(config)
+        table, tables, failures = self.play(schedule, built, settings)
+        bad = {m for m in schedule if m[0] == "bad"}
+        assert {match for match, _ in failures} == bad
+        assert len(table) == len(schedule) - len(bad)
+
+    def test_sink_tables_are_the_returned_rows_and_the_replay(self):
+        config, built, schedule = mixed_population()
+        settings = run_settings(config)
+        table, tables, _ = self.play(schedule, built, settings)
+        assert len(tables) == -(-len(schedule) // 40)
+        assert all(type(part) is MatchTable for part in tables)
+        expected = [play_match(built.players[g], built.players[d],
+                               built.data, generator_id=g,
+                               discriminator_id=d,
+                               tournament_seed=settings.seed, repeat=r,
+                               batch_size=settings.batch_size,
+                               threshold=settings.threshold)
+                    for g, d, r in schedule if g != "bad"]
+        assert [record for part in tables for record in part] == expected
+        assert list(table) == expected
+
+    def test_a_player_that_loses_every_match_has_no_id(self):
+        # "bad" raises in every match it plays, and "absent" is missing
+        # from the players; both leave the ids as from_records gives them.
+        config, built, schedule = mixed_population()
+        schedule = explicit_schedule(
+            [*schedule, *((g, "absent", 0) for g in ("data", "bad"))])
+        settings = run_settings(config)
+        table, _, failures = self.play(schedule, built, settings)
+        assert "bad" not in table.ids and "absent" not in table.ids
+        records = list(table)
+        assert table.ids == MatchTable.from_records(records).ids
+        assert records == replayed(
+            schedule, built.players, built.data, settings,
+            skip={m for m in schedule if "bad" in m or "absent" in m})
+        assert len(failures) == len(schedule) - len(records)
+
 def assert_no_judging_stream_is_seeded(monkeypatch, keep):
     """Play the mixed population's matches against the discriminators that
     ``keep`` selects: each seeds only its fake and its real stream, and
