@@ -746,7 +746,6 @@ class TestGroupedPlay:
                                     run_settings(config)))) == expected
 
 
-
 class TestColumnarPlay:
     """Play counts wins straight into the schedule's columns: no record
     object per match, one table per window for the sink."""
