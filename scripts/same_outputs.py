@@ -9,20 +9,20 @@ a players fragment joined by ``+`` (``CONFIG+FRAGMENT``), a match log (a
 ``.jsonl`` file) or the name of a bundled experiment (``distortion``,
 ``multi``, ...). A config is run once under each tree, as
 ``python -m arena.cli run --config CONFIG --out-dir DIR``, and its
-schedule is shown once, as ``python -m arena.cli schedule --config
-CONFIG``, which writes no file; a ``CONFIG+FRAGMENT`` is so run and
-shown, and its log is then extended once, as
+schedule is shown once with every match listed, as
+``python -m arena.cli schedule --config CONFIG --list``, which writes no
+file; a ``CONFIG+FRAGMENT`` is so run and shown, and its log is then
+extended once, as
 ``python -m arena.cli extend LOG --add FRAGMENT --out-dir DIR``; a log is
 re-rated twice under each tree, as ``python -m arena.cli rate LOG
 --out-dir DIR`` and again with ``--outcome-mode per-match``; an
 experiment is run once under each tree, as ``python -m arena.cli simulate
-NAME --out-dir DIR``. Every command
-runs with that tree on ``PYTHONPATH`` and one BLAS thread, into a fresh
-temporary directory. Every file a command writes (for an extend, the
-extended log too), its stdout and stderr with the output directory
-masked, and its exit code are compared byte for byte. The script lists
-what differs, each with the number of its first line that differs, and
-exits 1 if anything does, else 0.
+NAME --out-dir DIR``. Every command runs with that tree on ``PYTHONPATH``
+and one BLAS thread, into a fresh temporary directory. Every file a
+command writes (for an extend, the extended log too), its stdout and
+stderr with the output directory masked, and its exit code are compared
+byte for byte. The script lists what differs, each with the number of
+its first line that differs, and exits 1 if anything does, else 0.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def commands(path: str) -> list[list[list[str]]]:
     steps = [["run", "--config", config]]
     if fragment:
         steps.append(["extend", "{log}", "--add", fragment])
-    return [steps, [["schedule", "--config", config]]]
+    return [steps, [["schedule", "--config", config, "--list"]]]
 
 
 def run(src: str, steps: list[list[str]], out_dir: str) -> dict[str, bytes]:

@@ -196,27 +196,23 @@ def _print_report(outcome: glicko.RatingOutcome,
 
 
 def _plan(args) -> tuple[cfgmod.TournamentConfig, cfgmod.BuiltPlayers,
-                         tn.Schedule, tn.ScheduleDiagnostics]:
+                         tn.Schedule, int]:
     """Load the config with its flag overrides, build the players and the
-    schedule, and print the schedule's warnings and errors."""
+    schedule, and count its match graph's components, warning if there are
+    several."""
     config = _with_overrides(cfgmod.load_config(args.config), args,
                              str(args.config))
     built = cfgmod.build_players(config)
     schedule = cfgmod.build_schedule(config, built.specs)
-    diagnostics = tn.validate_schedule(schedule,
-                                       {s.id: s for s in built.specs})
-    for message in diagnostics.warnings:
-        _warn(message)
-    for problem in diagnostics.errors:
-        print(f"error: {problem}", file=sys.stderr)
-    return config, built, schedule, diagnostics
+    parts = tn.components(schedule)
+    if parts > 1:
+        _warn(f"match graph has {parts} disconnected components; ratings "
+              "across components are not comparable")
+    return config, built, schedule, parts
 
 
 def cmd_run(args) -> int:
-    config, built, schedule, diagnostics = _plan(args)
-    if not diagnostics.ok:
-        return 2
-
+    config, built, schedule, _ = _plan(args)
     directory = args.out_dir or config.outputs.get("directory") or "arena-out"
     os.makedirs(directory, exist_ok=True)
     log_path = os.path.join(directory,
@@ -297,7 +293,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    config, built, schedule, diagnostics = _plan(args)
+    config, built, schedule, parts = _plan(args)
     gens = {s.id for s in built.specs if s.role == "generator"}
     discs = {s.id for s in built.specs if s.role == "discriminator"}
     full = len(gens) * len(discs)
@@ -305,14 +301,16 @@ def cmd_schedule(args) -> int:
     if "band_width" in config.schedule:
         _say(f"band_width: {config.schedule['band_width']}")
     _say(f"players: {len(gens)} generators, {len(discs)} discriminators")
+    # The share counts each generator-discriminator pair once, at any
+    # number of repeats.
+    pairs = len({match[:2] for match in schedule})
     _say(f"matches: {len(schedule)}"
-         + (f" ({len(schedule) / full:.0%} of full round robin)"
-            if full else ""))
-    _say(f"components: {diagnostics.components}")
+         + (f" ({pairs / full:.0%} of full round robin)" if full else ""))
+    _say(f"components: {parts}")
     if args.list:
         for gen_id, disc_id, repeat in schedule:
             _say(f"  {gen_id} vs {disc_id} repeat {repeat}")
-    return 0 if diagnostics.ok else 2
+    return 0
 
 
 def _add_rating_flags(parser: argparse.ArgumentParser) -> None:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .glicko import RatingConfig
-from .tournament import (PlayerSpec, RunSettings, Schedule, _pairs, band,
-                         explicit_schedule, round_robin, stable_seed)
+from .tournament import (ROLES, PlayerSpec, RunSettings, Schedule, _pairs,
+                         band, explicit_schedule, round_robin, stable_seed)
 
 if TYPE_CHECKING:
     from . import toy
@@ -178,7 +178,7 @@ CONFIG_SCHEMA = {
                 "kind": {"enum": ["round_robin", "band", "explicit"]},
                 "band_width": {"type": "integer", "minimum": 0},
                 "repeats": {"type": "integer", "minimum": 1},
-                "matches": {"type": "array",
+                "matches": {"type": "array", "minItems": 1,
                             "items": {"type": "array", "minItems": 2,
                                       "maxItems": 3,
                                       "prefixItems": [
@@ -324,6 +324,8 @@ def parse_config(payload: Mapping, where: str = "config"
         raise ConfigError(f"{where}: repeats does not apply to schedule kind "
                           "'explicit', which plays each listed match once")
     schedule.setdefault("repeats", 1)
+    if kind == "explicit":
+        _check_listed(schedule["matches"], payload["players"], where)
     # CONFIG_SCHEMA holds _RATING_SCHEMA, so the section is valid already.
     rating = RatingConfig(**(payload.get("rating") or {}))
     return TournamentConfig(
@@ -337,6 +339,32 @@ def parse_config(payload: Mapping, where: str = "config"
         outputs=dict(payload.get("outputs") or {}),
         raw=dict(payload),
     )
+
+
+def _check_listed(matches: Sequence, entries: Sequence[dict],
+                  where: str) -> None:
+    """Refuse a listed schedule that names an unknown id, schedules a player
+    in the other role, or lists a (generator, discriminator, repeat) match
+    twice, which would replay the same game. Every problem is named once,
+    in first-seen order. The other schedules pair the population's players,
+    each once in its own role, so they cannot fail these checks."""
+    roles = {spec.id: spec.role for spec in player_specs(entries)}
+    problems: dict[str, None] = {}
+    seen: set[tuple[str, str, int]] = set()
+    for match in explicit_schedule(matches):
+        if match in seen:
+            problems[f"match {match[0]!r} vs {match[1]!r} repeat {match[2]} "
+                     "is scheduled twice"] = None
+        seen.add(match)
+        for pid, role in zip(match, ROLES):
+            if pid not in roles:
+                problems[f"unknown player id {pid!r}"] = None
+            elif roles[pid] != role:
+                problems[f"player {pid!r} has role {roles[pid]!r} but is "
+                         f"scheduled as {role}"] = None
+    if problems:
+        raise ConfigError(f"{where}: schedule matches: "
+                          + "; ".join(problems))
 
 
 def parse_rating(section: Mapping, where: str) -> RatingConfig:

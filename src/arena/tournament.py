@@ -213,19 +213,6 @@ Schedule = tuple[tuple[str, str, int], ...]
 
 
 @dataclass(frozen=True)
-class ScheduleDiagnostics:
-    """Validation outcome: hard errors plus comparability warnings."""
-
-    errors: tuple[str, ...]
-    warnings: tuple[str, ...]
-    components: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-@dataclass(frozen=True)
 class RunSettings:
     """Execution settings for a tournament run."""
 
@@ -296,55 +283,26 @@ def explicit_schedule(matches: Iterable[Sequence]) -> Schedule:
                  for g, d, *r in matches)
 
 
-def validate_schedule(schedule: Schedule,
-                      specs: Mapping[str, PlayerSpec]) -> ScheduleDiagnostics:
-    """Check a schedule against the player population.
-
-    Unknown ids, role violations and a (generator, discriminator, repeat)
-    triple scheduled twice are errors. A match graph that splits
-    into several connected components only warns: ratings across components
-    are mutually incomparable but still well defined.
-    """
-    errors: dict[str, None] = {}  # each message once, in first-seen order
+def components(schedule: Schedule) -> int:
+    """The number of connected components of the schedule's match graph,
+    whose nodes are the players it names and whose edges are its matches.
+    Ratings across components are well defined but not comparable."""
     parent: dict[str, str] = {}
 
     def find(x: str) -> str:
+        parent.setdefault(x, x)
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    seen: set[tuple[str, str, int]] = set()
-    for match in schedule:
-        gen_id, disc_id, repeat = match
-        if match in seen:
-            errors[f"match {gen_id!r} vs {disc_id!r} repeat {repeat} is "
-                   "scheduled twice"] = None
-        seen.add(match)
-        for pid, role in ((gen_id, ROLE_GENERATOR),
-                          (disc_id, ROLE_DISCRIMINATOR)):
-            spec = specs.get(pid)
-            if spec is None:
-                errors[f"unknown player id {pid!r}"] = None
-            elif spec.role != role:
-                errors[f"player {pid!r} has role {spec.role!r} but is "
-                       f"scheduled as {role}"] = None
-        for pid in (gen_id, disc_id):
-            if pid in specs:
-                parent.setdefault(pid, pid)
-        if gen_id in parent and disc_id in parent:
-            root_g, root_d = find(gen_id), find(disc_id)
-            if root_g != root_d:
-                parent[root_g] = root_d
-
-    components = len({find(pid) for pid in parent}) if parent else 0
-    warnings: list[str] = []
-    if components > 1:
-        warnings.append(f"match graph has {components} disconnected "
-                        "components; ratings across components are not "
-                        "comparable")
-    return ScheduleDiagnostics(errors=tuple(errors), warnings=tuple(warnings),
-                               components=components)
+    merges = 0
+    for gen_id, disc_id, _ in schedule:
+        root_g, root_d = find(gen_id), find(disc_id)
+        if root_g != root_d:
+            parent[root_g] = root_d
+            merges += 1
+    return len(parent) - merges
 
 
 def stable_seed(*parts) -> int:

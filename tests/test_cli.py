@@ -1164,6 +1164,136 @@ class TestScheduleCommand:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("schedule, line", [
+        ({"kind": "round_robin", "repeats": 2},
+         "matches: 32 (100% of full round robin)"),
+        ({"kind": "band", "band_width": 0, "repeats": 3},
+         "matches: 12 (25% of full round robin)")],
+        ids=["round_robin", "band"])
+    def test_the_share_counts_each_pair_once(self, tmp_path, capsys,
+                                             schedule, line):
+        # Repeats used to count as extra pairs: 200% and 75%.
+        path = write_yaml(tmp_path / "repeats.cfg",
+                          tiny_config_payload(schedule=schedule))
+        assert run_cli("schedule", "--config", path) == 0
+        assert line in capsys.readouterr().out.splitlines()
+
+    def test_a_band_across_a_gap_has_two_components(self, tmp_path, capsys):
+        players = tiny_config_payload()["players"]
+        players[0].update(n_checkpoints=7, checkpoints=[0, 1, 5, 6])
+        path = write_yaml(tmp_path / "gap.cfg", tiny_config_payload(
+            players=players, schedule={"kind": "band", "band_width": 1}))
+        assert run_cli("schedule", "--config", path) == 0
+        captured = capsys.readouterr()
+        assert "components: 2" in captured.out.splitlines()
+        assert warnings_in(captured.err) == [
+            "warning: match graph has 2 disconnected components; ratings "
+            "across components are not comparable"]
+
+    @pytest.mark.parametrize("command", ["run", "schedule"])
+    def test_a_listed_schedule_is_refused_before_any_player_is_built(
+            self, tmp_path, capsys, monkeypatch, command):
+        # It used to build every player first and then print each problem
+        # as an error line of its own.
+        def build_players(config):
+            raise AssertionError("a player was built")
+
+        monkeypatch.setattr(cfgmod, "build_players", build_players)
+        path = write_yaml(tmp_path / "listed.cfg", tiny_config_payload(
+            schedule={"kind": "explicit", "matches": [
+                ["tiny-g00", "tiny-d00"], ["ghost", "tiny-d00"],
+                ["tiny-g01", "tiny-g02"], ["ghost", "tiny-d01"],
+                ["tiny-g00", "tiny-d00", 0]]}))
+        out = tmp_path / "out"
+        extra = ("--out-dir", out) if command == "run" else ("--list",)
+        assert run_cli(command, "--config", path, *extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {path}: schedule matches: unknown player id 'ghost'; "
+            "player 'tiny-g02' has role 'generator' but is scheduled as "
+            "discriminator; match 'tiny-g00' vs 'tiny-d00' repeat 0 is "
+            "scheduled twice\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "schedule"])
+    def test_an_empty_listed_schedule_exits_2(self, tmp_path, capsys,
+                                              command):
+        # It used to show 0 matches and 0 components, or write a log of no
+        # records and an empty summary.
+        path = write_yaml(tmp_path / "empty.cfg", tiny_config_payload(
+            schedule={"kind": "explicit", "matches": []}))
+        out = tmp_path / "out"
+        extra = ("--out-dir", out) if command == "run" else ()
+        assert run_cli(command, "--config", path, *extra) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: at schedule/matches: [] should be "
+            "non-empty\n")
+        assert not out.exists()
+
+
+class TestListedSchedule:
+    """What a listed schedule may hold, checked as its config is parsed,
+    and the count of every schedule's match-graph components."""
+
+    @staticmethod
+    def payload(*matches) -> dict:
+        return {
+            "seed": 1,
+            "task": {"dim": 3, "seed": 11},
+            "players": [
+                {"kind": "transform", "id": f"g{k}",
+                 "transform": "additive_noise", "severity": k,
+                 "iteration": k - 1} for k in (1, 2)] + [
+                {"kind": "noise_oracle", "id": f"d{k}", "severity": k,
+                 "iteration": k - 1} for k in (1, 2)],
+            "schedule": {"kind": "explicit",
+                         "matches": [list(m) for m in matches]},
+        }
+
+    def refused(self, *matches) -> str:
+        with pytest.raises(cfgmod.ConfigError) as caught:
+            cfgmod.parse_config(self.payload(*matches), "pop.cfg")
+        return str(caught.value)
+
+    def warnings(self, tmp_path, capsys, *matches) -> list[str]:
+        path = write_yaml(tmp_path / "pop.cfg", self.payload(*matches))
+        assert run_cli("schedule", "--config", path) == 0
+        return warnings_in(capsys.readouterr().err)
+
+    def test_clean_round_robin_is_ok(self, tmp_path, capsys):
+        matches = tn.round_robin(["g1", "g2"], ["d1", "d2"])
+        cfgmod.parse_config(self.payload(*matches))
+        assert tn.components(matches) == 1
+        assert self.warnings(tmp_path, capsys, *matches) == []
+
+    def test_unknown_id_is_an_error(self):
+        assert "unknown player id 'ghost'" in self.refused(("ghost", "d1"))
+
+    def test_role_violation_is_an_error(self):
+        error = self.refused(("d1", "g1"))
+        assert "scheduled as generator" in error
+        assert "scheduled as discriminator" in error
+
+    def test_disconnected_components_only_warn(self, tmp_path, capsys):
+        matches = (("g1", "d1"), ("g2", "d2"))
+        cfgmod.parse_config(self.payload(*matches))
+        assert tn.components(tn.explicit_schedule(matches)) == 2
+        assert any("disconnected" in w
+                   for w in self.warnings(tmp_path, capsys, *matches))
+
+    def test_a_match_scheduled_twice_is_an_error(self):
+        # Both matches would get the same seed and play the same game.
+        assert self.refused(("g1", "d1"), ("g1", "d1", 1), ("g1", "d1", 0),
+                            ("g1", "d1", 0)) == (
+            "pop.cfg: schedule matches: match 'g1' vs 'd1' repeat 0 is "
+            "scheduled twice")
+
+    def test_duplicate_errors_are_reported_once(self):
+        error = self.refused(("ghost", "d1"), ("ghost", "d2"))
+        assert error.count("unknown player id 'ghost'") == 1
+
+
 class TestFlagPlumbing:
     def test_rating_flags_reach_the_config(self, config_path):
         args = build_parser().parse_args(

@@ -223,21 +223,23 @@ class TestScripts:
             "11 outputs compared, 0 differ"
 
     def test_same_outputs_shows_each_config_schedule(self, tmp_path):
-        # The set-up command of a benchmark run: its stdout, stderr and
-        # exit code are compared, and it is given no --out-dir.
+        # The set-up command of a benchmark run, every match listed: its
+        # stdout, stderr and exit code are compared, and it is given no
+        # --out-dir. A copy that lists each match in other words differs
+        # at the first match, the line after the four summary lines.
         src = Path(ex.__file__).resolve().parents[1]
         shutil.copytree(src / "arena", tmp_path / "arena",
                         ignore=shutil.ignore_patterns("__pycache__"))
         cli_py = tmp_path / "arena" / "cli.py"
         cli_py.write_text(cli_py.read_text().replace(
-            '_say(f"components: {', '_say(f"parts: {'))
+            '{disc_id} repeat {repeat}', '{disc_id} r{repeat}'))
         config = SCRIPTS.parent / "configs" / "within_trajectory.cfg"
         result = fresh_python(SCRIPTS / "same_outputs.py", src, tmp_path,
                               config)
         assert result.returncode == 1
         assert result.stdout.splitlines() == [
-            f"differs: schedule --config {config}: <stdout> (first "
-            "differing line 4)",
+            f"differs: schedule --config {config} --list: <stdout> (first "
+            "differing line 5)",
             "11 outputs compared, 1 differ"]
 
     def test_same_outputs_runs_a_config_then_extends_its_log(self,

@@ -17,8 +17,7 @@ from arena.config import (build_players, build_schedule, parse_config,
 from arena.tournament import (MatchError, MatchRecord, MatchTable,
                               PlayerSpec, RunSettings, band, explicit_schedule,
                               match_seed, play_match,
-                              round_robin, run_tournament, stable_seed,
-                              validate_schedule)
+                              round_robin, run_tournament, stable_seed)
 
 from conftest import (TEXT_ALPHABET, DrawsMany, record_line,
                       tiny_config_payload, win_rate)
@@ -264,59 +263,6 @@ class TestSchedules:
     def test_explicit_schedule_defaults_repeat_to_zero(self):
         schedule = explicit_schedule([("g1", "d1"), ("g2", "d1", 3)])
         assert schedule == (("g1", "d1", 0), ("g2", "d1", 3))
-
-
-class TestValidateSchedule:
-    def population(self):
-        return {
-            "g1": spec("g1", "generator", 0),
-            "g2": spec("g2", "generator", 1),
-            "d1": spec("d1", "discriminator", 0),
-            "d2": spec("d2", "discriminator", 1),
-        }
-
-    def test_clean_round_robin_is_ok(self):
-        specs = self.population()
-        diag = validate_schedule(round_robin(["g1", "g2"], ["d1", "d2"]),
-                                 specs)
-        assert diag.ok
-        assert diag.components == 1
-        assert diag.warnings == ()
-
-    def test_unknown_id_is_an_error(self):
-        diag = validate_schedule(explicit_schedule([("ghost", "d1")]),
-                                 self.population())
-        assert not diag.ok
-        assert any("unknown player id 'ghost'" in e for e in diag.errors)
-
-    def test_role_violation_is_an_error(self):
-        diag = validate_schedule(explicit_schedule([("d1", "g1")]),
-                                 self.population())
-        assert any("scheduled as generator" in e for e in diag.errors)
-        assert any("scheduled as discriminator" in e for e in diag.errors)
-
-    def test_disconnected_components_only_warn(self):
-        diag = validate_schedule(
-            explicit_schedule([("g1", "d1"), ("g2", "d2")]),
-            self.population())
-        assert diag.ok
-        assert diag.components == 2
-        assert any("disconnected" in w for w in diag.warnings)
-
-    def test_a_match_scheduled_twice_is_an_error(self):
-        # Both matches would get the same seed and play the same game.
-        diag = validate_schedule(
-            explicit_schedule([("g1", "d1"), ("g1", "d1", 1),
-                               ("g1", "d1", 0), ("g1", "d1", 0)]),
-            self.population())
-        assert diag.errors == (
-            "match 'g1' vs 'd1' repeat 0 is scheduled twice",)
-
-    def test_duplicate_errors_are_reported_once(self):
-        diag = validate_schedule(
-            explicit_schedule([("ghost", "d1"), ("ghost", "d2")]),
-            self.population())
-        assert diag.errors.count("unknown player id 'ghost'") == 1
 
 
 class TestRunSettings:
