@@ -1163,7 +1163,6 @@ class TestScheduleCommand:
         assert run_cli("schedule", "--config", path) == 2
         assert "error:" in capsys.readouterr().err
 
-
     @pytest.mark.parametrize("schedule, line", [
         ({"kind": "round_robin", "repeats": 2},
          "matches: 32 (100% of full round robin)"),
